@@ -3,25 +3,21 @@
 //! trajectory: `BENCH_codec.json` (decode side) and `BENCH_encode.json`
 //! (compress side).
 //!
-//! `BENCH_codec.json` compares four decode implementations on identical
+//! `BENCH_codec.json` times three decode implementations on identical
 //! inputs:
 //!
-//! * `seq` — the sequential reference (`decode_group`),
-//! * `seed_port` — the seed's speculative decoder (Vec-per-path,
-//!   clone-per-merge), preserved in `ecco_hw::paradec::seed_port`,
-//! * `lut` — PR 1's table-driven zero-allocation decoder,
-//! * `pipeline` — the rayon multi-block pipeline over the LUT decoder,
+//! * `seq` — the codec's per-symbol walk (`decode_group`),
+//! * `lut` — the hardware model's table-driven EOP-chain walk
+//!   (`ecco_hw::ParallelDecoder`), raw symbols and full blocks,
+//! * `pipeline` — the pooled multi-block pipeline over both,
 //!
-//! plus a `window_extract` section isolating the decoder's 64×8 window
-//! front end on weight and K-cache blocks: scalar-per-probe
-//! (`windows8_per_probe`) vs batched-portable (`windows8_portable`) vs
-//! the host SIMD tier (the dispatched `windows8` hot path with the
-//! tier pinned; `null` when unsupported), plus the block-at-a-time
-//! `windows_all` fill the fused decoder front-ends with (all 64
-//! segments per call), a `decode_to_values` section comparing the
-//! fused decode-to-values walk (`decode_block_parallel_into`) against
-//! the retired two-pass decoder (`decode_block_parallel_two_pass`) on
-//! weight and K-cache blocks, a `pool_spawn` section
+//! plus a `window_extract` section isolating the hardware model's 64×8
+//! window front end on weight and K-cache blocks: 512 scalar
+//! `BlockCursor::window` probes per block vs the block-at-a-time
+//! `windows_all` fill on the portable tier and on the host SIMD tier
+//! (`null` when unsupported), a `decode_to_values` section timing the
+//! hardware model's decode-to-values walk (`decode_block_parallel_into`)
+//! on weight and K-cache blocks, a `pool_spawn` section
 //! measuring spawn amortization on small tensors (per-call scoped-thread
 //! sharding — the pre-pool scheduler, reimplemented as the baseline —
 //! vs the persistent pool's fast path and its forced queue dispatch),
@@ -56,8 +52,7 @@ use ecco_tensor::Tensor;
 use std::hint::black_box;
 use std::time::Instant;
 
-use ecco_hw::paradec::seed_port;
-use ecco_hw::{decode_blocks_parallel, DecodeScratch, ParallelDecoder};
+use ecco_hw::{decode_blocks_parallel, ParallelDecoder};
 
 const GROUP: usize = 128;
 
@@ -123,28 +118,25 @@ fn bench(c: &mut Criterion) {
 }
 
 /// Extraction-only timings of the 64×8 window front end over one block
-/// set: mean ns for the per-probe scalar baseline, the batched portable
-/// path, and the host SIMD tier (`None` where unsupported). Each run
-/// sweeps every segment of every block at the decoder's 15-bit width.
+/// set: mean ns for the per-probe scalar baseline and the block-at-a-time
+/// fill on the portable tier and the host SIMD tier (`None` where
+/// unsupported). Each run extracts every window of every block at the
+/// decoder's 15-bit width.
 ///
-/// Results are consumed at the granularity the decoder consumes them —
-/// the pre-batching scalar loop `black_box`es each window (it resolved
-/// each one with a LUT probe before extracting the next), while the
-/// batched paths `black_box` each whole 8-window batch (their consumer,
-/// `entries8`, takes the batch as one unit). Without that boundary the
-/// compiler happily fuses the eight "independent" scalar probes into
-/// SIMD itself and the comparison measures nothing. Each arm takes the
-/// best of three timed runs to shave scheduler noise on the shared
-/// container.
-fn window_extract_ns(blocks: &[Block64]) -> (f64, f64, Option<f64>, f64, Option<f64>) {
-    const SEGS: usize = ecco_hw::paradec::NUM_SEGMENTS;
+/// The scalar loop `black_box`es each window, while the block fills
+/// `black_box` each whole 64×8 matrix (their consumer, the EOP walk,
+/// takes it as one unit). Without that boundary the compiler happily
+/// fuses the "independent" scalar probes into SIMD itself and the
+/// comparison measures nothing. Each arm takes the best of three timed
+/// runs to shave scheduler noise.
+fn window_extract_ns(blocks: &[Block64]) -> (f64, f64, Option<f64>) {
     let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
     let cursors: Vec<BlockCursor> = blocks.iter().map(Block64::cursor).collect();
     let per_probe = best_of(&mut || {
         time_ns(|| {
             let mut acc = 0u64;
             for cur in &cursors {
-                for seg in 0..SEGS {
+                for seg in 0..WINDOW_SEGMENTS {
                     for off in 0..8 {
                         acc ^= black_box(cur.window(seg * 8 + off, 15));
                     }
@@ -153,18 +145,6 @@ fn window_extract_ns(blocks: &[Block64]) -> (f64, f64, Option<f64>, f64, Option<
             black_box(acc);
         })
     });
-    let portable = best_of(&mut || {
-        time_ns(|| {
-            for cur in &cursors {
-                for seg in 0..SEGS {
-                    black_box(cur.windows8_portable(seg * 8, 15));
-                }
-            }
-        })
-    });
-    // Block-at-a-time fill (all 64 segments per call) through the
-    // portable arm — the consumer is `fill_records`, which takes the
-    // whole matrix as one unit.
     let mut rows = [[0u64; 8]; WINDOW_SEGMENTS];
     let block_portable = best_of(&mut || {
         time_ns(|| {
@@ -174,26 +154,15 @@ fn window_extract_ns(blocks: &[Block64]) -> (f64, f64, Option<f64>, f64, Option<
             }
         })
     });
-    // Time the SIMD tier through the dispatched hot paths (`windows8` /
-    // `windows_all` with the tier pinned) — what `decode_into` actually
-    // runs — rather than the re-detecting probes. `set_window_dispatch`
-    // clamps to supported tiers, so on a SIMD-less host neither pin
-    // sticks and the arms report `null`.
+    // Time the SIMD tier through the dispatched hot path (`windows_all`
+    // with the tier pinned) — what the decoder actually runs — rather
+    // than the re-detecting probe. `set_window_dispatch` clamps to
+    // supported tiers, so on a SIMD-less host the pin does not stick and
+    // the arm reports `null`.
     let host_tier = window_dispatch();
     let simd_tier = [WindowDispatch::Avx2, WindowDispatch::Neon]
         .into_iter()
         .find(|&t| set_window_dispatch(t) == t);
-    let simd = simd_tier.map(|_| {
-        best_of(&mut || {
-            time_ns(|| {
-                for cur in &cursors {
-                    for seg in 0..SEGS {
-                        black_box(cur.windows8(seg * 8, 15));
-                    }
-                }
-            })
-        })
-    });
     let block_simd = simd_tier.map(|_| {
         best_of(&mut || {
             time_ns(|| {
@@ -205,63 +174,36 @@ fn window_extract_ns(blocks: &[Block64]) -> (f64, f64, Option<f64>, f64, Option<
         })
     });
     set_window_dispatch(host_tier);
-    (per_probe, portable, simd, block_portable, block_simd)
+    (per_probe, block_portable, block_simd)
 }
 
 /// One `window_extract` JSON object for a block set (throughputs in
 /// windows/s; SIMD entries are `null` when the host has no SIMD tier).
 fn window_extract_section(blocks: &[Block64]) -> String {
-    let windows = (blocks.len() * ecco_hw::paradec::NUM_SEGMENTS * 8) as f64;
-    let (probe_ns, portable_ns, simd_ns, block_portable_ns, block_simd_ns) =
-        window_extract_ns(blocks);
+    let windows = (blocks.len() * WINDOW_SEGMENTS * 8) as f64;
+    let (probe_ns, block_portable_ns, block_simd_ns) = window_extract_ns(blocks);
     let per_s = |ns: f64| windows / ns * 1e9;
-    let fmt_rate = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.0}"));
-    let fmt_ratio = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.2}"));
     format!(
         "{{\n      \
            \"per_probe_scalar_windows_per_s\": {probe:.0},\n      \
-           \"batched_portable_windows_per_s\": {portable:.0},\n      \
-           \"simd_windows_per_s\": {simd},\n      \
            \"block_portable_windows_per_s\": {block_portable:.0},\n      \
            \"simd_block_windows_per_s\": {block_simd},\n      \
-           \"portable_vs_per_probe_speedup\": {portable_speedup:.2},\n      \
-           \"simd_vs_per_probe_speedup\": {simd_speedup},\n      \
            \"simd_block_vs_per_probe_speedup\": {block_speedup}\n    }}",
         probe = per_s(probe_ns),
-        portable = per_s(portable_ns),
-        simd = fmt_rate(simd_ns.map(per_s)),
         block_portable = per_s(block_portable_ns),
-        block_simd = fmt_rate(block_simd_ns.map(per_s)),
-        portable_speedup = probe_ns / portable_ns,
-        simd_speedup = fmt_ratio(simd_ns.map(|s| probe_ns / s)),
-        block_speedup = fmt_ratio(block_simd_ns.map(|s| probe_ns / s)),
+        block_simd = block_simd_ns.map_or("null".to_string(), |ns| format!("{:.0}", per_s(ns))),
+        block_speedup =
+            block_simd_ns.map_or("null".to_string(), |ns| format!("{:.2}", probe_ns / ns)),
     )
 }
 
-/// Whole-block decode-to-values timings over one block set: the retired
-/// two-pass decoder (symbol walk into a scratch, then a reconstruction
-/// sweep) vs the fused walk that gathers values through the per-block
-/// centroid×scale table as records merge. Mean ns per whole-set pass,
-/// each arm the best of three timed runs.
-fn decode_to_values_ns(blocks: &[Block64], meta: &TensorMetadata) -> (f64, f64) {
+/// One `decode_to_values` JSON object for a block set: the hardware
+/// model's decode-to-values walk over every block, the best of three
+/// timed runs.
+fn decode_to_values_section(blocks: &[Block64], meta: &TensorMetadata) -> String {
     let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-    let mut scratch = DecodeScratch::default();
     let mut values = Vec::with_capacity(GROUP);
-    let two_pass = best_of(&mut || {
-        time_ns(|| {
-            for blk in blocks {
-                ecco_hw::decode_block_parallel_two_pass(
-                    black_box(blk),
-                    meta,
-                    &mut scratch,
-                    &mut values,
-                )
-                .unwrap();
-                black_box(&values);
-            }
-        })
-    });
-    let fused = best_of(&mut || {
+    let ns = best_of(&mut || {
         time_ns(|| {
             for blk in blocks {
                 values.clear();
@@ -270,22 +212,11 @@ fn decode_to_values_ns(blocks: &[Block64], meta: &TensorMetadata) -> (f64, f64) 
             }
         })
     });
-    (two_pass, fused)
-}
-
-/// One `decode_to_values` JSON object for a block set.
-fn decode_to_values_section(blocks: &[Block64], meta: &TensorMetadata) -> String {
     let symbols = (blocks.len() * GROUP) as f64;
-    let (two_ns, fused_ns) = decode_to_values_ns(blocks, meta);
-    let per_s = |ns: f64| symbols / ns * 1e9;
     format!(
         "{{\n      \
-           \"two_pass_syms_per_s\": {two:.0},\n      \
-           \"fused_syms_per_s\": {fused:.0},\n      \
-           \"fused_vs_two_pass_speedup\": {speedup:.2}\n    }}",
-        two = per_s(two_ns),
-        fused = per_s(fused_ns),
-        speedup = two_ns / fused_ns,
+           \"fused_syms_per_s\": {fused:.0}\n    }}",
+        fused = symbols / ns * 1e9,
     )
 }
 
@@ -521,17 +452,12 @@ fn write_bench_json(
         let _ = ParallelDecoder::new(book);
     }
 
-    // Raw symbol decode over the whole tensor: seed port vs LUT decoder.
+    // Raw symbol decode over the whole tensor through the LUT decoder.
     let mut sink = Vec::with_capacity(GROUP);
     let lut_ns = time_ns(|| {
         for (blk, &(book, start)) in blocks.iter().zip(&parsed) {
             let d = ParallelDecoder::new(book);
             d.decode_into(black_box(blk), start, GROUP, &mut sink);
-        }
-    });
-    let seed_ns = time_ns(|| {
-        for (blk, &(book, start)) in blocks.iter().zip(&parsed) {
-            black_box(seed_port::decode(book, black_box(blk), start, GROUP));
         }
     });
 
@@ -582,9 +508,7 @@ fn write_bench_json(
          \"group_size\": {GROUP},\n  \
          \"threads\": {threads},\n  \
          \"raw_decode\": {{\n    \
-           \"seed_port_syms_per_s\": {seed:.0},\n    \
-           \"lut_syms_per_s\": {lut:.0},\n    \
-           \"lut_vs_seed_port_speedup\": {raw_speedup:.2}\n  }},\n  \
+           \"lut_syms_per_s\": {lut:.0}\n  }},\n  \
          \"window_extract\": {{\n    \
            \"dispatch\": \"{dispatch}\",\n    \
            \"window_bits\": 15,\n    \
@@ -614,13 +538,11 @@ fn write_bench_json(
            \"per_tensor_pooled_tensors_per_s\": {pooled_tps:.0},\n    \
            \"batched_submission_tensors_per_s\": {batch_tps:.0},\n    \
            \"batched_vs_per_tensor_speedup\": {batch_speedup:.2},\n    \
-           \"notes\": \"the original 0.95x regression came from one queue claim per 4-block tensor: 128 claims each paid a queue wake-up, slot lock and fresh decode scratch; claim_ranges groups contiguous tensors into block-target-sized claims sharing one scratch, which brought batched submission to parity pre-fusion (0.98-1.01x). The fused decode-to-values walk then cut per-block decode time ~3x, so the one-submission fixed cost is proportionally visible again on the 1-core container (~0.85-0.9x); the batched win shows on real multi-core hosts where a single submission amortizes across workers\"\n  }},\n  \
+           \"notes\": \"claim_ranges groups contiguous tensors into block-target-sized claims sharing one scratch, so one submission pays one queue wake-up for the whole batch and spreads it across executors; with a single executor that fixed cost is not amortized and batched submission measured ~0.85-0.9x of the per-tensor loop\"\n  }},\n  \
          \"container_load\": {csec}\n}}\n",
         csec = container_load_section(),
         threads = rayon::current_num_threads(),
-        seed = per_s(seed_ns),
         lut = per_s(lut_ns),
-        raw_speedup = seed_ns / lut_ns,
         wsec = window_extract_section(blocks),
         ksec = window_extract_section(kc_blocks),
         wdtv = decode_to_values_section(blocks, meta),
@@ -641,9 +563,7 @@ fn write_bench_json(
     std::fs::write(path, &json).expect("write BENCH_codec.json");
     println!("\nBENCH_codec.json:\n{json}");
     println!(
-        "LUT decoder is {:.1}x the seed implementation on identical inputs; \
-         pooled small-tensor decode is {:.1}x the per-call spawn baseline",
-        seed_ns / lut_ns,
+        "pooled small-tensor decode is {:.1}x the per-call spawn baseline",
         spawn_ns / pooled_ns,
     );
 }

@@ -1,11 +1,10 @@
-//! Criterion micro-bench: the parallel-decoder functional model — LUT +
-//! zero-allocation rewrite vs the seed implementation vs the sequential
-//! reference decoder, plus the rayon multi-block pipeline.
+//! Criterion micro-bench: the parallel-decoder functional model — the
+//! LUT + EOP-chain walk vs the sequential per-symbol decoder, plus the
+//! pooled multi-block pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ecco_bits::Block64;
 use ecco_core::{decode_group, encode_group, EccoConfig, PatternSelector, TensorMetadata};
-use ecco_hw::paradec::seed_port;
 use ecco_hw::{decode_block_parallel, decode_blocks_parallel};
 use std::hint::black_box;
 
@@ -28,8 +27,7 @@ fn bench(c: &mut Criterion) {
         .map(|g| encode_group(g, &meta, PatternSelector::MinMax).0)
         .collect();
 
-    // Raw symbol-decode comparison on the identical (book, start_bit)
-    // input: the seed algorithm vs the LUT + EOP-chaining rewrite.
+    // Raw symbol decode on the block's own (book, start_bit).
     let (book, start_bit) = parse_header(&block, &meta);
     let decoder = ecco_hw::ParallelDecoder::new(book);
     let mut scratch = Vec::with_capacity(128);
@@ -44,9 +42,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("lut_raw_decode", |b| {
         b.iter(|| decoder.decode_into(black_box(&block), start_bit, 128, &mut scratch))
-    });
-    g.bench_function("seed_port_raw_decode", |b| {
-        b.iter(|| seed_port::decode(book, black_box(&block), start_bit, 128))
     });
     g.finish();
 

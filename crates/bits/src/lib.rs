@@ -17,12 +17,12 @@
 //! per bit.
 //!
 //! For the parallel decoder's 64×8 sub-decode pass, [`BlockCursor`] also
-//! extracts all eight offset windows of one segment in a single call
-//! ([`BlockCursor::windows8`]), with a portable word-level path, an AVX2
-//! path and a NEON path behind one runtime dispatch point — see
-//! [`WindowDispatch`] for the tier rules and the `force-scalar`
-//! feature / `ECCO_FORCE_SCALAR` env override (any value but empty or
-//! `"0"`) that pins the portable path for CI and differential testing.
+//! extracts every segment's eight offset windows in a single call
+//! ([`BlockCursor::windows_all`]), with a portable word-level path, an
+//! AVX2 path and a NEON path behind one runtime dispatch point — see
+//! [`WindowDispatch`] for the tier rules and the `ECCO_FORCE_SCALAR` env
+//! override (any value but empty or `"0"`) that pins the portable path
+//! for CI and differential testing.
 //!
 //! # Examples
 //!
@@ -41,7 +41,7 @@
 
 // Unsafe is denied crate-wide and re-allowed only inside the `simd`
 // module, whose sole contents are the AVX2/NEON intrinsic shims behind
-// `BlockCursor::windows8` (each shim documents its safety contract).
+// `BlockCursor::windows_all` (each shim documents its safety contract).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -406,7 +406,6 @@ impl fmt::Debug for Block64 {
 /// position is two shifts and an OR — no cursor state, no bounds loop, no
 /// reconstruction. This is the primitive the parallel decoder's
 /// sub-decoders use to slice the block into overlapping 15-bit windows:
-/// the seed implementation rebuilt a [`BitReader`] *per decoded symbol*;
 /// a [`BlockCursor`] is built once per block and then only does index math.
 ///
 /// Windows past bit 512 read as zero fill, exactly like the hardware.
@@ -474,35 +473,11 @@ impl BlockCursor {
         hi | lo
     }
 
-    /// Extracts the eight `n`-bit windows starting at bits
-    /// `pos..pos + 8` — one window per sub-decoder entry offset of the
-    /// segment beginning at `pos` — through the active [`WindowDispatch`]
-    /// tier. Windows past bit 512 are zero-padded, exactly like
-    /// [`BlockCursor::window`].
-    ///
-    /// Every tier is bit-identical; the differential proptests in this
-    /// crate pin SIMD == portable == per-probe for all positions and
-    /// widths `1..=15`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `n` is outside `1..=15` or `pos + 7 >= 512`.
-    #[inline]
-    pub fn windows8(&self, pos: usize, n: u32) -> [u64; 8] {
-        debug_assert!((1..=15).contains(&n), "windows8 widths are 1..=15");
-        debug_assert!(pos + 7 < BLOCK_BITS, "offset window outside block");
-        let cat = self.batch_cat(pos, n);
-        match window_dispatch() {
-            WindowDispatch::Portable => windows8_from_cat(cat, n),
-            tier => simd_or_portable(tier, cat, n),
-        }
-    }
-
-    /// The word-pair suffix feeding one 8-window batch. All eight windows
-    /// read only the top `7 + n` bits, so when `off + 7 + n <= 64` the
-    /// whole batch lives in the addressed word and the second load (and
-    /// the `off == 0` shift guard) is skipped — true for six of every
-    /// eight segments at the decoder's 15-bit width.
+    /// The word-pair suffix feeding one segment's eight offset windows.
+    /// All eight windows read only the top `7 + n` bits, so when
+    /// `off + 7 + n <= 64` the whole batch lives in the addressed word and
+    /// the second load (and the `off == 0` shift guard) is skipped — true
+    /// for six of every eight segments at the decoder's 15-bit width.
     #[inline]
     fn batch_cat(&self, pos: usize, n: u32) -> u64 {
         let word = pos >> 6;
@@ -514,68 +489,6 @@ impl BlockCursor {
         }
     }
 
-    /// The portable word-level batch path: one guarded word-pair load
-    /// amortized across all eight offsets (each window is then one shift
-    /// and one mask). This is the tier `force-scalar` /
-    /// `ECCO_FORCE_SCALAR` pin, and the baseline the SIMD tiers are
-    /// differentially tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) under the same conditions as
-    /// [`BlockCursor::windows8`].
-    #[inline]
-    pub fn windows8_portable(&self, pos: usize, n: u32) -> [u64; 8] {
-        debug_assert!((1..=15).contains(&n), "windows8 widths are 1..=15");
-        debug_assert!(pos + 7 < BLOCK_BITS, "offset window outside block");
-        windows8_from_cat(self.batch_cat(pos, n), n)
-    }
-
-    /// The pre-batching reference: eight independent
-    /// [`BlockCursor::window`] probes (two shifts each). Kept as the
-    /// scalar-per-probe baseline for differential tests and the
-    /// `window_extract` bench section.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) under the same conditions as
-    /// [`BlockCursor::windows8`].
-    #[inline]
-    pub fn windows8_per_probe(&self, pos: usize, n: u32) -> [u64; 8] {
-        debug_assert!((1..=15).contains(&n), "windows8 widths are 1..=15");
-        debug_assert!(pos + 7 < BLOCK_BITS, "offset window outside block");
-        let mut out = [0u64; 8];
-        for (i, w) in out.iter_mut().enumerate() {
-            *w = self.window(pos + i, n);
-        }
-        out
-    }
-
-    /// The SIMD batch path, bypassing the dispatch point: `Some` iff the
-    /// host actually supports a SIMD tier (AVX2 on x86-64, NEON on
-    /// AArch64). Used by the differential tests and the bench harness to
-    /// probe the SIMD arm explicitly regardless of the active dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) under the same conditions as
-    /// [`BlockCursor::windows8`].
-    #[inline]
-    pub fn windows8_simd(&self, pos: usize, n: u32) -> Option<[u64; 8]> {
-        debug_assert!((1..=15).contains(&n), "windows8 widths are 1..=15");
-        debug_assert!(pos + 7 < BLOCK_BITS, "offset window outside block");
-        let cat = self.batch_cat(pos, n);
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        {
-            simd::windows8(cat, n)
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            let _ = cat;
-            None
-        }
-    }
-
     /// Extracts **every** segment's eight offset windows in one call —
     /// all [`WINDOW_SEGMENTS`]` × 8` windows of the block at width `n`,
     /// row `seg` holding the windows starting at bits
@@ -583,14 +496,11 @@ impl BlockCursor {
     /// Windows past bit 512 are zero-padded, exactly like
     /// [`BlockCursor::window`].
     ///
-    /// This is the decoder's whole-block record fill: a per-segment
-    /// [`BlockCursor::windows8`] hits a non-inlinable `#[target_feature]`
-    /// shim 64 times per block, which is why the per-segment SIMD tier
-    /// trailed the portable one (`BENCH_codec.json` `window_extract`).
-    /// Here one shim call covers the whole block, so the intrinsic tier
-    /// amortizes its call overhead across all 512 windows. Every tier is
-    /// bit-identical; the differential proptests pin
-    /// block-fill == per-segment == per-probe on both arms.
+    /// This is the decoder's whole-block window fill. A `#[target_feature]`
+    /// shim cannot inline, so one shim call covers the whole block and
+    /// the intrinsic tier amortizes its call overhead across all 512
+    /// windows. Every tier is bit-identical; the differential tests pin
+    /// each one to 512 independent [`BlockCursor::window`] probes.
     ///
     /// # Panics
     ///
@@ -612,11 +522,10 @@ impl BlockCursor {
         }
     }
 
-    /// The portable whole-block fill: one [`BlockCursor::windows8_portable`]
-    /// batch per segment, no intrinsics. The tier the `force-scalar` /
-    /// `ECCO_FORCE_SCALAR` pin routes [`BlockCursor::windows_all`] to,
-    /// and the baseline the SIMD block fills are differentially tested
-    /// against.
+    /// The portable whole-block fill: one guarded word-pair load per
+    /// segment, expanded into its eight windows by shifts, no intrinsics.
+    /// The tier `ECCO_FORCE_SCALAR` routes [`BlockCursor::windows_all`]
+    /// to.
     ///
     /// # Panics
     ///
@@ -625,7 +534,7 @@ impl BlockCursor {
     pub fn windows_all_portable(&self, n: u32, out: &mut [[u64; 8]; WINDOW_SEGMENTS]) {
         debug_assert!((1..=15).contains(&n), "windows_all widths are 1..=15");
         for (seg, row) in out.iter_mut().enumerate() {
-            *row = windows8_from_cat(self.batch_cat(seg * 8, n), n);
+            *row = segment_windows(self.batch_cat(seg * 8, n), n);
         }
     }
 
@@ -658,7 +567,7 @@ impl BlockCursor {
 /// needs no mask register: the left shift drops the bits above offset
 /// `i`, the right shift isolates the window.
 #[inline]
-fn windows8_from_cat(cat: u64, n: u32) -> [u64; 8] {
+fn segment_windows(cat: u64, n: u32) -> [u64; 8] {
     let shift = 64 - n;
     let mut out = [0u64; 8];
     for (i, w) in out.iter_mut().enumerate() {
@@ -667,35 +576,17 @@ fn windows8_from_cat(cat: u64, n: u32) -> [u64; 8] {
     out
 }
 
-/// Routes one preloaded word pair through the SIMD shim the dispatch
-/// cache resolved — without re-running feature detection, which the
-/// dispatch invariant already guarantees (see [`DISPATCH`]). The
-/// portable fallback arm only exists for tier values a `cfg`-stripped
-/// build cannot execute.
-#[inline]
-fn simd_or_portable(tier: WindowDispatch, cat: u64, n: u32) -> [u64; 8] {
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    if let Some(w) = simd::windows8_for_tier(tier, cat, n) {
-        return w;
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = tier;
-    windows8_from_cat(cat, n)
-}
-
-/// The implementation tier behind [`BlockCursor::windows8`].
+/// The implementation tier behind [`BlockCursor::windows_all`].
 ///
 /// All tiers produce bit-identical windows; they differ only in how the
-/// eight shifts are issued. The active tier is resolved once per process
-/// and cached:
+/// shifts are issued. The active tier is resolved once per process and
+/// cached:
 ///
-/// 1. the `force-scalar` cargo feature pins [`WindowDispatch::Portable`]
-///    at compile time (CI's differential leg),
-/// 2. otherwise a non-empty, non-`"0"` `ECCO_FORCE_SCALAR` environment
-///    variable pins the portable tier at startup,
-/// 3. otherwise the best supported SIMD tier wins: [`WindowDispatch::Avx2`]
+/// 1. a non-empty, non-`"0"` `ECCO_FORCE_SCALAR` environment variable
+///    pins [`WindowDispatch::Portable`] at startup,
+/// 2. otherwise the best supported SIMD tier wins: [`WindowDispatch::Avx2`]
 ///    on x86-64 hosts with AVX2, [`WindowDispatch::Neon`] on AArch64,
-/// 4. portable everywhere else.
+/// 3. portable everywhere else.
 ///
 /// Tests may re-pin the tier at runtime with [`set_window_dispatch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -711,7 +602,7 @@ pub enum WindowDispatch {
 
 /// Cached dispatch tier: 0 = unresolved, else `encode_tier(tier)`.
 ///
-/// Safety invariant relied on by `simd::windows8_for_tier`: a SIMD tier
+/// Safety invariant relied on by `simd::windows_all_for_tier`: a SIMD tier
 /// is only ever stored here after this process verified the host
 /// supports it ([`resolve_dispatch`] and [`set_window_dispatch`] both
 /// gate on [`supported_simd`]), so a load observing `Avx2`/`Neon`
@@ -757,13 +648,10 @@ fn resolve_dispatch() -> WindowDispatch {
     supported_simd().unwrap_or(WindowDispatch::Portable)
 }
 
-/// The [`WindowDispatch`] tier [`BlockCursor::windows8`] currently runs
-/// on, resolving and caching it on first call.
+/// The [`WindowDispatch`] tier [`BlockCursor::windows_all`] currently
+/// runs on, resolving and caching it on first call.
 #[inline]
 pub fn window_dispatch() -> WindowDispatch {
-    if cfg!(feature = "force-scalar") {
-        return WindowDispatch::Portable;
-    }
     match DISPATCH.load(Ordering::Relaxed) {
         1 => WindowDispatch::Portable,
         2 => WindowDispatch::Avx2,
@@ -776,10 +664,9 @@ pub fn window_dispatch() -> WindowDispatch {
     }
 }
 
-/// Re-pins the [`BlockCursor::windows8`] dispatch tier, returning the
+/// Re-pins the [`BlockCursor::windows_all`] dispatch tier, returning the
 /// tier actually installed: requests for a SIMD tier the host cannot
-/// execute clamp to [`WindowDispatch::Portable`], and under the
-/// `force-scalar` feature the tier is pinned portable at compile time.
+/// execute clamp to [`WindowDispatch::Portable`].
 ///
 /// Intended for differential tests and benches that must drive a specific
 /// arm; the setting is process-global, which is sound precisely because
@@ -794,7 +681,7 @@ pub fn set_window_dispatch(tier: WindowDispatch) -> WindowDispatch {
     window_dispatch()
 }
 
-/// The AVX2 / NEON intrinsic shims behind [`BlockCursor::windows8`] —
+/// The AVX2 / NEON intrinsic shims behind [`BlockCursor::windows_all`] —
 /// the only `unsafe` in the crate, confined to `target_feature` calls
 /// whose availability is checked by the caller in this module.
 #[cfg(target_arch = "x86_64")]
@@ -804,64 +691,6 @@ mod simd {
         __m256i, _mm256_set1_epi64x, _mm256_set_epi64x, _mm256_sllv_epi64, _mm256_srl_epi64,
         _mm256_storeu_si256, _mm_cvtsi32_si128,
     };
-
-    /// All eight offset windows of one preloaded word pair, or `None`
-    /// without AVX2. Detection is rechecked here (a cached atomic load in
-    /// std) so this function is safe to call unconditionally — it backs
-    /// the explicit `windows8_simd` probe.
-    #[inline]
-    pub(crate) fn windows8(cat: u64, n: u32) -> Option<[u64; 8]> {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified on this host.
-            Some(unsafe { windows8_avx2(cat, n) })
-        } else {
-            None
-        }
-    }
-
-    /// The dispatched hot path: runs the shim for a tier already
-    /// resolved by the dispatch cache, skipping re-detection. `None`
-    /// for tiers this architecture has no shim for.
-    #[inline]
-    pub(crate) fn windows8_for_tier(
-        tier: crate::WindowDispatch,
-        cat: u64,
-        n: u32,
-    ) -> Option<[u64; 8]> {
-        match tier {
-            // SAFETY: the dispatch cache only ever holds `Avx2` after
-            // `supported_simd` verified AVX2 on this host (see the
-            // invariant on `DISPATCH`).
-            crate::WindowDispatch::Avx2 => Some(unsafe { windows8_avx2(cat, n) }),
-            _ => None,
-        }
-    }
-
-    /// Two variable-shift lanes of four windows each: lane `i` computes
-    /// `(cat << i) >> (64 - n)` — a per-lane left shift (the offsets are
-    /// compile-time constants) followed by one shared right shift, no
-    /// mask needed.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the host supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn windows8_avx2(cat: u64, n: u32) -> [u64; 8] {
-        let v = _mm256_set1_epi64x(cat as i64);
-        // `_mm256_set_epi64x` lists lanes high-to-low: lane 0 is offset 0.
-        let off_lo = _mm256_set_epi64x(3, 2, 1, 0);
-        let off_hi = _mm256_set_epi64x(7, 6, 5, 4);
-        let right = _mm_cvtsi32_si128((64 - n) as i32);
-        let lo = _mm256_srl_epi64(_mm256_sllv_epi64(v, off_lo), right);
-        let hi = _mm256_srl_epi64(_mm256_sllv_epi64(v, off_hi), right);
-        let mut out = [0u64; 8];
-        // SAFETY: `out` is 64 bytes, exactly two unaligned 256-bit stores.
-        unsafe {
-            _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), lo);
-            _mm256_storeu_si256(out.as_mut_ptr().add(4).cast::<__m256i>(), hi);
-        }
-        out
-    }
 
     /// The whole-block fill, re-detecting AVX2 (a cached atomic load in
     /// std) so it is safe to call unconditionally — backs the explicit
@@ -954,52 +783,6 @@ mod simd {
     use std::arch::aarch64::{
         vandq_u64, vdupq_n_s64, vdupq_n_u64, vld1q_s64, vshlq_u64, vst1q_u64,
     };
-
-    /// All eight offset windows of one preloaded word pair. Always `Some`
-    /// on AArch64 (NEON is part of the baseline ABI).
-    #[inline]
-    pub(crate) fn windows8(cat: u64, n: u32) -> Option<[u64; 8]> {
-        // SAFETY: NEON is mandatory in the AArch64 baseline ABI.
-        Some(unsafe { windows8_neon(cat, n) })
-    }
-
-    /// The dispatched hot path: NEON needs no detection, so this only
-    /// filters out tiers this architecture has no shim for.
-    #[inline]
-    pub(crate) fn windows8_for_tier(
-        tier: crate::WindowDispatch,
-        cat: u64,
-        n: u32,
-    ) -> Option<[u64; 8]> {
-        match tier {
-            crate::WindowDispatch::Neon => windows8(cat, n),
-            _ => None,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The caller must ensure the host supports NEON (always true for
-    /// AArch64 targets).
-    #[target_feature(enable = "neon")]
-    unsafe fn windows8_neon(cat: u64, n: u32) -> [u64; 8] {
-        let v = vdupq_n_u64(cat);
-        let mask = vdupq_n_u64((1u64 << n) - 1);
-        let base = (64 - n) as i64;
-        let mut out = [0u64; 8];
-        for pair in 0..4usize {
-            // `vshlq_u64` shifts right for negative counts.
-            let counts = [-(base - 2 * pair as i64), -(base - 2 * pair as i64 - 1)];
-            // SAFETY: `counts` holds two i64 lanes; `out[2 * pair..]` has
-            // room for two u64 lanes.
-            unsafe {
-                let sh = vld1q_s64(counts.as_ptr());
-                let w = vandq_u64(vshlq_u64(v, sh), mask);
-                vst1q_u64(out.as_mut_ptr().add(2 * pair), w);
-            }
-        }
-        out
-    }
 
     /// The whole-block fill. Always fills on AArch64 (NEON is part of
     /// the baseline ABI); backs the explicit `windows_all_simd` probe.
@@ -1201,46 +984,29 @@ mod tests {
         Block64::from_bytes(bytes)
     }
 
-    #[test]
-    fn windows8_tiers_identical_on_all_positions_and_widths() {
-        // Exhaustive over every (segment, offset) position a sub-decoder
-        // can probe and every window width 1..=15, on several blocks:
-        // dispatched == portable == per-probe == SIMD (when supported)
-        // == eight independent scalar probes.
-        for seed in 0..4u64 {
-            let block = scrambled_block(seed);
-            let cur = block.cursor();
-            for seg in 0..(BLOCK_BITS / 8) {
-                let pos = seg * 8;
-                for n in 1..=15u32 {
-                    let per_probe = cur.windows8_per_probe(pos, n);
-                    for (i, &w) in per_probe.iter().enumerate() {
-                        assert_eq!(w, cur.window(pos + i, n), "pos {pos} off {i} n {n}");
-                    }
-                    assert_eq!(cur.windows8_portable(pos, n), per_probe, "pos {pos} n {n}");
-                    assert_eq!(cur.windows8(pos, n), per_probe, "pos {pos} n {n}");
-                    if let Some(simd) = cur.windows8_simd(pos, n) {
-                        assert_eq!(simd, per_probe, "SIMD diverged at pos {pos} n {n}");
-                    }
-                }
+    /// The per-probe oracle: all 64×8 windows from independent
+    /// [`BlockCursor::window`] probes.
+    fn per_probe_fill(cur: &BlockCursor, n: u32) -> [[u64; 8]; WINDOW_SEGMENTS] {
+        let mut out = [[0u64; 8]; WINDOW_SEGMENTS];
+        for (seg, row) in out.iter_mut().enumerate() {
+            for (i, w) in row.iter_mut().enumerate() {
+                *w = cur.window(seg * 8 + i, n);
             }
         }
+        out
     }
 
     #[test]
     fn windows_all_tiers_identical_on_all_widths() {
-        // The whole-block fill must match the per-segment batch (itself
-        // pinned to the per-probe scalar oracle above) on every tier:
-        // dispatched == portable == SIMD (when supported), every
-        // segment, every width, several blocks.
+        // Exhaustive over every (segment, offset) position a sub-decoder
+        // can probe and every window width 1..=15, on several blocks:
+        // dispatched == portable == SIMD (when supported) == 512
+        // independent scalar probes.
         for seed in 0..4u64 {
             let block = scrambled_block(seed);
             let cur = block.cursor();
             for n in 1..=15u32 {
-                let mut expect = [[0u64; 8]; WINDOW_SEGMENTS];
-                for (seg, row) in expect.iter_mut().enumerate() {
-                    *row = cur.windows8_per_probe(seg * 8, n);
-                }
+                let expect = per_probe_fill(&cur, n);
                 let mut portable = [[0u64; 8]; WINDOW_SEGMENTS];
                 cur.windows_all_portable(n, &mut portable);
                 assert_eq!(portable, expect, "portable block fill diverged at n {n}");
@@ -1291,41 +1057,49 @@ mod tests {
         );
         let block = scrambled_block(7);
         let cur = block.cursor();
-        assert_eq!(cur.windows8(128, 15), cur.windows8_portable(128, 15));
+        let mut expect = [[0u64; 8]; WINDOW_SEGMENTS];
+        cur.windows_all_portable(15, &mut expect);
+        let mut got = [[0u64; 8]; WINDOW_SEGMENTS];
+        cur.windows_all(15, &mut got);
+        assert_eq!(got, expect);
         // A SIMD tier installs iff the host supports it; otherwise it
-        // clamps portable (and under force-scalar it always pins portable).
+        // clamps portable.
         for tier in [WindowDispatch::Avx2, WindowDispatch::Neon] {
-            let got = set_window_dispatch(tier);
-            assert!(got == tier || got == WindowDispatch::Portable);
-            assert_eq!(cur.windows8(264, 15), cur.windows8_portable(264, 15));
+            let installed = set_window_dispatch(tier);
+            assert!(installed == tier || installed == WindowDispatch::Portable);
+            cur.windows_all(15, &mut got);
+            assert_eq!(got, expect);
         }
         set_window_dispatch(initial);
     }
 
     proptest! {
         #[test]
-        fn windows8_matches_per_probe_on_random_blocks(
+        fn windows_all_matches_reader_on_random_blocks(
             data in prop::collection::vec(any::<u8>(), 64),
-            seg in 0usize..(BLOCK_BITS / 8),
             n in 1u32..=15,
         ) {
             let mut bytes = [0u8; BLOCK_BYTES];
             bytes.copy_from_slice(&data);
-            let cur = Block64::from_bytes(bytes).cursor();
-            let pos = seg * 8;
-            let reference = cur.windows8_per_probe(pos, n);
-            prop_assert_eq!(cur.windows8_portable(pos, n), reference);
-            prop_assert_eq!(cur.windows8(pos, n), reference);
-            if let Some(simd) = cur.windows8_simd(pos, n) {
-                prop_assert_eq!(simd, reference);
-            }
-            // And the per-probe path itself agrees with the zero-padded
-            // reader, closing the loop back to the bit-level oracle.
             let block = Block64::from_bytes(bytes);
+            let cur = block.cursor();
+            let mut fill = [[0u64; 8]; WINDOW_SEGMENTS];
+            cur.windows_all(n, &mut fill);
+            let mut portable = [[0u64; 8]; WINDOW_SEGMENTS];
+            cur.windows_all_portable(n, &mut portable);
+            prop_assert_eq!(portable, fill);
+            let mut simd = [[0u64; 8]; WINDOW_SEGMENTS];
+            if cur.windows_all_simd(n, &mut simd) {
+                prop_assert_eq!(simd, fill);
+            }
+            // Every window agrees with the zero-padded reader, the
+            // bit-level oracle.
             let mut r = block.reader();
-            for (i, &w) in reference.iter().enumerate() {
-                r.seek(pos + i);
-                prop_assert_eq!(w, r.peek_bits_padded(n));
+            for (seg, row) in fill.iter().enumerate() {
+                for (i, &w) in row.iter().enumerate() {
+                    r.seek(seg * 8 + i);
+                    prop_assert_eq!(w, r.peek_bits_padded(n));
+                }
             }
         }
 

@@ -33,9 +33,10 @@
 //! Reading goes through [`MapSource`]: mmap on 64-bit unix (zero-copy,
 //! pages fault in lazily as frames are touched), positioned reads as the
 //! portable fallback (`ECCO_NO_MMAP=1` forces it), or an in-memory
-//! buffer for tests and fuzzing. Decode runs through the pooled batch
-//! API ([`ecco_hw::decode_tensors_batch_report`]), so a multi-tensor
-//! load shares the persistent worker pool's lanes.
+//! buffer for tests and fuzzing. Decode runs through the codec's pooled
+//! batch decoder
+//! ([`WeightCodec::decompress_batch_report`](ecco_core::WeightCodec::decompress_batch_report)),
+//! so a multi-tensor load shares the persistent worker pool's lanes.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! ECCF reader: opens a container through a [`MapSource`], validates the
 //! tail directory against the actual byte image, and decodes selected
-//! tensors through the pooled batch decoder.
+//! tensors through the codec's pooled batch decoder.
 //!
 //! The directory is untrusted. Everything it claims — offsets, lengths,
 //! block counts, decoded lengths, checksums — is cross-checked before a
@@ -30,6 +30,7 @@ use std::path::Path;
 use ecco_core::wire::{self, TENSOR_FRAME_HEADER_BYTES};
 use ecco_core::{
     BatchOutcome, CompressedTensor, DecodeError, DecodeErrorKind, RecoveryPolicy, TensorMetadata,
+    WeightCodec,
 };
 use ecco_tensor::Tensor;
 
@@ -123,7 +124,9 @@ pub struct LoadedTensor {
 /// never touches (or faults in) the frames it skips.
 pub struct Container {
     source: MapSource,
-    meta: TensorMetadata,
+    /// The decoder for every frame, built once from the revived snapshot
+    /// so its lazily built decode tables are shared by every load.
+    codec: WeightCodec,
     entries: Vec<TensorEntry>,
     by_name: HashMap<String, usize>,
 }
@@ -328,7 +331,7 @@ impl Container {
 
         Ok(Container {
             source,
-            meta,
+            codec: WeightCodec::from_metadata(meta),
             entries,
             by_name,
         })
@@ -336,7 +339,7 @@ impl Container {
 
     /// The revived shared metadata snapshot.
     pub fn metadata(&self) -> &TensorMetadata {
-        &self.meta
+        self.codec.metadata()
     }
 
     /// Directory entries in on-disk order.
@@ -392,7 +395,7 @@ impl Container {
     }
 
     /// Loads the named tensors through **one pooled batch decode pass**
-    /// ([`ecco_hw::decode_tensors_batch_report`]) — the partial-load
+    /// ([`WeightCodec::decompress_batch_report`]) — the partial-load
     /// primitive: only the requested frames are read, CRC-checked and
     /// decoded, in the caller's pool.
     ///
@@ -400,6 +403,8 @@ impl Container {
     /// [`BatchOutcome::Failed`] (dimensions zeroed) instead of aborting
     /// the batch; under [`RecoveryPolicy::SalvageBlocks`] block-level
     /// corruption inside a frame that passed its CRC salvages as usual.
+    /// Every error is located at the tensor's directory index, whatever
+    /// its position in `names`.
     ///
     /// # Errors
     ///
@@ -410,77 +415,68 @@ impl Container {
         names: &[&str],
         policy: RecoveryPolicy,
     ) -> Result<Vec<LoadedTensor>, ContainerError> {
+        let mut indices = Vec::with_capacity(names.len());
         for name in names {
-            if !self.by_name.contains_key(*name) {
-                return Err(ContainerError::UnknownTensor((*name).to_owned()));
-            }
+            let &idx = self
+                .by_name
+                .get(*name)
+                .ok_or_else(|| ContainerError::UnknownTensor((*name).to_owned()))?;
+            indices.push(idx);
         }
 
         // Read + CRC + revive every requested frame first; failures
-        // become Failed slots and healthy tensors proceed to the pool.
-        let mut slots: Vec<Result<CompressedTensor, DecodeError>> = Vec::with_capacity(names.len());
-        for name in names {
-            slots.push(self.read_compressed(name).map_err(|e| {
-                match e {
-                    ContainerError::Decode(d) => d,
-                    ContainerError::Io(_) => DecodeError::new(DecodeErrorKind::TruncatedStream)
-                        .at_tensor(self.by_name[*name]),
-                    ContainerError::UnknownTensor(_) => unreachable!("names pre-checked"),
-                }
-            }));
-        }
-
-        // Per-tensor metadata views (scales differ per frame) must
-        // outlive the borrowed batch.
-        let metas: Vec<Option<TensorMetadata>> = slots
+        // become Failed slots and healthy tensors go to the pool.
+        let slots: Vec<Result<CompressedTensor, DecodeError>> = names
             .iter()
-            .map(|s| {
-                s.as_ref()
-                    .ok()
-                    .map(|ct| self.meta.with_scale(ct.tensor_scale()))
+            .map(|name| {
+                self.read_compressed(name).map_err(|e| match e {
+                    ContainerError::Decode(d) => d,
+                    ContainerError::Io(_) => DecodeError::new(DecodeErrorKind::TruncatedStream),
+                    ContainerError::UnknownTensor(_) => unreachable!("names pre-checked"),
+                })
             })
             .collect();
-        let mut batch: Vec<(&[ecco_bits::Block64], &TensorMetadata)> = Vec::new();
-        let mut batch_slot: Vec<usize> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            if let Ok(ct) = slot {
-                batch.push((ct.blocks(), metas[i].as_ref().expect("meta for ok slot")));
-                batch_slot.push(i);
-            }
-        }
-        let mut decoded: Vec<Option<BatchOutcome>> = if batch.is_empty() {
-            Vec::new()
-        } else {
-            ecco_hw::decode_tensors_batch_report(&batch, policy)
-                .into_iter()
-                .map(Some)
-                .collect()
-        };
+        let healthy: Vec<&CompressedTensor> =
+            slots.iter().filter_map(|s| s.as_ref().ok()).collect();
+        let mut decoded = self
+            .codec
+            .decompress_batch_report(&healthy, policy)
+            .into_iter();
 
-        let mut out = Vec::with_capacity(names.len());
-        let mut next_batch = 0usize;
-        for (i, (name, slot)) in names.iter().zip(slots.iter()).enumerate() {
-            let loaded = match slot {
-                Ok(ct) => {
-                    debug_assert_eq!(batch_slot[next_batch], i);
-                    let outcome = decoded[next_batch].take().expect("one take per slot");
-                    next_batch += 1;
-                    LoadedTensor {
-                        name: (*name).to_string(),
-                        rows: ct.rows(),
-                        cols: ct.cols(),
-                        outcome,
+        // The batch locates errors at batch positions; the container
+        // reports directory indices.
+        let at_entry = |mut e: DecodeError, idx: usize| {
+            e.tensor = Some(idx);
+            e
+        };
+        let out = names
+            .iter()
+            .zip(slots)
+            .zip(indices)
+            .map(|((name, slot), idx)| {
+                let (rows, cols, outcome) = match slot {
+                    Ok(ct) => {
+                        let outcome = decoded.next().expect("one outcome per healthy slot");
+                        (ct.rows(), ct.cols(), outcome)
                     }
-                }
-                Err(e) => LoadedTensor {
+                    Err(e) => (0, 0, BatchOutcome::Failed(e)),
+                };
+                let outcome = match outcome {
+                    BatchOutcome::Failed(e) => BatchOutcome::Failed(at_entry(e, idx)),
+                    BatchOutcome::Salvaged { values, bad_blocks } => BatchOutcome::Salvaged {
+                        values,
+                        bad_blocks: bad_blocks.into_iter().map(|e| at_entry(e, idx)).collect(),
+                    },
+                    ok => ok,
+                };
+                LoadedTensor {
                     name: (*name).to_string(),
-                    rows: 0,
-                    cols: 0,
-                    outcome: BatchOutcome::Failed(*e),
-                },
-            };
-            out.push(loaded);
-        }
+                    rows,
+                    cols,
+                    outcome,
+                }
+            })
+            .collect();
         Ok(out)
     }
 

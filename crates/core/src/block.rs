@@ -493,8 +493,8 @@ pub struct DecodedGroupInfo {
 ///
 /// `round_f16` is a pure function of `(centroid, scale)`, so gathering
 /// from this table is bit-identical to reconstructing each symbol
-/// inline — the fused decoders and the pinned two-pass baselines are
-/// differentially tested on exactly this claim.
+/// inline; `block::tests::value_table_matches_reconstruction_formula`
+/// pins the formula slot by slot.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockValueTable {
     /// Indexed by decoded symbol (`0..SYMBOL_COUNT`); slot
@@ -565,8 +565,7 @@ pub fn decode_group(
 /// gathered through a precomputed [`BlockValueTable`] as it is resolved,
 /// with no intermediate symbol buffer or second reconstruction pass.
 ///
-/// On error nothing is appended. Bit-identical to the pinned
-/// [`decode_group_two_pass`] baseline on every input.
+/// On error nothing is appended.
 ///
 /// # Errors
 ///
@@ -627,87 +626,6 @@ pub fn decode_group_into(
         clipped_symbols: meta.group_size - decoded,
         applied_outliers: applied,
     })
-}
-
-/// The pre-fusion two-pass decoder, kept verbatim as the pinned
-/// differential baseline: decode all symbols into a buffer, then map
-/// them through the centroid×scale reconstruction in a second pass.
-/// [`decode_group_into`] must stay bit-identical to this on every input
-/// (`tests/fuzz_ingest.rs` and the bench harness both hold it to that).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] for corrupted headers; the symbol stream
-/// itself is always decodable (clipping is handled by reconstruction).
-pub fn decode_group_two_pass(
-    block: &Block64,
-    meta: &TensorMetadata,
-) -> Result<(Vec<f32>, DecodedGroupInfo), DecodeError> {
-    let header = parse_block_header(block, meta)?;
-    let book = &meta.books[header.kp][header.book_id];
-    validate_data_book(book)?;
-    let pattern = &meta.patterns[header.kp];
-    let mut r = block.reader();
-    r.seek(header.data_start);
-
-    let sf = F8E4M3::from_bits(header.sf_bits);
-    // Reconstruction multiplies centroids by the true |scale factor| — an
-    // all-zero group has scale 0 and reconstructs to exact zeros, exactly
-    // like the hardware's `pattern × SF` multiplier.
-    let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-    let scale_mag = scale_signed.abs();
-
-    // Decode up to group_size symbols; a clipped tail terminates decoding
-    // (prefix-freeness makes the truncation point unambiguous).
-    let dec = book.symbol_decoder();
-    let mut symbols = Vec::with_capacity(meta.group_size);
-    while symbols.len() < meta.group_size {
-        match dec.decode_symbol(&mut r) {
-            Some(s) => symbols.push(s),
-            None => break,
-        }
-    }
-    let decoded = symbols.len();
-    let data_end = r.bit_pos();
-
-    // Reconstruct.
-    let zero_centroid = pattern.centroids()[pattern.zero_symbol() as usize];
-    let mut values: Vec<f32> = Vec::with_capacity(meta.group_size);
-    for &s in &symbols {
-        if s == SCALE_SYMBOL {
-            values.push(scale_signed);
-        } else {
-            values.push(ecco_numerics::round_f16(
-                pattern.centroids()[s as usize] * scale_mag,
-            ));
-        }
-    }
-    for _ in decoded..meta.group_size {
-        values.push(ecco_numerics::round_f16(zero_centroid * scale_mag));
-    }
-
-    // Outliers exist only when nothing was clipped.
-    let mut applied = 0usize;
-    if decoded == meta.group_size {
-        let n_out = (BLOCK_BITS - data_end) / OUTLIER_BITS;
-        for _ in 0..n_out {
-            let pos = r.read_bits(7).expect("outlier fits") as usize;
-            let f8 = F8E4M3::from_bits(r.read_bits(8).expect("outlier fits") as u8);
-            if pos < meta.group_size && !f8.is_nan() {
-                values[pos] = ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));
-                applied += 1;
-            }
-        }
-    }
-
-    Ok((
-        values,
-        DecodedGroupInfo {
-            decoded_symbols: decoded,
-            clipped_symbols: meta.group_size - decoded,
-            applied_outliers: applied,
-        },
-    ))
 }
 
 /// Positions and values ranked by |value| descending, excluding the absmax
@@ -890,7 +808,7 @@ mod tests {
         bytes[0] |= 0x3F; // high 6 bits of SF
         bytes[1] |= 0xC0; // low 2 bits of SF
         let bad = Block64::from_bytes(bytes);
-        let err = decode_group(&bad, &meta).unwrap_err();
+        let err = decode_appending(&bad, &meta).unwrap_err();
         assert_eq!(err.kind, DecodeErrorKind::BadScaleFactor);
         assert_eq!(err, DecodeErrorKind::BadScaleFactor.into());
         assert_eq!(err.to_string(), "scale factor is NaN");
@@ -909,10 +827,8 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 *b = (state >> 33) as u8;
             }
-            let block = Block64::from_bytes(bytes);
-            if let Ok((vals, _)) = decode_group(&block, &meta) {
-                assert_eq!(vals.len(), 128)
-            }
+            // Either outcome is fine; the append contract must hold.
+            let _ = decode_appending(&Block64::from_bytes(bytes), &meta);
         }
     }
 
@@ -932,34 +848,40 @@ mod tests {
         }
     }
 
-    /// Fused and two-pass decodes of one block must agree exactly —
-    /// values bitwise (including signed zeros), info, and error kind.
-    fn assert_fused_matches_two_pass(block: &Block64, meta: &TensorMetadata) {
-        let two_pass = decode_group_two_pass(block, meta);
-        let mut fused_vals = vec![7.0f32; 3]; // nonzero base pins append
-        let fused = decode_group_into(block, meta, &mut fused_vals);
-        match (two_pass, fused) {
-            (Ok((vals, info)), Ok(finfo)) => {
-                assert_eq!(&fused_vals[..3], &[7.0f32; 3], "fused decode must append");
-                let got: Vec<u32> = fused_vals[3..].iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "fused values diverged bitwise");
-                assert_eq!(finfo, info, "fused info diverged");
+    /// Decodes `block` onto a buffer with a nonzero base and checks the
+    /// append contract: on success exactly `group_size` values follow the
+    /// untouched base, on error nothing is appended. Returns the decoded
+    /// values alone.
+    fn decode_appending(
+        block: &Block64,
+        meta: &TensorMetadata,
+    ) -> Result<(Vec<f32>, DecodedGroupInfo), DecodeError> {
+        let mut vals = vec![7.0f32; 3];
+        let res = decode_group_into(block, meta, &mut vals);
+        assert_eq!(&vals[..3], &[7.0f32; 3], "decode must append");
+        match res {
+            Ok(info) => {
+                assert_eq!(vals.len(), 3 + meta.group_size);
+                Ok((vals.split_off(3), info))
             }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.kind, b.kind, "fused error kind diverged");
-                assert_eq!(
-                    fused_vals.len(),
-                    3,
-                    "fused decode must append nothing on error"
-                );
+            Err(e) => {
+                assert_eq!(vals.len(), 3, "decode must append nothing on error");
+                Err(e)
             }
-            other => panic!("fused/two-pass disagreed on success: {other:?}"),
         }
     }
 
+    /// The value table a healthy block decodes through, rebuilt from its
+    /// header.
+    fn table_for(block: &Block64, meta: &TensorMetadata) -> BlockValueTable {
+        let header = parse_block_header(block, meta).unwrap();
+        let sf = F8E4M3::from_bits(header.sf_bits);
+        let scale = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
+        BlockValueTable::new(&meta.patterns[header.kp], scale)
+    }
+
     #[test]
-    fn fused_matches_two_pass_on_corner_blocks() {
+    fn decode_appends_on_corner_blocks() {
         let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
             .seeded(19)
             .generate();
@@ -968,8 +890,7 @@ mod tests {
         // All-zero group: scale 0, every value table slot reconstructs 0.
         let zeros = vec![0f32; 128];
         let (zb, _) = encode_group(&zeros, &meta, PatternSelector::MseOptimal);
-        assert_fused_matches_two_pass(&zb, &meta);
-        let (out, _) = decode_group(&zb, &meta).unwrap();
+        let (out, _) = decode_appending(&zb, &meta).unwrap();
         assert!(out.iter().all(|&v| v == 0.0));
 
         // Signed extreme (negative absmax → negative signed scale at the
@@ -977,15 +898,16 @@ mod tests {
         let mut g: Vec<f32> = (0..128).map(|i| (i as f32 - 64.0) * 0.01).collect();
         g[9] = -9.5; // negative absmax
         let (sb, _) = encode_group(&g, &meta, PatternSelector::MseOptimal);
-        assert_fused_matches_two_pass(&sb, &meta);
-        let (out, _) = decode_group(&sb, &meta).unwrap();
+        let (out, _) = decode_appending(&sb, &meta).unwrap();
         assert!(out[9] < 0.0, "signed absmax lost its sign: {}", out[9]);
         for g in t.groups(128) {
             let (b, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            assert_fused_matches_two_pass(&b, &meta);
+            decode_appending(&b, &meta).unwrap();
         }
 
-        // Clipped tail: uniform 4-bit books force 128×4 = 512 bits > budget.
+        // Clipped tail: uniform 4-bit books force 128×4 = 512 bits >
+        // budget, and every value past the clip point is the table's
+        // tail fill.
         let mut clip_meta = meta.clone();
         let uniform = ecco_entropy::Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
         for row in &mut clip_meta.books {
@@ -995,14 +917,17 @@ mod tests {
         }
         let (cb, cinfo) = encode_group(&g, &clip_meta, PatternSelector::MseOptimal);
         assert!(cinfo.clipped_symbols > 0, "clipping must occur");
-        assert_fused_matches_two_pass(&cb, &clip_meta);
+        let (out, dinfo) = decode_appending(&cb, &clip_meta).unwrap();
+        let fill = table_for(&cb, &clip_meta).tail_fill();
+        assert!(out[dinfo.decoded_symbols..]
+            .iter()
+            .all(|v| v.to_bits() == fill.to_bits()));
     }
 
     #[test]
-    fn fused_skips_nan_outliers_like_two_pass() {
+    fn decode_skips_nan_outliers() {
         // Plant outliers so padding space exists, then corrupt the first
-        // padded outlier's FP8 byte into NaN: both decoders must skip it
-        // and agree bit-for-bit.
+        // padded outlier's FP8 byte into NaN: decoding must skip it.
         let mut data = Vec::new();
         for gidx in 0..64usize {
             let mut g = vec![0.01f32; 128];
@@ -1023,8 +948,7 @@ mod tests {
         // First outlier: 7-bit position, then the 8-bit FP8 value → NaN.
         set_bits(&mut bytes, data_end + 7, 8, 0x7F);
         let nan_block = Block64::from_bytes(bytes);
-        assert_fused_matches_two_pass(&nan_block, &meta);
-        let (_, dinfo) = decode_group(&nan_block, &meta).unwrap();
+        let (_, dinfo) = decode_appending(&nan_block, &meta).unwrap();
         assert_eq!(
             dinfo.applied_outliers,
             info.padded_outliers - 1,
@@ -1033,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_skips_out_of_range_outlier_positions_like_two_pass() {
+    fn decode_skips_out_of_range_outlier_positions() {
         // The format fixes encoding groups at 128, so a 7-bit outlier
         // position is always in range there — the `pos < group_size`
         // guard protects decode-side mismatches (a revived snapshot
@@ -1073,8 +997,7 @@ mod tests {
             set_bits(&mut bytes, data_end + slot * OUTLIER_BITS + 7, 8, 0x7F);
         }
         let crafted = Block64::from_bytes(bytes);
-        assert_fused_matches_two_pass(&crafted, &small_meta);
-        let (out, dinfo) = decode_group(&crafted, &small_meta).unwrap();
+        let (out, dinfo) = decode_appending(&crafted, &small_meta).unwrap();
         assert_eq!(out.len(), 64);
         assert_eq!(
             dinfo.applied_outliers, 1,
@@ -1088,20 +1011,60 @@ mod tests {
         assert_eq!(out[10].to_bits(), want.to_bits());
     }
 
+    /// Deterministic f32 fuzz stream for the value-table formula test.
+    fn fuzz_f32(state: &mut u64) -> f32 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        f32::from_bits((*state >> 32) as u32)
+    }
+
     #[test]
-    fn fused_matches_two_pass_on_random_blocks() {
+    fn value_table_matches_reconstruction_formula() {
+        // Slot by slot: every centroid symbol reconstructs to
+        // round_f16(centroid × |scale|), SCALE_SYMBOL carries the signed
+        // scale and the tail fill is the rounded zero centroid — on
+        // zero, negative, subnormal and fuzzed finite scales.
         let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-            .seeded(20)
+            .seeded(23)
             .generate();
         let meta = meta_for(&t);
-        let mut state = 0xDEADBEEFu64;
-        for _ in 0..200 {
-            let mut bytes = [0u8; 64];
-            for b in &mut bytes {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                *b = (state >> 33) as u8;
+        let mut scales = vec![
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 4.0,
+            6.0e-8,
+            -6.0e-8,
+            65504.0,
+            -65504.0,
+        ];
+        let mut state = 0x5CA1Eu64;
+        while scales.len() < 64 {
+            let s = fuzz_f32(&mut state);
+            if s.is_finite() {
+                scales.push(s);
+                scales.push(ecco_numerics::round_f16(s));
             }
-            assert_fused_matches_two_pass(&Block64::from_bytes(bytes), &meta);
+        }
+        for pattern in &meta.patterns {
+            let zero = pattern.centroids()[pattern.zero_symbol() as usize];
+            for &scale in &scales {
+                let table = BlockValueTable::new(pattern, scale);
+                for (s, &c) in pattern.centroids().iter().enumerate() {
+                    let want = ecco_numerics::round_f16(c * scale.abs());
+                    assert_eq!(
+                        table.value(s as u16).to_bits(),
+                        want.to_bits(),
+                        "symbol {s} at scale {scale:e}"
+                    );
+                }
+                assert_eq!(table.value(SCALE_SYMBOL).to_bits(), scale.to_bits());
+                let fill = ecco_numerics::round_f16(zero * scale.abs());
+                assert_eq!(table.tail_fill().to_bits(), fill.to_bits());
+            }
         }
     }
 

@@ -84,10 +84,10 @@ pub mod wire;
 pub use activation::{ActivationBlock, ActivationCodec};
 pub use adaptive::{AdaptiveBlock, AdaptiveCodec, AdaptivePolicy, AdaptiveStats, AdaptiveTensor};
 pub use block::{
-    decode_group, decode_group_into, decode_group_two_pass, encode_group, encode_group_scratch,
-    encode_group_unpadded, encode_group_unpadded_scratch, encode_group_weighted_scratch,
-    encode_group_with_pattern, parse_block_header, validate_data_book, BlockHeader,
-    BlockValueTable, DecodeError, DecodeErrorKind, EncodedGroupInfo,
+    decode_group, decode_group_into, encode_group, encode_group_scratch, encode_group_unpadded,
+    encode_group_unpadded_scratch, encode_group_weighted_scratch, encode_group_with_pattern,
+    parse_block_header, validate_data_book, BlockHeader, BlockValueTable, DecodeError,
+    DecodeErrorKind, EncodedGroupInfo,
 };
 pub use group::{normalize_group, NormalizedGroup};
 pub use kv::KvCodec;

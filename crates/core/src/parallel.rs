@@ -207,9 +207,8 @@ pub fn decode_groups_parallel(
 /// sequential loop regardless of pool size or chunking.
 ///
 /// [`decode_groups_parallel`] instantiates this with the sequential
-/// reference decoder; `ecco-hw::decode_blocks_parallel` instantiates it
-/// with the hardware model's batched-window LUT decoder (one
-/// `DecodeScratch` per chunk), so both sharded paths share exactly this
+/// decoder; `ecco-hw::decode_blocks_parallel` instantiates it with the
+/// hardware model's LUT decoder, so both sharded paths share exactly this
 /// chunking and reassembly policy.
 ///
 /// `decode` appends exactly `group_size` values per block to `out`.

@@ -164,17 +164,6 @@ impl SegmentLut {
         self.entries[(window & ((1u64 << WINDOW_BITS) - 1)) as usize]
     }
 
-    /// Gathers the chains for all eight offset windows of one segment in
-    /// one call — the probe half of the decoder's batched front end
-    /// (`ecco_bits::BlockCursor::windows8` supplies the windows). Issuing
-    /// the eight probes together keeps the table walk for one segment
-    /// within one pass over the cache instead of interleaving it with
-    /// record bookkeeping.
-    #[inline]
-    pub fn entries8(&self, windows: &[u64; 8]) -> [ChainEntry; 8] {
-        windows.map(|w| self.entry(w))
-    }
-
     /// Table memory footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<ChainEntry>()

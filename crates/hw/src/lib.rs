@@ -47,8 +47,7 @@ pub use area::{AreaPowerModel, ComponentArea};
 pub use bitonic::BitonicSorter;
 pub use compressor::HwCompressor;
 pub use paradec::{
-    decode_block_parallel, decode_block_parallel_into, decode_block_parallel_two_pass,
-    decode_blocks_parallel, decode_tensors_batch, decode_tensors_batch_report, DecodeScratch,
-    DecodeStats, ParallelDecoder,
+    decode_block_parallel, decode_block_parallel_into, decode_blocks_parallel,
+    decode_tensors_batch, decode_tensors_batch_report, DecodeStats, ParallelDecoder,
 };
 pub use pipeline::{PipelineSpec, StreamSim, StreamStats};

@@ -234,7 +234,18 @@ struct Guard {
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // The flag is set under the queue lock: a worker checks it under
+        // that lock and then waits, so setting it unlocked could land
+        // between the check and the wait, lose the notify below, and
+        // leave the join waiting on a sleeping worker forever.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.work_cv.notify_all();
         for h in self.workers.lock().unwrap().drain(..) {
             let _ = h.join();

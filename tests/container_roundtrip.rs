@@ -6,8 +6,9 @@
 
 use std::path::PathBuf;
 
-use ecco::codec::{EccoConfig, WeightCodec};
-use ecco::container::{write_model, Container, ContainerError};
+use ecco::bits::Block64;
+use ecco::codec::{BatchOutcome, EccoConfig, RecoveryPolicy, WeightCodec};
+use ecco::container::{encode_model, write_model, Container, ContainerError};
 use ecco::prelude::*;
 
 const LAYERS: usize = 8;
@@ -174,4 +175,51 @@ fn unknown_tensor_is_a_clean_error() {
     ));
     drop(container);
     std::fs::remove_file(&path).ok();
+}
+
+/// `load_report` is the codec's batch report over the container's own
+/// frames: on both recovery policies, its outcomes equal
+/// `WeightCodec::decompress_batch_report` of the `read_compressed`
+/// frames, including a frame that carries one corrupt block under a
+/// valid CRC (salvaged or failed, located at its directory index).
+#[test]
+fn load_report_matches_codec_batch_report() {
+    const BAD: usize = 3;
+    let m = model();
+    let mut compressed = m.compressed.clone();
+    let mut blocks = compressed[BAD].blocks().to_vec();
+    blocks[1] = Block64::from_bytes([0xFF; 64]);
+    compressed[BAD] = compressed[BAD].with_blocks(blocks);
+    let pairs: Vec<(&str, &ecco::codec::CompressedTensor)> = m
+        .names
+        .iter()
+        .map(String::as_str)
+        .zip(compressed.iter())
+        .collect();
+    let container = Container::from_bytes(encode_model(m.codec.metadata(), &pairs)).unwrap();
+
+    let names: Vec<&str> = m.names.iter().map(String::as_str).collect();
+    let frames: Vec<_> = names
+        .iter()
+        .map(|n| container.read_compressed(n).unwrap())
+        .collect();
+    let frame_refs: Vec<&_> = frames.iter().collect();
+    for policy in [RecoveryPolicy::FailTensor, RecoveryPolicy::SalvageBlocks] {
+        let loaded = container.load_report(&names, policy).unwrap();
+        let want = m.codec.decompress_batch_report(&frame_refs, policy);
+        for (i, (slot, want)) in loaded.iter().zip(&want).enumerate() {
+            assert_eq!(&slot.outcome, want, "{policy:?}: {} diverged", slot.name);
+            assert_eq!((slot.rows, slot.cols), (frames[i].rows(), frames[i].cols()));
+        }
+        let e = loaded[BAD]
+            .outcome
+            .first_error()
+            .expect("corrupt block reported");
+        assert_eq!((e.tensor, e.block), (Some(BAD), Some(1)));
+        match (policy, &loaded[BAD].outcome) {
+            (RecoveryPolicy::FailTensor, BatchOutcome::Failed(_))
+            | (RecoveryPolicy::SalvageBlocks, BatchOutcome::Salvaged { .. }) => {}
+            (_, other) => panic!("{policy:?}: unexpected outcome {other:?}"),
+        }
+    }
 }

@@ -106,7 +106,7 @@ fn random_blocks_fuzz_both_decoders() {
 #[test]
 fn batched_pipeline_survives_truncated_and_garbage_blocks() {
     // Drive adversarial blocks through the *batched* sharded path
-    // (windows8 extraction + gathered LUT probes per worker run), on
+    // (block-at-a-time window fill + LUT probes per worker run), on
     // both dispatch arms: truncated header-only blocks, zero/one fill,
     // and pseudo-random garbage. The pipeline must never panic, must
     // report the first per-block error in order, and on decodable sets

@@ -16,8 +16,8 @@
 //!
 //! The vendored proptest honours `PROPTEST_CASES` (the CI fuzz-smoke leg
 //! raises it to 256+ under both `ECCO_THREADS=1` and `ECCO_THREADS=4`,
-//! with and without `--features force-scalar` so both window-dispatch
-//! arms see the same corpus). It has no shrinking, so failures report
+//! with and without `ECCO_FORCE_SCALAR=1` so both window-dispatch arms
+//! see the same corpus). It has no shrinking, so failures report
 //! the deterministic case index instead of a minimized seed.
 
 use std::collections::BTreeSet;
@@ -25,11 +25,12 @@ use std::sync::OnceLock;
 
 use ecco::bits::{Block64, BLOCK_BYTES};
 use ecco::codec::block::{
-    decode_group, decode_group_two_pass, parse_block_header, DecodeError, DecodeErrorKind,
+    decode_group, decode_group_into, parse_block_header, DecodeError, DecodeErrorKind,
 };
 use ecco::codec::parallel::RecoveryPolicy;
 use ecco::codec::wire::{
     decode_metadata, decode_tensor, encode_metadata, encode_tensor, METADATA_MAGIC,
+    TENSOR_FRAME_HEADER_BYTES,
 };
 use ecco::codec::{BatchOutcome, CompressedTensor, EccoConfig, TensorMetadata, WeightCodec};
 use ecco::container::{crc32, encode_model, Container, ContainerError, FOOTER_BYTES};
@@ -134,40 +135,49 @@ fn decode_seq(blocks: &[Block64], meta: &TensorMetadata) -> Vec<Result<Vec<f32>,
         .collect()
 }
 
-/// Asserts the hardware parallel decoder agrees with the sequential
-/// reference on `blocks` — same values when healthy, same error kind
-/// located at the first failing block otherwise — on pools {1, 4}.
+/// Asserts the hardware parallel decoder agrees with the codec's
+/// per-symbol walk on `blocks` — same values when healthy, same error
+/// kind located at the first failing block otherwise.
 ///
-/// The sequential reference is the *fused* decode-to-values walk
-/// ([`decode_group`]); it is first pinned bit-for-bit against the
-/// retired two-pass decoder ([`decode_group_two_pass`]) on every block,
-/// healthy or corrupt, so the whole mutated corpus exercises
-/// fused == two-pass (the walk itself is pinned against `seed_port` by
-/// the differential proptests in `ecco-hw::paradec`).
+/// Block for block, the codec's [`decode_group_into`] and the hardware
+/// model's `decode_block_parallel_into` must append bit-identical values
+/// or fail with identical error kinds, healthy or corrupt; then the
+/// sharded hardware pipeline must reproduce the concatenation on pools
+/// {1, 4}.
 fn assert_arms_agree(
     blocks: &[Block64],
     meta: &TensorMetadata,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let seq = decode_seq(blocks, meta);
-    for (i, (fused, b)) in seq.iter().zip(blocks).enumerate() {
-        match (fused, decode_group_two_pass(b, meta)) {
-            (Ok(f), Ok((t, _))) => {
-                prop_assert_eq!(f.len(), t.len(), "block {} fused length diverged", i);
-                for (a, b) in f.iter().zip(&t) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "block {} fused != two-pass", i);
+    let (mut codec, mut hw) = (Vec::new(), Vec::new());
+    for (i, b) in blocks.iter().enumerate() {
+        let (before_codec, before_hw) = (codec.len(), hw.len());
+        match (
+            decode_group_into(b, meta, &mut codec),
+            ecco::hw::decode_block_parallel_into(b, meta, &mut hw),
+        ) {
+            (Ok(_), Ok(_)) => {
+                let (c, h) = (&codec[before_codec..], &hw[before_hw..]);
+                prop_assert_eq!(c.len(), h.len(), "block {} length diverged", i);
+                for (a, b) in c.iter().zip(h) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "block {} codec != hw", i);
                 }
             }
             (Err(a), Err(b)) => {
-                prop_assert_eq!(a.kind, b.kind, "block {} error kind diverged", i)
+                prop_assert_eq!(a.kind, b.kind, "block {} error kind diverged", i);
+                prop_assert_eq!(
+                    (codec.len(), hw.len()),
+                    (before_codec, before_hw),
+                    "block {} appended on error",
+                    i
+                );
             }
-            (Ok(_), Err(e)) => prop_assert!(
-                false,
-                "block {i}: two-pass failed ({e}) where fused decoded"
-            ),
-            (Err(e), Ok(_)) => prop_assert!(
-                false,
-                "block {i}: fused failed ({e}) where two-pass decoded"
-            ),
+            (Ok(_), Err(e)) => {
+                prop_assert!(false, "block {i}: hw failed ({e}) where the codec decoded")
+            }
+            (Err(e), Ok(_)) => {
+                prop_assert!(false, "block {i}: the codec failed ({e}) where hw decoded")
+            }
         }
     }
     let first_err = seq
@@ -542,6 +552,51 @@ fn container_frame_corruption_is_isolated() {
     // Strict load refuses the corrupt tensor but serves the healthy one.
     assert!(container.load(&[T0]).is_err());
     assert!(container.load(&[T1]).is_ok());
+}
+
+/// Block decode errors inside a frame that passed its CRC are located at
+/// the tensor's directory index, whatever its position in the request:
+/// T1's corrupt block reports `tensor 1` whether T1 is loaded alone,
+/// second or first, under both recovery policies and the strict load.
+#[test]
+fn container_block_errors_are_located_at_the_directory_index() {
+    let fix = fixture();
+    let fields = entry_field_positions(&fix.image);
+    let entry = Container::from_bytes(fix.image.clone()).unwrap().entries()[1].clone();
+    let bad = Block64::from_bytes([0xFF; BLOCK_BYTES]);
+    assert!(
+        decode_group(&bad, &fix.meta).is_err(),
+        "the planted block must fail"
+    );
+
+    // Overwrite block 1 of T1's frame, then rewrite the entry CRC and
+    // reseal the directory so the frame passes its checksum.
+    let mut image = fix.image.clone();
+    let (start, end) = (entry.offset as usize, (entry.offset + entry.len) as usize);
+    let at = start + TENSOR_FRAME_HEADER_BYTES + BLOCK_BYTES;
+    image[at..at + BLOCK_BYTES].copy_from_slice(bad.as_bytes());
+    let crc = crc32(&image[start..end]);
+    image[fields[1] + 28..fields[1] + 32].copy_from_slice(&crc.to_le_bytes());
+    reseal_directory(&mut image);
+    let container = Container::from_bytes(image).unwrap();
+
+    for names in [&[T1][..], &[T0, T1], &[T1, T0]] {
+        for policy in [RecoveryPolicy::FailTensor, RecoveryPolicy::SalvageBlocks] {
+            let slots = container.load_report(names, policy).unwrap();
+            let slot = slots.iter().find(|s| s.name == T1).unwrap();
+            let e = slot
+                .outcome
+                .first_error()
+                .expect("the corrupt block is reported");
+            assert_eq!(
+                (e.tensor, e.block),
+                (Some(1), Some(1)),
+                "load_report({names:?}, {policy:?})"
+            );
+        }
+        let e = decode_err(container.load(names).unwrap_err());
+        assert_eq!((e.tensor, e.block), (Some(1), Some(1)), "load({names:?})");
+    }
 }
 
 /// Length-field lies, exhaustively: write an all-ones u32 over every

@@ -2,8 +2,8 @@
 //!
 //! Tier-1 verification (`cargo test -q` at the repo root) runs only this
 //! package's tests, so this file is what guarantees the batched decoder
-//! front end (`BlockCursor::windows8` + gathered `SegmentLut` probes)
-//! is exercised on every tier-1 run — on both dispatch arms — not just
+//! front end (`BlockCursor::windows_all` + `SegmentLut` probes along the
+//! EOP chain) is exercised on every tier-1 run — on both dispatch arms — not just
 //! by the workspace CI run.
 
 use ecco::bits::{set_window_dispatch, window_dispatch, WindowDispatch};
