@@ -9,7 +9,10 @@
 //! * `seq` — the codec's per-symbol walk (`decode_group`),
 //! * `lut` — the hardware model's table-driven EOP-chain walk
 //!   (`ecco_hw::ParallelDecoder`), raw symbols and full blocks,
-//! * `pipeline` — the pooled multi-block pipeline over both,
+//! * `pipeline` — a whole tensor as a batch of one through the pooled
+//!   batch decode of both: the codec's decode engine
+//!   (`WeightCodec::decompress_batch_report`) and the hardware model's
+//!   `decode_tensors_batch_report`,
 //!
 //! plus a `window_extract` section isolating the hardware model's 64×8
 //! window front end on weight and K-cache blocks: 512 scalar
@@ -22,7 +25,7 @@
 //! sharding — the pre-pool scheduler, reimplemented as the baseline —
 //! vs the persistent pool's fast path and its forced queue dispatch),
 //! a `batch_decode` section comparing a per-tensor pooled loop with
-//! one batched `decode_tensors_batch` submission, and a `container_load`
+//! one batched `decode_tensors_batch_report` submission, and a `container_load`
 //! section timing ECCF model cold starts: full-model vs 25%-of-layers
 //! partial loads through the mmap reader and the pread fallback.
 //!
@@ -36,7 +39,7 @@
 //!   `encoded_len`-per-book baseline,
 //! * `encode` — full `encode_group_scratch` and the parallel encode
 //!   pipeline,
-//! * `calibration` — rayon-parallel `TensorMetadata::calibrate` vs the
+//! * `calibration` — pool-parallel `TensorMetadata::calibrate` vs the
 //!   pinned sequential reference `calibrate_weighted_seq`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -46,13 +49,14 @@ use ecco_bits::{
 use ecco_core::parallel::encode_groups_parallel_unchecked;
 use ecco_core::{
     decode_group, encode_group, encode_group_scratch, normalize_group, select_pattern_ref,
-    EccoConfig, GroupScratch, NormalizedGroup, PatternSelector, TensorMetadata,
+    EccoConfig, GroupScratch, NormalizedGroup, PatternSelector, RecoveryPolicy, TensorMetadata,
+    WeightCodec,
 };
 use ecco_tensor::Tensor;
 use std::hint::black_box;
 use std::time::Instant;
 
-use ecco_hw::{decode_blocks_parallel, ParallelDecoder};
+use ecco_hw::{decode_tensors_batch_report, ParallelDecoder};
 
 const GROUP: usize = 128;
 
@@ -98,7 +102,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.bench_function("pipeline_decode_tensor", |b| {
-        b.iter(|| decode_blocks_parallel(black_box(&blocks), &meta).unwrap())
+        b.iter(|| hw_decode_tensor(black_box(&blocks), &meta))
     });
     g.finish();
 
@@ -113,7 +117,7 @@ fn bench(c: &mut Criterion) {
         .map(|g| encode_group(g, &kmeta, PatternSelector::MinMax).0)
         .collect();
 
-    write_bench_json(&meta, &blocks, &kmeta, &kc_blocks);
+    write_bench_json(&t, &meta, &blocks, &kmeta, &kc_blocks);
     write_encode_json(&t, &meta, &cfg);
 }
 
@@ -224,16 +228,18 @@ fn decode_to_values_section(blocks: &[Block64], meta: &TensorMetadata) -> String
 /// (`BLOCKS_PER` blocks each — the many-users serving shape) four ways.
 ///
 /// * `spawn` — per-call scoped-thread sharding at 2 workers: the
-///   scheduler the vendored rayon stub used before the persistent pool,
-///   reimplemented here verbatim as the baseline. Every tensor pays two
-///   thread spawns + joins.
-/// * `pooled` — `decode_blocks_parallel` on a persistent 2-executor
-///   pool: tensors under the chunk threshold take the inline fast path
-///   (no queue round-trip) — the spawn cost is amortized away entirely.
+///   scheduler used before the persistent pool, reimplemented here
+///   verbatim as the baseline. Every tensor pays two thread spawns +
+///   joins.
+/// * `pooled` — one `decode_tensors_batch_report` call per tensor on a
+///   persistent 2-executor pool: tensors under the chunk threshold take
+///   the inline fast path (no queue round-trip) — the spawn cost is
+///   amortized away entirely.
 /// * `dispatch` — same pool with the chunk size pinned to 1, forcing
 ///   every block through the injector queue: the cost of the wake-up
 ///   round-trip itself, for honesty about what the fast path saves.
-/// * `batch` — all tensors in ONE `decode_tensors_batch` submission.
+/// * `batch` — all tensors in ONE `decode_tensors_batch_report`
+///   submission.
 ///
 /// Returns mean ns per whole-set pass for (spawn, pooled, dispatch,
 /// batch), each the best of three timed runs.
@@ -278,7 +284,7 @@ fn pool_timings(
         ecco_core::pool::with_pool(&pool, || {
             time_ns(|| {
                 for t in small {
-                    black_box(decode_blocks_parallel(black_box(t), meta).unwrap());
+                    black_box(hw_decode_tensor(black_box(t), meta));
                 }
             })
         })
@@ -292,7 +298,7 @@ fn pool_timings(
         ecco_core::pool::with_pool(&queue_pool, || {
             time_ns(|| {
                 for t in small {
-                    black_box(decode_blocks_parallel(black_box(t), meta).unwrap());
+                    black_box(hw_decode_tensor(black_box(t), meta));
                 }
             })
         })
@@ -302,9 +308,13 @@ fn pool_timings(
     let batch = best_of(&mut || {
         ecco_core::pool::with_pool(&pool, || {
             time_ns(|| {
-                for r in ecco_hw::decode_tensors_batch(black_box(&batch_refs)) {
-                    black_box(r.unwrap());
-                }
+                let report =
+                    decode_tensors_batch_report(black_box(&batch_refs), RecoveryPolicy::FailTensor);
+                assert!(
+                    report.iter().all(|r| r.is_ok()),
+                    "benchmark blocks are valid"
+                );
+                black_box(report);
             })
         })
     });
@@ -414,6 +424,15 @@ fn container_load_section() -> String {
     )
 }
 
+/// One whole tensor through the hardware model's batch decode: a batch
+/// of one, as every single-tensor caller submits it.
+fn hw_decode_tensor(blocks: &[Block64], meta: &TensorMetadata) -> Vec<f32> {
+    match decode_tensors_batch_report(&[(blocks, meta)], RecoveryPolicy::FailTensor).pop() {
+        Some(ecco_core::BatchOutcome::Ok(values)) => values,
+        other => panic!("benchmark blocks are valid: {other:?}"),
+    }
+}
+
 /// Mean ns of `f` over a time-boxed number of repetitions.
 fn time_ns<F: FnMut()>(mut f: F) -> f64 {
     // Warm up once, then run for ~400 ms.
@@ -438,6 +457,7 @@ fn parse_header<'m>(
 }
 
 fn write_bench_json(
+    t: &Tensor,
     meta: &TensorMetadata,
     blocks: &[Block64],
     kmeta: &TensorMetadata,
@@ -462,7 +482,8 @@ fn write_bench_json(
     });
 
     // Full block reconstruction: sequential reference vs LUT model,
-    // single-threaded, then the rayon pipeline.
+    // single-threaded, then the whole tensor as a batch of one through
+    // the codec's decode engine and the hardware model's batch decode.
     let seq_ns = time_ns(|| {
         for blk in blocks {
             black_box(decode_group(black_box(blk), meta).unwrap());
@@ -476,10 +497,15 @@ fn write_bench_json(
         }
     });
     let pipeline_hw_ns = time_ns(|| {
-        black_box(decode_blocks_parallel(black_box(blocks), meta).unwrap());
+        black_box(hw_decode_tensor(black_box(blocks), meta));
     });
+    let codec = WeightCodec::from_metadata(meta.clone());
+    let (ct, _) = codec.compress(t);
+    assert_eq!(ct.blocks(), blocks, "codec arm decodes the same blocks");
     let pipeline_ref_ns = time_ns(|| {
-        black_box(ecco_core::decode_groups_parallel(black_box(blocks), meta).unwrap());
+        let report = codec.decompress_batch_report(&[black_box(&ct)], RecoveryPolicy::FailTensor);
+        assert!(report[0].is_ok(), "benchmark blocks are valid");
+        black_box(report);
     });
 
     // Small-tensor scheduling: spawn-per-call vs the persistent pool.
@@ -538,10 +564,10 @@ fn write_bench_json(
            \"per_tensor_pooled_tensors_per_s\": {pooled_tps:.0},\n    \
            \"batched_submission_tensors_per_s\": {batch_tps:.0},\n    \
            \"batched_vs_per_tensor_speedup\": {batch_speedup:.2},\n    \
-           \"notes\": \"claim_ranges groups contiguous tensors into block-target-sized claims sharing one scratch, so one submission pays one queue wake-up for the whole batch and spreads it across executors; with a single executor that fixed cost is not amortized and batched submission measured ~0.85-0.9x of the per-tensor loop\"\n  }},\n  \
+           \"notes\": \"claim_ranges groups contiguous tensors into block-target-sized claims, so one submission pays one queue wake-up for the whole batch and spreads it across executors; with a single executor that fixed cost is not amortized and batched submission measured ~0.85-0.9x of the per-tensor loop\"\n  }},\n  \
          \"container_load\": {csec}\n}}\n",
         csec = container_load_section(),
-        threads = rayon::current_num_threads(),
+        threads = ecco_core::pool::Pool::current().executors(),
         lut = per_s(lut_ns),
         wsec = window_extract_section(blocks),
         ksec = window_extract_section(kc_blocks),
@@ -637,7 +663,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     });
 
     // Full group encode (the scratch-threaded hot path every codec loop
-    // uses), sequential and through the rayon pipeline.
+    // uses), sequential and through the pooled pipeline.
     let encode_ns = time_ns(|| {
         for g in t.groups(GROUP) {
             black_box(encode_group_scratch(
@@ -656,7 +682,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
         ));
     });
 
-    // Offline calibration: the rayon-parallel path vs the pinned
+    // Offline calibration: the pool-parallel path vs the pinned
     // sequential reference (bit-identical outputs; see the differential
     // proptests in ecco-core::metadata).
     let cal_par_ns = time_ns(|| {
@@ -698,7 +724,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
            \"sequential_ms\": {cal_seq:.2},\n    \
            \"parallel_ms\": {cal_par:.2},\n    \
            \"parallel_vs_sequential_speedup\": {cal_speedup:.2}\n  }}\n}}\n",
-        threads = rayon::current_num_threads(),
+        threads = ecco_core::pool::Pool::current().executors(),
         ref_sel = selections_per_s(ref_select_ns),
         fused_sel = selections_per_s(fused_select_ns),
         sel_fused_speedup = ref_select_ns / fused_select_ns,

@@ -1,11 +1,13 @@
 //! Criterion micro-bench: the parallel-decoder functional model — the
 //! LUT + EOP-chain walk vs the sequential per-symbol decoder, plus the
-//! pooled multi-block pipeline.
+//! pooled batch decode of a whole tensor (a batch of one).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ecco_bits::Block64;
-use ecco_core::{decode_group, encode_group, EccoConfig, PatternSelector, TensorMetadata};
-use ecco_hw::{decode_block_parallel, decode_blocks_parallel};
+use ecco_core::{
+    decode_group, encode_group, EccoConfig, PatternSelector, RecoveryPolicy, TensorMetadata,
+};
+use ecco_hw::{decode_block_parallel, decode_tensors_batch_report};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -48,7 +50,14 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("multi_block");
     g.throughput(Throughput::Elements(128 * blocks.len() as u64));
     g.bench_function("pipeline_decode_512_blocks", |b| {
-        b.iter(|| decode_blocks_parallel(black_box(&blocks), &meta).unwrap())
+        b.iter(|| {
+            let report = decode_tensors_batch_report(
+                &[(black_box(&blocks), &meta)],
+                RecoveryPolicy::FailTensor,
+            );
+            assert!(report[0].is_ok(), "benchmark blocks are valid");
+            report
+        })
     });
     g.bench_function("sequential_decode_512_blocks", |b| {
         b.iter(|| {

@@ -83,7 +83,7 @@ pub enum DecodeErrorKind {
     ChecksumMismatch,
     /// A pool worker panicked while decoding this tensor's batch slice;
     /// the panic was contained to this result (see
-    /// [`crate::parallel::decode_tensors_batch_with`]).
+    /// [`crate::parallel::decode_tensors_batch_report_with`]).
     WorkerPanic,
 }
 

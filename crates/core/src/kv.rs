@@ -11,17 +11,13 @@
 //!   the calibration set through the model; this reproduction uses
 //!   synthetic KV tensors of the same distribution family).
 
-use ecco_bits::Block64;
 use ecco_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::block::{
-    decode_group, decode_group_into, encode_group_scratch, DecodeError, DecodeErrorKind,
-};
+use crate::block::DecodeError;
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
 use crate::parallel::{BatchOutcome, RecoveryPolicy};
-use crate::select::GroupScratch;
 use crate::weight::CompressedTensor;
 use crate::EccoConfig;
 
@@ -53,7 +49,7 @@ impl KvCodec {
     /// and calibration statistics are collected under the min/max selector
     /// so codebooks match runtime symbol distributions.
     ///
-    /// Calibration runs across the rayon pool and is bit-identical to the
+    /// Calibration runs across the worker pool and is bit-identical to the
     /// sequential reference (see [`TensorMetadata::calibrate`]); the
     /// min/max selection the *online* compressor performs per group stays
     /// as cheap as the hardware's two comparisons per pattern.
@@ -94,35 +90,14 @@ impl KvCodec {
         self.compress_with(tensor, PatternSelector::MinMax)
     }
 
-    /// Compresses with an explicit selector (ablation support).
+    /// Compresses with an explicit selector (ablation support): a batch
+    /// of one through the codec's encode engine.
     pub fn compress_with(
         &self,
         tensor: &Tensor,
         selector: PatternSelector,
     ) -> (CompressedTensor, CodecStats) {
-        let scale = TensorMetadata::scale_for(tensor);
-        let meta = self.meta.with_scale(scale);
-        let mut stats = CodecStats::default();
-        let mut blocks = Vec::with_capacity(tensor.len() / meta.group_size);
-        // One fused-selection scratch reused across the tensor's groups.
-        let mut scratch = GroupScratch::new();
-        for g in tensor.groups(meta.group_size) {
-            let (block, info) = encode_group_scratch(g, &meta, selector, &mut scratch);
-            stats.record(&info, meta.group_size);
-            let (out, _) = decode_group(&block, &meta).expect("own blocks decode");
-            stats.record_error(g, &out);
-            blocks.push(block);
-        }
-        (
-            CompressedTensor::from_parts(
-                tensor.rows(),
-                tensor.cols(),
-                meta.group_size,
-                scale,
-                blocks,
-            ),
-            stats,
-        )
+        crate::parallel::encode_batch(&self.meta, &[tensor], selector, None).remove(0)
     }
 
     /// Compresses many KV tensors (e.g. every live request's cache
@@ -137,159 +112,45 @@ impl KvCodec {
     /// Panics if any tensor's length is not a multiple of the group
     /// size (checked up front, before any encoding starts).
     pub fn compress_batch(&self, tensors: &[&Tensor]) -> Vec<(CompressedTensor, CodecStats)> {
-        let gs = self.meta.group_size;
-        for t in tensors {
-            assert_eq!(t.len() % gs, 0, "tensor not a multiple of group size");
-        }
-        let metas: Vec<TensorMetadata> = tensors
-            .iter()
-            .map(|t| self.meta.with_scale(TensorMetadata::scale_for(t)))
-            .collect();
-        let counts: Vec<usize> = tensors.iter().map(|t| t.len() / gs).collect();
-
-        let encoded = crate::parallel::encode_tensors_batch_with(&counts, |ti, lo, hi| {
-            crate::parallel::encode_run(
-                tensors[ti].data(),
-                &metas[ti],
-                PatternSelector::MinMax,
-                lo,
-                hi,
-            )
-        });
-
-        encoded
-            .into_iter()
-            .zip(tensors)
-            .zip(metas)
-            .map(|(((blocks, stats), t), meta)| {
-                (
-                    CompressedTensor::from_parts(t.rows(), t.cols(), gs, meta.tensor_scale, blocks),
-                    stats,
-                )
-            })
-            .collect()
+        crate::parallel::encode_batch(&self.meta, tensors, PatternSelector::MinMax, None)
     }
 
-    /// Decompresses many KV tensors in **one pool pass** — the decode
-    /// twin of [`KvCodec::compress_batch`] and the read path of the
-    /// paged serving store (`ecco-serve` promotes cold pages through
-    /// this). Per-tensor failures stay isolated: a corrupted block
-    /// poisons only its own slot, as the first [`DecodeError`] in block
-    /// order, while the rest of the batch decodes bit-identically to
-    /// [`KvCodec::decompress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tensor's group size mismatches the codec's
-    /// (checked up front).
+    /// Decompresses many KV tensors in **one pool pass**: the
+    /// [`RecoveryPolicy::FailTensor`] report of
+    /// [`KvCodec::decompress_batch_report`], one `Result` per tensor.
+    /// Per-tensor failures stay isolated: a corrupted block poisons only
+    /// its own slot, as the first [`DecodeError`] in block order, and a
+    /// malformed shape fails its slot as a located error.
     pub fn decompress_batch(&self, cts: &[&CompressedTensor]) -> Vec<Result<Tensor, DecodeError>> {
-        for ct in cts {
-            assert_eq!(ct.group_size(), self.meta.group_size, "group size mismatch");
-        }
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale()))
-            .collect();
-        let batch: Vec<&[Block64]> = cts.iter().map(|ct| ct.blocks()).collect();
-        crate::parallel::decode_tensors_batch_with(
-            &batch,
-            self.meta.group_size,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        )
-        .into_iter()
-        .zip(cts)
-        .map(|(r, ct)| r.map(|data| Tensor::from_vec(ct.rows(), ct.cols(), data)))
-        .collect()
+        let report = self.decompress_batch_report(cts, RecoveryPolicy::FailTensor);
+        crate::parallel::into_tensors(report, cts)
     }
 
     /// Skip-and-continue batched KV decompression: one pool pass over
     /// every tensor, returning a per-tensor [`BatchOutcome`] report —
     /// the fault-tolerant read path a serving store needs, where one
-    /// corrupted cold page must not kill a whole session's read.
-    ///
-    /// Nothing panics on malformed inputs: a tensor whose group size
-    /// disagrees with the codec's, or whose block count disagrees with
-    /// its shape, reports a located
-    /// [`DecodeErrorKind::LengthMismatch`] /
-    /// [`DecodeErrorKind::TruncatedStream`] without touching its
-    /// blocks. Healthy tensors decode bit-identically to the per-tensor
-    /// loop; under [`RecoveryPolicy::SalvageBlocks`] corrupt blocks are
-    /// zero-filled and reported individually
-    /// ([`BatchOutcome::Salvaged`]). The semantics mirror
+    /// corrupted cold page must not kill a whole session's read
+    /// (`ecco-serve` promotes cold pages through this). The semantics
+    /// are those of
     /// [`WeightCodec::decompress_batch_report`](crate::WeightCodec::decompress_batch_report).
     pub fn decompress_batch_report(
         &self,
         cts: &[&CompressedTensor],
         policy: RecoveryPolicy,
     ) -> Vec<BatchOutcome> {
-        let gs = self.meta.group_size;
-        // Shape screening: structurally inconsistent tensors fail up
-        // front (located at their batch slot) and are excluded from the
-        // pool pass by feeding an empty block list in their place.
-        let screened: Vec<Option<DecodeError>> = cts
-            .iter()
-            .enumerate()
-            .map(|(ti, ct)| {
-                let declared = ct.rows() * ct.cols();
-                if ct.group_size() != gs || declared % gs != 0 {
-                    Some(DecodeError::new(DecodeErrorKind::LengthMismatch).at_tensor(ti))
-                } else if ct.blocks().len() * gs < declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::TruncatedStream)
-                            .at_block(ct.blocks().len())
-                            .at_tensor(ti),
-                    )
-                } else if ct.blocks().len() * gs > declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::LengthMismatch)
-                            .at_block(ct.blocks().len())
-                            .at_tensor(ti),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale()))
-            .collect();
-        let empty: &[Block64] = &[];
-        let batch: Vec<&[Block64]> = cts
-            .iter()
-            .zip(&screened)
-            .map(|(ct, s)| if s.is_some() { empty } else { ct.blocks() })
-            .collect();
-        let mut out = crate::parallel::decode_tensors_batch_report_with(
-            &batch,
-            gs,
-            policy,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        );
-        for (slot, s) in out.iter_mut().zip(screened) {
-            if let Some(e) = s {
-                *slot = BatchOutcome::Failed(e);
-            }
-        }
-        out
+        crate::parallel::decode_batch(&self.meta, cts, policy)
     }
 
-    /// Decompresses a KV tensor.
+    /// Decompresses a KV tensor: a batch of one through
+    /// [`KvCodec::decompress_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the compressed tensor is corrupt or malformed.
     pub fn decompress(&self, ct: &CompressedTensor) -> Tensor {
-        let meta = self.meta.with_scale(ct.tensor_scale());
-        let mut data = Vec::with_capacity(ct.rows() * ct.cols());
-        for b in ct.blocks() {
-            decode_group_into(b, &meta, &mut data).expect("valid block");
-        }
-        Tensor::from_vec(ct.rows(), ct.cols(), data)
+        self.decompress_batch(&[ct])
+            .remove(0)
+            .expect("valid blocks")
     }
 
     /// Compress + decompress convenience for the accuracy harness.
@@ -302,6 +163,7 @@ impl KvCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecco_bits::Block64;
     use ecco_tensor::{stats::nmse, synth::SynthSpec, TensorKind};
 
     fn kv_tensor(seed: u64) -> Tensor {
@@ -324,38 +186,6 @@ mod tests {
         let (out, _) = codec.roundtrip(&t);
         let e = nmse(&t, &out);
         assert!(e < 0.05, "KV NMSE {e}");
-    }
-
-    #[test]
-    fn batch_compress_matches_per_tensor_loop() {
-        let tensors: Vec<Tensor> = (0..4).map(|i| kv_tensor(20 + i)).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        let codec = KvCodec::calibrate(&refs, &EccoConfig::default());
-        let batch = codec.compress_batch(&refs);
-        for (t, (ct, stats)) in tensors.iter().zip(&batch) {
-            let (want_ct, want_stats) = codec.compress(t);
-            assert_eq!(ct.blocks(), want_ct.blocks(), "KV batch encode diverged");
-            assert_eq!(stats.groups, want_stats.groups);
-            assert!((stats.nmse() - want_stats.nmse()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn batch_decompress_matches_per_tensor_loop() {
-        let tensors: Vec<Tensor> = (0..4).map(|i| kv_tensor(40 + i)).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        let codec = KvCodec::calibrate(&refs, &EccoConfig::default());
-        let cts: Vec<CompressedTensor> = refs.iter().map(|t| codec.compress(t).0).collect();
-        let ct_refs: Vec<&CompressedTensor> = cts.iter().collect();
-        let batch = codec.decompress_batch(&ct_refs);
-        for (r, ct) in batch.iter().zip(&cts) {
-            let want = codec.decompress(ct);
-            assert_eq!(
-                r.as_ref().unwrap().data(),
-                want.data(),
-                "KV batch decode diverged"
-            );
-        }
     }
 
     #[test]

@@ -27,16 +27,19 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Every hot path is sharded across the rayon pool with order-preserving
-//! merges, so parallel and sequential runs are **bit-identical**:
+//! Every hot path is sharded across the persistent worker [`pool`] with
+//! order-preserving merges, so parallel and sequential runs are
+//! **bit-identical**:
 //!
 //! * offline calibration ([`TensorMetadata::calibrate`]) fans out group
 //!   normalization, the per-group k-means fits, histogram collection and
 //!   codebook construction — pinned against the sequential reference
 //!   [`TensorMetadata::calibrate_weighted_seq`] by differential proptests,
-//! * whole-tensor compress/decompress ([`WeightCodec::compress_parallel`]
-//!   / [`WeightCodec::decompress_parallel`]) shard the independent
-//!   64-byte blocks (see [`parallel`]),
+//! * each codec has one encode and one decode engine (see [`parallel`]):
+//!   `compress`, `compress_batch`, `decompress`, `decompress_batch` and
+//!   `decompress_batch_report` of [`WeightCodec`] and [`KvCodec`] all
+//!   shard the independent 64-byte blocks of a whole batch across the
+//!   pool in one pass,
 //! * per-group pattern selection + quantization run as one fused sweep
 //!   over a reusable [`GroupScratch`] (see [`select`]) — pinned against
 //!   the reference [`select_pattern_ref`] by differential proptests.
@@ -46,22 +49,23 @@
 //! Calibrate once, then compress and decompress across the thread pool:
 //!
 //! ```
-//! use ecco_core::{EccoConfig, WeightCodec};
+//! use ecco_core::{EccoConfig, RecoveryPolicy, WeightCodec};
 //! use ecco_tensor::{synth::SynthSpec, TensorKind};
 //!
 //! let tensor = SynthSpec::for_kind(TensorKind::Weight, 64, 256).generate();
 //! let codec = WeightCodec::calibrate(&[&tensor], &EccoConfig::default());
 //!
-//! let (compressed, stats) = codec.compress_parallel(&tensor);
-//! let restored = codec.decompress_parallel(&compressed);
+//! let (compressed, stats) = codec.compress(&tensor);
+//! let restored = codec.decompress(&compressed);
 //!
 //! assert_eq!(compressed.compressed_bytes(), tensor.len() / 2); // 4x vs FP16
 //! assert!(ecco_tensor::stats::nmse(&tensor, &restored) < 0.01);
 //! assert!(stats.clip_ratio() < 0.05);
 //!
-//! // The sequential paths produce the same bits — handy for debugging.
-//! let (seq, _) = codec.compress(&tensor);
-//! assert_eq!(seq.blocks(), compressed.blocks());
+//! // The single-tensor calls are batches of one: the batch and report
+//! // forms produce the same bits.
+//! let report = codec.decompress_batch_report(&[&compressed], RecoveryPolicy::FailTensor);
+//! assert_eq!(report[0].values().unwrap(), restored.data());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -93,7 +97,7 @@ pub use group::{normalize_group, NormalizedGroup};
 pub use kv::KvCodec;
 pub use metadata::{PatternSelector, TensorMetadata};
 pub use metrics::CodecStats;
-pub use parallel::{decode_groups_parallel, encode_groups_parallel, BatchOutcome, RecoveryPolicy};
+pub use parallel::{BatchOutcome, RecoveryPolicy};
 pub use pattern::{KmeansPattern, PatternBoundaries, NUM_CENTROIDS, SCALE_SYMBOL, SYMBOL_COUNT};
 pub use pool::{quick_from_env, with_pool, Pool, PoolBuilder};
 pub use select::{select_pattern_ref, GroupScratch};

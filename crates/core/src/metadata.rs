@@ -70,7 +70,7 @@ impl TensorMetadata {
     /// The heavy stages — group normalization, the per-group 15-cluster
     /// k-means fits (step 3), pattern assignment with symbol-histogram
     /// collection (step 5) and per-pattern codebook construction (steps
-    /// 6–7) — are sharded across the rayon pool. Every stage merges its
+    /// 6–7) — are sharded across the worker pool. Every stage merges its
     /// shards in group (or pattern) order and every stochastic step is
     /// seeded per group, so the result is **bit-identical** to the
     /// sequential reference [`TensorMetadata::calibrate_weighted_seq`]
@@ -99,7 +99,7 @@ impl TensorMetadata {
     /// `col_mags`, when given, holds one mean-|activation| vector per
     /// tensor, with length equal to that tensor's column count.
     ///
-    /// Runs across the rayon pool with the same determinism guarantee as
+    /// Runs across the worker pool with the same determinism guarantee as
     /// [`TensorMetadata::calibrate`]: output is bit-identical to
     /// [`TensorMetadata::calibrate_weighted_seq`].
     ///
@@ -314,7 +314,7 @@ struct Pick {
     col0: usize,
 }
 
-/// Maps `f(index, item)` over `items`, either across the rayon pool
+/// Maps `f(index, item)` over `items`, either across the worker pool
 /// (order-preserving; see [`crate::parallel::par_map_indexed`]) or in a
 /// plain sequential loop — the single switch that makes the parallel and
 /// reference calibrations share one body.

@@ -1,44 +1,46 @@
-//! Multi-block codec pipelines: encode/decode whole tensors — and whole
-//! *batches* of tensors — across the persistent worker pool.
+//! The codec engine: one batch encode (`encode_batch`) and one batch
+//! decode (`decode_batch`) that every `compress*`/`decompress*` method
+//! of [`WeightCodec`](crate::WeightCodec) and [`KvCodec`](crate::KvCodec)
+//! delegates to, and the pool drivers underneath them.
 //!
 //! Ecco's block format makes every 64-byte block independently decodable
 //! (each carries its own header, and the shared metadata is read-only), so
-//! a tensor is embarrassingly parallel across its groups — the same
-//! property BGZF exploits to decompress genomic archives block-parallel.
-//! This module cuts the group/block array into chunks
-//! ([`crate::pool::block_chunk`]) that idle executors claim dynamically
-//! from the shared pool ([`crate::pool`]), processes each chunk with
-//! chunk-local buffers, and reassembles results in chunk order, so output
-//! is bit-identical to the sequential paths
-//! ([`encode_group`](crate::block::encode_group)/[`decode_group`]) at any
-//! pool size or chunking. Jobs smaller than one chunk run inline on the
-//! caller — tiny tensors never pay a scheduling round-trip.
+//! a batch of tensors is embarrassingly parallel across its groups — the
+//! same property BGZF exploits to decompress genomic archives
+//! block-parallel. The drivers flatten every tensor's groups/blocks into
+//! one chunk list ([`crate::pool::block_chunk`]), group contiguous chunks
+//! into claims that idle executors take from the shared pool
+//! ([`crate::pool`]), and reassemble results per tensor in chunk order, so
+//! output is bit-identical to the per-group loop
+//! ([`encode_group`](crate::block::encode_group)/[`decode_group`])
+//! at any pool size or chunking. A batch that fits in one claim runs
+//! inline on the caller — a single small tensor never pays a scheduling
+//! round-trip.
 //!
-//! The *batched submission* drivers at the bottom flatten many tensors'
-//! blocks into one chunk list and feed them through a single pool pass,
-//! so concurrent serving requests share the workers instead of each
-//! spawning (or queueing) its own pipeline; per-tensor results (and
-//! per-tensor failures — including a panicking worker task, surfaced as
-//! [`DecodeErrorKind::WorkerPanic`]) stay isolated. Errors leave the
-//! drivers *located*: the block index is attached where the block fails,
-//! the tensor's batch index where its chunk is claimed.
+//! Per-tensor results — and per-tensor failures, including a panicking
+//! decode (surfaced as [`DecodeErrorKind::WorkerPanic`]) — stay isolated.
+//! Errors leave the decode driver *located*: the block index is attached
+//! where the block fails, the tensor's batch index where its chunk is
+//! claimed.
 //!
-//! The hardware-model twin (batch decode through the speculative parallel
-//! decoder) lives in `ecco-hw::paradec::{decode_blocks_parallel,
-//! decode_tensors_batch}`, which reuses these drivers.
+//! The hardware model's batch decode
+//! (`ecco_hw::decode_tensors_batch_report`) runs on the same decode
+//! driver ([`decode_tensors_batch_report_with`]) with the speculative
+//! parallel decoder in place of [`decode_group_into`].
 
 use ecco_bits::Block64;
 use ecco_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::block::{
-    decode_group, decode_group_into, encode_group_scratch, DecodeError, DecodeErrorKind,
-    EncodedGroupInfo,
+    decode_group, decode_group_into, encode_group_scratch, encode_group_weighted_scratch,
+    DecodeError, DecodeErrorKind, EncodedGroupInfo,
 };
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
 use crate::pool::{block_chunk, Pool};
 use crate::select::GroupScratch;
+use crate::weight::CompressedTensor;
 
 /// Executors the pipelines run on: the current pool's worker threads
 /// plus the submitting thread.
@@ -74,16 +76,71 @@ where
     parts.into_iter().flatten().collect()
 }
 
+/// The encode engine behind every codec `compress*` method: checks each
+/// tensor against the group size (and, for activation-aware encoding,
+/// `act_mags` against its columns), binds each tensor's own power-of-two
+/// scale, and encodes every tensor's groups in **one pool pass**.
+///
+/// With `act_mags`, every group is encoded by
+/// [`encode_group_weighted_scratch`] under the squared magnitudes of its
+/// columns and `selector` is unused; otherwise by
+/// [`encode_group_scratch`] under `selector`.
+///
+/// # Panics
+///
+/// Panics before any encoding starts if a tensor's length is not a
+/// multiple of the group size, or its column count differs from
+/// `act_mags.len()`.
+pub(crate) fn encode_batch(
+    meta: &TensorMetadata,
+    tensors: &[&Tensor],
+    selector: PatternSelector,
+    act_mags: Option<&[f32]>,
+) -> Vec<(CompressedTensor, CodecStats)> {
+    let gs = meta.group_size;
+    for t in tensors {
+        assert_eq!(t.len() % gs, 0, "tensor not a multiple of group size");
+        if let Some(mags) = act_mags {
+            assert_eq!(mags.len(), t.cols(), "magnitude/column mismatch");
+        }
+    }
+    let w2: Option<Vec<f32>> = act_mags.map(|mags| mags.iter().map(|&m| m * m).collect());
+    let metas: Vec<TensorMetadata> = tensors
+        .iter()
+        .map(|t| meta.with_scale(TensorMetadata::scale_for(t)))
+        .collect();
+    let counts: Vec<usize> = tensors.iter().map(|t| t.len() / gs).collect();
+    let encoded = encode_tensors_batch_with(&counts, |ti, lo, hi| {
+        encode_run(
+            tensors[ti].data(),
+            &metas[ti],
+            selector,
+            w2.as_deref(),
+            lo,
+            hi,
+        )
+    });
+    encoded
+        .into_iter()
+        .zip(tensors)
+        .zip(metas)
+        .map(|(((blocks, stats), t), m)| {
+            let ct = CompressedTensor::from_parts(t.rows(), t.cols(), gs, m.tensor_scale, blocks);
+            (ct, stats)
+        })
+        .collect()
+}
+
 /// Encodes groups `lo..hi` of `data` (a flat `group_size`-aligned value
-/// stream) under `meta`, with the accounting every checked compress
-/// path reports: per-group encode stats plus the self-decode round-trip
-/// error. The single source of truth for that loop — the tensor
-/// pipeline's chunk body and both codecs' batch submissions call this,
-/// so stats stay consistent across every entry point.
-pub(crate) fn encode_run(
+/// stream) under `meta`, with the accounting every compress path reports:
+/// per-group encode stats plus the self-decode round-trip error. `w2`,
+/// when given, holds the squared activation magnitude of every column
+/// (`w2.len()` is the row length) and switches to weighted encoding.
+fn encode_run(
     data: &[f32],
     meta: &TensorMetadata,
     selector: PatternSelector,
+    w2: Option<&[f32]>,
     lo: usize,
     hi: usize,
 ) -> (Vec<Block64>, CodecStats) {
@@ -93,8 +150,14 @@ pub(crate) fn encode_run(
     // One selection scratch per run: the fused sweep reuses its
     // sorted-group and symbol buffers for every group here.
     let mut scratch = GroupScratch::new();
-    for g in data[lo * gs..hi * gs].chunks_exact(gs) {
-        let (block, info) = encode_group_scratch(g, meta, selector, &mut scratch);
+    for (gi, g) in (lo..hi).zip(data[lo * gs..hi * gs].chunks_exact(gs)) {
+        let (block, info) = match w2 {
+            Some(w2) => {
+                let col0 = (gi * gs) % w2.len();
+                encode_group_weighted_scratch(g, meta, &w2[col0..col0 + gs], &mut scratch)
+            }
+            None => encode_group_scratch(g, meta, selector, &mut scratch),
+        };
         stats.record(&info, gs);
         let (out, _) = decode_group(&block, meta).expect("own blocks decode");
         stats.record_error(g, &out);
@@ -103,47 +166,13 @@ pub(crate) fn encode_run(
     (blocks, stats)
 }
 
-/// Encodes every `meta.group_size`-value group of `tensor` into blocks,
-/// in parallel, returning the blocks in group order plus merged encoding
-/// statistics (including round-trip error, as [`crate::WeightCodec::compress`]
-/// reports).
-///
-/// Bit-identical to calling [`encode_group`](crate::block::encode_group)
-/// sequentially per group.
+/// Encodes every group of `tensor` across the pool without the
+/// round-trip error pass or statistics — the encode engine's pool pass
+/// stripped to blocks and per-group reports, for throughput benchmarking.
 ///
 /// # Panics
 ///
 /// Panics if the tensor length is not a multiple of the group size.
-pub fn encode_groups_parallel(
-    tensor: &Tensor,
-    meta: &TensorMetadata,
-    selector: PatternSelector,
-) -> (Vec<Block64>, CodecStats) {
-    let gs = meta.group_size;
-    assert_eq!(tensor.len() % gs, 0, "tensor not a multiple of group size");
-    let total = tensor.len() / gs;
-    let pool = Pool::current();
-    let chunk = block_chunk(&pool, total);
-    let data = tensor.data();
-
-    let parts: Vec<(Vec<Block64>, CodecStats)> = pool
-        .run_map(total, chunk, |lo, hi| {
-            encode_run(data, meta, selector, lo, hi)
-        })
-        .unwrap_or_else(|p| p.resume());
-
-    let mut blocks = Vec::with_capacity(total);
-    let mut stats = CodecStats::default();
-    for (b, s) in parts {
-        blocks.extend(b);
-        stats.merge(&s);
-    }
-    (blocks, stats)
-}
-
-/// Like [`encode_groups_parallel`] but without the round-trip error pass —
-/// the fastest path when only the blocks (and clip/pad accounting) are
-/// needed, e.g. for throughput benchmarking.
 pub fn encode_groups_parallel_unchecked(
     tensor: &Tensor,
     meta: &TensorMetadata,
@@ -166,88 +195,84 @@ pub fn encode_groups_parallel_unchecked(
         })
         .unwrap_or_else(|p| p.resume());
 
-    let mut blocks = Vec::with_capacity(total);
-    let mut infos = Vec::with_capacity(total);
-    for part in parts {
-        for (b, i) in part {
-            blocks.push(b);
-            infos.push(i);
+    parts.into_iter().flatten().unzip()
+}
+
+/// The decode engine behind every codec `decompress*` method: screens
+/// each tensor's shape, binds its own scale, and decodes every healthy
+/// tensor's blocks in **one pool pass** through [`decode_group_into`].
+///
+/// Nothing panics on malformed inputs. A tensor whose group size
+/// disagrees with `meta`'s, or whose block count disagrees with its
+/// shape, fails its own slot with a located
+/// [`DecodeErrorKind::LengthMismatch`] /
+/// [`DecodeErrorKind::TruncatedStream`] without its blocks being touched.
+pub(crate) fn decode_batch(
+    meta: &TensorMetadata,
+    cts: &[&CompressedTensor],
+    policy: RecoveryPolicy,
+) -> Vec<BatchOutcome> {
+    let gs = meta.group_size;
+    let screened: Vec<Option<DecodeError>> = cts
+        .iter()
+        .enumerate()
+        .map(|(ti, ct)| {
+            let (declared, stored) = (ct.rows() * ct.cols(), ct.blocks().len() * gs);
+            if ct.group_size() != gs || declared % gs != 0 {
+                Some(DecodeError::new(DecodeErrorKind::LengthMismatch).at_tensor(ti))
+            } else if stored == declared {
+                None
+            } else {
+                let kind = if stored < declared {
+                    DecodeErrorKind::TruncatedStream
+                } else {
+                    DecodeErrorKind::LengthMismatch
+                };
+                Some(
+                    DecodeError::new(kind)
+                        .at_block(ct.blocks().len())
+                        .at_tensor(ti),
+                )
+            }
+        })
+        .collect();
+    let metas: Vec<TensorMetadata> = cts
+        .iter()
+        .map(|ct| meta.with_scale(ct.tensor_scale()))
+        .collect();
+    // Screened-out tensors enter the pool pass as empty block lists.
+    let batch: Vec<&[Block64]> = cts
+        .iter()
+        .zip(&screened)
+        .map(|(ct, s)| if s.is_some() { &[][..] } else { ct.blocks() })
+        .collect();
+    let mut out = decode_tensors_batch_report_with(&batch, gs, policy, |ti, b, out| {
+        decode_group_into(b, &metas[ti], out).map(drop)
+    });
+    for (slot, s) in out.iter_mut().zip(screened) {
+        if let Some(e) = s {
+            *slot = BatchOutcome::Failed(e);
         }
     }
-    (blocks, infos)
+    out
 }
 
-/// Decodes `blocks` back into a flat value stream, in parallel, in block
-/// order. Bit-identical to calling [`decode_group`] per block.
-///
-/// # Errors
-///
-/// Returns the first [`DecodeError`] in block order, as the sequential
-/// loop would.
-pub fn decode_groups_parallel(
-    blocks: &[Block64],
-    meta: &TensorMetadata,
-) -> Result<Vec<f32>, DecodeError> {
-    decode_blocks_parallel_with(
-        blocks,
-        meta.group_size,
-        || (),
-        |(), b, out| {
-            decode_group_into(b, meta, out)?;
-            Ok(())
-        },
-    )
-}
-
-/// The chunked decode driver every multi-block pipeline runs on: blocks
-/// are cut into dynamically-claimed chunks ([`crate::pool::block_chunk`]),
-/// each chunk builds one `state` with `init` (scratch buffers, decoder
-/// tables, …) and folds its blocks through `decode`, and the per-chunk
-/// outputs are reassembled in block order — bit-identical to the
-/// sequential loop regardless of pool size or chunking.
-///
-/// [`decode_groups_parallel`] instantiates this with the sequential
-/// decoder; `ecco-hw::decode_blocks_parallel` instantiates it with the
-/// hardware model's LUT decoder, so both sharded paths share exactly this
-/// chunking and reassembly policy.
-///
-/// `decode` appends exactly `group_size` values per block to `out`.
-///
-/// # Errors
-///
-/// Returns the first error in block order, as the sequential loop would,
-/// located at its block index ([`DecodeError::block`]).
-pub fn decode_blocks_parallel_with<S, I, F>(
-    blocks: &[Block64],
-    group_size: usize,
-    init: I,
-    decode: F,
-) -> Result<Vec<f32>, DecodeError>
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
-{
-    if blocks.is_empty() {
-        return Ok(Vec::new());
-    }
-    let pool = Pool::current();
-    let chunk = block_chunk(&pool, blocks.len());
-    let parts: Vec<Result<Vec<f32>, DecodeError>> = pool
-        .run_map(blocks.len(), chunk, |lo, hi| {
-            let mut state = init();
-            let mut values = Vec::with_capacity((hi - lo) * group_size);
-            for (i, b) in blocks[lo..hi].iter().enumerate() {
-                decode(&mut state, b, &mut values).map_err(|e| e.at_block(lo + i))?;
-            }
-            Ok(values)
+/// Shapes [`RecoveryPolicy::FailTensor`] outcomes of [`decode_batch`]
+/// into tensors: each slot's values at its source's shape, or its
+/// located error.
+pub(crate) fn into_tensors(
+    outcomes: Vec<BatchOutcome>,
+    cts: &[&CompressedTensor],
+) -> Vec<Result<Tensor, DecodeError>> {
+    outcomes
+        .into_iter()
+        .zip(cts)
+        .map(|(o, ct)| match o {
+            BatchOutcome::Ok(v) => Ok(Tensor::from_vec(ct.rows(), ct.cols(), v)),
+            BatchOutcome::Failed(e) => Err(e),
+            BatchOutcome::Salvaged { .. } => unreachable!("FailTensor never salvages"),
         })
-        .unwrap_or_else(|p| p.resume());
-
-    let mut out = Vec::with_capacity(blocks.len() * group_size);
-    for p in parts {
-        out.extend(p?);
-    }
-    Ok(out)
+        .collect()
 }
 
 /// One work chunk of a batched multi-tensor submission: `blocks[lo..hi]`
@@ -280,13 +305,12 @@ fn batch_chunks(pool: &Pool, sizes: &[usize]) -> (Vec<BatchChunk>, usize) {
 /// Groups contiguous chunks into *claims* of roughly `target` blocks
 /// each, so a batch of many tiny tensors (whose per-tensor chunks are
 /// far below the pool's chunk policy) is claimed a handful of times
-/// instead of once per tensor. This is what lets batched submission beat
-/// the per-tensor pooled loop: small tensors run entirely on the pool's
-/// inline fast path, so a batch driver paying one queue round-trip, one
-/// scratch `init()` and one result slot *per tiny tensor* loses to it
-/// (the `batch_decode` 0.95x regression); claim-grouping amortizes all
-/// three across `target` blocks while keeping per-chunk (= per-tensor)
-/// failure isolation inside the claim.
+/// instead of once per tensor. This is what lets batched submission keep
+/// up with the per-tensor pooled loop: small tensors run entirely on the
+/// pool's inline fast path, so a batch driver paying one queue
+/// round-trip and one result slot *per tiny tensor* loses to it;
+/// claim-grouping amortizes both across `target` blocks while keeping
+/// per-chunk (= per-tensor) failure isolation inside the claim.
 fn claim_ranges(chunks: &[BatchChunk], target: usize) -> Vec<std::ops::Range<usize>> {
     let mut claims = Vec::new();
     let mut start = 0;
@@ -323,8 +347,8 @@ pub enum BatchOutcome {
         bad_blocks: Vec<DecodeError>,
     },
     /// The tensor produced no values: its first corrupt block under
-    /// [`RecoveryPolicy::FailTensor`], or a worker panic (unknown decode
-    /// state, never salvaged).
+    /// [`RecoveryPolicy::FailTensor`], a malformed shape, or a worker
+    /// panic (unknown decode state, never salvaged).
     Failed(DecodeError),
 }
 
@@ -357,7 +381,7 @@ impl BatchOutcome {
 pub enum RecoveryPolicy {
     /// The tensor's first corrupt block fails the whole tensor
     /// ([`BatchOutcome::Failed`]); other tensors are unaffected. The
-    /// semantics of [`decode_tensors_batch_with`].
+    /// semantics of the codecs' `decompress_batch`.
     #[default]
     FailTensor,
     /// Zero-fill only the corrupt blocks' groups, keep decoding, and
@@ -372,25 +396,26 @@ pub enum RecoveryPolicy {
 /// the chunk.
 type ChunkPart = Result<(Vec<f32>, Vec<DecodeError>), DecodeError>;
 
-/// The unified batched-decode driver: one pool pass over every tensor's
-/// chunks, grouped into claims (`claim_ranges`), with per-chunk panic
+/// The batched-decode driver: one pool pass over every tensor's chunks,
+/// grouped into claims (`claim_ranges`), with per-chunk panic
 /// containment and `policy`-controlled corrupt-block handling. Returns
-/// one [`BatchOutcome`] per tensor, reassembled in block order.
+/// one [`BatchOutcome`] per tensor, reassembled in block order. All
+/// tensors' chunks enter the shared injector queue together, so
+/// concurrent requests share workers instead of oversubscribing.
 ///
 /// `decode` receives the batch index of the tensor the block belongs to
 /// (for per-tensor metadata) and appends exactly `group_size` values per
 /// block. Every error is located: block index at the failing block,
-/// tensor index at the claim.
-pub fn decode_tensors_batch_report_with<S, I, F>(
+/// tensor index at the claim. A panicking `decode` fails only its own
+/// tensor, as [`DecodeErrorKind::WorkerPanic`].
+pub fn decode_tensors_batch_report_with<F>(
     batch: &[&[Block64]],
     group_size: usize,
     policy: RecoveryPolicy,
-    init: I,
     decode: F,
 ) -> Vec<BatchOutcome>
 where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
+    F: Fn(usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
 {
     let pool = Pool::current();
     let sizes: Vec<usize> = batch.iter().map(|b| b.len()).collect();
@@ -399,24 +424,19 @@ where
 
     let parts: Vec<Vec<ChunkPart>> = pool
         .run_map(claims.len(), 1, |k, _| {
-            // One scratch state serves the whole claim; it is rebuilt
-            // only if a panic may have poisoned it.
-            let mut state: Option<S> = None;
-            let mut out: Vec<ChunkPart> = Vec::with_capacity(claims[k].len());
-            for ci in claims[k].clone() {
-                let BatchChunk { tensor, lo, hi } = chunks[ci];
-                // A panic while decoding (impossible for well-formed
-                // metadata, but this is the failure-injection surface)
-                // must poison only this tensor's result, not the batch.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let state = state.get_or_insert_with(&init);
-                    let mut values = Vec::with_capacity((hi - lo) * group_size);
-                    let mut bad: Vec<DecodeError> = Vec::new();
-                    for (i, b) in batch[tensor][lo..hi].iter().enumerate() {
-                        let before = values.len();
-                        match decode(state, tensor, b, &mut values) {
-                            Ok(()) => {}
-                            Err(e) => {
+            claims[k]
+                .clone()
+                .map(|ci| {
+                    let BatchChunk { tensor, lo, hi } = chunks[ci];
+                    // A panic while decoding (impossible for well-formed
+                    // metadata, but this is the failure-injection
+                    // surface) must poison only this tensor's result.
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let mut values = Vec::with_capacity((hi - lo) * group_size);
+                        let mut bad: Vec<DecodeError> = Vec::new();
+                        for (i, b) in batch[tensor][lo..hi].iter().enumerate() {
+                            let before = values.len();
+                            if let Err(e) = decode(tensor, b, &mut values) {
                                 let located = e.at_block(lo + i).at_tensor(tensor);
                                 match policy {
                                     RecoveryPolicy::FailTensor => return Err(located),
@@ -428,18 +448,13 @@ where
                                 }
                             }
                         }
-                    }
-                    Ok((values, bad))
-                }));
-                out.push(match attempt {
-                    Ok(part) => part,
-                    Err(_) => {
-                        state = None;
+                        Ok((values, bad))
+                    }))
+                    .unwrap_or_else(|_| {
                         Err(DecodeError::new(DecodeErrorKind::WorkerPanic).at_tensor(tensor))
-                    }
-                });
-            }
-            out
+                    })
+                })
+                .collect()
         })
         .unwrap_or_else(|p| p.resume());
 
@@ -484,60 +499,14 @@ where
     out
 }
 
-/// Decodes many tensors' block arrays in **one pool pass** — the batched
-/// submission driver behind [`crate::WeightCodec::decompress_batch`] and
-/// `ecco-hw::decode_tensors_batch`. All tensors' chunks enter the shared
-/// injector queue together (grouped into claims of roughly one pool
-/// chunk's worth of blocks), so concurrent requests share workers
-/// instead of oversubscribing; a batch that flattens to a single claim
-/// runs inline on the caller, multi-claim batches pay one queue wake-up
-/// for the whole batch.
-///
-/// `decode` receives the batch index of the tensor the block belongs to
-/// (for per-tensor metadata) and appends exactly `group_size` values per
-/// block. Per-tensor results are reassembled in block order.
-///
-/// Failures stay isolated: each tensor's slot carries its own first
-/// [`DecodeError`] in block order — located with its tensor and block
-/// indices — and a panicking chunk poisons only its tensor's result
-/// (surfaced as [`DecodeErrorKind::WorkerPanic`]); the pool and the rest
-/// of the batch are unaffected. This is exactly
-/// [`decode_tensors_batch_report_with`] under
-/// [`RecoveryPolicy::FailTensor`], flattened to `Result`s.
-pub fn decode_tensors_batch_with<S, I, F>(
-    batch: &[&[Block64]],
-    group_size: usize,
-    init: I,
-    decode: F,
-) -> Vec<Result<Vec<f32>, DecodeError>>
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
-{
-    decode_tensors_batch_report_with(batch, group_size, RecoveryPolicy::FailTensor, init, decode)
-        .into_iter()
-        .map(|o| match o {
-            BatchOutcome::Ok(v) => Ok(v),
-            BatchOutcome::Failed(e) => Err(e),
-            BatchOutcome::Salvaged { .. } => {
-                unreachable!("FailTensor never salvages")
-            }
-        })
-        .collect()
-}
-
 /// Encodes many tensors in **one pool pass**: per-tensor group counts
 /// and an `encode` closure receiving `(batch index, group range)` and
 /// returning that chunk's blocks plus statistics. Results are
-/// reassembled per tensor in group order — bit-identical to running
-/// [`encode_groups_parallel`] per tensor. Like the decode drivers,
-/// chunks are grouped into claims so many tiny tensors amortize the
-/// queue round-trip.
-///
-/// This is the driver behind [`crate::WeightCodec::compress_batch`] and
-/// [`crate::KvCodec::compress_batch`]. Panics propagate to the caller
-/// (encoding valid tensors cannot fail; a panic is a caller bug).
-pub fn encode_tensors_batch_with<F>(
+/// reassembled per tensor in group order. Like the decode driver, chunks
+/// are grouped into claims so many tiny tensors amortize the queue
+/// round-trip. Panics propagate to the caller (encoding valid tensors
+/// cannot fail; a panic is a caller bug).
+fn encode_tensors_batch_with<F>(
     group_counts: &[usize],
     encode: F,
 ) -> Vec<(Vec<Block64>, CodecStats)>
@@ -576,248 +545,154 @@ mod tests {
     use super::*;
     use crate::block::encode_group;
     use crate::pool::{with_pool, PoolBuilder};
-    use crate::EccoConfig;
+    use crate::{EccoConfig, KvCodec, WeightCodec};
+    use ecco_bits::WindowDispatch;
     use ecco_tensor::{synth::SynthSpec, TensorKind};
     use proptest::prelude::*;
 
-    fn meta_for(t: &Tensor) -> TensorMetadata {
-        let cfg = EccoConfig {
+    fn cfg() -> EccoConfig {
+        EccoConfig {
             num_patterns: 16,
             books_per_pattern: 4,
             max_calibration_groups: 128,
             ..EccoConfig::default()
-        };
-        TensorMetadata::calibrate(&[t], &cfg, PatternSelector::MseOptimal)
-    }
-
-    #[test]
-    fn parallel_encode_matches_sequential() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 16, 512)
-            .seeded(301)
-            .generate();
-        let meta = meta_for(&t);
-        let (par_blocks, par_stats) =
-            encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-
-        let mut seq_blocks = Vec::new();
-        let mut seq_stats = CodecStats::default();
-        for g in t.groups(128) {
-            let (b, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            seq_stats.record(&info, 128);
-            let (out, _) = decode_group(&b, &meta).unwrap();
-            seq_stats.record_error(g, &out);
-            seq_blocks.push(b);
-        }
-        assert_eq!(par_blocks, seq_blocks, "blocks must be bit-identical");
-        assert_eq!(par_stats.groups, seq_stats.groups);
-        assert_eq!(par_stats.clipped_symbols, seq_stats.clipped_symbols);
-        assert_eq!(par_stats.padded_outliers, seq_stats.padded_outliers);
-        assert!((par_stats.nmse() - seq_stats.nmse()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_decode_matches_sequential() {
-        let t = SynthSpec::for_kind(TensorKind::KCache, 16, 512)
-            .seeded(302)
-            .generate();
-        let meta = meta_for(&t);
-        let (blocks, _) = encode_groups_parallel(&t, &meta, PatternSelector::MinMax);
-        let par = decode_groups_parallel(&blocks, &meta).unwrap();
-        let mut seq = Vec::new();
-        for b in &blocks {
-            seq.extend(decode_group(b, &meta).unwrap().0);
-        }
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn unchecked_encode_matches_checked_blocks() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-            .seeded(303)
-            .generate();
-        let meta = meta_for(&t);
-        let (a, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-        let (b, infos) = encode_groups_parallel_unchecked(&t, &meta, PatternSelector::MseOptimal);
-        assert_eq!(a, b);
-        assert_eq!(infos.len(), b.len());
-    }
-
-    #[test]
-    fn single_threaded_env_still_correct() {
-        // The chunk math must hold for one executor and tiny inputs.
-        let t = SynthSpec::for_kind(TensorKind::Weight, 1, 128)
-            .seeded(304)
-            .generate();
-        let meta = meta_for(&t);
-        let pool = PoolBuilder::new().threads(1).build();
-        with_pool(&pool, || {
-            let (blocks, stats) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-            assert_eq!(blocks.len(), 1);
-            assert_eq!(stats.groups, 1);
-            let vals = decode_groups_parallel(&blocks, &meta).unwrap();
-            assert_eq!(vals.len(), 128);
-        });
-    }
-
-    #[test]
-    fn batch_decode_isolates_per_tensor_errors() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-            .seeded(305)
-            .generate();
-        let meta = meta_for(&t);
-        let (good, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-        // A block whose pattern id cannot decode: all-ones header run.
-        let bad = Block64::from_bytes([0xFF; 64]);
-        let mut poisoned = good.clone();
-        poisoned[3] = bad;
-        let per_block_err = decode_group(&bad, &meta).err();
-
-        let results = decode_tensors_batch_with(
-            &[&good, &poisoned, &good],
-            meta.group_size,
-            || (),
-            |(), _ti, b, out| {
-                let (v, _) = decode_group(b, &meta)?;
-                out.extend_from_slice(&v);
-                Ok(())
-            },
-        );
-        assert_eq!(results.len(), 3);
-        let seq = decode_groups_parallel(&good, &meta).unwrap();
-        assert_eq!(results[0].as_ref().unwrap(), &seq);
-        assert_eq!(results[2].as_ref().unwrap(), &seq);
-        match (&results[1], per_block_err) {
-            (Err(e), Some(want)) => {
-                assert_eq!(e.kind, want.kind);
-                assert_eq!(e.tensor, Some(1), "error must name the bad tensor");
-                assert_eq!(e.block, Some(3), "error must name the bad block");
-            }
-            other => panic!("poisoned tensor must error like its block: {other:?}"),
         }
     }
 
-    #[test]
-    fn batch_report_salvages_only_corrupt_blocks() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-            .seeded(306)
-            .generate();
-        let meta = meta_for(&t);
-        let (good, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-        let bad = Block64::from_bytes([0xFF; 64]);
-        let mut poisoned = good.clone();
-        poisoned[3] = bad;
-        let bad_kind = decode_group(&bad, &meta).unwrap_err().kind;
-        let seq = decode_groups_parallel(&good, &meta).unwrap();
-
-        let decode = |(): &mut (), _ti: usize, b: &Block64, out: &mut Vec<f32>| {
-            let (v, _) = decode_group(b, &meta)?;
-            out.extend_from_slice(&v);
-            Ok(())
-        };
-        let report = decode_tensors_batch_report_with(
-            &[&good, &poisoned, &good],
-            meta.group_size,
-            RecoveryPolicy::SalvageBlocks,
-            || (),
-            decode,
-        );
-        assert_eq!(report[0], BatchOutcome::Ok(seq.clone()));
-        assert_eq!(report[2], BatchOutcome::Ok(seq.clone()));
-        match &report[1] {
-            BatchOutcome::Salvaged { values, bad_blocks } => {
-                // Only block 3's group is zero-filled; the rest is the
-                // healthy reference bit for bit.
-                let gs = meta.group_size;
-                let mut want = seq.clone();
-                want[3 * gs..4 * gs].fill(0.0);
-                assert_eq!(values, &want);
-                assert_eq!(bad_blocks.len(), 1);
-                assert_eq!(bad_blocks[0].kind, bad_kind);
-                assert_eq!(
-                    (bad_blocks[0].tensor, bad_blocks[0].block),
-                    (Some(1), Some(3))
-                );
-            }
-            other => panic!("expected salvage, got {other:?}"),
-        }
-
-        // FailTensor through the report API matches the Result API.
-        let failed = decode_tensors_batch_report_with(
-            &[&good, &poisoned],
-            meta.group_size,
-            RecoveryPolicy::FailTensor,
-            || (),
-            decode,
-        );
-        assert!(failed[0].is_ok());
-        match &failed[1] {
-            BatchOutcome::Failed(e) => {
-                assert_eq!(e.kind, bad_kind);
-                assert_eq!((e.tensor, e.block), (Some(1), Some(3)));
-            }
-            other => panic!("expected failure, got {other:?}"),
-        }
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
-    #[test]
-    fn claim_grouping_preserves_per_tensor_results() {
-        // Many tiny tensors: the regression shape behind the batch_decode
-        // 0.95x number. Claims must group their chunks without changing a
-        // single output bit or mislocating an error.
-        let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-            .seeded(307)
-            .generate();
-        let meta = meta_for(&t);
-        let (blocks, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-        let tiny: Vec<&[Block64]> = blocks.chunks(2).collect(); // 16 two-block tensors
-        let mut poisoned = blocks.clone();
-        poisoned[5] = Block64::from_bytes([0xFF; 64]); // tensor 2, block 1
-        let tiny_poisoned: Vec<&[Block64]> = poisoned.chunks(2).collect();
-
-        for threads in [1usize, 4] {
-            let pool = PoolBuilder::new().threads(threads).build();
-            with_pool(&pool, || {
-                let results = decode_tensors_batch_with(
-                    &tiny,
-                    meta.group_size,
-                    || (),
-                    |(), _ti, b, out| {
-                        let (v, _) = decode_group(b, &meta)?;
-                        out.extend_from_slice(&v);
-                        Ok(())
-                    },
-                );
-                for (r, pair) in results.iter().zip(blocks.chunks(2)) {
-                    let mut want = Vec::new();
-                    for b in pair {
-                        want.extend(decode_group(b, &meta).unwrap().0);
-                    }
-                    assert_eq!(r.as_ref().unwrap(), &want, "threads {threads}");
+    /// The per-group oracle every engine pass must reproduce: the
+    /// sequential encode loop (weighted when `mags` is given) under the
+    /// tensor's own scale, with the same stats accounting.
+    fn oracle_encode(
+        meta: &TensorMetadata,
+        t: &Tensor,
+        selector: PatternSelector,
+        mags: Option<&[f32]>,
+    ) -> (Vec<Block64>, CodecStats) {
+        let meta = meta.with_scale(TensorMetadata::scale_for(t));
+        let gs = meta.group_size;
+        let mut scratch = GroupScratch::new();
+        let mut blocks = Vec::new();
+        let mut stats = CodecStats::default();
+        for (gi, g) in t.groups(gs).enumerate() {
+            let (block, info) = match mags {
+                Some(mags) => {
+                    let col0 = (gi * gs) % t.cols();
+                    let w2: Vec<f32> = mags[col0..col0 + gs].iter().map(|&m| m * m).collect();
+                    encode_group_weighted_scratch(g, &meta, &w2, &mut scratch)
                 }
+                None => encode_group(g, &meta, selector),
+            };
+            stats.record(&info, gs);
+            stats.record_error(g, &decode_group(&block, &meta).unwrap().0);
+            blocks.push(block);
+        }
+        (blocks, stats)
+    }
 
-                let results = decode_tensors_batch_with(
-                    &tiny_poisoned,
-                    meta.group_size,
-                    || (),
-                    |(), _ti, b, out| {
-                        let (v, _) = decode_group(b, &meta)?;
-                        out.extend_from_slice(&v);
-                        Ok(())
-                    },
-                );
-                let e = results[2].as_ref().unwrap_err();
-                assert_eq!((e.tensor, e.block), (Some(2), Some(1)), "threads {threads}");
-                assert!(results.iter().enumerate().all(|(i, r)| i == 2 || r.is_ok()));
-            });
+    /// The per-block decode oracle: `decode_group` over every block.
+    fn oracle_decode(meta: &TensorMetadata, ct: &CompressedTensor) -> Vec<f32> {
+        let meta = meta.with_scale(ct.tensor_scale());
+        ct.blocks()
+            .iter()
+            .flat_map(|b| decode_group(b, &meta).unwrap().0)
+            .collect()
+    }
+
+    /// One oracle per wrapper, for one codec and tensor: `compress` ==
+    /// `compress_batch(&[t])[0]` (blocks and stats), and `decompress`,
+    /// `decompress_batch` and both report policies are bit-identical.
+    /// Returns what the caller compares across pools and arms.
+    macro_rules! assert_wrappers_agree {
+        ($codec:expr, $t:expr) => {{
+            let (codec, t) = (&$codec, &$t);
+            let (ct, stats) = codec.compress(t);
+            let (batch_ct, batch_stats) = codec.compress_batch(&[t]).remove(0);
+            assert_eq!(ct.blocks(), batch_ct.blocks(), "compress_batch blocks");
+            assert_eq!(ct.tensor_scale(), batch_ct.tensor_scale());
+            assert_eq!(stats, batch_stats, "compress_batch stats");
+            let values = bits(codec.decompress(&ct).data());
+            let batch = codec.decompress_batch(&[&ct]).remove(0).unwrap();
+            assert_eq!(bits(batch.data()), values, "decompress_batch values");
+            assert_eq!((batch.rows(), batch.cols()), (t.rows(), t.cols()));
+            for policy in [RecoveryPolicy::FailTensor, RecoveryPolicy::SalvageBlocks] {
+                let report = codec.decompress_batch_report(&[&ct], policy);
+                assert!(report[0].is_ok(), "{policy:?}");
+                assert_eq!(bits(report[0].values().unwrap()), values, "{policy:?}");
+            }
+            (ct.blocks().to_vec(), stats, values)
+        }};
+    }
+
+    #[test]
+    fn codec_wrappers_agree_with_engine_across_pools_and_arms() {
+        let w = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
+            .seeded(310)
+            .generate();
+        let kv = SynthSpec::for_kind(TensorKind::KCache, 8, 512)
+            .seeded(311)
+            .generate();
+        let mags: Vec<f32> = (0..w.cols())
+            .map(|c| 0.1 + (c % 11) as f32 * 0.07)
+            .collect();
+        let weight = WeightCodec::calibrate(&[&w], &cfg());
+        let aware = WeightCodec::calibrate_aware(&[&w], &mags, &cfg());
+        let kv_codec = KvCodec::calibrate(&[&kv], &cfg());
+
+        let host_tier = ecco_bits::window_dispatch();
+        let mut runs = Vec::new();
+        for threads in [1usize, 4] {
+            // A pinned chunk splits every tensor across claims and keeps
+            // the stats' float summation order equal across pools.
+            let pool = PoolBuilder::new().threads(threads).chunk(5).build();
+            for tier in [host_tier, WindowDispatch::Portable] {
+                ecco_bits::set_window_dispatch(tier);
+                runs.push(with_pool(&pool, || {
+                    [
+                        assert_wrappers_agree!(weight, w),
+                        assert_wrappers_agree!(aware, w),
+                        assert_wrappers_agree!(kv_codec, kv),
+                    ]
+                }));
+                ecco_bits::set_window_dispatch(host_tier);
+            }
+        }
+        assert!(
+            runs.windows(2).all(|r| r[0] == r[1]),
+            "pool size or dispatch arm changed a bit"
+        );
+
+        // And the engine equals the per-group loops it replaced (the
+        // weighted one included): blocks bit for bit, stats up to the
+        // float summation order.
+        let oracles = [
+            oracle_encode(weight.metadata(), &w, PatternSelector::MseOptimal, None),
+            oracle_encode(
+                aware.metadata(),
+                &w,
+                PatternSelector::MseOptimal,
+                Some(&mags),
+            ),
+            oracle_encode(kv_codec.metadata(), &kv, PatternSelector::MinMax, None),
+        ];
+        let counts = |s: &CodecStats| (s.groups, s.clipped_symbols, s.padded_outliers, s.data_bits);
+        for ((blocks, stats, _), (want, want_stats)) in runs[0].iter().zip(oracles) {
+            assert_eq!(blocks, &want, "engine != per-group loop");
+            assert_eq!(counts(stats), counts(&want_stats));
+            assert!((stats.nmse() - want_stats.nmse()).abs() < 1e-12);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
-        /// The pool differential: encode/decode pipelines and the batch
-        /// drivers are bit-identical to the sequential reference across
-        /// pool sizes {1,2,4,8} × ragged chunk pins — the determinism
-        /// contract of the persistent scheduler.
+        /// The pool differential: batched encode and decode through the
+        /// engine are bit-identical to the per-group loops across pool
+        /// sizes {1,2,4,8} × ragged chunk pins — including a batch of many
+        /// tiny tensors (claim grouping) with one corrupt block, which
+        /// must fail only its own tensor, located.
         #[test]
         fn pipelines_bit_identical_across_pool_shapes(
             seed in 0u64..200,
@@ -826,46 +701,53 @@ mod tests {
         ) {
             let threads = [1usize, 2, 4, 8][threads_sel];
             let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512).seeded(seed).generate();
-            let meta = meta_for(&t);
-
-            // Sequential references, computed on the default pool.
-            let mut seq_blocks = Vec::new();
-            for g in t.groups(128) {
-                seq_blocks.push(encode_group(g, &meta, PatternSelector::MseOptimal).0);
-            }
-            let mut seq_vals = Vec::new();
-            for b in &seq_blocks {
-                seq_vals.extend(decode_group(b, &meta).unwrap().0);
-            }
+            let codec = WeightCodec::calibrate(&[&t], &cfg());
+            let meta = codec.metadata();
+            // Sixteen two-group tensors cut from `t`, plus `t` itself.
+            let tiny: Vec<Tensor> = t
+                .data()
+                .chunks(256)
+                .map(|c| Tensor::from_vec(1, 256, c.to_vec()))
+                .collect();
+            let mut refs: Vec<&Tensor> = tiny.iter().collect();
+            refs.push(&t);
 
             let pool = PoolBuilder::new().threads(threads).chunk(chunk).build();
             with_pool(&pool, || {
-                let (blocks, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-                assert_eq!(blocks, seq_blocks, "encode diverged (threads {threads} chunk {chunk})");
-                let vals = decode_groups_parallel(&blocks, &meta).unwrap();
-                assert_eq!(vals, seq_vals, "decode diverged (threads {threads} chunk {chunk})");
+                let (seq_blocks, _) = oracle_encode(meta, &t, PatternSelector::MseOptimal, None);
+                let scaled = meta.with_scale(TensorMetadata::scale_for(&t));
+                let (unchecked, _) =
+                    encode_groups_parallel_unchecked(&t, &scaled, PatternSelector::MseOptimal);
+                prop_assert_eq!(&unchecked, &seq_blocks, "unchecked encode diverged");
 
-                // Batch submission == per-tensor loop, bit for bit.
-                let empty: &[Block64] = &[];
-                let batch = decode_tensors_batch_with(
-                    &[&blocks[..], &blocks[..3], empty],
-                    meta.group_size,
-                    || (),
-                    |(), _ti, b, out| {
-                        let (v, _) = decode_group(b, &meta)?;
-                        out.extend_from_slice(&v);
-                        Ok(())
-                    },
-                );
-                assert_eq!(batch[0].as_ref().unwrap(), &seq_vals);
-                assert_eq!(batch[1].as_ref().unwrap(), &seq_vals[..3 * 128]);
-                assert_eq!(batch[2].as_ref().unwrap(), &Vec::<f32>::new());
-            });
+                let batch = codec.compress_batch(&refs);
+                for (x, (ct, stats)) in refs.iter().zip(&batch) {
+                    let (want, want_stats) = oracle_encode(meta, x, PatternSelector::MseOptimal, None);
+                    prop_assert_eq!(ct.blocks(), &want[..], "encode diverged");
+                    prop_assert_eq!(stats.groups, want_stats.groups);
+                }
+
+                let mut cts: Vec<CompressedTensor> = batch.into_iter().map(|(ct, _)| ct).collect();
+                let mut poisoned = cts[2].blocks().to_vec();
+                poisoned[1] = Block64::from_bytes([0xFF; 64]);
+                cts[2] = cts[2].with_blocks(poisoned);
+                let ct_refs: Vec<&CompressedTensor> = cts.iter().collect();
+                let decoded = codec.decompress_batch(&ct_refs);
+                for (i, (ct, r)) in cts.iter().zip(&decoded).enumerate() {
+                    if i == 2 {
+                        let e = r.as_ref().unwrap_err();
+                        prop_assert_eq!((e.tensor, e.block), (Some(2), Some(1)));
+                    } else {
+                        let got = r.as_ref().expect("healthy tensor decodes");
+                        prop_assert_eq!(bits(got.data()), bits(&oracle_decode(meta, ct)));
+                    }
+                }
+                Ok(())
+            })?;
         }
 
         /// Calibration through an injected pool stays bit-identical to
-        /// the pinned sequential reference — the pool analogue of the
-        /// rayon-era differential tests in `metadata.rs`.
+        /// the pinned sequential reference.
         #[test]
         fn calibrate_bit_identical_across_pool_shapes(
             seed in 0u64..100,

@@ -68,7 +68,7 @@ impl KmeansPattern {
     }
 
     /// Wraps a finished 15-cluster scalar fit — the constructor the
-    /// batched (rayon-parallel) calibration path uses after
+    /// batched (pool-parallel) calibration path uses after
     /// [`ecco_kmeans::fit_scalar_batch`].
     ///
     /// # Panics

@@ -2,16 +2,14 @@
 //! [`ecco_pool`] worker pool plus the block-granularity chunk policy the
 //! multi-block pipelines share.
 //!
-//! Every parallel path in this crate — calibration's stage maps
-//! ([`par_map_indexed`](crate::parallel::par_map_indexed)), the
-//! whole-tensor encode/decode pipelines, and the batched multi-tensor
-//! submission APIs ([`WeightCodec::compress_batch`](crate::WeightCodec::compress_batch),
-//! `ecco-hw::decode_tensors_batch`) — submits to the *current* pool:
-//! the innermost [`with_pool`] binding on the calling thread, or the
-//! lazily-started global pool sized by `ECCO_THREADS` (then
-//! `RAYON_NUM_THREADS`, then the core count). The vendored rayon facade
-//! delegates to the same pool, so `par_iter` call sites and the
-//! pool-native paths share one set of long-lived workers.
+//! Every parallel path in this workspace — calibration's stage maps
+//! ([`par_map_indexed`](crate::parallel::par_map_indexed)), the k-means
+//! batch fits, the codecs' encode and decode engines
+//! ([`crate::parallel`]) and `ecco_hw::decode_tensors_batch_report` —
+//! submits to the *current* pool: the innermost [`with_pool`] binding on
+//! the calling thread, or the lazily-started global pool sized by
+//! `ECCO_THREADS` (then its alias `RAYON_NUM_THREADS`, then the core
+//! count), so they all share one set of long-lived workers.
 //!
 //! # Determinism
 //!

@@ -4,14 +4,10 @@ use ecco_bits::Block64;
 use ecco_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::block::{
-    decode_group, decode_group_into, encode_group_scratch, encode_group_weighted_scratch,
-    DecodeError, DecodeErrorKind,
-};
+use crate::block::DecodeError;
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
 use crate::parallel::{BatchOutcome, RecoveryPolicy};
-use crate::select::GroupScratch;
 use crate::EccoConfig;
 
 /// A tensor compressed into fixed 64-byte blocks.
@@ -45,11 +41,8 @@ impl CompressedTensor {
     /// Rebuilds this tensor around a replacement block stream (same
     /// shape, group size, and scale) — the failure-injection surface
     /// the serving fuzz/test layers use to model bit rot in cold
-    /// storage. The result is *untrusted*: feed it only to the
-    /// report-returning decode paths
-    /// ([`WeightCodec::decompress_batch_report`](crate::WeightCodec::decompress_batch_report),
-    /// [`KvCodec::decompress_batch_report`](crate::KvCodec::decompress_batch_report)),
-    /// which map corruption onto located errors instead of panicking.
+    /// storage. Every batch decode maps the result's corruption or
+    /// block-count lies onto located errors instead of panicking.
     pub fn with_blocks(&self, blocks: Vec<Block64>) -> CompressedTensor {
         CompressedTensor {
             rows: self.rows,
@@ -128,7 +121,7 @@ impl WeightCodec {
     /// calibration tensors of the same distribution.
     ///
     /// The per-group k-means fits and statistics collection run across
-    /// the rayon pool; the result is bit-identical to the sequential
+    /// the worker pool; the result is bit-identical to the sequential
     /// reference regardless of thread count (see
     /// [`TensorMetadata::calibrate`]).
     ///
@@ -178,183 +171,47 @@ impl WeightCodec {
 
     /// Compresses a tensor; returns the blocks and encoding statistics
     /// (including round-trip error, which requires decoding each block —
-    /// done inline so the stats are exact).
+    /// done inline so the stats are exact). A batch of one through
+    /// [`WeightCodec::compress_batch`].
     ///
     /// # Panics
     ///
     /// Panics if the tensor length is not a multiple of the group size.
     pub fn compress(&self, tensor: &Tensor) -> (CompressedTensor, CodecStats) {
-        let scale = TensorMetadata::scale_for(tensor);
-        let meta = self.meta.with_scale(scale);
-        let mut stats = CodecStats::default();
-        let mut blocks = Vec::with_capacity(tensor.len() / meta.group_size);
-        // One selection scratch for the whole tensor, and (for the
-        // activation-aware path) the squared channel magnitudes computed
-        // once up front — the per-group loop below never allocates for
-        // selection or quantization.
-        let mut scratch = GroupScratch::new();
-        let w2_all: Option<Vec<f32>> = self.act_mags.as_ref().map(|mags| {
-            assert_eq!(mags.len(), tensor.cols(), "magnitude/column mismatch");
-            mags.iter().map(|&m| m * m).collect()
-        });
-        for (gi, g) in tensor.groups(meta.group_size).enumerate() {
-            let (block, info) = match &w2_all {
-                Some(w2) => {
-                    let col0 = (gi * meta.group_size) % tensor.cols();
-                    encode_group_weighted_scratch(
-                        g,
-                        &meta,
-                        &w2[col0..col0 + meta.group_size],
-                        &mut scratch,
-                    )
-                }
-                None => encode_group_scratch(g, &meta, PatternSelector::MseOptimal, &mut scratch),
-            };
-            stats.record(&info, meta.group_size);
-            let (out, _) = decode_group(&block, &meta).expect("own blocks decode");
-            stats.record_error(g, &out);
-            blocks.push(block);
-        }
-        (
-            CompressedTensor {
-                rows: tensor.rows(),
-                cols: tensor.cols(),
-                group_size: meta.group_size,
-                tensor_scale: scale,
-                blocks,
-            },
-            stats,
-        )
-    }
-
-    /// [`WeightCodec::compress`] across a thread pool: groups are sharded
-    /// over workers and encoded independently, producing bit-identical
-    /// blocks and the same statistics (see [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor length is not a multiple of the group size,
-    /// or if this codec was calibrated activation-aware (the weighted
-    /// path is bound to [`WeightCodec::compress`]).
-    pub fn compress_parallel(&self, tensor: &Tensor) -> (CompressedTensor, CodecStats) {
-        assert!(
-            self.act_mags.is_none(),
-            "activation-aware compression is calibration-bound; use compress()"
-        );
-        let scale = TensorMetadata::scale_for(tensor);
-        let meta = self.meta.with_scale(scale);
-        let (blocks, stats) =
-            crate::parallel::encode_groups_parallel(tensor, &meta, PatternSelector::MseOptimal);
-        (
-            CompressedTensor {
-                rows: tensor.rows(),
-                cols: tensor.cols(),
-                group_size: meta.group_size,
-                tensor_scale: scale,
-                blocks,
-            },
-            stats,
-        )
+        self.compress_batch(&[tensor]).remove(0)
     }
 
     /// Compresses many tensors in **one pool pass**: every tensor's
     /// groups enter the shared worker pool as one chunk list, so
     /// concurrent requests share executors instead of running their
-    /// pipelines back to back (or oversubscribing threads). Results are
-    /// bit-identical to calling [`WeightCodec::compress`] per tensor, in
-    /// order.
+    /// pipelines back to back (or oversubscribing threads). Blocks are
+    /// bit-identical to the per-group encode loop at any pool size, and
+    /// an activation-aware codec encodes every group weighted by its
+    /// columns' squared magnitudes.
     ///
     /// # Panics
     ///
     /// Panics if any tensor's length is not a multiple of the group
-    /// size (checked up front, before any encoding starts), or if this
-    /// codec was calibrated activation-aware — like
-    /// [`WeightCodec::compress_parallel`], the weighted path is bound to
-    /// [`WeightCodec::compress`].
+    /// size, or (activation-aware) its column count differs from the
+    /// calibrated magnitudes — checked up front, before any encoding
+    /// starts.
     pub fn compress_batch(&self, tensors: &[&Tensor]) -> Vec<(CompressedTensor, CodecStats)> {
-        assert!(
-            self.act_mags.is_none(),
-            "activation-aware compression is calibration-bound; use compress()"
-        );
-        let gs = self.meta.group_size;
-        for t in tensors {
-            assert_eq!(t.len() % gs, 0, "tensor not a multiple of group size");
-        }
-        // Per-tensor scale (and hence metadata view) is fixed before
-        // submission; the encode closure only reads.
-        let metas: Vec<TensorMetadata> = tensors
-            .iter()
-            .map(|t| self.meta.with_scale(TensorMetadata::scale_for(t)))
-            .collect();
-        let counts: Vec<usize> = tensors.iter().map(|t| t.len() / gs).collect();
-
-        let encoded = crate::parallel::encode_tensors_batch_with(&counts, |ti, lo, hi| {
-            crate::parallel::encode_run(
-                tensors[ti].data(),
-                &metas[ti],
-                PatternSelector::MseOptimal,
-                lo,
-                hi,
-            )
-        });
-
-        encoded
-            .into_iter()
-            .zip(tensors)
-            .zip(metas)
-            .map(|(((blocks, stats), t), meta)| {
-                (
-                    CompressedTensor {
-                        rows: t.rows(),
-                        cols: t.cols(),
-                        group_size: gs,
-                        tensor_scale: meta.tensor_scale,
-                        blocks,
-                    },
-                    stats,
-                )
-            })
-            .collect()
+        let aware = self.act_mags.as_deref();
+        crate::parallel::encode_batch(&self.meta, tensors, PatternSelector::MseOptimal, aware)
     }
 
     /// Decompresses many tensors in **one pool pass** — the decode twin
-    /// of [`WeightCodec::compress_batch`]. Per-tensor failures stay
-    /// isolated: a corrupted block (or even a panicking worker task)
-    /// poisons only its own tensor's entry, as the first
-    /// [`DecodeError`] in block order, while
-    /// the rest of the batch decodes bit-identically to
-    /// [`WeightCodec::decompress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tensor's group size mismatches the codec's
-    /// (checked up front).
-    pub fn decompress_batch(
-        &self,
-        cts: &[&CompressedTensor],
-    ) -> Vec<Result<Tensor, crate::block::DecodeError>> {
-        for ct in cts {
-            assert_eq!(ct.group_size, self.meta.group_size, "group size mismatch");
-        }
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale))
-            .collect();
-        let batch: Vec<&[Block64]> = cts.iter().map(|ct| ct.blocks()).collect();
-        let decoded = crate::parallel::decode_tensors_batch_with(
-            &batch,
-            self.meta.group_size,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        );
-        decoded
-            .into_iter()
-            .zip(cts)
-            .map(|(r, ct)| r.map(|data| Tensor::from_vec(ct.rows, ct.cols, data)))
-            .collect()
+    /// of [`WeightCodec::compress_batch`]: the
+    /// [`RecoveryPolicy::FailTensor`] report of
+    /// [`WeightCodec::decompress_batch_report`], one `Result` per tensor.
+    /// A corrupted block (or even a panicking worker task) poisons only
+    /// its own tensor's entry, as the first [`DecodeError`] in block
+    /// order; a malformed shape fails its entry as a located
+    /// [`DecodeErrorKind::TruncatedStream`](crate::DecodeErrorKind::TruncatedStream) /
+    /// [`DecodeErrorKind::LengthMismatch`](crate::DecodeErrorKind::LengthMismatch).
+    pub fn decompress_batch(&self, cts: &[&CompressedTensor]) -> Vec<Result<Tensor, DecodeError>> {
+        let report = self.decompress_batch_report(cts, RecoveryPolicy::FailTensor);
+        crate::parallel::into_tensors(report, cts)
     }
 
     /// Skip-and-continue batched decompression: one pool pass over every
@@ -362,12 +219,12 @@ impl WeightCodec {
     /// failing slots outright — the ingest entry point where one bad
     /// frame must not kill the batch.
     ///
-    /// Unlike [`WeightCodec::decompress_batch`], nothing panics on
-    /// malformed inputs: a tensor whose group size disagrees with the
-    /// codec's, or whose block count disagrees with its shape, reports a
-    /// located [`DecodeErrorKind::LengthMismatch`] /
-    /// [`DecodeErrorKind::TruncatedStream`] without touching its blocks.
-    /// Healthy tensors decode bit-identically to the per-tensor loop;
+    /// Nothing panics on malformed inputs: a tensor whose group size
+    /// disagrees with the codec's, or whose block count disagrees with
+    /// its shape, reports a located
+    /// [`DecodeErrorKind::LengthMismatch`](crate::DecodeErrorKind::LengthMismatch) /
+    /// [`DecodeErrorKind::TruncatedStream`](crate::DecodeErrorKind::TruncatedStream) without touching its blocks.
+    /// Healthy tensors decode bit-identically to the per-block loop;
     /// under [`RecoveryPolicy::SalvageBlocks`] corrupt blocks are
     /// zero-filled and reported individually
     /// ([`BatchOutcome::Salvaged`]).
@@ -376,90 +233,21 @@ impl WeightCodec {
         cts: &[&CompressedTensor],
         policy: RecoveryPolicy,
     ) -> Vec<BatchOutcome> {
-        let gs = self.meta.group_size;
-        // Shape screening: structurally inconsistent tensors fail up
-        // front (located at their batch slot) and are excluded from the
-        // pool pass by feeding an empty block list in their place.
-        let screened: Vec<Option<DecodeError>> = cts
-            .iter()
-            .enumerate()
-            .map(|(ti, ct)| {
-                let declared = ct.rows * ct.cols;
-                if ct.group_size != gs || declared % gs != 0 {
-                    Some(DecodeError::new(DecodeErrorKind::LengthMismatch).at_tensor(ti))
-                } else if ct.blocks.len() * gs < declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::TruncatedStream)
-                            .at_block(ct.blocks.len())
-                            .at_tensor(ti),
-                    )
-                } else if ct.blocks.len() * gs > declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::LengthMismatch)
-                            .at_block(ct.blocks.len())
-                            .at_tensor(ti),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale))
-            .collect();
-        let empty: &[Block64] = &[];
-        let batch: Vec<&[Block64]> = cts
-            .iter()
-            .zip(&screened)
-            .map(|(ct, s)| if s.is_some() { empty } else { ct.blocks() })
-            .collect();
-        let mut out = crate::parallel::decode_tensors_batch_report_with(
-            &batch,
-            gs,
-            policy,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        );
-        for (slot, s) in out.iter_mut().zip(screened) {
-            if let Some(e) = s {
-                *slot = BatchOutcome::Failed(e);
-            }
-        }
-        out
+        crate::parallel::decode_batch(&self.meta, cts, policy)
     }
 
-    /// [`WeightCodec::decompress`] across a thread pool; bit-identical
-    /// output.
+    /// Decompresses back to FP16 values: a batch of one through
+    /// [`WeightCodec::decompress_batch`].
     ///
     /// # Panics
     ///
-    /// Panics on mismatched group size or corrupted blocks.
-    pub fn decompress_parallel(&self, ct: &CompressedTensor) -> Tensor {
-        assert_eq!(ct.group_size, self.meta.group_size, "group size mismatch");
-        let meta = self.meta.with_scale(ct.tensor_scale);
-        let data =
-            crate::parallel::decode_groups_parallel(ct.blocks(), &meta).expect("valid blocks");
-        Tensor::from_vec(ct.rows, ct.cols, data)
-    }
-
-    /// Decompresses back to FP16 values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the compressed tensor was produced by a codec with a
-    /// different group size or corrupted blocks.
+    /// Panics if the compressed tensor is corrupt or malformed (a group
+    /// size or block count that disagrees with the codec or its shape);
+    /// untrusted tensors belong in [`WeightCodec::decompress_batch_report`].
     pub fn decompress(&self, ct: &CompressedTensor) -> Tensor {
-        assert_eq!(ct.group_size, self.meta.group_size, "group size mismatch");
-        let meta = self.meta.with_scale(ct.tensor_scale);
-        let mut data = Vec::with_capacity(ct.rows * ct.cols);
-        for b in &ct.blocks {
-            decode_group_into(b, &meta, &mut data).expect("valid block");
-        }
-        Tensor::from_vec(ct.rows, ct.cols, data)
+        self.decompress_batch(&[ct])
+            .remove(0)
+            .expect("valid blocks")
     }
 
     /// Convenience: compress + decompress, returning the reconstruction
@@ -473,6 +261,8 @@ impl WeightCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{encode_group_weighted_scratch, DecodeErrorKind};
+    use crate::select::GroupScratch;
     use ecco_tensor::{stats::nmse, synth::SynthSpec, TensorKind};
 
     fn cfg() -> EccoConfig {
@@ -567,53 +357,6 @@ mod tests {
             let (fused, info_b) = encode_group_weighted_scratch(g, &meta, &w2, &mut scratch);
             assert_eq!(two_step.as_bytes(), fused.as_bytes());
             assert_eq!(info_a, info_b);
-        }
-    }
-
-    #[test]
-    fn parallel_compress_matches_sequential() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 32, 512)
-            .seeded(25)
-            .generate();
-        let codec = WeightCodec::calibrate(&[&t], &cfg());
-        let (ct_seq, stats_seq) = codec.compress(&t);
-        let (ct_par, stats_par) = codec.compress_parallel(&t);
-        assert_eq!(ct_seq.blocks(), ct_par.blocks(), "bit-identical blocks");
-        assert_eq!(stats_seq.groups, stats_par.groups);
-        assert!((stats_seq.nmse() - stats_par.nmse()).abs() < 1e-12);
-        let out_seq = codec.decompress(&ct_seq);
-        let out_par = codec.decompress_parallel(&ct_par);
-        assert_eq!(out_seq.data(), out_par.data());
-    }
-
-    #[test]
-    fn batch_compress_matches_per_tensor_loop() {
-        let tensors: Vec<_> = (0..5)
-            .map(|i| {
-                SynthSpec::for_kind(TensorKind::Weight, 4, 512)
-                    .seeded(40 + i)
-                    .generate()
-            })
-            .collect();
-        let refs: Vec<&_> = tensors.iter().collect();
-        let codec = WeightCodec::calibrate(&refs, &cfg());
-
-        let batch = codec.compress_batch(&refs);
-        assert_eq!(batch.len(), tensors.len());
-        for (t, (ct, stats)) in tensors.iter().zip(&batch) {
-            let (want_ct, want_stats) = codec.compress(t);
-            assert_eq!(ct.blocks(), want_ct.blocks(), "batch encode diverged");
-            assert_eq!(ct.tensor_scale(), want_ct.tensor_scale());
-            assert_eq!(stats.groups, want_stats.groups);
-            assert!((stats.nmse() - want_stats.nmse()).abs() < 1e-12);
-        }
-
-        let cts: Vec<&_> = batch.iter().map(|(ct, _)| ct).collect();
-        let decoded = codec.decompress_batch(&cts);
-        for ((t, (ct, _)), out) in tensors.iter().zip(&batch).zip(decoded) {
-            let out = out.expect("valid blocks decode");
-            assert_eq!(out.data(), codec.decompress(ct).data());
-            assert_eq!((out.rows(), out.cols()), (t.rows(), t.cols()));
         }
     }
 

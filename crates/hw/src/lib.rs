@@ -19,19 +19,20 @@
 //! # Examples
 //!
 //! Decode a compressed tensor's blocks through the hardware decoder model
-//! and check it agrees with the reference codec bit for bit:
+//! (a batch of one tensor) and check it agrees with the reference codec
+//! bit for bit:
 //!
 //! ```
-//! use ecco_core::{EccoConfig, WeightCodec};
+//! use ecco_core::{EccoConfig, RecoveryPolicy, WeightCodec};
 //! use ecco_tensor::{synth::SynthSpec, TensorKind};
 //!
 //! let t = SynthSpec::for_kind(TensorKind::Weight, 8, 256).generate();
 //! let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
-//! let (ct, _) = codec.compress_parallel(&t);
+//! let (ct, _) = codec.compress(&t);
 //!
 //! let meta = codec.metadata().with_scale(ct.tensor_scale());
-//! let hw_values = ecco_hw::decode_blocks_parallel(ct.blocks(), &meta).unwrap();
-//! assert_eq!(hw_values, codec.decompress_parallel(&ct).data());
+//! let hw = ecco_hw::decode_tensors_batch_report(&[(ct.blocks(), &meta)], RecoveryPolicy::FailTensor);
+//! assert_eq!(hw[0].values().unwrap(), codec.decompress(&ct).data());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,7 +48,7 @@ pub use area::{AreaPowerModel, ComponentArea};
 pub use bitonic::BitonicSorter;
 pub use compressor::HwCompressor;
 pub use paradec::{
-    decode_block_parallel, decode_block_parallel_into, decode_blocks_parallel,
-    decode_tensors_batch, decode_tensors_batch_report, DecodeStats, ParallelDecoder,
+    decode_block_parallel, decode_block_parallel_into, decode_tensors_batch_report, DecodeStats,
+    ParallelDecoder,
 };
 pub use pipeline::{PipelineSpec, StreamSim, StreamStats};

@@ -322,78 +322,28 @@ pub fn decode_block_parallel_into(
     Ok(stats)
 }
 
-/// Decodes a whole tensor's worth of blocks through the hardware parallel
-/// decoder model across a thread pool — the rebgzf-style multi-block
-/// pipeline, hardware-model flavour. Runs on the shared sharded driver
-/// ([`ecco_core::parallel::decode_blocks_parallel_with`]); every worker
-/// runs the fused [`decode_block_parallel_into`] (block-at-a-time window
-/// fill, decode-to-values walk) appending straight into its chunk
-/// buffer — no symbol scratch, no per-block value copy. Output is
-/// bit-identical to decoding each block with [`decode_block_parallel`]
-/// in order (and hence to `ecco_core::decode_groups_parallel`).
-///
-/// # Errors
-///
-/// Returns the first [`DecodeError`] in block order.
-pub fn decode_blocks_parallel(
-    blocks: &[Block64],
-    meta: &TensorMetadata,
-) -> Result<Vec<f32>, DecodeError> {
-    ecco_core::parallel::decode_blocks_parallel_with(
-        blocks,
-        meta.group_size,
-        || (),
-        |(), b, out| {
-            decode_block_parallel_into(b, meta, out)?;
-            Ok(())
-        },
-    )
-}
-
 /// Decodes **many tensors' block arrays in one pool pass** through the
-/// hardware parallel-decoder model — the batched submission twin of
-/// [`decode_blocks_parallel`], built on
-/// [`ecco_core::parallel::decode_tensors_batch_with`]. Every tensor's
-/// chunks enter the shared persistent pool together, so concurrent
-/// serving requests share decode lanes instead of queueing whole
-/// pipelines behind each other (the paper's many-blocks-in-flight
-/// regime, lifted to many tensors).
+/// hardware parallel-decoder model, returning a per-tensor
+/// [`BatchOutcome`](ecco_core::BatchOutcome) report. It runs on the
+/// codecs' decode driver
+/// ([`ecco_core::parallel::decode_tensors_batch_report_with`]): every
+/// tensor's chunks enter the shared persistent pool together, so
+/// concurrent serving requests share decode lanes instead of queueing
+/// whole pipelines behind each other (the paper's many-blocks-in-flight
+/// regime, lifted to many tensors), and every worker runs the fused
+/// [`decode_block_parallel_into`] straight into its chunk buffer. A whole
+/// tensor is a batch of one.
 ///
 /// `batch` pairs each tensor's blocks with the metadata view to decode
 /// them under (per-tensor scales differ; patterns/books are typically
-/// shared). Per-tensor results are bit-identical to
-/// [`decode_blocks_parallel`] run per tensor, and failures stay
-/// isolated: a corrupted block — or a panicking worker task — yields
-/// that tensor's first [`DecodeError`] in block order while the rest of
-/// the batch decodes normally.
-pub fn decode_tensors_batch(
-    batch: &[(&[Block64], &TensorMetadata)],
-) -> Vec<Result<Vec<f32>, DecodeError>> {
-    let group_size = batch.first().map_or(0, |(_, m)| m.group_size);
-    debug_assert!(
-        batch.iter().all(|(_, m)| m.group_size == group_size),
-        "mixed group sizes in one batch"
-    );
-    let blocks: Vec<&[Block64]> = batch.iter().map(|&(b, _)| b).collect();
-    ecco_core::parallel::decode_tensors_batch_with(
-        &blocks,
-        group_size,
-        || (),
-        |(), ti, b, out| {
-            decode_block_parallel_into(b, batch[ti].1, out)?;
-            Ok(())
-        },
-    )
-}
-
-/// Skip-and-continue batched decode through the hardware model: like
-/// [`decode_tensors_batch`], but returns a per-tensor
-/// [`BatchOutcome`](ecco_core::BatchOutcome) report instead of failing a
-/// tensor's slot at its first corrupt block. Under
+/// shared). Healthy tensors are bit-identical to [`decode_block_parallel`]
+/// run per block in order. Failures stay isolated: under
+/// [`RecoveryPolicy::FailTensor`](ecco_core::RecoveryPolicy) a corrupted
+/// block — or a panicking worker task — fails only its own tensor with
+/// the first located error in block order; under
 /// [`RecoveryPolicy::SalvageBlocks`](ecco_core::RecoveryPolicy) only the
 /// corrupt blocks' groups are zero-filled, each reported with its located
-/// error; healthy tensors stay bit-identical to
-/// [`decode_blocks_parallel`] run per tensor.
+/// error.
 pub fn decode_tensors_batch_report(
     batch: &[(&[Block64], &TensorMetadata)],
     policy: ecco_core::RecoveryPolicy,
@@ -408,11 +358,7 @@ pub fn decode_tensors_batch_report(
         &blocks,
         group_size,
         policy,
-        || (),
-        |(), ti, b, out| {
-            decode_block_parallel_into(b, batch[ti].1, out)?;
-            Ok(())
-        },
+        |ti, b, out| decode_block_parallel_into(b, batch[ti].1, out).map(drop),
     )
 }
 
@@ -545,29 +491,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_pipeline_matches_per_block_decode() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 16, 512)
-            .seeded(105)
-            .generate();
-        let meta = meta_for(&t);
-        let blocks: Vec<Block64> = t
-            .groups(128)
-            .map(|g| encode_group(g, &meta, PatternSelector::MseOptimal).0)
-            .collect();
-        let batched = decode_blocks_parallel(&blocks, &meta).unwrap();
-        let mut reference = Vec::new();
-        for b in &blocks {
-            reference.extend(decode_block_parallel(b, &meta).unwrap().0);
-        }
-        assert_eq!(batched, reference);
-        assert_eq!(
-            batched,
-            ecco_core::decode_groups_parallel(&blocks, &meta).unwrap()
-        );
-    }
-
-    #[test]
-    fn tensors_batch_matches_per_tensor_pipeline_and_isolates_errors() {
+    fn batch_report_matches_per_block_decode_and_isolates_errors() {
+        use ecco_core::{BatchOutcome, RecoveryPolicy};
         let metas_and_blocks: Vec<(TensorMetadata, Vec<Block64>)> = (0..3)
             .map(|i| {
                 let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
@@ -581,58 +506,52 @@ mod tests {
                 (meta, blocks)
             })
             .collect();
+        let per_block = |blocks: &[Block64], meta: &TensorMetadata| -> Vec<f32> {
+            blocks
+                .iter()
+                .flat_map(|b| decode_block_parallel(b, meta).unwrap().0)
+                .collect()
+        };
         let batch: Vec<(&[Block64], &TensorMetadata)> =
             metas_and_blocks.iter().map(|(m, b)| (&b[..], m)).collect();
-        let results = decode_tensors_batch(&batch);
-        for ((meta, blocks), r) in metas_and_blocks.iter().zip(&results) {
-            assert_eq!(
-                r.as_ref().unwrap(),
-                &decode_blocks_parallel(blocks, meta).unwrap(),
-                "batch diverged from the per-tensor pipeline"
-            );
+        let report = decode_tensors_batch_report(&batch, RecoveryPolicy::FailTensor);
+        for ((meta, blocks), o) in metas_and_blocks.iter().zip(&report) {
+            assert_eq!(o, &BatchOutcome::Ok(per_block(blocks, meta)));
         }
 
-        // Corrupt one tensor: only its slot errors, with the same error
-        // the per-block decoder reports first.
+        // Corrupt one tensor: only its slot fails, with the error the
+        // per-block decoder reports, located at its tensor and block.
         let (meta0, blocks0) = &metas_and_blocks[0];
         let mut poisoned = blocks0.clone();
         poisoned[1] = Block64::from_bytes([0xFF; 64]);
         let want_err = decode_block_parallel(&poisoned[1], meta0).unwrap_err();
-        let mixed = decode_tensors_batch(&[
+        let batch = [
             (&blocks0[..], meta0),
             (&poisoned[..], meta0),
             (&blocks0[..], meta0),
-        ]);
+        ];
+        let mixed = decode_tensors_batch_report(&batch, RecoveryPolicy::FailTensor);
         assert!(mixed[0].is_ok() && mixed[2].is_ok());
-        let got = mixed[1].as_ref().unwrap_err();
-        assert_eq!(got.kind, want_err.kind);
         assert_eq!(
-            (got.tensor, got.block),
-            (Some(1), Some(1)),
+            mixed[1],
+            BatchOutcome::Failed(want_err.at_block(1).at_tensor(1)),
             "batch error must locate the bad tensor and block"
         );
 
-        // The report API: salvage zero-fills only the bad block.
-        let report = decode_tensors_batch_report(
-            &[(&blocks0[..], meta0), (&poisoned[..], meta0)],
-            ecco_core::RecoveryPolicy::SalvageBlocks,
-        );
-        let healthy = decode_blocks_parallel(blocks0, meta0).unwrap();
+        // Salvage zero-fills only the bad block.
+        let report = decode_tensors_batch_report(&batch[..2], RecoveryPolicy::SalvageBlocks);
+        let healthy = per_block(blocks0, meta0);
         assert_eq!(report[0].values().unwrap(), &healthy);
-        match &report[1] {
-            ecco_core::BatchOutcome::Salvaged { values, bad_blocks } => {
-                let gs = meta0.group_size;
-                let mut want = healthy.clone();
-                want[gs..2 * gs].fill(0.0);
-                assert_eq!(values, &want);
-                assert_eq!(bad_blocks.len(), 1);
-                assert_eq!(
-                    (bad_blocks[0].tensor, bad_blocks[0].block),
-                    (Some(1), Some(1))
-                );
+        let gs = meta0.group_size;
+        let mut want = healthy.clone();
+        want[gs..2 * gs].fill(0.0);
+        assert_eq!(
+            report[1],
+            BatchOutcome::Salvaged {
+                values: want,
+                bad_blocks: vec![want_err.at_block(1).at_tensor(1)],
             }
-            other => panic!("expected salvage, got {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -702,10 +621,10 @@ mod tests {
                 prop_assert!(outcome.is_ok(), "{:?}", outcome);
             }
 
-            // Pool layer: the sharded pipeline and the batched
-            // multi-tensor submission must reproduce the sequential
-            // concatenation bit-for-bit under an injected pool (varied
-            // executor count, ragged chunk pin), on both dispatch arms.
+            // Pool layer: the batched multi-tensor decode must reproduce
+            // the sequential concatenation bit-for-bit under an injected
+            // pool (varied executor count, ragged chunk pin), on both
+            // dispatch arms.
             let threads = [1usize, 2, 4, 8][(seed % 4) as usize];
             let chunk = 1 + (seed % 7) as usize;
             let pool = ecco_core::pool::PoolBuilder::new()
@@ -713,14 +632,14 @@ mod tests {
                 .chunk(chunk)
                 .build();
             ecco_core::pool::with_pool(&pool, || {
-                let sharded = decode_blocks_parallel(&blocks, &meta).unwrap();
-                assert_eq!(sharded, seq_all, "sharded pipeline diverged under pool");
                 on_both_arms(|tier| {
-                    let batch =
-                        decode_tensors_batch(&[(&blocks[..], &meta), (&blocks[..1], &meta)]);
-                    assert_eq!(batch[0].as_ref().unwrap(), &seq_all, "{tier:?} batch diverged");
+                    let batch = decode_tensors_batch_report(
+                        &[(&blocks[..], &meta), (&blocks[..1], &meta)],
+                        ecco_core::RecoveryPolicy::FailTensor,
+                    );
+                    assert_eq!(batch[0].values().unwrap(), &seq_all, "{tier:?} batch diverged");
                     assert_eq!(
-                        batch[1].as_ref().unwrap(),
+                        batch[1].values().unwrap(),
                         &seq_all[..meta.group_size],
                         "{tier:?} sub-batch diverged"
                     );

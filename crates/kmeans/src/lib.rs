@@ -16,7 +16,8 @@
 //!
 //! Calibration runs thousands of *independent* per-group fits, so the hot
 //! entry point is [`fit_scalar_batch`]: it shards a slice of
-//! [`ScalarJob`]s across the rayon pool and collects results in job order.
+//! [`ScalarJob`]s across the current [`ecco_pool::Pool`] and collects
+//! results in job order.
 //! Each job carries its own seed and re-seeds its own RNG, so the batch is
 //! bit-identical to running `jobs[i].fit(cfg)` in a sequential loop — the
 //! determinism guarantee `ecco-core`'s parallel calibration is built on.
@@ -37,7 +38,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Configuration shared by the scalar and vector fitters.
 #[derive(Clone, Debug, PartialEq)]
@@ -180,7 +180,8 @@ impl ScalarJob<'_> {
     }
 }
 
-/// Fits every job across the rayon pool, preserving job order.
+/// Fits every job across the current [`ecco_pool::Pool`], preserving job
+/// order.
 ///
 /// The result at index `i` is **bit-identical** to `jobs[i].fit(cfg)`:
 /// every job re-seeds its own RNG from `ScalarJob::seed`, so no state
@@ -192,7 +193,17 @@ impl ScalarJob<'_> {
 ///
 /// Panics if any job violates the [`fit_scalar`] preconditions.
 pub fn fit_scalar_batch(jobs: &[ScalarJob<'_>], cfg: &KmeansConfig) -> Vec<ScalarFit> {
-    jobs.par_iter().map(|job| job.fit(cfg)).collect()
+    let pool = ecco_pool::Pool::current();
+    pool.run_map(jobs.len(), pool.chunk_for(jobs.len()), |lo, hi| {
+        jobs[lo..hi]
+            .iter()
+            .map(|job| job.fit(cfg))
+            .collect::<Vec<_>>()
+    })
+    .unwrap_or_else(|p| p.resume())
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Fills `out` with the decision boundaries of a **sorted** centroid

@@ -1,8 +1,8 @@
 //! Persistent worker pool with a shared injector queue and dynamic chunk
 //! claiming — the scheduler every Ecco multi-block pipeline runs on.
 //!
-//! The previous pipeline (the vendored rayon stub) spawned scoped threads
-//! per call with one static shard per worker. That is fine for one huge
+//! The scheduler this crate replaced spawned scoped threads per call
+//! with one static shard per worker. That is fine for one huge
 //! tensor, but it pays the full thread-spawn cost on every small tensor
 //! and serializes concurrent multi-tensor submissions — exactly the
 //! many-users serving regime the paper's hardware decoder targets (many
@@ -385,8 +385,8 @@ std::thread_local! {
 }
 
 /// Runs `f` with `pool` installed as the current pool for this thread —
-/// every pool-backed primitive called inside (including through the
-/// vendored rayon facade) submits to it instead of the global pool.
+/// every pool-backed primitive called inside submits to it instead of
+/// the global pool.
 /// Nests; the previous binding is restored on exit (including on
 /// unwind).
 pub fn with_pool<R>(pool: &Pool, f: impl FnOnce() -> R) -> R {

@@ -855,60 +855,60 @@ impl PagedKvStore {
             }
         }
 
-        // Assemble output in page order; decoded values are reused for
-        // promotion.
-        let mut decoded: HashMap<usize, Vec<f32>> = HashMap::new();
+        // Assemble output in page order, counting each page's tier as it
+        // is served; decoded values (flagged clean or salvaged) are
+        // reused for promotion.
+        let mut decoded: HashMap<usize, (Vec<f32>, bool)> = HashMap::new();
         for (&pid, outcome) in cold.iter().zip(outcomes) {
             match outcome {
                 BatchOutcome::Ok(values) => {
-                    decoded.insert(pid, values);
+                    decoded.insert(pid, (values, true));
                 }
                 BatchOutcome::Salvaged { values, bad_blocks } => {
                     self.metrics.corrupt_reads += 1;
                     let page = self.pages[pid].seq;
                     report.corruptions.push(self.locate(sid, page, bad_blocks));
-                    decoded.insert(pid, values);
+                    decoded.insert(pid, (values, false));
                 }
                 BatchOutcome::Failed(_) => unreachable!("screened above"),
             }
         }
+        let (mut hot_served, mut cold_served) = (0usize, 0usize);
         for &pid in &page_ids {
             match &self.pages[pid].residency {
                 Residency::Hot { values, .. } => {
                     out.extend_from_slice(values);
                     self.pages[pid].referenced = true;
-                    self.metrics.hot_hits += 1;
+                    hot_served += 1;
                 }
                 Residency::Cold(_) => {
-                    out.extend_from_slice(&decoded[&pid]);
-                    self.metrics.cold_reads += 1;
+                    out.extend_from_slice(&decoded[&pid].0);
+                    cold_served += 1;
                 }
                 Residency::Vacant => unreachable!("live pages are never vacant"),
             }
         }
+        self.metrics.hot_hits += hot_served as u64;
+        self.metrics.cold_reads += cold_served as u64;
 
         // Admission after output assembly, so a session bigger than the
         // hot tier still reads correctly (later promotions may evict
-        // earlier ones).
+        // earlier ones). Salvaged pages stay cold.
         if self.cfg.admission == Admission::PromoteOnRead {
-            let corrupt: Vec<usize> = report.corruptions.iter().map(|c| c.page).collect();
-            for (pid, values) in decoded {
-                if !corrupt.contains(&self.pages[pid].seq) {
+            for (pid, (values, clean)) in decoded {
+                if clean {
                     self.promote(pid, values);
                 }
             }
             self.evict_to_capacity();
         }
 
-        // Amortized per-page latency attribution.
+        // Amortized per-page latency attribution: one sample per page, in
+        // the tier it was served from.
         let us = t0.elapsed().as_secs_f64() * 1e6 / page_ids.len().max(1) as f64;
-        for &pid in &page_ids {
-            if cold.contains(&pid) {
-                self.metrics.cold_lat_us.push(us);
-            } else {
-                self.metrics.hot_lat_us.push(us);
-            }
-        }
+        let samples = |n| std::iter::repeat_n(us, n);
+        self.metrics.hot_lat_us.extend(samples(hot_served));
+        self.metrics.cold_lat_us.extend(samples(cold_served));
         Ok(report)
     }
 
@@ -1231,11 +1231,20 @@ mod tests {
 
         // Cold pages decode to the codec's lossy-but-deterministic
         // reconstruction; hot pages are exact. Read everything.
+        let lat = |st: &PagedKvStore| {
+            let m = st.metrics();
+            (m.hot_lat_us.len(), m.cold_lat_us.len())
+        };
+        let (hot0, cold0) = lat(&st);
         let mut out = Vec::new();
         let r = st.read_session_into(sid, &mut out).unwrap();
         assert_eq!(out.len(), rows.len());
         assert!(r.cold_pages >= 3);
         assert!(r.corruptions.is_empty());
+        // One latency sample per page, in the tier it was served from.
+        let (hot1, cold1) = lat(&st);
+        assert_eq!(cold1 - cold0, r.cold_pages);
+        assert_eq!((hot1 - hot0) + (cold1 - cold0), r.pages);
 
         // A re-read serves the same stream length and the hot tier
         // stays capped (promotion evicted back down).

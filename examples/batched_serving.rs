@@ -13,6 +13,7 @@
 //! Run with `cargo run --release --example batched_serving`.
 
 use ecco::bits::Block64;
+use ecco::codec::RecoveryPolicy;
 use ecco::prelude::*;
 
 fn main() {
@@ -73,14 +74,14 @@ fn main() {
         .map(|((ct, _), m)| (ct.blocks(), m))
         .collect();
     let t0 = std::time::Instant::now();
-    let decoded = ecco::hw::decode_tensors_batch(&hw_batch);
+    let decoded = ecco::hw::decode_tensors_batch_report(&hw_batch, RecoveryPolicy::FailTensor);
     let batch_dec = t0.elapsed();
 
     let mut worst_nmse = 0.0f64;
     for (r, t) in decoded.iter().zip(&segments) {
-        let vals = r.as_ref().expect("healthy request decodes");
+        let vals = r.values().expect("healthy request decodes");
         assert_eq!(vals.len(), t.len());
-        let out = Tensor::from_vec(t.rows(), t.cols(), vals.clone());
+        let out = Tensor::from_vec(t.rows(), t.cols(), vals.to_vec());
         worst_nmse = worst_nmse.max(ecco::tensor::stats::nmse(t, &out) as f64);
     }
 
@@ -99,10 +100,13 @@ fn main() {
     let garbage: Vec<Block64> = (0..hw_batch[0].0.len())
         .map(|_| Block64::from_bytes([0xFF; 64]))
         .collect();
-    let mixed = ecco::hw::decode_tensors_batch(&[hw_batch[0], (&garbage, &metas[0]), hw_batch[1]]);
+    let mixed = ecco::hw::decode_tensors_batch_report(
+        &[hw_batch[0], (&garbage, &metas[0]), hw_batch[1]],
+        RecoveryPolicy::FailTensor,
+    );
     assert!(mixed[0].is_ok() && mixed[2].is_ok());
     println!(
         "corrupted request isolated: slot 1 -> {:?}, neighbours decode clean",
-        mixed[1].as_ref().unwrap_err()
+        mixed[1].first_error().expect("garbage fails")
     );
 }

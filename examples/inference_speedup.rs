@@ -49,8 +49,8 @@ fn main() {
     );
 
     // And the software pipeline actually moving blocks: compress one
-    // weight tensor through the rayon multi-block codec pipeline, then
-    // decode it back through the table-driven parallel-decoder model.
+    // weight tensor through the pooled codec engine, then decode it back
+    // through the table-driven parallel-decoder model (a batch of one).
     let t = SynthSpec::for_kind(TensorKind::Weight, 128, 1024)
         .seeded(42)
         .generate();
@@ -62,13 +62,16 @@ fn main() {
     let codec = WeightCodec::calibrate(&[&t], &cfg);
 
     let t0 = std::time::Instant::now();
-    let (ct, stats) = codec.compress_parallel(&t);
+    let (ct, stats) = codec.compress(&t);
     let enc = t0.elapsed();
     let meta = codec.metadata().with_scale(ct.tensor_scale());
     let t0 = std::time::Instant::now();
-    let decoded = ecco::hw::decode_blocks_parallel(ct.blocks(), &meta).expect("valid blocks");
+    let decoded = ecco::hw::decode_tensors_batch_report(
+        &[(ct.blocks(), &meta)],
+        ecco::codec::RecoveryPolicy::FailTensor,
+    );
     let dec = t0.elapsed();
-    assert_eq!(decoded.len(), t.len());
+    assert_eq!(decoded[0].values().expect("valid blocks").len(), t.len());
 
     let syms = t.len() as f64;
     println!(

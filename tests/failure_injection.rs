@@ -4,9 +4,10 @@
 use ecco::bits::{
     set_window_dispatch, window_dispatch, BitWriter, Block64, WindowDispatch, BLOCK_BITS,
 };
-use ecco::codec::block::DecodeErrorKind;
-use ecco::codec::{decode_group, encode_group};
-use ecco::hw::{decode_block_parallel, decode_blocks_parallel};
+use ecco::codec::block::{DecodeError, DecodeErrorKind};
+use ecco::codec::wire::{decode_tensor, encode_tensor};
+use ecco::codec::{decode_group, encode_group, BatchOutcome, CompressedTensor, RecoveryPolicy};
+use ecco::hw::{decode_block_parallel, decode_tensors_batch_report};
 use ecco::prelude::*;
 
 fn test_meta() -> (TensorMetadata, Tensor) {
@@ -20,6 +21,15 @@ fn test_meta() -> (TensorMetadata, Tensor) {
     };
     let meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal);
     (meta, t)
+}
+
+/// A whole block stream through the hardware model's batch decode (a
+/// batch of one), flattened to a `Result`.
+fn hw_decode(blocks: &[Block64], meta: &TensorMetadata) -> Result<Vec<f32>, DecodeError> {
+    match decode_tensors_batch_report(&[(blocks, meta)], RecoveryPolicy::FailTensor).remove(0) {
+        BatchOutcome::Ok(values) => Ok(values),
+        other => Err(*other.first_error().expect("not ok")),
+    }
 }
 
 #[test]
@@ -149,9 +159,9 @@ fn batched_pipeline_survives_truncated_and_garbage_blocks() {
         reference.extend(decode_block_parallel(b, &meta).unwrap().0);
     }
     let host_tier = window_dispatch();
-    let batched = decode_blocks_parallel(&decodable, &meta).unwrap();
+    let batched = hw_decode(&decodable, &meta).unwrap();
     set_window_dispatch(WindowDispatch::Portable);
-    let scalar = decode_blocks_parallel(&decodable, &meta);
+    let scalar = hw_decode(&decodable, &meta);
     set_window_dispatch(host_tier);
     assert_eq!(batched, reference, "batched pipeline diverged on garbage");
     assert_eq!(scalar.unwrap(), reference, "forced-scalar arm diverged");
@@ -161,7 +171,7 @@ fn batched_pipeline_survives_truncated_and_garbage_blocks() {
     // block's index in the batch.
     if let Some(bad) = candidates.iter().find(|b| decode_group(b, &meta).is_err()) {
         let mixed = vec![decodable[0], *bad, decodable[1]];
-        let got = decode_blocks_parallel(&mixed, &meta).unwrap_err();
+        let got = hw_decode(&mixed, &meta).unwrap_err();
         assert_eq!(got.kind, decode_group(bad, &meta).unwrap_err().kind);
         assert_eq!(got.block, Some(1), "error must locate the corrupt block");
     }
@@ -211,23 +221,27 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
         if force_scalar {
             set_window_dispatch(WindowDispatch::Portable);
         }
-        let results = ecco::hw::decode_tensors_batch(&[
-            (&good, &meta),
-            (&with_garbage, &meta),
-            (&with_truncated, &meta),
-            (&good, &meta),
-        ]);
+        let results = decode_tensors_batch_report(
+            &[
+                (&good, &meta),
+                (&with_garbage, &meta),
+                (&with_truncated, &meta),
+                (&good, &meta),
+            ],
+            RecoveryPolicy::FailTensor,
+        );
         set_window_dispatch(host_tier);
-        assert_eq!(results[0].as_ref().unwrap(), &reference);
-        let got = results[1].as_ref().unwrap_err();
+        assert_eq!(results[0].values().unwrap(), &reference);
+        let got = results[1].first_error().unwrap();
+        assert!(!results[1].is_ok() && results[1].values().is_none());
         assert_eq!(got.kind, want_err.kind);
         assert_eq!(
             (got.tensor, got.block),
             (Some(1), Some(2)),
             "batch error must locate the garbage block (scalar={force_scalar})"
         );
-        assert_eq!(results[2].as_ref().unwrap(), &truncated_reference);
-        assert_eq!(results[3].as_ref().unwrap(), &reference);
+        assert_eq!(results[2].values().unwrap(), &truncated_reference);
+        assert_eq!(results[3].values().unwrap(), &reference);
     }
 }
 
@@ -298,7 +312,7 @@ fn cross_block_corruption_is_located_at_the_right_block() {
     }
 
     // Fail-fast pipeline: first corrupt block in block order.
-    let err = decode_blocks_parallel(&corrupted, &meta).unwrap_err();
+    let err = hw_decode(&corrupted, &meta).unwrap_err();
     assert_eq!(err.block, Some(3), "first corrupt block is index 3");
     assert_eq!(
         err.kind,
@@ -306,9 +320,9 @@ fn cross_block_corruption_is_located_at_the_right_block() {
     );
 
     // Salvage report: all three named, in block order, others intact.
-    let report = ecco::hw::decode_tensors_batch_report(
+    let report = decode_tensors_batch_report(
         &[(&corrupted, &meta), (&good, &meta)],
-        ecco::codec::parallel::RecoveryPolicy::SalvageBlocks,
+        RecoveryPolicy::SalvageBlocks,
     );
     let healthy: Vec<f32> = good
         .iter()
@@ -316,7 +330,7 @@ fn cross_block_corruption_is_located_at_the_right_block() {
         .collect();
     assert_eq!(report[1].values().unwrap(), &healthy);
     match &report[0] {
-        ecco::codec::parallel::BatchOutcome::Salvaged { values, bad_blocks } => {
+        BatchOutcome::Salvaged { values, bad_blocks } => {
             let located: Vec<Option<usize>> = bad_blocks.iter().map(|e| e.block).collect();
             assert_eq!(located, vec![Some(3), Some(7), Some(9)]);
             assert!(bad_blocks.iter().all(|e| e.tensor == Some(0)));
@@ -331,6 +345,66 @@ fn cross_block_corruption_is_located_at_the_right_block() {
             }
         }
         other => panic!("expected salvage, got {other:?}"),
+    }
+}
+
+#[test]
+fn decompress_batch_locates_malformed_tensors_instead_of_panicking() {
+    // A block list one short, one long, or cut at a different group size
+    // fails its own slot with a located error in both codecs'
+    // `decompress_batch`, exactly as the report does; the healthy
+    // neighbour still decodes.
+    let cfg = EccoConfig {
+        num_patterns: 16,
+        max_calibration_groups: 64,
+        ..EccoConfig::default()
+    };
+    let w = SynthSpec::for_kind(TensorKind::Weight, 4, 256)
+        .seeded(2101)
+        .generate();
+    let kv = SynthSpec::for_kind(TensorKind::KCache, 4, 256)
+        .seeded(2102)
+        .generate();
+    let weight = WeightCodec::calibrate(&[&w], &cfg);
+    let kv_codec = KvCodec::calibrate(&[&kv], &cfg);
+    let (wct, kct) = (weight.compress(&w).0, kv_codec.compress(&kv).0);
+    type BatchFn<'a> = &'a dyn Fn(&[&CompressedTensor]) -> Vec<Result<Tensor, DecodeError>>;
+    let arms: [(&CompressedTensor, Tensor, BatchFn); 2] = [
+        (&wct, weight.decompress(&wct), &|cts| {
+            weight.decompress_batch(cts)
+        }),
+        (&kct, kv_codec.decompress(&kct), &|cts| {
+            kv_codec.decompress_batch(cts)
+        }),
+    ];
+    for (ct, want, decompress_batch) in arms {
+        let n = ct.blocks().len();
+        let short = ct.with_blocks(ct.blocks()[..n - 1].to_vec());
+        let long = ct.with_blocks([ct.blocks(), &ct.blocks()[..1]].concat());
+        // The same values cut into 64-value groups: a well-formed frame
+        // whose group size disagrees with the codec's.
+        let mut frame = encode_tensor(&ct.with_blocks([ct.blocks(), ct.blocks()].concat()));
+        frame[14..18].copy_from_slice(&64u32.to_le_bytes());
+        let regrouped = decode_tensor(&frame).expect("a consistent 64-value frame");
+        assert_eq!(regrouped.group_size(), 64);
+
+        let out = decompress_batch(&[&short, &long, &regrouped, ct]);
+        let located: Vec<_> = out[..3]
+            .iter()
+            .map(|r| {
+                let e = r.as_ref().unwrap_err();
+                (e.kind, e.tensor, e.block)
+            })
+            .collect();
+        assert_eq!(
+            located,
+            [
+                (DecodeErrorKind::TruncatedStream, Some(0), Some(n - 1)),
+                (DecodeErrorKind::LengthMismatch, Some(1), Some(n + 1)),
+                (DecodeErrorKind::LengthMismatch, Some(2), None),
+            ]
+        );
+        assert_eq!(out[3].as_ref().unwrap().data(), want.data());
     }
 }
 

@@ -63,7 +63,7 @@ fn assert_decode_invariant_everywhere(
         set_window_dispatch(tier);
         for threads in [1usize, 4] {
             let pool = PoolBuilder::new().threads(threads).build();
-            let got = with_pool(&pool, || codec.decompress_parallel(ct));
+            let got = with_pool(&pool, || codec.decompress(ct));
             if got.data() != want {
                 set_window_dispatch(prior);
                 prop_assert_eq!(

@@ -142,7 +142,7 @@ fn decode_seq(blocks: &[Block64], meta: &TensorMetadata) -> Vec<Result<Vec<f32>,
 /// Block for block, the codec's [`decode_group_into`] and the hardware
 /// model's `decode_block_parallel_into` must append bit-identical values
 /// or fail with identical error kinds, healthy or corrupt; then the
-/// sharded hardware pipeline must reproduce the concatenation on pools
+/// hardware model's batch decode must reproduce the concatenation on pools
 /// {1, 4}.
 fn assert_arms_agree(
     blocks: &[Block64],
@@ -186,24 +186,27 @@ fn assert_arms_agree(
         .find_map(|(i, r)| r.as_ref().err().map(|e| (i, e.kind)));
     for threads in [1usize, 4] {
         let pool = PoolBuilder::new().threads(threads).build();
-        let got = with_pool(&pool, || ecco::hw::decode_blocks_parallel(blocks, meta));
+        let got = with_pool(&pool, || {
+            ecco::hw::decode_tensors_batch_report(&[(blocks, meta)], RecoveryPolicy::FailTensor)
+                .remove(0)
+        });
         match (&first_err, got) {
-            (None, Ok(values)) => {
+            (None, BatchOutcome::Ok(values)) => {
                 let want: Vec<f32> = seq
                     .iter()
                     .flat_map(|r| r.as_ref().unwrap().iter().copied())
                     .collect();
                 prop_assert_eq!(values, want, "pool {} values diverged", threads);
             }
-            (Some((i, kind)), Err(e)) => {
+            (Some((i, kind)), BatchOutcome::Failed(e)) => {
                 prop_assert_eq!(e.kind, *kind, "pool {} error kind diverged", threads);
                 prop_assert_eq!(e.block, Some(*i), "pool {} error block diverged", threads);
             }
-            (None, Err(e)) => prop_assert!(
+            (None, other) => prop_assert!(
                 false,
-                "pool {threads}: parallel failed ({e}) where sequential decoded"
+                "pool {threads}: parallel failed ({other:?}) where sequential decoded"
             ),
-            (Some((i, k)), Ok(_)) => prop_assert!(
+            (Some((i, k)), _) => prop_assert!(
                 false,
                 "pool {threads}: parallel decoded where sequential failed at block {i} ({k:?})"
             ),
@@ -701,13 +704,13 @@ fn every_decode_error_kind_is_reachable_from_ingest() {
     ));
 
     // WorkerPanic: a panicking decode closure in the batch driver.
-    let results = ecco::codec::parallel::decode_tensors_batch_with(
+    let results = ecco::codec::parallel::decode_tensors_batch_report_with(
         &[fix.ct.blocks()],
         meta.group_size,
-        || (),
-        |(), _, _, _| panic!("injected ingest panic"),
+        RecoveryPolicy::FailTensor,
+        |_, _, _| panic!("injected ingest panic"),
     );
-    reach(*results[0].as_ref().unwrap_err());
+    reach(*results[0].first_error().unwrap());
 
     let missing: Vec<DecodeErrorKind> = DecodeErrorKind::ALL
         .into_iter()

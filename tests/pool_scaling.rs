@@ -10,6 +10,7 @@
 
 use ecco::bits::Block64;
 use ecco::codec::block::DecodeErrorKind;
+use ecco::codec::{BatchOutcome, RecoveryPolicy};
 use ecco::pool::{threads_from_env, with_pool, Pool, PoolBuilder};
 use ecco::prelude::*;
 
@@ -62,11 +63,9 @@ fn pool_scaling_bit_identical_and_batch_equals_loop() {
                 .zip(&metas)
                 .map(|((ct, _), m)| (ct.blocks(), m))
                 .collect();
-            for (r, out) in ecco::hw::decode_tensors_batch(&hw_batch)
-                .into_iter()
-                .zip(&decompressed)
-            {
-                assert_eq!(r.unwrap(), out.data(), "hw batch diverged");
+            let hw = ecco::hw::decode_tensors_batch_report(&hw_batch, RecoveryPolicy::FailTensor);
+            for (r, out) in hw.iter().zip(&decompressed) {
+                assert_eq!(r.values().unwrap(), out.data(), "hw batch diverged");
             }
         });
     }
@@ -94,8 +93,8 @@ fn ecco_threads_env_pins_pool_size() {
         .generate();
     let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
     let wide = PoolBuilder::new().threads(4).build();
-    let a = with_pool(&pinned, || codec.compress_parallel(&t).0);
-    let b = with_pool(&wide, || codec.compress_parallel(&t).0);
+    let a = with_pool(&pinned, || codec.compress(&t).0);
+    let b = with_pool(&wide, || codec.compress(&t).0);
     assert_eq!(a.blocks(), b.blocks(), "pool size must not change bits");
 }
 
@@ -136,7 +135,7 @@ fn concurrent_batches_share_one_pool_with_failures_isolated() {
                         let wt = SynthSpec::for_kind(TensorKind::Weight, 2, 512)
                             .seeded(9400 + worker * 10 + round)
                             .generate();
-                        let (wct, _) = weight_codec.compress_parallel(&wt);
+                        let (wct, _) = weight_codec.compress(&wt);
                         let out = weight_codec.decompress_batch(&[&wct]);
                         assert_eq!(out[0].as_ref().unwrap().data(), {
                             let d = weight_codec.decompress(&wct);
@@ -149,13 +148,19 @@ fn concurrent_batches_share_one_pool_with_failures_isolated() {
                         let garbage: Vec<Block64> = (0..good.blocks().len())
                             .map(|_| Block64::from_bytes([0xFF; 64]))
                             .collect();
-                        let mixed = ecco::hw::decode_tensors_batch(&[
-                            (good.blocks(), &meta),
-                            (&garbage, &meta),
-                            (good.blocks(), &meta),
-                        ]);
+                        let mixed = ecco::hw::decode_tensors_batch_report(
+                            &[
+                                (good.blocks(), &meta),
+                                (&garbage, &meta),
+                                (good.blocks(), &meta),
+                            ],
+                            RecoveryPolicy::FailTensor,
+                        );
                         assert!(mixed[0].is_ok(), "w{worker} r{round}: good slot 0 failed");
-                        assert!(mixed[1].is_err(), "w{worker} r{round}: garbage decoded");
+                        assert!(
+                            matches!(mixed[1], BatchOutcome::Failed(_)),
+                            "w{worker} r{round}: garbage decoded"
+                        );
                         assert!(mixed[2].is_ok(), "w{worker} r{round}: good slot 2 failed");
                         assert_eq!(mixed[0], mixed[2]);
                     }
@@ -176,30 +181,28 @@ fn worker_panic_poisons_only_its_batch_and_pool_survives() {
             .seeded(9500)
             .generate();
         let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
-        let (ct, _) = codec.compress_parallel(&t);
+        let (ct, _) = codec.compress(&t);
         let meta = codec.metadata().with_scale(ct.tensor_scale());
         let seq = codec.decompress(&ct);
 
         // Inject a panic through the batch driver's decode closure.
         let blocks = ct.blocks();
-        let results = ecco::codec::parallel::decode_tensors_batch_with(
+        let results = ecco::codec::parallel::decode_tensors_batch_report_with(
             &[blocks, blocks, blocks],
             meta.group_size,
-            || (),
-            |(), ti, b, out| {
+            RecoveryPolicy::FailTensor,
+            |ti, b, out| {
                 if ti == 1 {
                     panic!("injected decode panic");
                 }
-                let (v, _) = ecco::codec::decode_group(b, &meta)?;
-                out.extend_from_slice(&v);
-                Ok(())
+                ecco::codec::decode_group_into(b, &meta, out).map(drop)
             },
         );
-        assert_eq!(results[0].as_ref().unwrap(), seq.data());
-        let e = results[1].as_ref().unwrap_err();
+        assert_eq!(results[0].values().unwrap(), seq.data());
+        let e = results[1].first_error().unwrap();
         assert_eq!(e.kind, DecodeErrorKind::WorkerPanic);
         assert_eq!(e.tensor, Some(1), "panic must be located at its tensor");
-        assert_eq!(results[2].as_ref().unwrap(), seq.data());
+        assert_eq!(results[2].values().unwrap(), seq.data());
 
         // Joining after the injected panic: the same pool still decodes.
         let again = codec.decompress_batch(&[&ct]);
