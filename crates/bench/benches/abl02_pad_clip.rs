@@ -1,11 +1,46 @@
 //! Ablation A2: what the clipped+padded Huffman stage buys over (a) the
 //! same codec without outlier padding and (b) plain in-block 4-bit RTN.
+//!
+//! The "no padding" arm decodes the codec's own blocks with every padded
+//! slot's FP8 value overwritten by the E4M3 NaN code, which the block
+//! reader skips: the same patterns, books and symbols, minus exactly the
+//! padded outliers. The bench asserts that the arm differs from the
+//! padded decode only at the positions those slots name.
 
 use ecco_baselines::{rtn_quantize, Granularity};
 use ecco_bench::{f, print_table};
-use ecco_core::block::encode_group_unpadded;
-use ecco_core::{decode_group, EccoConfig, PatternSelector, TensorMetadata, WeightCodec};
-use ecco_tensor::{stats::nmse, synth::SynthSpec, Tensor, TensorKind};
+use ecco_bits::Block64;
+use ecco_core::block::OUTLIER_BITS;
+use ecco_core::{encode_group, EccoConfig, PatternSelector, WeightCodec};
+use ecco_tensor::{stats::nmse, synth::SynthSpec, TensorKind};
+
+/// The FP8 E4M3 NaN code; the reader skips outliers carrying it.
+const F8_NAN: u8 = 0x7F;
+
+/// Overwrites the 8-bit value of each of the `slots` padded outliers
+/// starting at bit `first` with NaN. Returns the masked block and the
+/// group positions the slots name.
+fn mask_padding(block: &Block64, first: usize, slots: usize) -> (Block64, Vec<usize>) {
+    let mut bytes = *block.as_bytes();
+    let mut named = Vec::with_capacity(slots);
+    let mut r = block.reader();
+    for k in 0..slots {
+        let slot = first + k * OUTLIER_BITS;
+        r.seek(slot);
+        named.push(r.read_bits(7).expect("slot lies inside the block") as usize);
+        // MSB-first: bit `p` of the block is bit `7 - p % 8` of byte `p / 8`.
+        for i in 0..8 {
+            let p = slot + 7 + i;
+            let mask = 0x80u8 >> (p % 8);
+            if (F8_NAN >> (7 - i)) & 1 == 1 {
+                bytes[p / 8] |= mask;
+            } else {
+                bytes[p / 8] &= !mask;
+            }
+        }
+    }
+    (Block64::from_bytes(bytes), named)
+}
 
 fn main() {
     let mut rows = Vec::new();
@@ -15,17 +50,35 @@ fn main() {
     ] {
         let t = SynthSpec::for_kind(kind, 128, 1024).seeded(23).generate();
         let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
-        let (full, stats) = codec.roundtrip(&t);
+        let (ct, stats) = codec.compress(&t);
+        let full = codec.decompress(&ct);
 
-        // Padding disabled: same patterns/books, zero-filled leftovers.
-        let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&t));
-        let mut data = Vec::with_capacity(t.len());
-        for g in t.groups(128) {
-            let (b, _) = encode_group_unpadded(g, &meta, PatternSelector::MseOptimal);
-            let (vals, _) = decode_group(&b, &meta).expect("own block");
-            data.extend_from_slice(&vals);
+        // Padding disabled: the same blocks with their padded slots masked.
+        let meta = codec.metadata().with_scale(ct.tensor_scale());
+        let gs = meta.group_size;
+        let mut named = vec![false; t.len()];
+        let masked: Vec<Block64> = t
+            .groups(gs)
+            .zip(ct.blocks())
+            .enumerate()
+            .map(|(gi, (g, block))| {
+                let (again, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
+                assert_eq!(&again, block, "the codec's own block");
+                let first = info.header_bits + info.data_bits;
+                let (masked, positions) = mask_padding(block, first, info.padded_outliers);
+                for p in positions {
+                    named[gi * gs + p] = true;
+                }
+                masked
+            })
+            .collect();
+        let unpadded = codec.decompress(&ct.with_blocks(masked));
+        for (i, (a, b)) in full.data().iter().zip(unpadded.data()).enumerate() {
+            assert!(
+                named[i] || a.to_bits() == b.to_bits(),
+                "{name}: value {i} changed although no padded slot names it"
+            );
         }
-        let unpadded = Tensor::from_vec(t.rows(), t.cols(), data);
 
         let rtn = rtn_quantize(&t, 4, Granularity::PerGroup(128));
 

@@ -14,8 +14,15 @@
 //! the symbol stream mid-code at bit 512; prefix-freeness guarantees the
 //! decoder cannot misread the truncated tail as a valid code, so the clip
 //! point is recovered without side information.
+//!
+//! The layout lives in exactly two functions: [`write_block`] writes it
+//! and [`read_block`] reads it. Encoders supply only their selection
+//! (pattern, codebook, symbols, ranked outliers) and decoders only their
+//! symbol walk — the codec's ([`encode_group_scratch`],
+//! [`decode_group_into`]) and the hardware models' in `ecco_hw` alike.
 
 use ecco_bits::{BitWriter, Block64, BLOCK_BITS};
+use ecco_entropy::Codebook;
 use ecco_numerics::F8E4M3;
 
 use crate::group::normalize_group;
@@ -220,7 +227,7 @@ pub fn encode_group_scratch(
     assert_eq!(group.len(), meta.group_size, "group size mismatch");
     let ng = normalize_group(group, meta.tensor_scale);
     let kp = meta.select_pattern_scratch(&ng, selector, scratch);
-    encode_group_full(group, &ng, meta, kp, scratch, true)
+    encode_selected(group, &ng, meta, kp, scratch)
 }
 
 /// Fused activation-aware compression of one group: selects the pattern
@@ -241,153 +248,111 @@ pub fn encode_group_weighted_scratch(
     assert_eq!(group.len(), meta.group_size, "group size mismatch");
     let ng = normalize_group(group, meta.tensor_scale);
     let kp = meta.select_pattern_weighted_scratch(&ng, group_w2, scratch);
-    encode_group_full(group, &ng, meta, kp, scratch, true)
+    encode_selected(group, &ng, meta, kp, scratch)
 }
 
-/// Compresses one group with an explicitly chosen shared pattern — kept
-/// for callers that computed the pattern id out of band (hardware models,
-/// ablations). Uses the calling thread's shared scratch.
-///
-/// # Panics
-///
-/// Panics if `group.len() != meta.group_size` or `kp` is out of range.
-pub fn encode_group_with_pattern(
-    group: &[f32],
-    meta: &TensorMetadata,
-    kp: usize,
-) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    assert!(kp < meta.patterns.len(), "pattern id out of range");
-    let ng = normalize_group(group, meta.tensor_scale);
-    with_thread_scratch(|scratch| {
-        scratch.load_group(&ng);
-        scratch.quantize(&meta.patterns[kp], &meta.boundaries()[kp]);
-        encode_group_full(group, &ng, meta, kp, scratch, true)
-    })
-}
-
-/// Compresses one group with outlier padding disabled — leftover block
-/// space is zero-filled instead. Only used by the `abl02` ablation bench
-/// to quantify what padding buys.
-pub fn encode_group_unpadded(
-    group: &[f32],
-    meta: &TensorMetadata,
-    selector: PatternSelector,
-) -> (Block64, EncodedGroupInfo) {
-    with_thread_scratch(|s| encode_group_unpadded_scratch(group, meta, selector, s))
-}
-
-/// [`encode_group_unpadded`] through a caller-provided scratch.
-///
-/// # Panics
-///
-/// Panics if `group.len() != meta.group_size`.
-pub fn encode_group_unpadded_scratch(
-    group: &[f32],
-    meta: &TensorMetadata,
-    selector: PatternSelector,
-    scratch: &mut GroupScratch,
-) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    let ng = normalize_group(group, meta.tensor_scale);
-    let kp = meta.select_pattern_scratch(&ng, selector, scratch);
-    encode_group_full(group, &ng, meta, kp, scratch, false)
-}
-
-fn encode_group_full(
+/// The codec's selection after the fused sweep picked pattern `kp`: the
+/// winner's symbols scattered back to group order (step 5), the shortest
+/// of the pattern's codebooks in one packed-lane pass (step 8, exact
+/// totals, ties to the lowest book — bit-identical to `H` separate
+/// `encoded_len` sweeps), and the group's values ranked by magnitude as
+/// padding candidates. [`write_block`] does the rest.
+fn encode_selected(
     group: &[f32],
     ng: &crate::group::NormalizedGroup,
     meta: &TensorMetadata,
     kp: usize,
     scratch: &mut GroupScratch,
-    pad_outliers: bool,
 ) -> (Block64, EncodedGroupInfo) {
-    // Symbol assignment (step 5): the fused sweep already quantized the
-    // group; scatter the winner's symbols back to group order.
     let symbols: &[u16] = scratch.scatter(meta.group_size);
+    let (book_id, _) = meta
+        .len_table(kp)
+        .expect("the selected pattern has a codebook row")
+        .best(symbols);
+    // Ranked lazily: a clipped block never reads its outliers.
+    let outliers = std::iter::once_with(|| rank_outliers(group, ng.max_pos)).flatten();
+    write_block(meta, kp, book_id, ng.sf_bits, symbols, outliers)
+}
 
-    // Step 8: pick the codebook with the shortest total encoding — a
-    // single pass over the symbols with packed per-symbol length lanes
-    // (one [u8; 4] lane group per symbol across the four books) instead
-    // of H separate `encoded_len` sweeps. Totals are exact and ties
-    // resolve to the lowest book index, so the choice is bit-identical
-    // to the multi-sweep baseline. The packed table is cached per
-    // pattern in the metadata (self-healing after deserialization); the
-    // pack-on-the-fly arm only guards an out-of-range pattern id.
-    let books = &meta.books[kp];
-    let (book_id, data_len) = match meta.len_table(kp) {
-        Some(table) => table.best(symbols),
-        None => ecco_entropy::MultiLenTable::new(books).best(symbols),
-    };
-    let book = &books[book_id];
-
-    // Header.
+/// The one block writer (steps 8–9, Fig. 6a): writes the header
+/// `| ID_HF | SF | ID_KP |`, then `symbols` under codebook `book_id` of
+/// pattern `kp`. If the codes overflow bit 512 the stream is clipped
+/// mid-code there (paper: "we simply clip the excess"); otherwise the
+/// leftover space holds as many of `ranked_outliers` — `(position,
+/// value)` pairs, most important first — as fit, each as a 7-bit
+/// position and an FP8 value.
+///
+/// Every choice belongs to the caller: the codec passes its fused
+/// sweep's selection, the hardware compressor (`ecco_hw`) the output of
+/// its sorter, pattern selector and parallel encoders. `ranked_outliers`
+/// is only consumed when nothing was clipped, so a lazy iterator defers
+/// its ranking to the blocks that pad.
+///
+/// # Panics
+///
+/// Panics if `kp` or `book_id` is out of range, a symbol lies outside
+/// the book's alphabet, or a written outlier position exceeds 7 bits.
+pub fn write_block(
+    meta: &TensorMetadata,
+    kp: usize,
+    book_id: usize,
+    sf_bits: u8,
+    symbols: &[u16],
+    ranked_outliers: impl IntoIterator<Item = (usize, f32)>,
+) -> (Block64, EncodedGroupInfo) {
+    let book = &meta.books[kp][book_id];
     let mut w = BitWriter::with_capacity(BLOCK_BITS);
     if meta.id_hf_bits > 0 {
         w.write_bits(book_id as u64, meta.id_hf_bits);
     }
-    w.write_bits(ng.sf_bits as u64, 8);
+    w.write_bits(sf_bits as u64, 8);
     meta.pattern_code.encode_symbol(&mut w, kp as u16);
     let header_bits = w.bit_len();
-    let budget = BLOCK_BITS - header_bits;
 
+    // Fit or clip: codes go in while they fit; the first one that does
+    // not is cut at bit 512 and ends the stream.
+    let mut full = 0usize;
+    for &s in symbols {
+        let (code, len) = (book.code(s) as u64, book.code_len(s) as usize);
+        let room = BLOCK_BITS - w.bit_len();
+        if len > room {
+            if room > 0 {
+                w.write_bits(code >> (len - room), room as u32);
+            }
+            break;
+        }
+        w.write_bits(code, len as u32);
+        full += 1;
+    }
     let mut info = EncodedGroupInfo {
         pattern_id: kp,
         book_id,
         header_bits,
-        ..EncodedGroupInfo::default()
+        data_bits: w.bit_len() - header_bits,
+        clipped_symbols: symbols.len() - full,
+        padded_outliers: 0,
     };
 
-    if data_len <= budget {
-        // Everything fits: write all symbols, then pad outliers (step 9).
-        for &s in symbols {
-            book.encode_symbol(&mut w, s);
-        }
-        info.data_bits = data_len;
-        let n_out = if pad_outliers {
-            (budget - data_len) / OUTLIER_BITS
-        } else {
-            0
-        };
-        let outliers = rank_outliers(group, ng.max_pos);
-        for &(pos, val) in outliers.iter().take(n_out) {
+    if info.clipped_symbols == 0 {
+        // Step 9: pad the leftover space with the next-largest values.
+        let slots = (BLOCK_BITS - w.bit_len()) / OUTLIER_BITS;
+        for (pos, val) in ranked_outliers.into_iter().take(slots) {
             let f8 = F8E4M3::from_f32(meta.tensor_scale.compress(val));
             w.write_bits(pos as u64, 7);
             w.write_bits(f8.to_bits() as u64, 8);
             info.padded_outliers += 1;
         }
-    } else {
-        // Clip: truncate the code stream mid-code at bit 512 (paper: "we
-        // simply clip the excess").
-        let mut full = 0usize;
-        'outer: for &s in symbols {
-            let len = book.code_len(s) as usize;
-            let code = book.code(s) as u64;
-            let room = BLOCK_BITS - w.bit_len();
-            if len <= room {
-                book.encode_symbol(&mut w, s);
-                full += 1;
-            } else {
-                // Partial prefix of the next code fills the block exactly.
-                if room > 0 {
-                    w.write_bits(code >> (len - room), room as u32);
-                }
-                break 'outer;
-            }
-        }
-        info.data_bits = BLOCK_BITS - header_bits;
-        info.clipped_symbols = meta.group_size - full;
     }
 
-    let block = Block64::from_writer(w).expect("encoder never exceeds 512 bits");
+    let block = Block64::from_writer(w).expect("the writer never exceeds 512 bits");
     (block, info)
 }
 
 /// The parsed fixed header of a block: `| ID_HF | SF | ID_KP |`.
 ///
-/// All decoders — the sequential reference, the hardware parallel model
-/// and the benches' raw-decoder harnesses — parse the header through
-/// [`parse_block_header`], so the field layout lives in exactly one place.
+/// The block reader and the benches' raw-decoder harnesses parse the
+/// header through [`parse_block_header`], so the field layout lives in
+/// exactly one place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Selected Huffman codebook within the pattern (`ID_HF`).
@@ -411,11 +376,11 @@ const MAX_ID_HF_BITS: u32 = 16;
 /// [`crate::pattern::SYMBOL_COUNT`] symbols (the parallel-decode
 /// constraint of the paper); a revived book outside that envelope — or
 /// one whose serialized fields do not heal into a canonical code at all —
-/// is reported as [`DecodeErrorKind::CorruptCodebook`]. Both the
-/// sequential decoder and the hardware model apply this same predicate,
-/// so the two arms agree error-for-error on corrupt metadata instead of
-/// one panicking where the other zero-fills.
-pub fn validate_data_book(book: &ecco_entropy::Codebook) -> Result<(), DecodeError> {
+/// is reported as [`DecodeErrorKind::CorruptCodebook`]. The block reader
+/// applies it before any walk runs (so the codec and the hardware model
+/// agree error-for-error on corrupt metadata), and wire ingest applies it
+/// to every revived book.
+pub(crate) fn validate_data_book(book: &Codebook) -> Result<(), DecodeError> {
     if !book.revival_coherent()
         || book.num_symbols() > crate::pattern::SYMBOL_COUNT
         || book.max_len() > 8
@@ -528,8 +493,8 @@ impl BlockValueTable {
     ///
     /// # Panics
     ///
-    /// Panics if `sym >= SYMBOL_COUNT`; every validated data codebook
-    /// ([`validate_data_book`]) only emits symbols below that bound.
+    /// Panics if `sym >= SYMBOL_COUNT`; every data codebook
+    /// [`read_block`] accepts only emits symbols below that bound.
     #[inline]
     pub fn value(&self, sym: u16) -> f32 {
         self.values[sym as usize]
@@ -560,12 +525,11 @@ pub fn decode_group(
     Ok((values, info))
 }
 
-/// The fused decode walk: decompresses one block, **appending**
-/// `meta.group_size` FP16 values to `values` — each decoded symbol is
-/// gathered through a precomputed [`BlockValueTable`] as it is resolved,
-/// with no intermediate symbol buffer or second reconstruction pass.
-///
-/// On error nothing is appended.
+/// The codec's decoder: [`read_block`] with the per-symbol walk — each
+/// symbol the book's `SymbolDecoder` resolves is gathered through the
+/// block's [`BlockValueTable`] as it lands, with no intermediate symbol
+/// buffer or second reconstruction pass. **Appends** `meta.group_size`
+/// FP16 values to `values`; on error nothing is appended.
 ///
 /// # Errors
 ///
@@ -576,41 +540,75 @@ pub fn decode_group_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodedGroupInfo, DecodeError> {
+    let (info, ()) = read_block(block, meta, values, |book, data_start, table, values| {
+        // A clipped tail ends the walk early: prefix-freeness makes the
+        // truncation point unambiguous.
+        let mut r = block.reader();
+        r.seek(data_start);
+        let dec = book.symbol_decoder();
+        for _ in 0..meta.group_size {
+            match dec.decode_symbol(&mut r) {
+                Some(s) => values.push(table.value(s)),
+                None => break,
+            }
+        }
+        (r.bit_pos(), ())
+    })?;
+    Ok(info)
+}
+
+/// The one block reader (Fig. 6a): parses and validates the header and
+/// the data codebook, builds the block's [`BlockValueTable`], hands the
+/// symbol stream to `walk`, then fills the clipped tail with the zero
+/// centroid and applies the padded outliers — **appending**
+/// `meta.group_size` values to `values`. On error nothing is appended
+/// and `walk` never runs.
+///
+/// `walk(book, data_start, table, values)` resolves symbols from bit
+/// `data_start` on, appends the value of each (at most
+/// `meta.group_size`) to `values`, and returns the bit just past the
+/// last one plus whatever the walk reports. The codec passes its
+/// per-symbol walk ([`decode_group_into`]), the hardware model
+/// (`ecco_hw`) its 64×8 speculative walk; everything else about the
+/// format lives here.
+///
+/// # Errors
+///
+/// The [`parse_block_header`] errors, then
+/// [`DecodeErrorKind::CorruptCodebook`] for a revived data book outside
+/// the format's envelope.
+///
+/// # Panics
+///
+/// Panics if `walk` appends more than `meta.group_size` values.
+pub fn read_block<R>(
+    block: &Block64,
+    meta: &TensorMetadata,
+    values: &mut Vec<f32>,
+    walk: impl FnOnce(&Codebook, usize, &BlockValueTable, &mut Vec<f32>) -> (usize, R),
+) -> Result<(DecodedGroupInfo, R), DecodeError> {
     let header = parse_block_header(block, meta)?;
     let book = &meta.books[header.kp][header.book_id];
     validate_data_book(book)?;
-    let pattern = &meta.patterns[header.kp];
-    let mut r = block.reader();
-    r.seek(header.data_start);
-
     let sf = F8E4M3::from_bits(header.sf_bits);
     let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-    let table = BlockValueTable::new(pattern, scale_signed);
+    let table = BlockValueTable::new(&meta.patterns[header.kp], scale_signed);
 
-    // Decode up to group_size symbols, mapping each through the value
-    // table as it resolves; a clipped tail terminates decoding
-    // (prefix-freeness makes the truncation point unambiguous). The
-    // decode-table view is fetched once per block, not per symbol.
     let base = values.len();
     values.reserve(meta.group_size);
-    let dec = book.symbol_decoder();
-    while values.len() - base < meta.group_size {
-        match dec.decode_symbol(&mut r) {
-            Some(s) => values.push(table.value(s)),
-            None => break,
-        }
-    }
+    let (data_end, report) = walk(book, header.data_start, &table, values);
     let decoded = values.len() - base;
-    let data_end = r.bit_pos();
+    assert!(decoded <= meta.group_size, "the walk overran its group");
 
-    // Clipped tail: fill with the reconstructed zero centroid.
+    // Clipped tail: the reconstructed zero centroid.
     values.resize(base + meta.group_size, table.tail_fill());
 
     // Outliers exist only when nothing was clipped.
     let mut applied = 0usize;
     if decoded == meta.group_size {
-        let n_out = (BLOCK_BITS - data_end) / OUTLIER_BITS;
-        for _ in 0..n_out {
+        let mut r = block.reader();
+        r.seek(data_end);
+        for _ in 0..(BLOCK_BITS - data_end) / OUTLIER_BITS {
             let pos = r.read_bits(7).expect("outlier fits") as usize;
             let f8 = F8E4M3::from_bits(r.read_bits(8).expect("outlier fits") as u8);
             if pos < meta.group_size && !f8.is_nan() {
@@ -621,11 +619,12 @@ pub fn decode_group_into(
         }
     }
 
-    Ok(DecodedGroupInfo {
+    let info = DecodedGroupInfo {
         decoded_symbols: decoded,
         clipped_symbols: meta.group_size - decoded,
         applied_outliers: applied,
-    })
+    };
+    Ok((info, report))
 }
 
 /// Positions and values ranked by |value| descending, excluding the absmax
@@ -787,9 +786,13 @@ mod tests {
                 .map(|(i, b)| (i, b.encoded_len(&symbols)))
                 .min_by_key(|&(_, len)| len)
                 .unwrap();
-            let mut lens = ecco_entropy::MultiEncodedLen::new(&meta.books[kp]);
-            lens.push_slice(&symbols);
-            assert_eq!(lens.best(), baseline);
+            let table = ecco_entropy::MultiLenTable::new(&meta.books[kp]);
+            let totals: Vec<usize> = meta.books[kp]
+                .iter()
+                .map(|b| b.encoded_len(&symbols))
+                .collect();
+            assert_eq!(table.totals(&symbols), totals);
+            assert_eq!(table.best(&symbols), baseline);
             let (_, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
             assert_eq!(info.book_id, baseline.0, "encoder must pick the same book");
         }

@@ -36,7 +36,10 @@ pub const KV_PATTERNS: usize = 16;
 /// let codec = KvCodec::calibrate(&[&kv], &EccoConfig::default());
 /// let (ct, stats) = codec.compress(&kv);
 /// assert_eq!(ct.ratio_vs_fp16(), 4.0);
-/// assert!(stats.nmse() < 0.05);
+/// assert!(stats.clip_ratio() < 0.05);
+///
+/// let restored = codec.decompress(&ct);
+/// assert!(ecco_tensor::stats::nmse(&kv, &restored) < 0.05);
 /// ```
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct KvCodec {

@@ -159,14 +159,9 @@ impl TensorMetadata {
         scratch.select(&self.patterns, self.boundaries(), selector)
     }
 
-    /// Picks the pattern minimizing the activation-weighted squared error
-    /// (`group_w2[i]` = squared channel magnitude of value `i`), through
-    /// the fused engine on a thread-local scratch.
-    pub fn select_pattern_weighted(&self, ng: &NormalizedGroup, group_w2: &[f32]) -> usize {
-        select::with_thread_scratch(|s| self.select_pattern_weighted_scratch(ng, group_w2, s))
-    }
-
-    /// Weighted counterpart of [`TensorMetadata::select_pattern_scratch`].
+    /// Weighted counterpart of [`TensorMetadata::select_pattern_scratch`]:
+    /// picks the pattern minimizing the activation-weighted squared error
+    /// (`group_w2[i]` = squared channel magnitude of value `i`).
     pub fn select_pattern_weighted_scratch(
         &self,
         ng: &NormalizedGroup,

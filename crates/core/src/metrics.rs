@@ -1,4 +1,8 @@
 //! Codec statistics: the clip/pad ratios of Figure 10 and bit accounting.
+//!
+//! These are the encoder's own counts; compression never decodes. The
+//! round-trip error of a tensor is `ecco_tensor::stats::nmse` against
+//! its decompressed reconstruction.
 
 use crate::block::EncodedGroupInfo;
 
@@ -17,10 +21,6 @@ pub struct CodecStats {
     pub header_bits: usize,
     /// Total Huffman data bits (post-clip).
     pub data_bits: usize,
-    /// Σ(original − reconstructed)², filled by round-trip evaluation.
-    pub sum_sq_err: f64,
-    /// Σ original², filled by round-trip evaluation.
-    pub sum_sq_ref: f64,
 }
 
 impl CodecStats {
@@ -32,14 +32,6 @@ impl CodecStats {
         self.padded_outliers += info.padded_outliers;
         self.header_bits += info.header_bits;
         self.data_bits += info.data_bits;
-    }
-
-    /// Accumulates reconstruction error for one group.
-    pub fn record_error(&mut self, original: &[f32], reconstructed: &[f32]) {
-        for (&a, &b) in original.iter().zip(reconstructed) {
-            self.sum_sq_err += ((a - b) as f64).powi(2);
-            self.sum_sq_ref += (a as f64).powi(2);
-        }
     }
 
     /// Fraction of values lost to clipping (paper Figure 10, "Clipping").
@@ -70,15 +62,6 @@ impl CodecStats {
         }
     }
 
-    /// Normalized MSE of the round trip (`Σerr²/Σref²`).
-    pub fn nmse(&self) -> f64 {
-        if self.sum_sq_ref == 0.0 {
-            0.0
-        } else {
-            self.sum_sq_err / self.sum_sq_ref
-        }
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &CodecStats) {
         self.groups += other.groups;
@@ -87,8 +70,6 @@ impl CodecStats {
         self.padded_outliers += other.padded_outliers;
         self.header_bits += other.header_bits;
         self.data_bits += other.data_bits;
-        self.sum_sq_err += other.sum_sq_err;
-        self.sum_sq_ref += other.sum_sq_ref;
     }
 }
 
@@ -119,7 +100,6 @@ mod tests {
         let s = CodecStats::default();
         assert_eq!(s.clip_ratio(), 0.0);
         assert_eq!(s.pad_ratio(), 0.0);
-        assert_eq!(s.nmse(), 0.0);
     }
 
     #[test]
@@ -141,12 +121,5 @@ mod tests {
         assert_eq!(a.values, 384);
         assert_eq!(a.clipped_symbols, 1);
         assert_eq!(a.padded_outliers, 5);
-    }
-
-    #[test]
-    fn error_accumulation() {
-        let mut s = CodecStats::default();
-        s.record_error(&[1.0, 2.0], &[1.0, 1.0]);
-        assert!((s.nmse() - 1.0 / 5.0).abs() < 1e-12);
     }
 }

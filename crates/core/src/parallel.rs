@@ -12,7 +12,7 @@
 //! into claims that idle executors take from the shared pool
 //! ([`crate::pool`]), and reassemble results per tensor in chunk order, so
 //! output is bit-identical to the per-group loop
-//! ([`encode_group`](crate::block::encode_group)/[`decode_group`])
+//! ([`encode_group`](crate::block::encode_group)/[`decode_group`](crate::block::decode_group))
 //! at any pool size or chunking. A batch that fits in one claim runs
 //! inline on the caller — a single small tensor never pays a scheduling
 //! round-trip.
@@ -33,8 +33,8 @@ use ecco_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::block::{
-    decode_group, decode_group_into, encode_group_scratch, encode_group_weighted_scratch,
-    DecodeError, DecodeErrorKind, EncodedGroupInfo,
+    decode_group_into, encode_group_scratch, encode_group_weighted_scratch, DecodeError,
+    DecodeErrorKind, EncodedGroupInfo,
 };
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
@@ -132,10 +132,10 @@ pub(crate) fn encode_batch(
 }
 
 /// Encodes groups `lo..hi` of `data` (a flat `group_size`-aligned value
-/// stream) under `meta`, with the accounting every compress path reports:
-/// per-group encode stats plus the self-decode round-trip error. `w2`,
-/// when given, holds the squared activation magnitude of every column
-/// (`w2.len()` is the row length) and switches to weighted encoding.
+/// stream) under `meta`, accumulating the encoder's per-group reports —
+/// it only writes, never decodes. `w2`, when given, holds the squared
+/// activation magnitude of every column (`w2.len()` is the row length)
+/// and switches to weighted encoding.
 fn encode_run(
     data: &[f32],
     meta: &TensorMetadata,
@@ -159,16 +159,14 @@ fn encode_run(
             None => encode_group_scratch(g, meta, selector, &mut scratch),
         };
         stats.record(&info, gs);
-        let (out, _) = decode_group(&block, meta).expect("own blocks decode");
-        stats.record_error(g, &out);
         blocks.push(block);
     }
     (blocks, stats)
 }
 
-/// Encodes every group of `tensor` across the pool without the
-/// round-trip error pass or statistics — the encode engine's pool pass
-/// stripped to blocks and per-group reports, for throughput benchmarking.
+/// Encodes every group of `tensor` across the pool without the engine's
+/// batching or statistics — the encode engine's pool pass stripped to
+/// blocks and per-group reports, for throughput benchmarking.
 ///
 /// # Panics
 ///
@@ -543,7 +541,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::encode_group;
+    use crate::block::{decode_group, encode_group};
     use crate::pool::{with_pool, PoolBuilder};
     use crate::{EccoConfig, KvCodec, WeightCodec};
     use ecco_bits::WindowDispatch;
@@ -587,7 +585,6 @@ mod tests {
                 None => encode_group(g, &meta, selector),
             };
             stats.record(&info, gs);
-            stats.record_error(g, &decode_group(&block, &meta).unwrap().0);
             blocks.push(block);
         }
         (blocks, stats)
@@ -645,8 +642,7 @@ mod tests {
         let host_tier = ecco_bits::window_dispatch();
         let mut runs = Vec::new();
         for threads in [1usize, 4] {
-            // A pinned chunk splits every tensor across claims and keeps
-            // the stats' float summation order equal across pools.
+            // A pinned chunk splits every tensor across claims.
             let pool = PoolBuilder::new().threads(threads).chunk(5).build();
             for tier in [host_tier, WindowDispatch::Portable] {
                 ecco_bits::set_window_dispatch(tier);
@@ -666,8 +662,7 @@ mod tests {
         );
 
         // And the engine equals the per-group loops it replaced (the
-        // weighted one included): blocks bit for bit, stats up to the
-        // float summation order.
+        // weighted one included): blocks and stats bit for bit.
         let oracles = [
             oracle_encode(weight.metadata(), &w, PatternSelector::MseOptimal, None),
             oracle_encode(
@@ -678,11 +673,9 @@ mod tests {
             ),
             oracle_encode(kv_codec.metadata(), &kv, PatternSelector::MinMax, None),
         ];
-        let counts = |s: &CodecStats| (s.groups, s.clipped_symbols, s.padded_outliers, s.data_bits);
         for ((blocks, stats, _), (want, want_stats)) in runs[0].iter().zip(oracles) {
             assert_eq!(blocks, &want, "engine != per-group loop");
-            assert_eq!(counts(stats), counts(&want_stats));
-            assert!((stats.nmse() - want_stats.nmse()).abs() < 1e-12);
+            assert_eq!(stats, &want_stats, "engine stats != per-group loop");
         }
     }
 
@@ -724,7 +717,7 @@ mod tests {
                 for (x, (ct, stats)) in refs.iter().zip(&batch) {
                     let (want, want_stats) = oracle_encode(meta, x, PatternSelector::MseOptimal, None);
                     prop_assert_eq!(ct.blocks(), &want[..], "encode diverged");
-                    prop_assert_eq!(stats.groups, want_stats.groups);
+                    prop_assert_eq!(stats, &want_stats);
                 }
 
                 let mut cts: Vec<CompressedTensor> = batch.into_iter().map(|(ct, _)| ct).collect();

@@ -388,10 +388,9 @@ impl GroupScratch {
     }
 
     /// Quantizes the loaded values against one explicit pattern with a
-    /// single run merge, leaving the symbols as the winner — used for the
-    /// selected pattern after scoring, and by the
-    /// externally-selected-pattern encode path.
-    pub fn quantize(&mut self, pattern: &KmeansPattern, bounds: &PatternBoundaries) {
+    /// single run merge, leaving the symbols as the winner — how every
+    /// selection materializes its winner's symbols after scoring.
+    fn quantize(&mut self, pattern: &KmeansPattern, bounds: &PatternBoundaries) {
         let mids = bounds.midpoints();
         let n = self.vals.len();
         self.win.clear();

@@ -9,7 +9,8 @@
 //! * [`DecodeErrorKind::TruncatedStream`] — the buffer ends before a
 //!   declared field or block payload,
 //! * [`DecodeErrorKind::CorruptMetadata`] — bad magic/version, out-of-range
-//!   structural fields, or unsorted/non-finite pattern centroids,
+//!   structural fields (including any group size but the format's 128),
+//!   or unsorted/non-finite pattern centroids,
 //! * [`DecodeErrorKind::CorruptCodebook`] — a revived codebook whose
 //!   serialized fields do not heal into a valid canonical code,
 //! * [`DecodeErrorKind::LengthMismatch`] — a length field that disagrees
@@ -63,6 +64,7 @@
 use ecco_bits::{Block64, BLOCK_BYTES};
 use ecco_entropy::huffman::Codebook;
 use ecco_numerics::Po2Scale;
+use ecco_tensor::GROUP_SIZE;
 
 use crate::block::{validate_data_book, DecodeError, DecodeErrorKind};
 use crate::pattern::{KmeansPattern, NUM_CENTROIDS};
@@ -88,7 +90,6 @@ const MAX_PATTERNS: u32 = 4096;
 const MAX_BOOKS_PER_PATTERN: u32 = 256;
 const MAX_BOOK_SYMBOLS: u32 = 4096;
 const MAX_ID_HF_BITS: u32 = 16;
-const MAX_GROUP_SIZE: u32 = 1 << 16;
 
 fn corrupt_meta() -> DecodeError {
     DecodeError::new(DecodeErrorKind::CorruptMetadata)
@@ -135,8 +136,8 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<TensorMetadata, DecodeError> {
     }
     let tensor_scale = Po2Scale::new(r.u8()? as i8);
     let id_hf_bits = r.u32()?;
-    let group_size = r.u32()?;
-    if id_hf_bits > MAX_ID_HF_BITS || group_size == 0 || group_size > MAX_GROUP_SIZE {
+    let group_size = r.u32()? as usize;
+    if id_hf_bits > MAX_ID_HF_BITS || group_size != GROUP_SIZE {
         return Err(corrupt_meta());
     }
 
@@ -187,7 +188,7 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<TensorMetadata, DecodeError> {
         books,
         pattern_code,
         id_hf_bits,
-        group_size as usize,
+        group_size,
     ))
 }
 
@@ -228,7 +229,7 @@ pub fn decode_tensor(bytes: &[u8]) -> Result<CompressedTensor, DecodeError> {
     let cols = r.u32()? as usize;
     let group_size = r.u32()? as usize;
     let tensor_scale = Po2Scale::new(r.u8()? as i8);
-    if group_size == 0 || group_size > MAX_GROUP_SIZE as usize {
+    if group_size != GROUP_SIZE {
         return Err(corrupt_meta());
     }
     let declared = (rows as u64) * (cols as u64);
@@ -477,6 +478,41 @@ mod tests {
             decode_tensor(&lied).unwrap_err().kind,
             DecodeErrorKind::LengthMismatch
         );
+    }
+
+    #[test]
+    fn group_sizes_other_than_128_are_corrupt_metadata() {
+        // The format fixes groups at 128 values. A snapshot or frame
+        // declaring another size is refused at ingest, even when every
+        // other field agrees with the lie: 16 blocks must never revive
+        // as a tensor of 16 x 65,536 values.
+        let (_, ct, meta) = fixture();
+        let n = ct.blocks().len() as u32;
+        let regroup = |gs: u32| {
+            let mut frame = encode_tensor(&ct);
+            frame[6..10].copy_from_slice(&n.to_le_bytes()); // rows: one per block
+            frame[10..14].copy_from_slice(&gs.to_le_bytes()); // cols: one group each
+            frame[14..18].copy_from_slice(&gs.to_le_bytes());
+            frame
+        };
+        assert!(
+            decode_tensor(&regroup(128)).is_ok(),
+            "the rewrite is consistent"
+        );
+        for gs in [64u32, 129, 65_536] {
+            let mut mb = encode_metadata(&meta);
+            mb[11..15].copy_from_slice(&gs.to_le_bytes());
+            assert_eq!(
+                decode_metadata(&mb).unwrap_err().kind,
+                DecodeErrorKind::CorruptMetadata,
+                "ECCM declaring group size {gs}"
+            );
+            assert_eq!(
+                decode_tensor(&regroup(gs)).unwrap_err().kind,
+                DecodeErrorKind::CorruptMetadata,
+                "ECCT declaring group size {gs}"
+            );
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   encode/decode on top of [`ecco_bits`],
 //! * [`lut`] — precomputed per-codebook sub-decoder chain tables, the
 //!   single-probe primitive behind the parallel decoder's hot path,
-//! * [`multi`] — packed per-symbol length lanes that total a symbol
-//!   stream's encoded length under all `H` candidate codebooks in a single
-//!   pass, the encoder-side hot-path primitive behind codebook selection.
+//! * [`multi`] — [`MultiLenTable`], packed per-symbol length lanes that
+//!   total a symbol stream's encoded length under all `H` candidate
+//!   codebooks in a single pass: the codec's codebook choice, cached per
+//!   pattern in its metadata.
 //!
 //! # Examples
 //!
@@ -50,5 +51,5 @@ pub mod stats;
 
 pub use huffman::{Codebook, CodebookError, SymbolDecoder};
 pub use lut::{ChainEntry, SegmentLut};
-pub use multi::{encoded_len_multi, MultiEncodedLen, MultiLenTable};
+pub use multi::MultiLenTable;
 pub use stats::{bit_efficiency, shannon_entropy, unique_values, BitEfficiency};

@@ -15,25 +15,25 @@
 //! encoders. Alphabets with more than four books use ⌈H/4⌉ lane words per
 //! symbol.
 //!
-//! [`MultiLenTable`] is the immutable packed table — built once per
-//! codebook set and shared (the codec caches one per pattern in its
-//! `TensorMetadata`); [`MultiEncodedLen`] is the streaming accumulator on
-//! top of it (feed symbols as they are produced, then read totals);
-//! [`encoded_len_multi`] is the one-shot convenience over a finished
-//! symbol slice.
+//! [`MultiLenTable`] is that packed table — built once per codebook set
+//! and shared (the codec caches one per pattern in its
+//! `TensorMetadata`); [`MultiLenTable::best`] is the encoder's book
+//! choice and [`MultiLenTable::totals`] the per-book lengths.
 //!
 //! # Examples
 //!
 //! ```
-//! use ecco_entropy::{encoded_len_multi, Codebook};
+//! use ecco_entropy::{Codebook, MultiLenTable};
 //!
 //! let skewed = Codebook::from_frequencies(&[40, 20, 2, 1], 1, 8).unwrap();
 //! let flat = Codebook::from_frequencies(&[1, 1, 1, 1], 1, 8).unwrap();
 //! let symbols = [0u16, 0, 1, 0, 3];
 //!
-//! let totals = encoded_len_multi(&[skewed.clone(), flat.clone()], &symbols);
+//! let table = MultiLenTable::new(&[skewed.clone(), flat.clone()]);
+//! let totals = table.totals(&symbols);
 //! assert_eq!(totals[0], skewed.encoded_len(&symbols));
 //! assert_eq!(totals[1], flat.encoded_len(&symbols));
+//! assert_eq!(table.best(&symbols), (0, totals[0]));
 //! ```
 
 use crate::huffman::Codebook;
@@ -48,9 +48,8 @@ pub const MAX_SYMBOLS_PER_SUM: usize = (u16::MAX / 15) as usize;
 const LANE_BITS: u32 = 16;
 const LANE_MASK: u64 = 0xFFFF;
 
-/// The immutable packed length table behind [`MultiEncodedLen`]: one lane
-/// word group per alphabet symbol holding the code lengths of up to four
-/// books side by side.
+/// The immutable packed length table: one lane word group per alphabet
+/// symbol holding the code lengths of up to four books side by side.
 ///
 /// Building the table costs one pass over the `H` length vectors, so the
 /// codec builds it **once per pattern** (cached in `TensorMetadata`,
@@ -116,8 +115,21 @@ impl MultiLenTable {
     /// Panics on out-of-range symbols or more than
     /// [`MAX_SYMBOLS_PER_SUM`] symbols.
     pub fn totals(&self, symbols: &[u16]) -> Vec<usize> {
-        let acc = self.accumulate(symbols);
-        self.unpack(&acc)
+        assert!(
+            symbols.len() <= MAX_SYMBOLS_PER_SUM,
+            "lane overflow: {} symbols exceed {MAX_SYMBOLS_PER_SUM}",
+            symbols.len()
+        );
+        let mut acc = vec![0u64; self.words];
+        for &s in symbols {
+            let base = s as usize * self.words;
+            for (w, a) in acc.iter_mut().enumerate() {
+                *a += self.packed[base + w];
+            }
+        }
+        (0..self.n_books)
+            .map(|bi| ((acc[bi / LANES] >> ((bi % LANES) as u32 * LANE_BITS)) & LANE_MASK) as usize)
+            .collect()
     }
 
     /// `(book_index, total_bits)` of the shortest encoding of `symbols`;
@@ -158,191 +170,6 @@ impl MultiLenTable {
             best
         }
     }
-
-    /// Sums the lane words of `symbols` (bounds asserted by the caller's
-    /// entry point).
-    fn accumulate(&self, symbols: &[u16]) -> Vec<u64> {
-        assert!(
-            symbols.len() <= MAX_SYMBOLS_PER_SUM,
-            "lane overflow: {} symbols exceed {MAX_SYMBOLS_PER_SUM}",
-            symbols.len()
-        );
-        let mut acc = vec![0u64; self.words];
-        if self.words == 1 {
-            let mut a = 0u64;
-            for &s in symbols {
-                a += self.packed[s as usize];
-            }
-            acc[0] = a;
-        } else {
-            for &s in symbols {
-                let base = s as usize * self.words;
-                for (w, a) in acc.iter_mut().enumerate() {
-                    *a += self.packed[base + w];
-                }
-            }
-        }
-        acc
-    }
-
-    /// Expands accumulated lane words into per-book totals.
-    fn unpack(&self, acc: &[u64]) -> Vec<usize> {
-        (0..self.n_books)
-            .map(|bi| {
-                let word = acc[bi / LANES];
-                ((word >> ((bi % LANES) as u32 * LANE_BITS)) & LANE_MASK) as usize
-            })
-            .collect()
-    }
-}
-
-/// Streaming accumulator for the total encoded length of one symbol
-/// sequence under several codebooks at once.
-///
-/// Construction packs the per-symbol code lengths of all books into a
-/// [`MultiLenTable`]; [`push`](MultiEncodedLen::push) then updates every
-/// book's running total with a single add per lane word. Totals are
-/// exact, so [`best`](MultiEncodedLen::best) selects the same codebook
-/// (with the same lowest-index tie-break) as comparing `H` separate
-/// [`Codebook::encoded_len`] sweeps.
-#[derive(Clone, Debug)]
-pub struct MultiEncodedLen {
-    table: MultiLenTable,
-    /// Running lane sums, one word per group of four books.
-    acc: Vec<u64>,
-    pushed: usize,
-}
-
-impl MultiEncodedLen {
-    /// Packs the length vectors of `books` into lane words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `books` is empty or the books disagree on alphabet size.
-    pub fn new(books: &[Codebook]) -> MultiEncodedLen {
-        MultiEncodedLen::from_table(MultiLenTable::new(books))
-    }
-
-    /// Wraps a prebuilt (possibly shared) length table.
-    pub fn from_table(table: MultiLenTable) -> MultiEncodedLen {
-        let acc = vec![0u64; table.words];
-        MultiEncodedLen {
-            table,
-            acc,
-            pushed: 0,
-        }
-    }
-
-    /// Number of codebooks being accumulated.
-    pub fn num_books(&self) -> usize {
-        self.table.n_books
-    }
-
-    /// Symbols accumulated since construction or the last
-    /// [`reset`](MultiEncodedLen::reset).
-    pub fn len(&self) -> usize {
-        self.pushed
-    }
-
-    /// `true` before the first symbol is pushed.
-    pub fn is_empty(&self) -> bool {
-        self.pushed == 0
-    }
-
-    /// Clears the running totals, keeping the packed length table.
-    pub fn reset(&mut self) {
-        self.acc.fill(0);
-        self.pushed = 0;
-    }
-
-    /// Accumulates one symbol into every book's running total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` is outside the shared alphabet. Debug builds also
-    /// check the [`MAX_SYMBOLS_PER_SUM`] overflow bound (`push_slice` and
-    /// `totals` enforce it unconditionally).
-    #[inline]
-    pub fn push(&mut self, sym: u16) {
-        debug_assert!(self.pushed < MAX_SYMBOLS_PER_SUM, "lane overflow");
-        let words = self.table.words;
-        let base = sym as usize * words;
-        for w in 0..words {
-            self.acc[w] += self.table.packed[base + w];
-        }
-        self.pushed += 1;
-    }
-
-    /// Accumulates a whole symbol slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any symbol is out of range or the total symbol count
-    /// would exceed [`MAX_SYMBOLS_PER_SUM`].
-    pub fn push_slice(&mut self, symbols: &[u16]) {
-        assert!(
-            self.pushed + symbols.len() <= MAX_SYMBOLS_PER_SUM,
-            "lane overflow: {} symbols exceed {MAX_SYMBOLS_PER_SUM}",
-            self.pushed + symbols.len()
-        );
-        let words = self.table.words;
-        if words == 1 {
-            // The codec's H ≤ 4 case: one add per symbol.
-            let mut acc = self.acc[0];
-            for &s in symbols {
-                acc += self.table.packed[s as usize];
-            }
-            self.acc[0] = acc;
-        } else {
-            for &s in symbols {
-                let base = s as usize * words;
-                for w in 0..words {
-                    self.acc[w] += self.table.packed[base + w];
-                }
-            }
-        }
-        self.pushed += symbols.len();
-    }
-
-    /// The total encoded length in bits per book, in book order — exactly
-    /// what `books.iter().map(|b| b.encoded_len(symbols))` would return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`MAX_SYMBOLS_PER_SUM`] symbols were pushed.
-    pub fn totals(&self) -> Vec<usize> {
-        assert!(self.pushed <= MAX_SYMBOLS_PER_SUM, "lane overflow");
-        self.table.unpack(&self.acc)
-    }
-
-    /// `(book_index, total_bits)` of the shortest encoding; ties resolve
-    /// to the lowest book index, matching
-    /// `min_by_key` over sequential [`Codebook::encoded_len`] sweeps.
-    pub fn best(&self) -> (usize, usize) {
-        let mut best = (0usize, usize::MAX);
-        for (bi, total) in self.totals().into_iter().enumerate() {
-            if total < best.1 {
-                best = (bi, total);
-            }
-        }
-        best
-    }
-}
-
-/// One-shot single-pass total encoded lengths of `symbols` under every
-/// book in `books`.
-///
-/// Equivalent to `books.iter().map(|b| b.encoded_len(symbols))` but with
-/// one sweep over `symbols` instead of `books.len()`.
-///
-/// # Panics
-///
-/// Panics on empty `books`, mismatched alphabets, out-of-range symbols,
-/// or more than [`MAX_SYMBOLS_PER_SUM`] symbols.
-pub fn encoded_len_multi(books: &[Codebook], symbols: &[u16]) -> Vec<usize> {
-    let mut acc = MultiEncodedLen::new(books);
-    acc.push_slice(symbols);
-    acc.totals()
 }
 
 #[cfg(test)]
@@ -365,33 +192,17 @@ mod tests {
             vec![1, 2, 4, 8, 16, 32, 64, 128, 1, 1, 1, 1, 1, 1, 1, 1],
         ]);
         let symbols: Vec<u16> = (0..128).map(|i| (i * 7 % 16) as u16).collect();
-        let totals = encoded_len_multi(&books, &symbols);
+        let totals = MultiLenTable::new(&books).totals(&symbols);
         for (b, &t) in books.iter().zip(&totals) {
             assert_eq!(t, b.encoded_len(&symbols));
         }
     }
 
     #[test]
-    fn streaming_push_equals_push_slice() {
-        let books = books_from(&[vec![10, 1, 1, 1], vec![1, 10, 1, 1]]);
-        let symbols = [0u16, 1, 2, 3, 0, 0, 1];
-        let mut a = MultiEncodedLen::new(&books);
-        a.push_slice(&symbols);
-        let mut b = MultiEncodedLen::new(&books);
-        for &s in &symbols {
-            b.push(s);
-        }
-        assert_eq!(a.totals(), b.totals());
-        assert_eq!(a.len(), b.len());
-    }
-
-    #[test]
     fn best_tie_breaks_to_lowest_index() {
         // Two identical books: the first must win.
         let books = books_from(&[vec![4, 2, 1, 1], vec![4, 2, 1, 1]]);
-        let mut acc = MultiEncodedLen::new(&books);
-        acc.push_slice(&[0, 1, 2, 3]);
-        assert_eq!(acc.best().0, 0);
+        assert_eq!(MultiLenTable::new(&books).best(&[0, 1, 2, 3]).0, 0);
     }
 
     #[test]
@@ -401,7 +212,7 @@ mod tests {
             .collect();
         let books = books_from(&freqs);
         let symbols: Vec<u16> = (0..200).map(|i| (i % 16) as u16).collect();
-        let totals = encoded_len_multi(&books, &symbols);
+        let totals = MultiLenTable::new(&books).totals(&symbols);
         assert_eq!(totals.len(), 6);
         for (b, &t) in books.iter().zip(&totals) {
             assert_eq!(t, b.encoded_len(&symbols));
@@ -409,20 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_totals_but_keeps_table() {
-        let books = books_from(&[vec![10, 1, 1, 1]]);
-        let mut acc = MultiEncodedLen::new(&books);
-        acc.push_slice(&[0, 1, 2]);
-        acc.reset();
-        assert!(acc.is_empty());
-        acc.push_slice(&[3]);
-        assert_eq!(acc.totals(), vec![books[0].encoded_len(&[3])]);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one codebook")]
     fn empty_book_set_rejected() {
-        MultiEncodedLen::new(&[]);
+        MultiLenTable::new(&[]);
     }
 
     #[test]
@@ -430,16 +230,15 @@ mod tests {
     fn mismatched_alphabets_rejected() {
         let a = Codebook::from_frequencies(&[1, 1, 1, 1], 2, 8).unwrap();
         let b = Codebook::from_frequencies(&[1; 16], 2, 8).unwrap();
-        MultiEncodedLen::new(&[a, b]);
+        MultiLenTable::new(&[a, b]);
     }
 
     #[test]
     #[should_panic(expected = "lane overflow")]
     fn overflow_guard_trips() {
         let books = books_from(&[vec![1, 1, 1, 1]]);
-        let mut acc = MultiEncodedLen::new(&books);
         let too_many = vec![0u16; MAX_SYMBOLS_PER_SUM + 1];
-        acc.push_slice(&too_many);
+        MultiLenTable::new(&books).best(&too_many);
     }
 
     proptest! {
@@ -450,23 +249,16 @@ mod tests {
             ),
             syms in prop::collection::vec(0u16..16, 0..300),
         ) {
+            // The oracle: one `encoded_len` sweep per book, and the
+            // sequential `min_by_key` choice over them.
             let books = books_from(&freq_sets);
-            let totals = encoded_len_multi(&books, &syms);
             let expect: Vec<usize> = books.iter().map(|b| b.encoded_len(&syms)).collect();
-            prop_assert_eq!(&totals, &expect);
-
-            // Selection agrees with the sequential min_by_key idiom, via
-            // both the streaming accumulator and the shared table.
-            let mut acc = MultiEncodedLen::new(&books);
-            acc.push_slice(&syms);
             let seq_best = expect
                 .iter()
                 .enumerate()
                 .map(|(i, &l)| (i, l))
                 .min_by_key(|&(_, l)| l)
                 .unwrap();
-            prop_assert_eq!(acc.best(), seq_best);
-
             let table = MultiLenTable::new(&books);
             prop_assert_eq!(table.totals(&syms), expect);
             prop_assert_eq!(table.best(&syms), seq_best);

@@ -4,20 +4,25 @@
 //! sorted values/indices for outlier padding, and the group min/max.
 //! Stage 2: the pattern selector scores all 16 shared patterns with the
 //! 2-comparison min/max fitness. Stage 3: four Huffman encoders encode
-//! the group in parallel, the shortest stream wins, and the result is
-//! concatenated with the outliers and clipped to 512 bits.
+//! the group in parallel and the shortest stream wins.
 //!
-//! The model is proven equivalent to the reference codec
+//! The model owns only that selection. Concatenating the header, the
+//! (clipped) stream and the outliers into a block is the format's one
+//! block writer, [`ecco_core::write_block`], shared with the codec. The
+//! model is proven equivalent to the reference codec
 //! ([`ecco_core::encode_group`] under the min/max selector), which is the
 //! property that lets the paper's area/latency numbers stand in for the
 //! software codec's behaviour.
 
-use ecco_bits::{BitWriter, Block64, BLOCK_BITS};
-use ecco_core::block::{EncodedGroupInfo, OUTLIER_BITS};
-use ecco_core::{normalize_group, TensorMetadata, SCALE_SYMBOL};
-use ecco_numerics::F8E4M3;
+use ecco_bits::Block64;
+use ecco_core::{normalize_group, write_block, EncodedGroupInfo, TensorMetadata, SCALE_SYMBOL};
 
 use crate::bitonic::BitonicSorter;
+
+/// Outlier candidates the sorter hands to the block writer. A block
+/// never has room for more: its leftover space is at most
+/// `512 − 8 (SF) − 128 × 2 (shortest codes) = 248` bits, 16 slots.
+const PAD_CANDIDATES: usize = 16;
 
 /// Per-stage activity of one group compression (pipeline accounting).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,63 +108,17 @@ impl<'a> HwCompressor<'a> {
 
         // Stage 3: four parallel encoders; shortest total length wins.
         let books = &self.meta.books[kp];
-        let (book_id, data_len) = books
+        let (book_id, _) = books
             .iter()
             .enumerate()
             .map(|(i, b)| (i, b.encoded_len(&symbols)))
             .min_by_key(|&(_, len)| len)
             .expect("H >= 1");
-        let book = &books[book_id];
 
-        // Concatenated result: header, data (clipped), outliers.
-        let mut w = BitWriter::with_capacity(BLOCK_BITS);
-        if self.meta.id_hf_bits > 0 {
-            w.write_bits(book_id as u64, self.meta.id_hf_bits);
-        }
-        w.write_bits(ng.sf_bits as u64, 8);
-        self.meta.pattern_code.encode_symbol(&mut w, kp as u16);
-        let header_bits = w.bit_len();
-        let budget = BLOCK_BITS - header_bits;
-
-        let mut info = EncodedGroupInfo {
-            pattern_id: kp,
-            book_id,
-            header_bits,
-            ..EncodedGroupInfo::default()
-        };
-
-        if data_len <= budget {
-            for &s in &symbols {
-                book.encode_symbol(&mut w, s);
-            }
-            info.data_bits = data_len;
-            let n_out = (budget - data_len) / OUTLIER_BITS;
-            for &(pos, val) in sorted.top_outliers(n_out) {
-                let f8 = F8E4M3::from_f32(self.meta.tensor_scale.compress(val));
-                w.write_bits(pos as u64, 7);
-                w.write_bits(f8.to_bits() as u64, 8);
-                info.padded_outliers += 1;
-            }
-        } else {
-            let mut full = 0usize;
-            for &s in &symbols {
-                let len = book.code_len(s) as usize;
-                let room = BLOCK_BITS - w.bit_len();
-                if len <= room {
-                    book.encode_symbol(&mut w, s);
-                    full += 1;
-                } else {
-                    if room > 0 {
-                        w.write_bits((book.code(s) as u64) >> (len - room), room as u32);
-                    }
-                    break;
-                }
-            }
-            info.data_bits = BLOCK_BITS - header_bits;
-            info.clipped_symbols = self.meta.group_size - full;
-        }
-
-        let block = Block64::from_writer(w).expect("pipeline never exceeds 512 bits");
+        // Concatenation: the shared writer clips the stream at bit 512 or
+        // pads it with the sorter's top outliers.
+        let outliers = sorted.top_outliers(PAD_CANDIDATES).iter().copied();
+        let (block, info) = write_block(self.meta, kp, book_id, ng.sf_bits, &symbols, outliers);
         let trace = CompressorTrace {
             sorter_stages: sorted.stages,
             patterns_scored: self.meta.patterns.len(),
@@ -173,7 +132,9 @@ impl<'a> HwCompressor<'a> {
 mod tests {
     use super::*;
     use ecco_core::{encode_group, EccoConfig, PatternSelector};
+    use ecco_entropy::Codebook;
     use ecco_tensor::{synth::SynthSpec, Tensor, TensorKind};
+    use proptest::prelude::*;
 
     fn meta_for(t: &Tensor) -> TensorMetadata {
         let cfg = EccoConfig {
@@ -185,18 +146,39 @@ mod tests {
         TensorMetadata::calibrate(&[t], &cfg, PatternSelector::MinMax)
     }
 
-    #[test]
-    fn equivalent_to_reference_codec() {
-        let t = SynthSpec::for_kind(TensorKind::KCache, 16, 512)
-            .seeded(111)
-            .generate();
-        let meta = meta_for(&t);
-        let hw = HwCompressor::new(&meta);
-        for g in t.groups(128) {
-            let (ref_block, ref_info) = encode_group(g, &meta, PatternSelector::MinMax);
-            let (hw_block, hw_info, _) = hw.compress_group(g);
-            assert_eq!(ref_info, hw_info);
-            assert_eq!(ref_block.as_bytes(), hw_block.as_bytes());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// The pipeline's blocks and reports equal the reference codec's
+        /// (`encode_group` under the min/max selector) on K- and V-cache
+        /// tensors, once under the calibrated books and once under
+        /// uniform 4-bit books that overflow every block: both branches
+        /// of the shared writer, fed by the model's own sorter, selector
+        /// and encoders.
+        #[test]
+        fn hw_blocks_match_reference_codec_padded_and_clipped(seed in 0u64..500) {
+            let uniform = Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
+            let (mut clipped, mut padded) = (0usize, 0usize);
+            for kind in [TensorKind::KCache, TensorKind::VCache] {
+                let t = SynthSpec::for_kind(kind, 8, 512).seeded(seed).generate();
+                let meta = meta_for(&t);
+                let mut uniform_meta = meta.clone();
+                for row in &mut uniform_meta.books {
+                    row.fill(uniform.clone());
+                }
+                uniform_meta.rebuild_tables();
+                for m in [&meta, &uniform_meta] {
+                    let hw = HwCompressor::new(m);
+                    for g in t.groups(128) {
+                        let (want, want_info) = encode_group(g, m, PatternSelector::MinMax);
+                        let (got, info, _) = hw.compress_group(g);
+                        prop_assert_eq!(info, want_info);
+                        prop_assert_eq!(got.as_bytes(), want.as_bytes());
+                        clipped += usize::from(info.clipped_symbols > 0);
+                        padded += usize::from(info.padded_outliers > 0);
+                    }
+                }
+            }
+            prop_assert!(clipped > 0 && padded > 0, "clipped {} padded {}", clipped, padded);
         }
     }
 

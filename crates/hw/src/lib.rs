@@ -10,11 +10,18 @@
 //!   Huffman decoder with its 6-stage concatenation tree, proven
 //!   equivalent to sequential decoding (property-tested),
 //! * [`compressor`] — the hardware compression pipeline (min/max pattern
-//!   selector over 16 patterns, 4 parallel Huffman encoders, clip),
-//!   proven equivalent to the reference codec,
+//!   selector over 16 patterns, 4 parallel Huffman encoders), proven
+//!   equivalent to the reference codec on padded and clipped blocks,
 //! * [`pipeline`] — stage/latency accounting (28-cycle decompression,
 //!   62-cycle compression, 20 replicas matching 5120 B/clk L2 peak),
 //! * [`area`] — the gate-count area/power model behind Table 3.
+//!
+//! The models supply only what the silicon decides: the compressor its
+//! selection (pattern, codebook, symbols, ranked outliers) and the
+//! decoder its symbol walk. The 64-byte block layout itself is written
+//! and read by the codec's one block writer and one block reader
+//! ([`ecco_core::write_block`], [`ecco_core::read_block`]), so a model
+//! cannot drift from the format.
 //!
 //! # Examples
 //!

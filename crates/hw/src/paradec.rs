@@ -40,13 +40,17 @@
 //!
 //! The returned [`DecodeStats`] still report the modeled hardware cost
 //! (`segments × 8` sub-decoder ops and the tree's merge stages).
+//!
+//! The model owns only that walk. Header parsing, the value table, the
+//! clipped-tail fill and the padded outliers of a full block are the
+//! format's one block reader, [`ecco_core::read_block`], which
+//! [`decode_block_parallel_into`] shares with the codec.
 
 use ecco_bits::{Block64, BlockCursor, BLOCK_BITS};
 use ecco_core::block::DecodeError;
-use ecco_core::{BlockValueTable, TensorMetadata};
+use ecco_core::{read_block, BlockValueTable, TensorMetadata};
 use ecco_entropy::lut::{ChainEntry, SegmentLut, MAX_CHAIN, WINDOW_BITS as LUT_WINDOW_BITS};
 use ecco_entropy::Codebook;
-use ecco_numerics::F8E4M3;
 
 /// Bits per decoder segment.
 pub const SEGMENT_BITS: usize = 8;
@@ -179,8 +183,8 @@ impl<'a> ParallelDecoder<'a> {
     /// # Panics
     ///
     /// Panics if `start_bit` is outside the block, or if a decoded
-    /// symbol exceeds the table (impossible for a book that passed
-    /// [`ecco_core::validate_data_book`]).
+    /// symbol exceeds the table (impossible for a book
+    /// [`ecco_core::read_block`] accepts).
     pub fn decode_values_into(
         &self,
         block: &Block64,
@@ -251,11 +255,10 @@ fn ceil_log2(n: usize) -> usize {
     }
 }
 
-/// Full block decompression through the parallel decoder: header parse,
-/// parallel decode-to-values walk, clipped-tail fill and outlier
-/// application — the functional twin of [`ecco_core::decode_group`],
-/// returning the modeled hardware cost alongside the values. Thin
-/// wrapper over [`decode_block_parallel_into`].
+/// Full block decompression through the parallel decoder — the
+/// functional twin of [`ecco_core::decode_group`], returning the modeled
+/// hardware cost alongside the values. Thin wrapper over
+/// [`decode_block_parallel_into`].
 ///
 /// # Errors
 ///
@@ -269,12 +272,13 @@ pub fn decode_block_parallel(
     Ok((values, stats))
 }
 
-/// Full-block decompression: header parse, then one decode-to-values
-/// walk ([`ParallelDecoder::decode_values_into`]) **appending**
-/// `meta.group_size` reconstructed values to `values`. On error nothing
-/// is appended. Bit-identical to [`ecco_core::decode_group_into`] on
-/// every input, errors included (held differentially by
-/// `tests/fuzz_ingest.rs` on both dispatch arms).
+/// Full-block decompression: the format's one block reader
+/// ([`ecco_core::read_block`], shared with the codec) with the 64×8 walk
+/// ([`ParallelDecoder::decode_values_into`]) as its symbol walk,
+/// **appending** `meta.group_size` reconstructed values to `values`. On
+/// error nothing is appended. Bit-identical to
+/// [`ecco_core::decode_group_into`] on every input, errors included (held
+/// differentially by `tests/fuzz_ingest.rs` on both dispatch arms).
 ///
 /// # Errors
 ///
@@ -284,41 +288,16 @@ pub fn decode_block_parallel_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodeStats, DecodeError> {
-    let header = ecco_core::block::parse_block_header(block, meta)?;
-    let sf = F8E4M3::from_bits(header.sf_bits);
-    let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-
-    // Same revival predicate as the sequential decoder: a corrupt revived
-    // book surfaces a typed error here instead of panicking in the
-    // SegmentLut build (lengths outside 2..=8) or indexing past the
-    // centroid table (alphabet wider than the symbol space).
-    let book = &meta.books[header.kp][header.book_id];
-    ecco_core::validate_data_book(book)?;
-    let table = BlockValueTable::new(&meta.patterns[header.kp], scale_signed);
-    let decoder = ParallelDecoder::new(book);
-
-    let base = values.len();
-    let stats =
-        decoder.decode_values_into(block, header.data_start, meta.group_size, &table, values);
-    let decoded = values.len() - base;
-
-    // Clipped tail: the reconstructed zero centroid (data mapper's 128
-    // parallel lanes in hardware, here one table gather per value).
-    values.resize(base + meta.group_size, table.tail_fill());
-
-    if decoded == meta.group_size {
-        let n_out = (BLOCK_BITS - stats.end_bit) / 15;
-        let mut or = block.reader();
-        or.seek(stats.end_bit);
-        for _ in 0..n_out {
-            let pos = or.read_bits(7).expect("outlier fits") as usize;
-            let f8 = F8E4M3::from_bits(or.read_bits(8).expect("outlier fits") as u8);
-            if pos < meta.group_size && !f8.is_nan() {
-                values[base + pos] =
-                    ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));
-            }
-        }
-    }
+    let (_, stats) = read_block(block, meta, values, |book, data_start, table, values| {
+        let stats = ParallelDecoder::new(book).decode_values_into(
+            block,
+            data_start,
+            meta.group_size,
+            table,
+            values,
+        );
+        (stats.end_bit, stats)
+    })?;
     Ok(stats)
 }
 

@@ -62,7 +62,7 @@ fn main() {
     let codec = WeightCodec::calibrate(&[&t], &cfg);
 
     let t0 = std::time::Instant::now();
-    let (ct, stats) = codec.compress(&t);
+    let (ct, _) = codec.compress(&t);
     let enc = t0.elapsed();
     let meta = codec.metadata().with_scale(ct.tensor_scale());
     let t0 = std::time::Instant::now();
@@ -71,7 +71,8 @@ fn main() {
         ecco::codec::RecoveryPolicy::FailTensor,
     );
     let dec = t0.elapsed();
-    assert_eq!(decoded[0].values().expect("valid blocks").len(), t.len());
+    let values = decoded[0].values().expect("valid blocks").to_vec();
+    let restored = Tensor::from_vec(t.rows(), t.cols(), values);
 
     let syms = t.len() as f64;
     println!(
@@ -81,6 +82,6 @@ fn main() {
         ct.blocks().len(),
         syms / enc.as_secs_f64() / 1e6,
         syms / dec.as_secs_f64() / 1e6,
-        stats.nmse(),
+        ecco::tensor::stats::nmse(&t, &restored),
     );
 }

@@ -29,9 +29,11 @@
 //! let weights = SynthSpec::for_kind(TensorKind::Weight, 64, 256).generate();
 //! let codec = WeightCodec::calibrate(&[&weights], &EccoConfig::default());
 //! let (compressed, stats) = codec.compress(&weights);
+//! let restored = codec.decompress(&compressed);
 //!
 //! assert_eq!(compressed.ratio_vs_fp16(), 4.0);
-//! assert!(stats.nmse() < 0.02);
+//! assert!(stats.clip_ratio() < 0.05);
+//! assert!(ecco::tensor::stats::nmse(&weights, &restored) < 0.02);
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `crates/bench/benches/` for

@@ -368,6 +368,14 @@ fn decompress_batch_locates_malformed_tensors_instead_of_panicking() {
     let weight = WeightCodec::calibrate(&[&w], &cfg);
     let kv_codec = KvCodec::calibrate(&[&kv], &cfg);
     let (wct, kct) = (weight.compress(&w).0, kv_codec.compress(&kv).0);
+    // The same values cut into 64-value groups, by metadata declaring
+    // that group size: a tensor whose group size disagrees with both
+    // codecs'. (A wire frame declaring 64 never gets this far: ingest
+    // refuses every group size but the format's 128.)
+    let mut meta64 = weight.metadata().clone();
+    meta64.group_size = 64;
+    let regrouped = WeightCodec::from_metadata(meta64).compress(&w).0;
+    assert_eq!(regrouped.group_size(), 64);
     type BatchFn<'a> = &'a dyn Fn(&[&CompressedTensor]) -> Vec<Result<Tensor, DecodeError>>;
     let arms: [(&CompressedTensor, Tensor, BatchFn); 2] = [
         (&wct, weight.decompress(&wct), &|cts| {
@@ -381,12 +389,13 @@ fn decompress_batch_locates_malformed_tensors_instead_of_panicking() {
         let n = ct.blocks().len();
         let short = ct.with_blocks(ct.blocks()[..n - 1].to_vec());
         let long = ct.with_blocks([ct.blocks(), &ct.blocks()[..1]].concat());
-        // The same values cut into 64-value groups: a well-formed frame
-        // whose group size disagrees with the codec's.
         let mut frame = encode_tensor(&ct.with_blocks([ct.blocks(), ct.blocks()].concat()));
         frame[14..18].copy_from_slice(&64u32.to_le_bytes());
-        let regrouped = decode_tensor(&frame).expect("a consistent 64-value frame");
-        assert_eq!(regrouped.group_size(), 64);
+        assert_eq!(
+            decode_tensor(&frame).unwrap_err().kind,
+            DecodeErrorKind::CorruptMetadata,
+            "a frame declaring 64-value groups"
+        );
 
         let out = decompress_batch(&[&short, &long, &regrouped, ct]);
         let located: Vec<_> = out[..3]

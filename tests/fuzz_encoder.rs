@@ -227,8 +227,8 @@ fn poisoned_calibration_still_encodes_clean_tensors() {
         .seeded(0xE4C0)
         .generate();
     let codec = WeightCodec::calibrate(&[&poison], &small_cfg());
-    let (ct, stats) = codec.compress(&clean);
-    assert!(stats.nmse().is_finite());
+    let (ct, _) = codec.compress(&clean);
     let decoded = codec.decompress(&ct);
     assert!(decoded.data().iter().all(|v| v.is_finite()));
+    assert!(ecco::tensor::stats::nmse(&clean, &decoded).is_finite());
 }

@@ -13,6 +13,7 @@ use ecco::codec::block::DecodeErrorKind;
 use ecco::codec::{BatchOutcome, RecoveryPolicy};
 use ecco::pool::{threads_from_env, with_pool, Pool, PoolBuilder};
 use ecco::prelude::*;
+use ecco::tensor::stats::nmse;
 
 fn small_tensors(n: usize, kind: TensorKind, seed: u64) -> Vec<Tensor> {
     (0..n)
@@ -127,9 +128,10 @@ fn concurrent_batches_share_one_pool_with_failures_isolated() {
                         // round-trip, then a failure-injected decode batch.
                         let refs: Vec<&Tensor> = tensors.iter().collect();
                         let batch = codec.compress_batch(&refs);
-                        for (t, (ct, stats)) in tensors.iter().zip(&batch) {
+                        for (t, (ct, _)) in tensors.iter().zip(&batch) {
                             assert_eq!(ct.blocks().len(), t.len() / 128);
-                            assert!(stats.nmse() < 0.05, "w{worker} r{round}");
+                            let e = nmse(t, &codec.decompress(ct));
+                            assert!(e < 0.05, "w{worker} r{round}: NMSE {e}");
                         }
 
                         let wt = SynthSpec::for_kind(TensorKind::Weight, 2, 512)
