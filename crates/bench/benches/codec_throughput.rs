@@ -14,13 +14,9 @@
 //!   (`WeightCodec::decompress_batch_report`) and the hardware model's
 //!   `decode_tensors_batch_report`,
 //!
-//! plus a `window_extract` section isolating the hardware model's 64×8
-//! window front end on weight and K-cache blocks: 512 scalar
-//! `BlockCursor::window` probes per block vs the block-at-a-time
-//! `windows_all` fill on the portable tier and on the host SIMD tier
-//! (`null` when unsupported), a `decode_to_values` section timing the
-//! hardware model's decode-to-values walk (`decode_block_parallel_into`)
-//! on weight and K-cache blocks, a `pool_spawn` section
+//! plus a `decode_to_values` section timing the hardware model's
+//! decode-to-values walk (`decode_block_parallel_into`) on weight and
+//! K-cache blocks, a `pool_spawn` section
 //! measuring spawn amortization on small tensors (per-call scoped-thread
 //! sharding — the pre-pool scheduler, reimplemented as the baseline —
 //! vs the persistent pool's fast path and its forced queue dispatch),
@@ -43,9 +39,7 @@
 //!   pinned sequential reference `calibrate_weighted_seq`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ecco_bits::{
-    set_window_dispatch, window_dispatch, Block64, BlockCursor, WindowDispatch, WINDOW_SEGMENTS,
-};
+use ecco_bits::Block64;
 use ecco_core::parallel::encode_groups_parallel_unchecked;
 use ecco_core::{
     decode_group, encode_group, encode_group_scratch, normalize_group, select_pattern_ref,
@@ -106,7 +100,7 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // K-cache blocks for the window_extract section (different bit
+    // K-cache blocks for the decode_to_values section (different bit
     // statistics than weight blocks: shorter codes, denser outliers).
     let kt = SynthSpec::for_kind(TensorKind::KCache, 16, 1024)
         .seeded(2)
@@ -119,86 +113,6 @@ fn bench(c: &mut Criterion) {
 
     write_bench_json(&t, &meta, &blocks, &kmeta, &kc_blocks);
     write_encode_json(&t, &meta, &cfg);
-}
-
-/// Extraction-only timings of the 64×8 window front end over one block
-/// set: mean ns for the per-probe scalar baseline and the block-at-a-time
-/// fill on the portable tier and the host SIMD tier (`None` where
-/// unsupported). Each run extracts every window of every block at the
-/// decoder's 15-bit width.
-///
-/// The scalar loop `black_box`es each window, while the block fills
-/// `black_box` each whole 64×8 matrix (their consumer, the EOP walk,
-/// takes it as one unit). Without that boundary the compiler happily
-/// fuses the "independent" scalar probes into SIMD itself and the
-/// comparison measures nothing. Each arm takes the best of three timed
-/// runs to shave scheduler noise.
-fn window_extract_ns(blocks: &[Block64]) -> (f64, f64, Option<f64>) {
-    let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-    let cursors: Vec<BlockCursor> = blocks.iter().map(Block64::cursor).collect();
-    let per_probe = best_of(&mut || {
-        time_ns(|| {
-            let mut acc = 0u64;
-            for cur in &cursors {
-                for seg in 0..WINDOW_SEGMENTS {
-                    for off in 0..8 {
-                        acc ^= black_box(cur.window(seg * 8 + off, 15));
-                    }
-                }
-            }
-            black_box(acc);
-        })
-    });
-    let mut rows = [[0u64; 8]; WINDOW_SEGMENTS];
-    let block_portable = best_of(&mut || {
-        time_ns(|| {
-            for cur in &cursors {
-                cur.windows_all_portable(15, &mut rows);
-                black_box(&rows);
-            }
-        })
-    });
-    // Time the SIMD tier through the dispatched hot path (`windows_all`
-    // with the tier pinned) — what the decoder actually runs — rather
-    // than the re-detecting probe. `set_window_dispatch` clamps to
-    // supported tiers, so on a SIMD-less host the pin does not stick and
-    // the arm reports `null`.
-    let host_tier = window_dispatch();
-    let simd_tier = [WindowDispatch::Avx2, WindowDispatch::Neon]
-        .into_iter()
-        .find(|&t| set_window_dispatch(t) == t);
-    let block_simd = simd_tier.map(|_| {
-        best_of(&mut || {
-            time_ns(|| {
-                for cur in &cursors {
-                    cur.windows_all(15, &mut rows);
-                    black_box(&rows);
-                }
-            })
-        })
-    });
-    set_window_dispatch(host_tier);
-    (per_probe, block_portable, block_simd)
-}
-
-/// One `window_extract` JSON object for a block set (throughputs in
-/// windows/s; SIMD entries are `null` when the host has no SIMD tier).
-fn window_extract_section(blocks: &[Block64]) -> String {
-    let windows = (blocks.len() * WINDOW_SEGMENTS * 8) as f64;
-    let (probe_ns, block_portable_ns, block_simd_ns) = window_extract_ns(blocks);
-    let per_s = |ns: f64| windows / ns * 1e9;
-    format!(
-        "{{\n      \
-           \"per_probe_scalar_windows_per_s\": {probe:.0},\n      \
-           \"block_portable_windows_per_s\": {block_portable:.0},\n      \
-           \"simd_block_windows_per_s\": {block_simd},\n      \
-           \"simd_block_vs_per_probe_speedup\": {block_speedup}\n    }}",
-        probe = per_s(probe_ns),
-        block_portable = per_s(block_portable_ns),
-        block_simd = block_simd_ns.map_or("null".to_string(), |ns| format!("{:.0}", per_s(ns))),
-        block_speedup =
-            block_simd_ns.map_or("null".to_string(), |ns| format!("{:.2}", probe_ns / ns)),
-    )
 }
 
 /// One `decode_to_values` JSON object for a block set: the hardware
@@ -521,11 +435,6 @@ fn write_bench_json(
     let (spawn_ns, pooled_ns, dispatch_ns, batch_ns) = pool_timings(meta, &small, POOL_THREADS);
     let tensors_per_s = |ns: f64| SMALL_TENSORS as f64 / ns * 1e9;
 
-    let dispatch = match window_dispatch() {
-        WindowDispatch::Portable => "portable",
-        WindowDispatch::Avx2 => "avx2",
-        WindowDispatch::Neon => "neon",
-    };
     let per_s = |ns: f64| symbols / ns * 1e9;
     let json = format!(
         "{{\n  \
@@ -535,11 +444,6 @@ fn write_bench_json(
          \"threads\": {threads},\n  \
          \"raw_decode\": {{\n    \
            \"lut_syms_per_s\": {lut:.0}\n  }},\n  \
-         \"window_extract\": {{\n    \
-           \"dispatch\": \"{dispatch}\",\n    \
-           \"window_bits\": 15,\n    \
-           \"weight\": {wsec},\n    \
-           \"kcache\": {ksec}\n  }},\n  \
          \"decode_to_values\": {{\n    \
            \"weight\": {wdtv},\n    \
            \"kcache\": {kdtv}\n  }},\n  \
@@ -569,8 +473,6 @@ fn write_bench_json(
         csec = container_load_section(),
         threads = ecco_core::pool::Pool::current().executors(),
         lut = per_s(lut_ns),
-        wsec = window_extract_section(blocks),
-        ksec = window_extract_section(kc_blocks),
         wdtv = decode_to_values_section(blocks, meta),
         kdtv = decode_to_values_section(kc_blocks, kmeta),
         seq = per_s(seq_ns),

@@ -134,10 +134,9 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
 }
 
 /// Read-only memory mapping over the C `mmap`/`munmap` the Rust standard
-/// library already links on unix — no external crate, mirroring how
-/// `ecco-bits` confines its SIMD intrinsics: this module is the only
-/// `unsafe` in the crate, and the crate stays `deny(unsafe_code)` outside
-/// it.
+/// library already links on unix — no external crate. This module is the
+/// only `unsafe` in the crate, and the crate stays `deny(unsafe_code)`
+/// outside it.
 #[cfg(all(unix, target_pointer_width = "64"))]
 pub mod mmap {
     #![allow(unsafe_code)]

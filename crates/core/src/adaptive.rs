@@ -12,7 +12,6 @@
 use ecco_bits::Block64;
 use ecco_numerics::Po2Scale;
 use ecco_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::block::{decode_group, encode_group};
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -74,7 +73,7 @@ pub struct AdaptiveStats {
 }
 
 /// Per-group error tolerance policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptivePolicy {
     /// Maximum per-group relative squared error (`Σerr²/Σref²`) tolerated
     /// before falling back to raw storage.

@@ -12,7 +12,6 @@
 //!   synthetic KV tensors of the same distribution family).
 
 use ecco_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::block::DecodeError;
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -41,7 +40,7 @@ pub const KV_PATTERNS: usize = 16;
 /// let restored = codec.decompress(&ct);
 /// assert!(ecco_tensor::stats::nmse(&kv, &restored) < 0.05);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KvCodec {
     meta: TensorMetadata,
 }

@@ -102,10 +102,8 @@ pub use pool::{quick_from_env, with_pool, Pool, PoolBuilder};
 pub use select::{select_pattern_ref, GroupScratch};
 pub use weight::{CompressedTensor, WeightCodec};
 
-use serde::{Deserialize, Serialize};
-
 /// Top-level codec configuration (the paper's `S`, `H` and group size).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EccoConfig {
     /// Number of shared k-means patterns `S` (paper default 64; the KV
     /// hardware path reduces this to 16).

@@ -7,7 +7,6 @@ use ecco_entropy::MultiLenTable;
 use ecco_kmeans::{fit_scalar_batch, fit_vectors, KmeansConfig, ScalarJob};
 use ecco_numerics::{Po2Scale, F8E4M3};
 use ecco_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::group::{normalize_group, NormalizedGroup};
 use crate::pattern::{
@@ -17,7 +16,7 @@ use crate::select::{self, GroupScratch};
 use crate::EccoConfig;
 
 /// How a group picks its shared k-means pattern.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PatternSelector {
     /// Try every pattern, keep the one with minimum squared error — the
     /// offline weight path (paper step 5).
@@ -30,7 +29,7 @@ pub enum PatternSelector {
 
 /// Everything the decompressor preloads before touching blocks: shared
 /// patterns, Huffman codebooks, the pattern-id code and the tensor scale.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TensorMetadata {
     /// Per-tensor FP16→FP8 power-of-two scale.
     pub tensor_scale: Po2Scale,
@@ -47,20 +46,19 @@ pub struct TensorMetadata {
     /// Lazily-built packed length tables, one per pattern, for the
     /// encoder's single-pass codebook selection; shared (via `Arc`) by
     /// clones made after first use. Not serialized — the outer `OnceLock`
-    /// re-sizes the slot array from `books` on first access, so
-    /// deserialized metadata self-heals without a rebuild; replacing
+    /// re-sizes the slot array from `books` on first access, so metadata
+    /// revived by `wire` ingest self-heals without a rebuild; replacing
     /// `books` by field access requires
     /// [`TensorMetadata::rebuild_tables`] to stay coherent (it also
     /// restores the codebook decode LUTs, which do need it).
-    #[serde(skip)]
     len_tables: OnceLock<Vec<OnceLock<Arc<MultiLenTable>>>>,
     /// Lazily-built per-pattern decision boundaries (the 14 centroid
     /// midpoints) for the encoder's fused selection sweep; shared (via
     /// `Arc`) by clones made after first use. Not serialized — derived
-    /// from `patterns` on first access, so deserialized metadata works
-    /// without a rebuild; replacing `patterns` by field access requires
-    /// [`TensorMetadata::rebuild_tables`] to stay coherent.
-    #[serde(skip)]
+    /// from `patterns` on first access, so metadata revived by `wire`
+    /// ingest works without a rebuild; replacing `patterns` by field
+    /// access requires [`TensorMetadata::rebuild_tables`] to stay
+    /// coherent.
     bounds: OnceLock<Arc<Vec<PatternBoundaries>>>,
 }
 
@@ -276,8 +274,8 @@ impl TensorMetadata {
         }
     }
 
-    /// Restores the non-serialized encode/decode tables after
-    /// deserialization (or after replacing `books` in place).
+    /// Restores the non-serialized encode/decode tables after `wire`
+    /// ingest (or after replacing `books` in place).
     pub fn rebuild_tables(&mut self) {
         for row in &mut self.books {
             for b in row {
@@ -665,7 +663,7 @@ mod tests {
         // Regression for the decode-side self-heal: rebuild_tables leaves
         // every derived cache — the per-pattern length tables, the
         // boundary tables, AND each codebook's decode LUT + SegmentLut —
-        // in the exact empty state deserialization produces. A block
+        // in the exact empty state `wire` ingest produces. A block
         // must decode correctly (and identically) straight from that
         // state, with no warm-up call.
         let t = weight_tensor(10);

@@ -544,7 +544,6 @@ mod tests {
     use crate::block::{decode_group, encode_group};
     use crate::pool::{with_pool, PoolBuilder};
     use crate::{EccoConfig, KvCodec, WeightCodec};
-    use ecco_bits::WindowDispatch;
     use ecco_tensor::{synth::SynthSpec, TensorKind};
     use proptest::prelude::*;
 
@@ -602,7 +601,7 @@ mod tests {
     /// One oracle per wrapper, for one codec and tensor: `compress` ==
     /// `compress_batch(&[t])[0]` (blocks and stats), and `decompress`,
     /// `decompress_batch` and both report policies are bit-identical.
-    /// Returns what the caller compares across pools and arms.
+    /// Returns what the caller compares across pools.
     macro_rules! assert_wrappers_agree {
         ($codec:expr, $t:expr) => {{
             let (codec, t) = (&$codec, &$t);
@@ -639,26 +638,21 @@ mod tests {
         let aware = WeightCodec::calibrate_aware(&[&w], &mags, &cfg());
         let kv_codec = KvCodec::calibrate(&[&kv], &cfg());
 
-        let host_tier = ecco_bits::window_dispatch();
         let mut runs = Vec::new();
         for threads in [1usize, 4] {
             // A pinned chunk splits every tensor across claims.
             let pool = PoolBuilder::new().threads(threads).chunk(5).build();
-            for tier in [host_tier, WindowDispatch::Portable] {
-                ecco_bits::set_window_dispatch(tier);
-                runs.push(with_pool(&pool, || {
-                    [
-                        assert_wrappers_agree!(weight, w),
-                        assert_wrappers_agree!(aware, w),
-                        assert_wrappers_agree!(kv_codec, kv),
-                    ]
-                }));
-                ecco_bits::set_window_dispatch(host_tier);
-            }
+            runs.push(with_pool(&pool, || {
+                [
+                    assert_wrappers_agree!(weight, w),
+                    assert_wrappers_agree!(aware, w),
+                    assert_wrappers_agree!(kv_codec, kv),
+                ]
+            }));
         }
         assert!(
             runs.windows(2).all(|r| r[0] == r[1]),
-            "pool size or dispatch arm changed a bit"
+            "pool size changed a bit"
         );
 
         // And the engine equals the per-group loops it replaced (the

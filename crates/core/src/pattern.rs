@@ -4,7 +4,6 @@ use ecco_kmeans::{
     fill_midpoints, fit_scalar, fit_vectors, nearest_by_midpoints, nearest_sorted, KmeansConfig,
     ScalarFit,
 };
-use serde::{Deserialize, Serialize};
 
 /// Centroids per pattern: 15 (symbol 15 is reserved for the group absmax).
 pub const NUM_CENTROIDS: usize = 15;
@@ -26,7 +25,7 @@ pub const SCALE_SYMBOL: u16 = 15;
 /// let sym = p.nearest(0.09);
 /// assert!((p.centroids()[sym as usize] - 0.1).abs() < 0.2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KmeansPattern {
     centroids: [f32; NUM_CENTROIDS],
 }

@@ -2,7 +2,6 @@
 
 use ecco_bits::Block64;
 use ecco_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::block::DecodeError;
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -109,7 +108,7 @@ impl CompressedTensor {
 /// let restored = codec.decompress(&ct);
 /// assert!(ecco_tensor::stats::nmse(&t, &restored) < 0.01);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WeightCodec {
     meta: TensorMetadata,
     /// Per-column mean |activation| used for activation-aware pattern

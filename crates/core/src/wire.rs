@@ -1,9 +1,9 @@
 //! Length-prefixed little-endian snapshots of [`TensorMetadata`] and
 //! [`CompressedTensor`] — the codec's untrusted-ingest boundary.
 //!
-//! The vendored `serde` is a marker-trait stub, so this module is the
-//! repository's real (de)serialization layer: a small explicit wire format
-//! whose decoder never panics and maps every malformation onto the located
+//! This module is the codec's one (de)serialization layer, and the ECCF
+//! container stores its snapshots: a small explicit wire format whose
+//! decoder never panics and maps every malformation onto the located
 //! [`DecodeError`] taxonomy (see [`crate::block`]):
 //!
 //! * [`DecodeErrorKind::TruncatedStream`] — the buffer ends before a

@@ -11,7 +11,6 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use ecco_bits::{BitReader, BitWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::lut::SegmentLut;
 
@@ -151,7 +150,7 @@ fn build_decode_lut(lengths: &[u8], codes: &[u16], max_len: u8) -> Vec<(u16, u8)
 /// assert!(book.code_len(0) <= book.code_len(3));
 /// assert!(book.kraft_sum() <= 1.0 + 1e-12);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Codebook {
     lengths: Vec<u8>,
     codes: Vec<u16>,
@@ -159,14 +158,13 @@ pub struct Codebook {
     /// Lookup table indexed by a `max_len`-bit window: `(symbol, length)`,
     /// with length 0 marking an invalid prefix, plus the memoized verdict
     /// of the heal. Built eagerly by the constructors, but held in a
-    /// `OnceLock` so a freshly deserialized book (skipped fields default
-    /// to empty) self-heals it on first decode instead of indexing an
-    /// empty table.
-    #[serde(skip)]
+    /// `OnceLock` so a book revived from wire bytes
+    /// ([`Codebook::from_serialized_parts`], or after
+    /// [`Codebook::rebuild_tables`]) self-heals it on first decode instead
+    /// of indexing an empty table.
     lut: OnceLock<DecodeTable>,
     /// Lazily-built parallel-decoder chain table (256 KiB), shared across
     /// clones of this book via the `Arc`. See [`Codebook::segment_lut`].
-    #[serde(skip)]
     seg_lut: OnceLock<Arc<SegmentLut>>,
 }
 
@@ -267,9 +265,9 @@ impl Codebook {
         })
     }
 
-    /// Reconstructs a codebook from its three serialized fields exactly as
-    /// deserialization does: nothing is validated up front, the derived
-    /// decode tables start empty and self-heal (or refuse, see
+    /// Reconstructs a codebook from its three serialized fields, the path
+    /// `ecco_core::wire` ingest takes: nothing is validated up front, the
+    /// derived decode tables start empty and self-heal (or refuse, see
     /// [`Codebook::revival_coherent`]) on first use.
     ///
     /// This is the revival entry point for wire formats and fuzz harnesses
@@ -285,7 +283,7 @@ impl Codebook {
     }
 
     /// Clears the derived decode tables (they are not serialized),
-    /// leaving the book in the same state deserialization produces; both
+    /// leaving the book in the same state wire ingest produces; both
     /// tables rebuild themselves on first use, so calling this is never
     /// required for correctness — the decode LUT heals inside
     /// `decode_symbol`/`decode_window`, the chain table inside
@@ -523,15 +521,15 @@ mod tests {
 
     #[test]
     fn serde_roundtrip_self_heals_decode_tables() {
-        // Regression: a deserialized book arrives with its `#[serde(skip)]`
-        // decode tables defaulted to empty. Both the `max_len`-bit LUT and
+        // Regression: a book revived from wire bytes arrives with its
+        // derived decode tables empty. Both the `max_len`-bit LUT and
         // the parallel-decoder SegmentLut cache must self-heal on first
         // decode — no `rebuild_tables` call required (the mirror of the
         // metadata length-table self-heal).
         let freqs = [400u64, 210, 96, 60, 31, 17, 9, 5, 3, 2, 1, 1, 1, 1, 1, 30];
         let book = Codebook::from_frequencies(&freqs, 2, 8).unwrap();
-        // Simulate the exact post-deserialization state: serialized fields
-        // copied, skipped fields at their defaults.
+        // Simulate the exact post-ingest state: serialized fields copied,
+        // derived tables at their defaults.
         let revived = Codebook {
             lengths: book.lengths.clone(),
             codes: book.codes.clone(),

@@ -14,24 +14,24 @@
 //! segment's entry offset. The result is bit-exact sequential Huffman
 //! decoding at 64-way parallelism.
 //!
-//! # Implementation: one window fill, one lazy EOP walk
+//! # Implementation: one lazy EOP walk over window probes
 //!
-//! 1. **Window fill.** One [`ecco_bits::BlockCursor::windows_all`] call
-//!    extracts every sub-decoder's 15-bit window — all 64 segments × 8
-//!    entry offsets — through the dispatched portable, AVX2 or NEON tier
-//!    (see [`ecco_bits::WindowDispatch`]).
+//! 1. **Window probe.** The block is viewed once as an
+//!    [`ecco_bits::BlockCursor`]; each visited segment's sub-decoder reads
+//!    its 15-bit window with one [`ecco_bits::BlockCursor::window`] probe
+//!    at `seg * 8 + offset` — two shifts and an OR.
 //!
 //! 2. **EOP walk.** The concatenation tree's fixed point is computed
 //!    directly: starting from the entry offset of `start_bit`, each
 //!    segment's surviving sub-decoder names the next segment's entry
-//!    offset, so one O(segments) walk visits exactly one record per
-//!    segment. A record is one [`SegmentLut`] probe (a `2^15`-entry table
-//!    mapping a window to its packed chain of up to four
-//!    `(symbol, end)` pairs — layout in [`ecco_entropy::lut`]) truncated
-//!    to the entry offset's bit budget by index math. Each record depends
-//!    only on its own window, so resolving it lazily along the chain is
-//!    bit-identical to the silicon's 64×8 speculation, which is free in
-//!    hardware and pure waste on one core.
+//!    offset, so one O(segments) walk visits exactly one window and one
+//!    record per segment. A record is one [`SegmentLut`] probe (a
+//!    `2^15`-entry table mapping a window to its packed chain of up to
+//!    four `(symbol, end)` pairs — layout in [`ecco_entropy::lut`])
+//!    truncated to the entry offset's bit budget by index math. Each
+//!    record depends only on its own window, so resolving it lazily along
+//!    the chain is bit-identical to the silicon's 64×8 speculation, which
+//!    is free in hardware and pure waste on one core.
 //!
 //! 3. **Emit.** The walk hands each surviving symbol to its caller as it
 //!    resolves: [`ParallelDecoder::decode_into`] collects symbols,
@@ -199,10 +199,9 @@ impl<'a> ParallelDecoder<'a> {
         })
     }
 
-    /// The one EOP-chain walk behind both decode entry points: a
-    /// block-at-a-time window fill, then one LUT probe per segment along
-    /// the live chain, handing up to `max_symbols` symbols to `emit` in
-    /// stream order.
+    /// The one EOP-chain walk behind both decode entry points: one
+    /// window probe and one LUT probe per segment along the live chain,
+    /// handing up to `max_symbols` symbols to `emit` in stream order.
     #[inline]
     fn walk(
         &self,
@@ -214,16 +213,15 @@ impl<'a> ParallelDecoder<'a> {
         assert!(start_bit < BLOCK_BITS, "start bit outside block");
         let first_seg = start_bit / SEGMENT_BITS;
         let segments = NUM_SEGMENTS - first_seg;
-
-        let mut windows = [[0u64; SUB_DECODERS]; NUM_SEGMENTS];
-        BlockCursor::new(block).windows_all(LUT_WINDOW_BITS, &mut windows);
+        let cur = BlockCursor::new(block);
 
         let mut emitted = 0usize;
         let mut end_bit = start_bit;
         let mut offset = start_bit % SEGMENT_BITS;
-        'walk: for (seg, wins) in windows.iter().enumerate().skip(first_seg) {
-            let rec = SegRecord::from_chain(self.lut.entry(wins[offset]), seg, offset);
+        'walk: for seg in first_seg..NUM_SEGMENTS {
             let seg_base = seg * SEGMENT_BITS + offset;
+            let window = cur.window(seg_base, LUT_WINDOW_BITS);
+            let rec = SegRecord::from_chain(self.lut.entry(window), seg, offset);
             for i in 0..rec.count as usize {
                 if emitted == max_symbols {
                     break 'walk;
@@ -278,7 +276,7 @@ pub fn decode_block_parallel(
 /// **appending** `meta.group_size` reconstructed values to `values`. On
 /// error nothing is appended. Bit-identical to
 /// [`ecco_core::decode_group_into`] on every input, errors included (held
-/// differentially by `tests/fuzz_ingest.rs` on both dispatch arms).
+/// differentially by `tests/fuzz_ingest.rs`).
 ///
 /// # Errors
 ///
@@ -344,7 +342,7 @@ pub fn decode_tensors_batch_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecco_bits::{BitWriter, WindowDispatch};
+    use ecco_bits::BitWriter;
     use ecco_core::{encode_group, EccoConfig, PatternSelector};
     use ecco_tensor::{synth::SynthSpec, Tensor, TensorKind};
     use proptest::prelude::*;
@@ -382,19 +380,6 @@ mod tests {
             r.bit_pos()
         };
         (out, end)
-    }
-
-    /// Runs `f` once on the host's dispatch tier and once pinned to the
-    /// portable tier, restoring the host tier after each run. Every tier
-    /// is bit-identical, so the global flip is benign for concurrently
-    /// running tests.
-    fn on_both_arms(mut f: impl FnMut(WindowDispatch)) {
-        let host_tier = ecco_bits::window_dispatch();
-        for tier in [host_tier, WindowDispatch::Portable] {
-            ecco_bits::set_window_dispatch(tier);
-            f(tier);
-            ecco_bits::set_window_dispatch(host_tier);
-        }
     }
 
     #[test]
@@ -563,10 +548,8 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-        /// Parallel decode == per-symbol walk on random tensors, on BOTH
-        /// window-dispatch arms (the tier the host resolved, SIMD where
-        /// supported, and the forced-portable tier): values against
-        /// `decode_group`, raw symbols and end bit against the
+        /// Parallel decode == per-symbol walk on random tensors: values
+        /// against `decode_group`, raw symbols and end bit against the
         /// `decode_symbol` loop.
         #[test]
         fn equivalence_under_random_tensors(seed in 0u64..500) {
@@ -583,47 +566,40 @@ mod tests {
                 let book = &meta.books[header.kp][header.book_id];
                 let (want_syms, want_end) =
                     sequential_symbols(book, &block, header.data_start, meta.group_size);
-                let mut outcome = Ok(());
-                on_both_arms(|tier| {
-                    let (par, stats) = decode_block_parallel(&block, &meta).unwrap();
-                    let mut syms = Vec::new();
-                    ParallelDecoder::new(book).decode_into(
-                        &block,
-                        header.data_start,
-                        meta.group_size,
-                        &mut syms,
-                    );
-                    if par != seq || syms != want_syms || stats.end_bit != want_end {
-                        outcome = Err(format!("{tier:?} arm diverged from the per-symbol walk"));
-                    }
-                });
-                prop_assert!(outcome.is_ok(), "{:?}", outcome);
+                let (par, stats) = decode_block_parallel(&block, &meta).unwrap();
+                let mut syms = Vec::new();
+                ParallelDecoder::new(book).decode_into(
+                    &block,
+                    header.data_start,
+                    meta.group_size,
+                    &mut syms,
+                );
+                prop_assert_eq!(&par, &seq, "values diverged from the per-symbol walk");
+                prop_assert_eq!(&syms, &want_syms, "symbols diverged from the per-symbol walk");
+                prop_assert_eq!(stats.end_bit, want_end);
             }
 
             // Pool layer: the batched multi-tensor decode must reproduce
             // the sequential concatenation bit-for-bit under an injected
-            // pool (varied executor count, ragged chunk pin), on both
-            // dispatch arms.
+            // pool (varied executor count, ragged chunk pin).
             let threads = [1usize, 2, 4, 8][(seed % 4) as usize];
             let chunk = 1 + (seed % 7) as usize;
             let pool = ecco_core::pool::PoolBuilder::new()
                 .threads(threads)
                 .chunk(chunk)
                 .build();
-            ecco_core::pool::with_pool(&pool, || {
-                on_both_arms(|tier| {
-                    let batch = decode_tensors_batch_report(
-                        &[(&blocks[..], &meta), (&blocks[..1], &meta)],
-                        ecco_core::RecoveryPolicy::FailTensor,
-                    );
-                    assert_eq!(batch[0].values().unwrap(), &seq_all, "{tier:?} batch diverged");
-                    assert_eq!(
-                        batch[1].values().unwrap(),
-                        &seq_all[..meta.group_size],
-                        "{tier:?} sub-batch diverged"
-                    );
-                });
+            let batch = ecco_core::pool::with_pool(&pool, || {
+                decode_tensors_batch_report(
+                    &[(&blocks[..], &meta), (&blocks[..1], &meta)],
+                    ecco_core::RecoveryPolicy::FailTensor,
+                )
             });
+            prop_assert_eq!(batch[0].values().unwrap(), &seq_all[..], "batch diverged");
+            prop_assert_eq!(
+                batch[1].values().unwrap(),
+                &seq_all[..meta.group_size],
+                "sub-batch diverged"
+            );
         }
 
         /// Differential fuzz: random 2..=8-bit codebooks × random raw
@@ -651,9 +627,9 @@ mod tests {
         }
 
         /// The decode-to-values walk against the per-symbol walk plus a
-        /// table gather, on fuzzed books × raw blocks × both dispatch
-        /// arms — including garbage windows that terminate early, a
-        /// nonzero append base, and a fuzzed block scale.
+        /// table gather, on fuzzed books × raw blocks — including garbage
+        /// windows that terminate early, a nonzero append base, and a
+        /// fuzzed block scale.
         #[test]
         fn fused_walk_matches_symbol_walk_on_fuzzed_books(
             freqs in prop::collection::vec(0u64..5000, 2..=16),
@@ -674,17 +650,13 @@ mod tests {
             let (symbols, want_end) = sequential_symbols(&book, &block, start, max);
             let want: Vec<f32> = symbols.iter().map(|&s| table.value(s)).collect();
 
-            let decoder = ParallelDecoder::new(&book);
-            let mut outcome = Ok(());
-            on_both_arms(|tier| {
-                // Nonzero base pins the append (not clear) contract.
-                let mut fused = vec![9.0f32; 3];
-                let stats = decoder.decode_values_into(&block, start, max, &table, &mut fused);
-                if fused[..3] != [9.0f32; 3] || fused[3..] != want[..] || stats.end_bit != want_end {
-                    outcome = Err(format!("value walk diverged on {tier:?}"));
-                }
-            });
-            prop_assert!(outcome.is_ok(), "{:?}", outcome);
+            // Nonzero base pins the append (not clear) contract.
+            let mut fused = vec![9.0f32; 3];
+            let stats = ParallelDecoder::new(&book)
+                .decode_values_into(&block, start, max, &table, &mut fused);
+            prop_assert_eq!(&fused[..3], &[9.0f32; 3][..], "value walk overwrote its base");
+            prop_assert_eq!(&fused[3..], &want[..], "value walk diverged");
+            prop_assert_eq!(stats.end_bit, want_end);
         }
 
         /// Valid encoded streams (not just garbage): encode random symbols

@@ -5,10 +5,8 @@
 //! replicas of each engine so aggregate throughput matches the L2's
 //! 5120 B/clk peak.
 
-use serde::{Deserialize, Serialize};
-
 /// Stage-level latency budget of the engines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineSpec {
     /// Pattern/codebook retrieval stages.
     pub retrieve_cycles: u32,

@@ -1,9 +1,7 @@
 //! Architectural parameters of the evaluated models.
 
-use serde::{Deserialize, Serialize};
-
 /// One decoder-only transformer architecture.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Display name, e.g. `"LLaMA-13B"`.
     pub name: String,

@@ -1,13 +1,12 @@
 //! Decode-step workloads: model → kernel stream.
 
 use ecco_sim::{ExecScheme, Kernel, SimEngine, StepTime};
-use serde::{Deserialize, Serialize};
 
 use crate::models::ModelSpec;
 
 /// One auto-regressive decode step of `batch` sequences at context length
 /// `seq`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecodeWorkload {
     /// The model being served.
     pub model: ModelSpec,
@@ -87,7 +86,7 @@ impl DecodeWorkload {
 /// compute-bound, runs once, and is a negligible share of long decodes;
 /// this workload exists to *validate* that claim in the simulator (see
 /// `prefill_is_compute_bound`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PrefillWorkload {
     /// The model being served.
     pub model: ModelSpec,
@@ -167,7 +166,7 @@ impl PrefillWorkload {
 /// (`ecco-serve`) replays — prefill writes arrive as one burst per
 /// session, decode writes arrive one token per round-robin turn, and
 /// sessions close when their decode budget is spent.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrafficMix {
     /// Total sessions the mix opens over its lifetime.
     pub sessions: usize,
@@ -182,7 +181,7 @@ pub struct TrafficMix {
 }
 
 /// One session's drawn lengths within a [`TrafficMix`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionPlan {
     /// Session index within the mix (0-based arrival order).
     pub session: usize,
@@ -193,7 +192,7 @@ pub struct SessionPlan {
 }
 
 /// One step of a serving trace (see [`TrafficMix::events`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficEvent {
     /// A session arrives (allocate its page table).
     Open {

@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE 754 binary16 ("half precision") value stored as raw bits.
 ///
 /// Conversions use round-to-nearest-even, matching GPU FP16 datapaths.
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.to_f32(), 1.5);
 /// assert_eq!(a.to_bits(), 0x3E00);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct F16(u16);
 
 impl F16 {

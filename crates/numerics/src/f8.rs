@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Encodes a finite non-negative `f64` into a minifloat magnitude with
 /// `mant` mantissa bits and bias `bias`. `e_max` is the largest usable
 /// unbiased exponent (E4M3 uses its top exponent field, E5M2 reserves it for
@@ -77,7 +75,7 @@ fn decode_magnitude(code: u8, mant: u32, bias: i32) -> f64 {
 /// assert!((x.to_f32() - 0.8).abs() < 0.05);
 /// assert_eq!(F8E4M3::from_f32(1e9).to_f32(), 448.0); // saturates
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct F8E4M3(u8);
 
 impl F8E4M3 {
@@ -169,7 +167,7 @@ impl fmt::Display for F8E4M3 {
 /// let x = F8E5M2::from_f32(1000.0);
 /// assert_eq!(x.to_f32(), 1024.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct F8E5M2(u8);
 
 impl F8E5M2 {

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A power-of-two scale factor `2^exp`.
 ///
 /// `compress(x) = x / 2^exp` maps tensor-range values into FP8 range;
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(s.compress(1000.0) <= F8E4M3::MAX_FINITE);
 /// assert_eq!(s.expand(s.compress(1000.0)), 1000.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Po2Scale {
     exp: i8,
 }

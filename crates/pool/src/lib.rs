@@ -46,7 +46,7 @@
 //! erased closure after `run` returns (workers that still hold the job
 //! handle afterwards see an exhausted cursor and never dereference).
 //! All `unsafe` in the workspace is confined to this module and the
-//! `ecco-bits` SIMD shims.
+//! `ecco-container` mmap source.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -760,6 +760,60 @@ mod tests {
         // Still usable through the surviving handle.
         assert!(clone.run(8, 2, |_, _| ()).is_ok());
         drop(clone); // joins workers; must not hang
+    }
+
+    #[test]
+    fn shutdown_under_concurrent_submit_and_panic_never_hangs() {
+        // A lost wakeup at shutdown (the flag stored outside the queue
+        // lock) leaves a worker asleep and the last handle's drop joining
+        // it forever. Race many build / submit / panic / drop rounds; they
+        // run on a spawned thread so a hang fails with its pool size and
+        // round instead of stalling the suite.
+        use std::sync::mpsc::RecvTimeoutError;
+        const ROUNDS: usize = 1000;
+        let (progress, rx) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            for threads in [2usize, 4, 8] {
+                for round in 0..ROUNDS {
+                    progress.send(Some((threads, round))).unwrap();
+                    let pool = Pool::builder().threads(threads).build();
+                    let submitters: Vec<_> = (0..3)
+                        .map(|_| {
+                            let pool = pool.clone();
+                            std::thread::spawn(move || {
+                                // `resume_unwind` skips the panic hook, so
+                                // the injected panics print nothing.
+                                let got = pool.run(64, 4, |lo, _| {
+                                    if lo == 32 {
+                                        std::panic::resume_unwind(Box::new("injected"));
+                                    }
+                                });
+                                assert!(got.is_err(), "the panicking chunk must fail its job");
+                            })
+                        })
+                        .collect();
+                    drop(pool);
+                    for s in submitters {
+                        s.join().unwrap();
+                    }
+                }
+            }
+            progress.send(None).unwrap();
+        });
+        let mut last = None;
+        loop {
+            match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+                Ok(Some(at)) => last = Some(at),
+                // Done, or the stress thread panicked: the join reports it.
+                Ok(None) | Err(RecvTimeoutError::Disconnected) => break,
+                // A hung thread cannot be joined; it is left detached.
+                Err(RecvTimeoutError::Timeout) => {
+                    let (threads, round) = last.expect("the first round never started");
+                    panic!("pool of {threads}, round {round} did not finish within 30 s");
+                }
+            }
+        }
+        stress.join().unwrap();
     }
 
     #[test]

@@ -38,9 +38,8 @@
 //!
 //! The store is transport, not transformation: a page's hot→cold→hot
 //! round trip is bit-identical to a straight [`KvCodec::compress`] /
-//! [`KvCodec::decompress`] of the same rows, at any pool size and on
-//! either window-dispatch arm — the tier-1 serving tests pin this
-//! across pools {1, 4}. Eviction order depends only on the call
+//! [`KvCodec::decompress`] of the same rows, at any pool size — the
+//! tier-1 serving tests pin this across pools {1, 4}. Eviction order depends only on the call
 //! sequence (the clock is advanced by the store's own operations, never
 //! by wall clock or thread timing).
 //!

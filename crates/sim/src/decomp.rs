@@ -1,14 +1,12 @@
 //! The L2-side decompressor as a timing-model stage (Figure 14's axes).
 
-use serde::{Deserialize, Serialize};
-
 /// Timing model of the cache-integrated decompressor bank.
 ///
 /// The paper replicates the decompressor 20× to match the L2's 5120 B/clk
 /// peak; `throughput_frac` scales that ceiling (Figure 14a sweeps it down
 /// to 10%). `latency_cycles` is the pipeline depth seen by a dependent
 /// load (28 cycles in the shipped design; Figure 14b sweeps 0..300).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecompressorModel {
     /// Decompressor bank throughput as a fraction of L2 peak bandwidth.
     pub throughput_frac: f64,

@@ -1,12 +1,10 @@
 //! GPU hardware specification.
 
-use serde::{Deserialize, Serialize};
-
 /// Machine parameters of the simulated GPU.
 ///
 /// Defaults model an NVIDIA A100-80GB (SXM): the platform the paper
 /// simulates with Accel-Sim after tuner correlation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Human-readable name.
     pub name: String,

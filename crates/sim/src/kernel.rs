@@ -1,11 +1,9 @@
 //! Decode-phase kernels and their operand traffic under a scheme.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scheme::ExecScheme;
 
 /// One GPU kernel of the decode step.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Kernel {
     /// Dense projection: activations `[m×k]` times weights `[k×n]`.
     /// `m` is the batch size during decode.

@@ -1,11 +1,9 @@
 //! Execution schemes: how each compared system stores and computes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::decomp::DecompressorModel;
 
 /// Which tensor-core pipeline a scheme's GEMMs run on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ComputePrecision {
     /// FP16 MMA (312 TFLOPS on A100).
     Fp16,
@@ -16,7 +14,7 @@ pub enum ComputePrecision {
 /// One end-to-end execution scheme (precision + overhead model), the
 /// simulator analogue of "TensorRT FP16", "AWQ", "SmoothQuant", "Olive",
 /// "QuaRot" and "Ecco" in Figures 3 and 11.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExecScheme {
     /// Display name used in experiment tables.
     pub name: String,

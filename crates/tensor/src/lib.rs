@@ -26,8 +26,6 @@ pub mod synth;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's group size for weights and KV cache (128 values → one
 /// 64-byte block at 4× compression).
 pub const GROUP_SIZE: usize = 128;
@@ -37,7 +35,7 @@ pub const ACT_GROUP_SIZE: usize = 64;
 
 /// What role a tensor plays in the model — selects both the synthetic
 /// distribution and the compression path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TensorKind {
     /// Linear-layer weights (4× compression target).
     Weight,
@@ -66,7 +64,7 @@ impl fmt::Display for TensorKind {
 /// Rows model output channels for weights and tokens for caches; the codec
 /// flattens row-major and splits into fixed-size groups exactly as the
 /// paper's step 1 reshape does.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

@@ -17,12 +17,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{Tensor, TensorKind};
 
 /// Distribution specification for one synthetic tensor.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SynthSpec {
     /// Output rows (channels for weights, tokens for caches).
     pub rows: usize,

@@ -1,9 +1,7 @@
 //! Failure injection: corrupted, truncated and adversarial blocks must
 //! never panic, and header corruption must be reported.
 
-use ecco::bits::{
-    set_window_dispatch, window_dispatch, BitWriter, Block64, WindowDispatch, BLOCK_BITS,
-};
+use ecco::bits::{BitWriter, Block64, BLOCK_BITS};
 use ecco::codec::block::{DecodeError, DecodeErrorKind};
 use ecco::codec::wire::{decode_tensor, encode_tensor};
 use ecco::codec::{decode_group, encode_group, BatchOutcome, CompressedTensor, RecoveryPolicy};
@@ -116,11 +114,11 @@ fn random_blocks_fuzz_both_decoders() {
 #[test]
 fn batched_pipeline_survives_truncated_and_garbage_blocks() {
     // Drive adversarial blocks through the *batched* sharded path
-    // (block-at-a-time window fill + LUT probes per worker run), on
-    // both dispatch arms: truncated header-only blocks, zero/one fill,
-    // and pseudo-random garbage. The pipeline must never panic, must
-    // report the first per-block error in order, and on decodable sets
-    // must be bit-identical to per-block decoding.
+    // (window and LUT probes along the EOP chain per worker run):
+    // truncated header-only blocks, zero/one fill, and pseudo-random
+    // garbage. The pipeline must never panic, must report the first
+    // per-block error in order, and on decodable sets must be
+    // bit-identical to per-block decoding.
     let (meta, _) = test_meta();
 
     // Truncated block: valid header, zero symbol data (the encoder's
@@ -158,13 +156,8 @@ fn batched_pipeline_survives_truncated_and_garbage_blocks() {
     for b in &decodable {
         reference.extend(decode_block_parallel(b, &meta).unwrap().0);
     }
-    let host_tier = window_dispatch();
     let batched = hw_decode(&decodable, &meta).unwrap();
-    set_window_dispatch(WindowDispatch::Portable);
-    let scalar = hw_decode(&decodable, &meta);
-    set_window_dispatch(host_tier);
     assert_eq!(batched, reference, "batched pipeline diverged on garbage");
-    assert_eq!(scalar.unwrap(), reference, "forced-scalar arm diverged");
 
     // A batch containing a corrupted header must surface that block's
     // error, exactly as the sequential loop would — now located at the
@@ -183,9 +176,9 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
     // the single-pipeline test above: truncated (header-only) and
     // garbage blocks are injected into *some* tensors of a batch, and
     // each slot must fail or succeed exactly as its own per-block loop
-    // would — on both window-dispatch arms. No panic may escape, and
-    // healthy tensors must decode bit-identically to the sequential
-    // reference regardless of their neighbours.
+    // would. No panic may escape, and healthy tensors must decode
+    // bit-identically to the sequential reference regardless of their
+    // neighbours.
     let (meta, t) = test_meta();
     let good: Vec<Block64> = t
         .groups(128)
@@ -216,33 +209,26 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
         .flat_map(|b| decode_group(b, &meta).unwrap().0)
         .collect();
 
-    let host_tier = window_dispatch();
-    for force_scalar in [false, true] {
-        if force_scalar {
-            set_window_dispatch(WindowDispatch::Portable);
-        }
-        let results = decode_tensors_batch_report(
-            &[
-                (&good, &meta),
-                (&with_garbage, &meta),
-                (&with_truncated, &meta),
-                (&good, &meta),
-            ],
-            RecoveryPolicy::FailTensor,
-        );
-        set_window_dispatch(host_tier);
-        assert_eq!(results[0].values().unwrap(), &reference);
-        let got = results[1].first_error().unwrap();
-        assert!(!results[1].is_ok() && results[1].values().is_none());
-        assert_eq!(got.kind, want_err.kind);
-        assert_eq!(
-            (got.tensor, got.block),
-            (Some(1), Some(2)),
-            "batch error must locate the garbage block (scalar={force_scalar})"
-        );
-        assert_eq!(results[2].values().unwrap(), &truncated_reference);
-        assert_eq!(results[3].values().unwrap(), &reference);
-    }
+    let results = decode_tensors_batch_report(
+        &[
+            (&good, &meta),
+            (&with_garbage, &meta),
+            (&with_truncated, &meta),
+            (&good, &meta),
+        ],
+        RecoveryPolicy::FailTensor,
+    );
+    assert_eq!(results[0].values().unwrap(), &reference);
+    let got = results[1].first_error().unwrap();
+    assert!(!results[1].is_ok() && results[1].values().is_none());
+    assert_eq!(got.kind, want_err.kind);
+    assert_eq!(
+        (got.tensor, got.block),
+        (Some(1), Some(2)),
+        "batch error must locate the garbage block"
+    );
+    assert_eq!(results[2].values().unwrap(), &truncated_reference);
+    assert_eq!(results[3].values().unwrap(), &reference);
 }
 
 #[test]

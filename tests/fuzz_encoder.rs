@@ -12,11 +12,9 @@
 //! * **self-decodable output**: whatever the encoder emits, its own
 //!   decoder accepts (garbage in, *typed values* out — non-finite
 //!   inputs land as zero-scale groups, never as undecodable blocks);
-//! * **bit-identical decode** for finite inputs across both window
-//!   dispatch arms (SIMD and portable) and pools {1, 4} — the encoder
-//!   must not produce blocks whose decode is tier- or pool-dependent.
+//! * **bit-identical decode** for finite inputs across pools {1, 4} —
+//!   the encoder must not produce blocks whose decode is pool-dependent.
 
-use ecco::bits::{set_window_dispatch, window_dispatch, WindowDispatch};
 use ecco::codec::{EccoConfig, WeightCodec};
 use ecco::prelude::*;
 use proptest::prelude::*;
@@ -51,32 +49,18 @@ fn adversarial_f32() -> impl Strategy<Value = f32> {
     ]
 }
 
-/// Decodes `ct` on both dispatch arms and pools {1, 4} and asserts every
-/// arm reproduces `want` bit-exactly.
+/// Decodes `ct` on pools {1, 4} and asserts each reproduces `want`
+/// bit-exactly.
 fn assert_decode_invariant_everywhere(
     codec: &WeightCodec,
     ct: &ecco::codec::CompressedTensor,
     want: &[f32],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let prior = window_dispatch();
-    for tier in [prior, WindowDispatch::Portable] {
-        set_window_dispatch(tier);
-        for threads in [1usize, 4] {
-            let pool = PoolBuilder::new().threads(threads).build();
-            let got = with_pool(&pool, || codec.decompress(ct));
-            if got.data() != want {
-                set_window_dispatch(prior);
-                prop_assert_eq!(
-                    got.data(),
-                    want,
-                    "decode diverged on tier {:?} pool {}",
-                    tier,
-                    threads
-                );
-            }
-        }
+    for threads in [1usize, 4] {
+        let pool = PoolBuilder::new().threads(threads).build();
+        let got = with_pool(&pool, || codec.decompress(ct));
+        prop_assert_eq!(got.data(), want, "decode diverged on pool {}", threads);
     }
-    set_window_dispatch(prior);
     Ok(())
 }
 

@@ -15,10 +15,9 @@
 //!   errors* on corrupt input, across pool sizes {1, 4}.
 //!
 //! The vendored proptest honours `PROPTEST_CASES` (the CI fuzz-smoke leg
-//! raises it to 256+ under both `ECCO_THREADS=1` and `ECCO_THREADS=4`,
-//! with and without `ECCO_FORCE_SCALAR=1` so both window-dispatch arms
-//! see the same corpus). It has no shrinking, so failures report
-//! the deterministic case index instead of a minimized seed.
+//! raises it to 256+ under both `ECCO_THREADS=1` and `ECCO_THREADS=4`).
+//! It has no shrinking, so failures report the deterministic case index
+//! instead of a minimized seed.
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;

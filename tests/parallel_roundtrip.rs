@@ -3,11 +3,11 @@
 //!
 //! Tier-1 verification (`cargo test -q` at the repo root) runs only this
 //! package's tests, so this file is what guarantees the batched decoder
-//! front end (`BlockCursor::windows_all` + `SegmentLut` probes along the
-//! EOP chain) is exercised on every tier-1 run — on both dispatch arms — not just
-//! by the workspace CI run.
+//! model (`BlockCursor::window` and `SegmentLut` probes along the EOP
+//! chain) is exercised on every tier-1 run, not just by the workspace CI
+//! run.
 
-use ecco::bits::{set_window_dispatch, window_dispatch, Block64, WindowDispatch};
+use ecco::bits::Block64;
 use ecco::codec::RecoveryPolicy;
 use ecco::prelude::*;
 
@@ -41,25 +41,19 @@ fn weight_roundtrip_through_parallel_codec_and_batched_decoder() {
         with_pool(&pinned, || codec.decompress(&ct)).data()
     );
 
-    // The hardware model's batched window-extraction front end must
-    // reconstruct the identical values — through the host's dispatch
-    // tier (SIMD where supported) and through the forced-scalar arm.
+    // The hardware model's batched decode must reconstruct the
+    // identical values.
     let meta = codec.metadata().with_scale(ct.tensor_scale());
-    let host_tier = window_dispatch();
     let hw_batched = hw_decode(ct.blocks(), &meta);
-    set_window_dispatch(WindowDispatch::Portable);
-    let hw_scalar = hw_decode(ct.blocks(), &meta);
-    set_window_dispatch(host_tier);
     assert_eq!(hw_batched, out.data(), "batched hw decode diverged");
-    assert_eq!(hw_scalar, out.data(), "forced-scalar hw decode diverged");
 }
 
 #[test]
 fn revived_metadata_decodes_through_batched_pipeline() {
-    // Serde-style revival: rebuild_tables leaves every derived cache
-    // (codebook decode LUTs, SegmentLuts, length/boundary tables) in the
-    // empty state deserialization produces; the batched parallel decode
-    // must self-heal them on first use and stay bit-identical.
+    // Wire-ingest-style revival: rebuild_tables leaves every derived
+    // cache (codebook decode LUTs, SegmentLuts, length/boundary tables)
+    // in the empty state `wire` ingest produces; the batched parallel
+    // decode must self-heal them on first use and stay bit-identical.
     let t = SynthSpec::for_kind(TensorKind::KCache, 8, 512)
         .seeded(4002)
         .generate();

@@ -6,7 +6,7 @@
 //!
 //! * a page's hot -> cold -> hot round trip is **bit-identical** to a
 //!   straight `KvCodec` compress/decompress of the same rows, across
-//!   pool sizes {1, 4} and both window-dispatch arms,
+//!   pool sizes {1, 4},
 //! * eviction under memory pressure never drops a live session's data —
 //!   every open session reads back its full token stream at any point
 //!   of a multi-tenant trace,
@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use ecco::bits::{set_window_dispatch, window_dispatch, Block64, WindowDispatch};
+use ecco::bits::Block64;
 use ecco::llm::{TrafficEvent, TrafficMix};
 use ecco::prelude::*;
 use ecco::serve::{PageTier, RecoveryPolicy, ServeError, SessionRead};
@@ -56,62 +56,55 @@ fn small_store(model: &ModelSpec, hot_capacity: usize) -> PagedKvStore {
 }
 
 #[test]
-fn hot_cold_hot_is_bit_identical_to_straight_codec_across_pools_and_dispatch() {
+fn hot_cold_hot_is_bit_identical_to_straight_codec_across_pools() {
     let model = ModelSpec::llama31_8b();
     let page_rows = kv_rows(&model, 8, 1);
     let page_tensor = Tensor::from_vec(8, model.kv_dim(), page_rows.clone());
 
-    let host_tier = window_dispatch();
     let mut reference: Option<(Vec<Block64>, Vec<f32>)> = None;
-    for tier in [host_tier, WindowDispatch::Portable] {
-        set_window_dispatch(tier);
-        for threads in [1usize, 4] {
-            let pool = PoolBuilder::new().threads(threads).build();
-            let (cold_blocks, promoted) = with_pool(&pool, || {
-                // Capacity 1: appending page 1 forces page 0 cold.
-                let mut st = small_store(&model, 1);
-                let sid = st.open_session();
-                st.append(sid, &page_rows).unwrap();
-                st.append(sid, &kv_rows(&model, 8, 2)).unwrap();
-                assert_eq!(st.page_tier(sid, 0).unwrap(), PageTier::Cold);
+    for threads in [1usize, 4] {
+        let pool = PoolBuilder::new().threads(threads).build();
+        let (cold_blocks, promoted) = with_pool(&pool, || {
+            // Capacity 1: appending page 1 forces page 0 cold.
+            let mut st = small_store(&model, 1);
+            let sid = st.open_session();
+            st.append(sid, &page_rows).unwrap();
+            st.append(sid, &kv_rows(&model, 8, 2)).unwrap();
+            assert_eq!(st.page_tier(sid, 0).unwrap(), PageTier::Cold);
 
-                // The evicted page's cold image must match a straight
-                // compress of the same rows, bit for bit…
-                let codec = st.codec().clone();
-                let (want_ct, _) = codec.compress(&page_tensor);
-                let got = st.cold_page(sid, 0).unwrap().expect("cold");
-                assert_eq!(
-                    got.blocks(),
-                    want_ct.blocks(),
-                    "eviction diverged from KvCodec::compress \
-                     (threads {threads}, {tier:?})"
-                );
+            // The evicted page's cold image must match a straight
+            // compress of the same rows, bit for bit…
+            let codec = st.codec().clone();
+            let (want_ct, _) = codec.compress(&page_tensor);
+            let got = st.cold_page(sid, 0).unwrap().expect("cold");
+            assert_eq!(
+                got.blocks(),
+                want_ct.blocks(),
+                "eviction diverged from KvCodec::compress (threads {threads})"
+            );
 
-                // …and the promoted read must match a straight
-                // decompress, bit for bit.
-                let blocks = got.blocks().to_vec();
-                let hot = st.read_page(sid, 0).unwrap();
-                assert_eq!(
-                    hot,
-                    codec.decompress(&want_ct).data(),
-                    "promotion diverged from KvCodec::decompress \
-                     (threads {threads}, {tier:?})"
-                );
-                assert_eq!(st.page_tier(sid, 0).unwrap(), PageTier::Hot);
-                (blocks, hot)
-            });
+            // …and the promoted read must match a straight
+            // decompress, bit for bit.
+            let blocks = got.blocks().to_vec();
+            let hot = st.read_page(sid, 0).unwrap();
+            assert_eq!(
+                hot,
+                codec.decompress(&want_ct).data(),
+                "promotion diverged from KvCodec::decompress (threads {threads})"
+            );
+            assert_eq!(st.page_tier(sid, 0).unwrap(), PageTier::Hot);
+            (blocks, hot)
+        });
 
-            // Identical across every pool size and dispatch arm.
-            match &reference {
-                None => reference = Some((cold_blocks, promoted)),
-                Some((b, v)) => {
-                    assert_eq!(&cold_blocks, b, "cold image varies with pool/dispatch");
-                    assert_eq!(&promoted, v, "promoted read varies with pool/dispatch");
-                }
+        // Identical across every pool size.
+        match &reference {
+            None => reference = Some((cold_blocks, promoted)),
+            Some((b, v)) => {
+                assert_eq!(&cold_blocks, b, "cold image varies with pool size");
+                assert_eq!(&promoted, v, "promoted read varies with pool size");
             }
         }
     }
-    set_window_dispatch(host_tier);
 }
 
 #[test]
