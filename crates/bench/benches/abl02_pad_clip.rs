@@ -23,11 +23,10 @@ const F8_NAN: u8 = 0x7F;
 fn mask_padding(block: &Block64, first: usize, slots: usize) -> (Block64, Vec<usize>) {
     let mut bytes = *block.as_bytes();
     let mut named = Vec::with_capacity(slots);
-    let mut r = block.reader();
+    let cur = block.cursor();
     for k in 0..slots {
         let slot = first + k * OUTLIER_BITS;
-        r.seek(slot);
-        named.push(r.read_bits(7).expect("slot lies inside the block") as usize);
+        named.push(cur.window(slot, 7) as usize);
         // MSB-first: bit `p` of the block is bit `7 - p % 8` of byte `p / 8`.
         for i in 0..8 {
             let p = slot + 7 + i;

@@ -391,7 +391,7 @@ fn write_bench_json(
     let lut_ns = time_ns(|| {
         for (blk, &(book, start)) in blocks.iter().zip(&parsed) {
             let d = ParallelDecoder::new(book);
-            d.decode_into(black_box(blk), start, GROUP, &mut sink);
+            d.decode_into(&black_box(blk).cursor(), start, GROUP, &mut sink);
         }
     });
 

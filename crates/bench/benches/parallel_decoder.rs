@@ -43,7 +43,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| decode_block_parallel(black_box(&block), &meta).unwrap())
     });
     g.bench_function("lut_raw_decode", |b| {
-        b.iter(|| decoder.decode_into(black_box(&block), start_bit, 128, &mut scratch))
+        b.iter(|| decoder.decode_into(&black_box(&block).cursor(), start_bit, 128, &mut scratch))
     });
     g.finish();
 

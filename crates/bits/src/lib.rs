@@ -3,32 +3,31 @@
 //! Every Ecco compressed block is exactly **512 bits** (64 bytes, the
 //! DRAM→L2 transaction size chosen in Section 3.1 of the paper) holding a
 //! mix of fixed-width fields and variable-length Huffman codes. This crate
-//! provides the [`BitWriter`]/[`BitReader`] pair used by the codec and the
-//! hardware models, [`Block64`], the fixed-size block buffer, and
-//! [`BlockCursor`], the zero-copy word-level window extractor the parallel
-//! decoder's sub-decoders probe.
+//! provides [`BitWriter`], the one writer, [`Block64`], the fixed-size
+//! block buffer, and [`BlockCursor`], the one reader: every decoder — the
+//! codec's per-symbol walk and the hardware model's segment walk alike —
+//! reads a block only as fixed-width windows of a cursor.
 //!
 //! Bit order is MSB-first within each byte, matching the way the paper's
 //! decoder slices the 512-bit input into overlapping 15-bit windows.
 //!
-//! Both the writer and the reader move data at word granularity: the
-//! writer accumulates into a 64-bit register and flushes whole bytes, the
-//! reader gathers whole bytes into a 64-bit result — neither ever loops
-//! per bit.
+//! Both move data at word granularity: the writer accumulates into a
+//! 64-bit register and flushes whole bytes, the cursor views the block as
+//! big-endian words and cuts any window out of two of them — neither ever
+//! loops per bit.
 //!
 //! # Examples
 //!
 //! ```
-//! use ecco_bits::{BitReader, BitWriter};
+//! use ecco_bits::{BitWriter, Block64};
 //!
 //! let mut w = BitWriter::new();
 //! w.write_bits(0b101, 3);
 //! w.write_bits(0xFF, 8);
-//! let bytes = w.into_bytes();
+//! let cur = Block64::from_writer(w).unwrap().cursor();
 //!
-//! let mut r = BitReader::new(&bytes);
-//! assert_eq!(r.read_bits(3), Some(0b101));
-//! assert_eq!(r.read_bits(8), Some(0xFF));
+//! assert_eq!(cur.window(0, 3), 0b101);
+//! assert_eq!(cur.window(3, 8), 0xFF);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -151,139 +150,6 @@ impl fmt::Debug for BitWriter {
     }
 }
 
-/// An MSB-first bit cursor over a byte slice.
-///
-/// Reads return `None` once fewer than the requested bits remain, which the
-/// codec uses to detect clipped (truncated) Huffman streams. Reads gather
-/// whole bytes, so a 64-bit read touches at most 9 bytes.
-///
-/// # Examples
-///
-/// ```
-/// use ecco_bits::BitReader;
-///
-/// let mut r = BitReader::new(&[0b1100_0001, 0b1000_0000]);
-/// assert_eq!(r.read_bits(2), Some(0b11));
-/// assert_eq!(r.read_bits(7), Some(0b0000011));
-/// assert_eq!(r.bit_pos(), 9);
-/// ```
-#[derive(Clone)]
-pub struct BitReader<'a> {
-    bytes: &'a [u8],
-    bit_pos: usize,
-    bit_end: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Creates a reader over all bits of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> BitReader<'a> {
-        BitReader {
-            bytes,
-            bit_pos: 0,
-            bit_end: bytes.len() * 8,
-        }
-    }
-
-    /// Creates a reader over the first `bit_end` bits of `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit_end` exceeds the slice length in bits.
-    pub fn with_limit(bytes: &'a [u8], bit_end: usize) -> BitReader<'a> {
-        assert!(bit_end <= bytes.len() * 8, "limit beyond end of slice");
-        BitReader {
-            bytes,
-            bit_pos: 0,
-            bit_end,
-        }
-    }
-
-    /// Current cursor position in bits from the start.
-    #[inline]
-    pub fn bit_pos(&self) -> usize {
-        self.bit_pos
-    }
-
-    /// Number of unread bits.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.bit_end - self.bit_pos
-    }
-
-    /// Moves the cursor to an absolute bit position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is beyond the readable limit.
-    #[inline]
-    pub fn seek(&mut self, pos: usize) {
-        assert!(pos <= self.bit_end, "seek beyond end of stream");
-        self.bit_pos = pos;
-    }
-
-    /// Reads `n` bits MSB-first, or `None` if fewer than `n` remain.
-    ///
-    /// A failed read leaves the cursor unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 64`.
-    #[inline]
-    pub fn read_bits(&mut self, n: u32) -> Option<u64> {
-        assert!(n <= 64, "cannot read more than 64 bits at once");
-        if self.remaining() < n as usize {
-            return None;
-        }
-        let out = self.extract(self.bit_pos, n);
-        self.bit_pos += n as usize;
-        Some(out)
-    }
-
-    /// Reads up to `n` bits without moving the cursor, zero-padding past the
-    /// end of the stream. Returns the bits as if `n` bits had been read with
-    /// missing bits as zero.
-    ///
-    /// This matches the hardware decoder, whose 15-bit windows run past the
-    /// end of the 512-bit block and see zero fill.
-    #[inline]
-    pub fn peek_bits_padded(&self, n: u32) -> u64 {
-        assert!(n <= 64);
-        let avail = self.remaining().min(n as usize) as u32;
-        if avail == 0 {
-            // Also guards the n == 64 case below: a shift by n - avail
-            // = 64 would overflow.
-            return 0;
-        }
-        self.extract(self.bit_pos, avail) << (n - avail)
-    }
-
-    /// Gathers `n` in-bounds bits starting at absolute bit `pos`,
-    /// byte-at-a-time (word-level refill).
-    #[inline]
-    fn extract(&self, pos: usize, n: u32) -> u64 {
-        debug_assert!(pos + n as usize <= self.bit_end);
-        let mut out = 0u64;
-        let mut p = pos;
-        let mut left = n;
-        while left > 0 {
-            let byte = self.bytes[p / 8] as u64;
-            let off = (p % 8) as u32;
-            let take = (8 - off).min(left);
-            let chunk = (byte >> (8 - off - take)) & ((1u64 << take) - 1);
-            out = (out << take) | chunk;
-            p += take as usize;
-            left -= take;
-        }
-        out
-    }
-}
-
-impl fmt::Debug for BitReader<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BitReader(pos {}, end {})", self.bit_pos, self.bit_end)
-    }
-}
-
 /// A fixed 64-byte (512-bit) compressed-block buffer.
 ///
 /// [`Block64`] guarantees at the type level that every compressed block has
@@ -339,11 +205,6 @@ impl Block64 {
         &self.bytes
     }
 
-    /// Returns a bit reader over the whole block.
-    pub fn reader(&self) -> BitReader<'_> {
-        BitReader::new(&self.bytes)
-    }
-
     /// Returns the word-level window cursor over this block.
     pub fn cursor(&self) -> BlockCursor {
         BlockCursor::new(self)
@@ -371,9 +232,11 @@ impl fmt::Debug for Block64 {
 /// The block is re-viewed once as eight big-endian 64-bit words (plus a
 /// zero guard word); after that, extracting any ≤ 57-bit window at any bit
 /// position is two shifts and an OR — no cursor state, no bounds loop, no
-/// reconstruction. This is the primitive the parallel decoder's
-/// sub-decoders use to slice the block into overlapping 15-bit windows:
-/// a [`BlockCursor`] is built once per block and then only does index math.
+/// reconstruction. It is the only way anything reads a block: the block
+/// reader (`ecco_core::read_block`) builds one per block, cuts the header
+/// fields and padded outliers out of it, and hands it to the symbol walk,
+/// whose decoders probe `max_len`-bit (codec) or 15-bit (hardware model)
+/// windows — after construction a cursor only does index math.
 ///
 /// Windows past bit 512 read as zero fill, exactly like the hardware.
 ///
@@ -409,12 +272,13 @@ impl BlockCursor {
     }
 
     /// Extracts the `n`-bit window starting at absolute bit `pos`,
-    /// zero-padded past bit 512.
+    /// zero-padded past bit 512. A zero-width window is 0 (a one-book
+    /// pattern's `ID_HF` field).
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `n > 57` or `pos >= 512`; the decoder only asks
-    /// for 15-bit windows inside the block.
+    /// Panics (debug) if `n > 57` or `pos >= 512`; the decoders only ask
+    /// for windows that start inside the block.
     #[inline]
     pub fn window(&self, pos: usize, n: u32) -> u64 {
         debug_assert!(n <= 57, "window wider than one guarded word pair");
@@ -429,7 +293,7 @@ impl BlockCursor {
         } else {
             self.words[word + 1] >> (64 - off)
         };
-        (hi | lo) >> (64 - n)
+        (hi | lo).checked_shr(64 - n).unwrap_or(0)
     }
 }
 
@@ -454,6 +318,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The per-bit reference reader the word-level code is checked
+    /// against: bit `i` is bit `7 - i % 8` of byte `i / 8`, and zero past
+    /// the end.
+    fn bitwise(bytes: &[u8], pos: usize, n: u32) -> u64 {
+        (pos..pos + n as usize).fold(0, |acc, i| {
+            let bit = bytes.get(i / 8).map_or(0, |&b| (b >> (7 - i % 8)) & 1);
+            (acc << 1) | bit as u64
+        })
+    }
+
     #[test]
     fn write_then_read_mixed_widths() {
         let mut w = BitWriter::new();
@@ -461,48 +335,11 @@ mod tests {
         w.write_bits(0xAB, 8);
         w.write_bits(0x3FFF, 15);
         w.write_bits(1, 1);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(2), Some(0b10));
-        assert_eq!(r.read_bits(8), Some(0xAB));
-        assert_eq!(r.read_bits(15), Some(0x3FFF));
-        assert_eq!(r.read_bits(1), Some(1));
-    }
-
-    #[test]
-    fn read_past_end_returns_none() {
-        let mut r = BitReader::new(&[0xFF]);
-        assert_eq!(r.read_bits(8), Some(0xFF));
-        assert_eq!(r.read_bits(1), None);
-        // A failed read must not move the cursor.
-        assert_eq!(r.bit_pos(), 8);
-    }
-
-    #[test]
-    fn peek_pads_with_zeros() {
-        let mut r = BitReader::new(&[0b1010_0000]);
-        r.seek(4);
-        // 4 real bits (0000) + 4 padded zeros.
-        assert_eq!(r.peek_bits_padded(8), 0);
-        r.seek(0);
-        assert_eq!(r.peek_bits_padded(15), 0b1010_0000 << 7);
-    }
-
-    #[test]
-    fn full_width_peek_at_end_is_zero() {
-        let mut r = BitReader::new(&[0xFF]);
-        r.seek(8);
-        assert_eq!(r.peek_bits_padded(64), 0);
-        assert_eq!(r.peek_bits_padded(0), 0);
-        r.seek(7);
-        assert_eq!(r.peek_bits_padded(64), 1u64 << 63);
-    }
-
-    #[test]
-    fn with_limit_truncates() {
-        let mut r = BitReader::with_limit(&[0xFF, 0xFF], 9);
-        assert_eq!(r.read_bits(9), Some(0x1FF));
-        assert_eq!(r.read_bits(1), None);
+        let cur = Block64::from_writer(w).unwrap().cursor();
+        assert_eq!(cur.window(0, 2), 0b10);
+        assert_eq!(cur.window(2, 8), 0xAB);
+        assert_eq!(cur.window(10, 15), 0x3FFF);
+        assert_eq!(cur.window(25, 1), 1);
     }
 
     #[test]
@@ -518,10 +355,9 @@ mod tests {
         w.write_bits(1, 1);
         w.write_bits(u64::MAX, 64);
         let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(64), Some(0xDEAD_BEEF_CAFE_F00D));
-        assert_eq!(r.read_bits(1), Some(1));
-        assert_eq!(r.read_bits(64), Some(u64::MAX));
+        assert_eq!(bitwise(&bytes, 0, 64), 0xDEAD_BEEF_CAFE_F00D);
+        assert_eq!(bitwise(&bytes, 64, 1), 1);
+        assert_eq!(bitwise(&bytes, 65, 64), u64::MAX);
     }
 
     #[test]
@@ -545,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_matches_reader_on_fixed_pattern() {
+    fn cursor_matches_bitwise_reference_on_fixed_pattern() {
         let mut w = BitWriter::new();
         for i in 0..32u64 {
             w.write_bits(i * 7 % 16, 4);
@@ -553,71 +389,52 @@ mod tests {
         }
         let block = Block64::from_writer(w).unwrap();
         let cur = block.cursor();
-        let r = block.reader();
         for pos in 0..BLOCK_BITS {
-            let mut rr = r.clone();
-            rr.seek(pos);
-            assert_eq!(cur.window(pos, 15), rr.peek_bits_padded(15), "pos {pos}");
+            let want = bitwise(block.as_bytes(), pos, 15);
+            assert_eq!(cur.window(pos, 15), want, "pos {pos}");
         }
     }
 
     proptest! {
         #[test]
-        fn roundtrip_random_fields(fields in prop::collection::vec((0u64..u64::MAX, 1u32..=64), 0..64)) {
-            let mut w = BitWriter::new();
-            let mut expect = Vec::new();
-            for &(v, n) in &fields {
-                let masked = if n == 64 { v } else { v & ((1u64 << n) - 1) };
-                w.write_bits(masked, n);
-                expect.push((masked, n));
-            }
-            let total = w.bit_len();
-            prop_assert_eq!(total, fields.iter().map(|&(_, n)| n as usize).sum::<usize>());
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            for (v, n) in expect {
-                prop_assert_eq!(r.read_bits(n), Some(v));
-            }
-        }
-
-        #[test]
-        fn seek_and_reread_consistent(data in prop::collection::vec(any::<u8>(), 1..64), pos in 0usize..256) {
-            let mut r = BitReader::new(&data);
-            let pos = pos % (data.len() * 8);
-            r.seek(pos);
-            let a = r.peek_bits_padded(15);
-            let b = r.peek_bits_padded(15);
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(r.bit_pos(), pos);
-        }
-
-        #[test]
-        fn cursor_agrees_with_reader(data in prop::collection::vec(any::<u8>(), 64), pos in 0usize..512, n in 1u32..=57) {
+        fn cursor_agrees_with_bitwise_reference(data in prop::collection::vec(any::<u8>(), 64)) {
             let mut bytes = [0u8; BLOCK_BYTES];
             bytes.copy_from_slice(&data);
-            let block = Block64::from_bytes(bytes);
-            let cur = block.cursor();
-            let mut r = block.reader();
-            r.seek(pos);
-            prop_assert_eq!(cur.window(pos, n), r.peek_bits_padded(n));
+            let cur = Block64::from_bytes(bytes).cursor();
+            for pos in 0..BLOCK_BITS {
+                // Every narrower window is a prefix of the widest one.
+                let widest = bitwise(&bytes, pos, 57);
+                for n in 0..=57 {
+                    prop_assert_eq!(cur.window(pos, n), widest >> (57 - n), "pos {} width {}", pos, n);
+                }
+            }
         }
 
         #[test]
         fn writer_matches_bitwise_reference(fields in prop::collection::vec((0u64..u64::MAX, 1u32..=64), 0..32)) {
-            // Word-level writer vs a trivially-correct per-bit reference.
+            // Word-level writer vs a trivially-correct per-bit reference,
+            // bit by bit and then field by field.
             let mut w = BitWriter::new();
             let mut reference: Vec<bool> = Vec::new();
+            let mut written = Vec::new();
             for &(v, n) in &fields {
                 let masked = if n == 64 { v } else { v & ((1u64 << n) - 1) };
                 w.write_bits(masked, n);
+                written.push((masked, n));
                 for i in (0..n).rev() {
                     reference.push((masked >> i) & 1 == 1);
                 }
             }
+            prop_assert_eq!(w.bit_len(), reference.len());
             let bytes = w.into_bytes();
             for (i, &bit) in reference.iter().enumerate() {
                 let got = (bytes[i / 8] >> (7 - i % 8)) & 1 == 1;
                 prop_assert_eq!(got, bit, "bit {}", i);
+            }
+            let mut pos = 0;
+            for (v, n) in written {
+                prop_assert_eq!(bitwise(&bytes, pos, n), v, "field at bit {}", pos);
+                pos += n as usize;
             }
         }
     }

@@ -20,8 +20,11 @@
 //! (pattern, codebook, symbols, ranked outliers) and decoders only their
 //! symbol walk — the codec's ([`encode_group_scratch`],
 //! [`decode_group_into`]) and the hardware models' in `ecco_hw` alike.
+//! [`read_block`] views each block once as an [`ecco_bits::BlockCursor`]
+//! and reads everything through its windows: the header fields, the
+//! symbols (the walk gets the same cursor) and the padded outliers.
 
-use ecco_bits::{BitWriter, Block64, BLOCK_BITS};
+use ecco_bits::{BitWriter, Block64, BlockCursor, BLOCK_BITS};
 use ecco_entropy::Codebook;
 use ecco_numerics::F8E4M3;
 
@@ -404,19 +407,22 @@ pub fn parse_block_header(
     block: &Block64,
     meta: &TensorMetadata,
 ) -> Result<BlockHeader, DecodeError> {
+    parse_header(&block.cursor(), meta)
+}
+
+/// [`parse_block_header`] on a block [`read_block`] has already viewed.
+fn parse_header(cur: &BlockCursor, meta: &TensorMetadata) -> Result<BlockHeader, DecodeError> {
     if meta.id_hf_bits > MAX_ID_HF_BITS || !meta.pattern_code.revival_coherent() {
         return Err(DecodeErrorKind::CorruptMetadata.into());
     }
-    let mut r = block.reader();
-    let book_id = if meta.id_hf_bits > 0 {
-        r.read_bits(meta.id_hf_bits).expect("block holds header") as usize
-    } else {
-        0
-    };
-    let sf_bits = r.read_bits(8).expect("block holds header") as u8;
+    let book_id = cur.window(0, meta.id_hf_bits) as usize;
+    let sf_at = meta.id_hf_bits as usize;
+    let sf_bits = cur.window(sf_at, 8) as u8;
+    let mut data_start = sf_at + 8;
     let kp = meta
         .pattern_code
-        .decode_symbol(&mut r)
+        .symbol_decoder()
+        .decode_symbol(cur, &mut data_start)
         .ok_or(DecodeError::new(DecodeErrorKind::BadPatternId))? as usize;
     if kp >= meta.patterns.len() {
         return Err(DecodeErrorKind::BadPatternId.into());
@@ -435,7 +441,7 @@ pub fn parse_block_header(
         book_id,
         kp,
         sf_bits,
-        data_start: r.bit_pos(),
+        data_start,
     })
 }
 
@@ -525,11 +531,13 @@ pub fn decode_group(
     Ok((values, info))
 }
 
-/// The codec's decoder: [`read_block`] with the per-symbol walk — each
-/// symbol the book's `SymbolDecoder` resolves is gathered through the
-/// block's [`BlockValueTable`] as it lands, with no intermediate symbol
-/// buffer or second reconstruction pass. **Appends** `meta.group_size`
-/// FP16 values to `values`; on error nothing is appended.
+/// The codec's decoder: [`read_block`] with the per-symbol walk — the
+/// book's [`SymbolDecoder`](ecco_entropy::SymbolDecoder) resolves one
+/// symbol per window of the block's cursor, and each is gathered through
+/// the block's [`BlockValueTable`] as it lands, with no intermediate
+/// symbol buffer or second reconstruction pass. **Appends**
+/// `meta.group_size` FP16 values to `values`; on error nothing is
+/// appended.
 ///
 /// # Errors
 ///
@@ -540,32 +548,30 @@ pub fn decode_group_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodedGroupInfo, DecodeError> {
-    let (info, ()) = read_block(block, meta, values, |book, data_start, table, values| {
+    let (info, ()) = read_block(block, meta, values, |book, cur, mut pos, table, values| {
         // A clipped tail ends the walk early: prefix-freeness makes the
         // truncation point unambiguous.
-        let mut r = block.reader();
-        r.seek(data_start);
         let dec = book.symbol_decoder();
         for _ in 0..meta.group_size {
-            match dec.decode_symbol(&mut r) {
+            match dec.decode_symbol(cur, &mut pos) {
                 Some(s) => values.push(table.value(s)),
                 None => break,
             }
         }
-        (r.bit_pos(), ())
+        (pos, ())
     })?;
     Ok(info)
 }
 
-/// The one block reader (Fig. 6a): parses and validates the header and
-/// the data codebook, builds the block's [`BlockValueTable`], hands the
-/// symbol stream to `walk`, then fills the clipped tail with the zero
-/// centroid and applies the padded outliers — **appending**
-/// `meta.group_size` values to `values`. On error nothing is appended
-/// and `walk` never runs.
+/// The one block reader (Fig. 6a): views the block once as a
+/// [`BlockCursor`], parses and validates the header and the data
+/// codebook, builds the block's [`BlockValueTable`], hands the cursor to
+/// `walk`, then fills the clipped tail with the zero centroid and applies
+/// the padded outliers — **appending** `meta.group_size` values to
+/// `values`. On error nothing is appended and `walk` never runs.
 ///
-/// `walk(book, data_start, table, values)` resolves symbols from bit
-/// `data_start` on, appends the value of each (at most
+/// `walk(book, cur, data_start, table, values)` resolves symbols from
+/// bit `data_start` of `cur` on, appends the value of each (at most
 /// `meta.group_size`) to `values`, and returns the bit just past the
 /// last one plus whatever the walk reports. The codec passes its
 /// per-symbol walk ([`decode_group_into`]), the hardware model
@@ -585,9 +591,10 @@ pub fn read_block<R>(
     block: &Block64,
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
-    walk: impl FnOnce(&Codebook, usize, &BlockValueTable, &mut Vec<f32>) -> (usize, R),
+    walk: impl FnOnce(&Codebook, &BlockCursor, usize, &BlockValueTable, &mut Vec<f32>) -> (usize, R),
 ) -> Result<(DecodedGroupInfo, R), DecodeError> {
-    let header = parse_block_header(block, meta)?;
+    let cur = block.cursor();
+    let header = parse_header(&cur, meta)?;
     let book = &meta.books[header.kp][header.book_id];
     validate_data_book(book)?;
     let sf = F8E4M3::from_bits(header.sf_bits);
@@ -596,7 +603,7 @@ pub fn read_block<R>(
 
     let base = values.len();
     values.reserve(meta.group_size);
-    let (data_end, report) = walk(book, header.data_start, &table, values);
+    let (data_end, report) = walk(book, &cur, header.data_start, &table, values);
     let decoded = values.len() - base;
     assert!(decoded <= meta.group_size, "the walk overran its group");
 
@@ -606,11 +613,10 @@ pub fn read_block<R>(
     // Outliers exist only when nothing was clipped.
     let mut applied = 0usize;
     if decoded == meta.group_size {
-        let mut r = block.reader();
-        r.seek(data_end);
-        for _ in 0..(BLOCK_BITS - data_end) / OUTLIER_BITS {
-            let pos = r.read_bits(7).expect("outlier fits") as usize;
-            let f8 = F8E4M3::from_bits(r.read_bits(8).expect("outlier fits") as u8);
+        for slot in 0..(BLOCK_BITS - data_end) / OUTLIER_BITS {
+            let at = data_end + slot * OUTLIER_BITS;
+            let pos = cur.window(at, 7) as usize;
+            let f8 = F8E4M3::from_bits(cur.window(at + 7, 8) as u8);
             if pos < meta.group_size && !f8.is_nan() {
                 values[base + pos] =
                     ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));

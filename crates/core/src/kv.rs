@@ -69,19 +69,6 @@ impl KvCodec {
         }
     }
 
-    /// Calibrates with the MSE-optimal selector instead — the expensive
-    /// variant the paper rejects for hardware; kept for the `abl01`
-    /// ablation bench.
-    pub fn calibrate_mse(tensors: &[&Tensor], cfg: &EccoConfig) -> KvCodec {
-        let kv_cfg = EccoConfig {
-            num_patterns: cfg.num_patterns.min(KV_PATTERNS),
-            ..cfg.clone()
-        };
-        KvCodec {
-            meta: TensorMetadata::calibrate(tensors, &kv_cfg, PatternSelector::MseOptimal),
-        }
-    }
-
     /// The shared tensor metadata.
     pub fn metadata(&self) -> &TensorMetadata {
         &self.meta

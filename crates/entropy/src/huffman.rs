@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use ecco_bits::{BitReader, BitWriter};
+use ecco_bits::{BitWriter, BlockCursor, BLOCK_BITS};
 
 use crate::lut::SegmentLut;
 
@@ -286,7 +286,7 @@ impl Codebook {
     /// leaving the book in the same state wire ingest produces; both
     /// tables rebuild themselves on first use, so calling this is never
     /// required for correctness — the decode LUT heals inside
-    /// `decode_symbol`/`decode_window`, the chain table inside
+    /// [`Codebook::symbol_decoder`], the chain table inside
     /// [`Codebook::segment_lut`].
     pub fn rebuild_tables(&mut self) {
         self.lut = OnceLock::new();
@@ -406,31 +406,9 @@ impl Codebook {
         writer.write_bits(self.codes[sym as usize] as u64, len as u32);
     }
 
-    /// Decodes one symbol from `reader`, advancing past its code.
-    ///
-    /// Returns `None` when the remaining bits cannot hold a valid code —
-    /// the condition the codec uses to detect a clipped stream.
-    ///
-    /// Per-symbol loops should fetch a [`Codebook::symbol_decoder`] once
-    /// and decode through it: this convenience wrapper re-touches the
-    /// lazily-healed table cache on every call.
-    pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Option<u16> {
-        self.symbol_decoder().decode_symbol(reader)
-    }
-
-    /// Decodes one symbol from a `max_len`-bit window value (the hardware
-    /// sub-decoder primitive). Returns `(symbol, code_len)` or `None` for
-    /// an invalid prefix.
-    ///
-    /// Like [`Codebook::decode_symbol`], hot loops should hoist a
-    /// [`Codebook::symbol_decoder`] instead.
-    pub fn decode_window(&self, window: u64) -> Option<(u16, u8)> {
-        self.symbol_decoder().decode_window(window)
-    }
-
-    /// A borrowed view of the resolved decode table: fetch once per
-    /// block (resolving the lazily-healed cache a single time), then
-    /// decode per symbol with a plain slice index.
+    /// The book's decoder: a borrowed view of the resolved decode table.
+    /// Fetch it once per block (resolving the lazily-healed cache a
+    /// single time), then decode per symbol with a plain slice index.
     pub fn symbol_decoder(&self) -> SymbolDecoder<'_> {
         let lut = self.decode_lut();
         // The table length is always a power of two; index with the
@@ -465,9 +443,13 @@ impl Codebook {
     }
 }
 
-/// A per-symbol decoder over one codebook's resolved decode table —
-/// created by [`Codebook::symbol_decoder`] so the table-cache fetch
-/// happens once per block instead of once per symbol.
+/// A codebook's decoder over its resolved decode table — created by
+/// [`Codebook::symbol_decoder`] so the table-cache fetch happens once per
+/// block instead of once per symbol.
+///
+/// It reads a block the way the hardware sub-decoders do: one
+/// `max_len`-bit [`BlockCursor::window`], one table probe, then the code's
+/// length in bits is consumed (peek, probe, consume).
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolDecoder<'a> {
     lut: &'a [(u16, u8)],
@@ -475,21 +457,30 @@ pub struct SymbolDecoder<'a> {
 }
 
 impl SymbolDecoder<'_> {
-    /// Decodes one symbol from `reader`, advancing past its code —
-    /// see [`Codebook::decode_symbol`].
+    /// Decodes the symbol whose code starts at bit `*pos` of `cur` and
+    /// advances `*pos` past it.
+    ///
+    /// Returns `None`, leaving `*pos` unchanged, when no whole valid code
+    /// starts there: an invalid prefix, a code that would end past bit
+    /// 512, or `*pos` already at bit 512. That is how a clipped stream
+    /// ends — prefix-freeness makes the truncation point unambiguous.
     #[inline]
-    pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Option<u16> {
-        let window = reader.peek_bits_padded(self.max_len as u32) as usize;
-        let (sym, len) = self.lut[window];
-        if len == 0 || (len as usize) > reader.remaining() {
+    pub fn decode_symbol(&self, cur: &BlockCursor, pos: &mut usize) -> Option<u16> {
+        if *pos >= BLOCK_BITS {
             return None;
         }
-        reader.seek(reader.bit_pos() + len as usize);
+        let (sym, len) = self.decode_window(cur.window(*pos, self.max_len as u32))?;
+        let end = *pos + len as usize;
+        if end > BLOCK_BITS {
+            return None;
+        }
+        *pos = end;
         Some(sym)
     }
 
-    /// Decodes one symbol from a `max_len`-bit window value — see
-    /// [`Codebook::decode_window`].
+    /// Decodes one symbol from a `max_len`-bit window value (the hardware
+    /// sub-decoder primitive). Returns `(symbol, code_len)`, or `None` for
+    /// an invalid prefix.
     #[inline]
     pub fn decode_window(&self, window: u64) -> Option<(u16, u8)> {
         let idx = (window & ((1u64 << self.max_len) - 1)) as usize;
@@ -517,7 +508,17 @@ impl fmt::Debug for Codebook {
 mod tests {
     use super::*;
     use crate::stats::shannon_entropy;
+    use ecco_bits::{Block64, BLOCK_BYTES};
     use proptest::prelude::*;
+
+    /// `symbols` coded under `book` from bit 0 of a zero-filled block.
+    fn encoded(book: &Codebook, symbols: &[u16]) -> BlockCursor {
+        let mut w = BitWriter::new();
+        for &s in symbols {
+            book.encode_symbol(&mut w, s);
+        }
+        Block64::from_writer(w).expect("fits one block").cursor()
+    }
 
     #[test]
     fn serde_roundtrip_self_heals_decode_tables() {
@@ -541,19 +542,19 @@ mod tests {
         assert!(revived.revival_coherent(), "healthy revival must cohere");
 
         // First decode goes straight through the healed table.
-        let mut w = BitWriter::new();
+        let cur = encoded(&book, &[0, 3, 1, 15, 7]);
+        let dec = revived.symbol_decoder();
+        let mut pos = 0;
         for s in [0u16, 3, 1, 15, 7] {
-            book.encode_symbol(&mut w, s);
-        }
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for s in [0u16, 3, 1, 15, 7] {
-            assert_eq!(revived.decode_symbol(&mut r), Some(s));
+            assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(s));
         }
 
         // decode_window and the SegmentLut probe agree with the original.
         for window in 0..(1u64 << book.max_len()) {
-            assert_eq!(revived.decode_window(window), book.decode_window(window));
+            assert_eq!(
+                dec.decode_window(window),
+                book.symbol_decoder().decode_window(window)
+            );
         }
         for window in [0u64, 0x7FFF, 0x1234, 0x2BAD, 0x5A5A] {
             assert_eq!(
@@ -565,8 +566,10 @@ mod tests {
         // rebuild_tables leaves the same (lazily healing) state.
         let mut rebuilt = book.clone();
         rebuilt.rebuild_tables();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(rebuilt.decode_symbol(&mut r), Some(0));
+        assert_eq!(
+            rebuilt.symbol_decoder().decode_symbol(&cur, &mut 0),
+            Some(0)
+        );
     }
 
     #[test]
@@ -578,10 +581,7 @@ mod tests {
         // max_len that disagrees) decodes nothing rather than indexing
         // out of bounds mid-stream.
         let book = Codebook::from_frequencies(&[40u64, 20, 10, 5], 2, 8).unwrap();
-        let mut bytes = BitWriter::new();
-        book.encode_symbol(&mut bytes, 0);
-        book.encode_symbol(&mut bytes, 3);
-        let bytes = bytes.into_bytes();
+        let cur = encoded(&book, &[0, 3]);
 
         // Garbage codes: heal re-derives the canonical ones from lengths.
         let bad_codes = Codebook {
@@ -591,9 +591,10 @@ mod tests {
             lut: OnceLock::new(),
             seg_lut: OnceLock::new(),
         };
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(bad_codes.decode_symbol(&mut r), Some(0));
-        assert_eq!(bad_codes.decode_symbol(&mut r), Some(3));
+        let dec = bad_codes.symbol_decoder();
+        let mut pos = 0;
+        assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(0));
+        assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(3));
         assert!(
             bad_codes.revival_coherent(),
             "codes are derived; lengths alone decide coherence"
@@ -607,9 +608,9 @@ mod tests {
             lut: OnceLock::new(),
             seg_lut: OnceLock::new(),
         };
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(bad_lengths.decode_symbol(&mut r), None);
-        assert_eq!(bad_lengths.decode_window(0), None);
+        let dec = bad_lengths.symbol_decoder();
+        assert_eq!(dec.decode_symbol(&cur, &mut 0), None);
+        assert_eq!(dec.decode_window(0), None);
         assert!(
             !bad_lengths.revival_coherent(),
             "Kraft-violating revival must report incoherence"
@@ -626,9 +627,9 @@ mod tests {
                 lut: OnceLock::new(),
                 seg_lut: OnceLock::new(),
             };
-            let mut r = BitReader::new(&bytes);
-            assert_eq!(bad_max.decode_symbol(&mut r), None, "max_len {bad}");
-            assert_eq!(bad_max.decode_window(u64::MAX), None, "max_len {bad}");
+            let dec = bad_max.symbol_decoder();
+            assert_eq!(dec.decode_symbol(&cur, &mut 0), None, "max_len {bad}");
+            assert_eq!(dec.decode_window(u64::MAX), None, "max_len {bad}");
             assert!(!bad_max.revival_coherent(), "max_len {bad} must not cohere");
         }
     }
@@ -720,15 +721,25 @@ mod tests {
     }
 
     #[test]
-    fn decode_detects_truncation() {
-        let freqs = [10u64, 1, 1, 1];
-        let book = Codebook::from_frequencies(&freqs, 2, 8).unwrap();
-        let mut w = BitWriter::new();
-        book.encode_symbol(&mut w, 3);
-        let bytes = w.into_bytes();
-        // Chop the stream to a single bit: decode must fail, not panic.
-        let mut r = BitReader::with_limit(&bytes, 1);
-        assert_eq!(book.decode_symbol(&mut r), None);
+    fn decode_stops_at_the_block_end() {
+        // A uniform 4-bit book reads every 4-bit window as a valid code,
+        // so only the block end can stop it.
+        let book = Codebook::from_lengths(&[4; 16]).unwrap();
+        let dec = book.symbol_decoder();
+        let cur = Block64::from_bytes([0xA5; BLOCK_BYTES]).cursor();
+        // The last whole code ends exactly at bit 512.
+        let mut pos = BLOCK_BITS - 4;
+        assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(0x5));
+        assert_eq!(pos, BLOCK_BITS);
+        // A walk already at bit 512 decodes nothing and stays there.
+        assert_eq!(dec.decode_symbol(&cur, &mut pos), None);
+        assert_eq!(pos, BLOCK_BITS);
+        // So does every code crossing bit 512.
+        for start in BLOCK_BITS - 3..BLOCK_BITS {
+            let mut pos = start;
+            assert_eq!(dec.decode_symbol(&cur, &mut pos), None, "start {start}");
+            assert_eq!(pos, start);
+        }
     }
 
     proptest! {
@@ -739,17 +750,23 @@ mod tests {
         ) {
             let n = freqs.len() as u16;
             let book = Codebook::from_frequencies(&freqs, 2, 8).unwrap();
-            let symbols: Vec<u16> = syms.iter().map(|&s| s % n).collect();
-            let mut w = BitWriter::new();
+            // Only the symbols that fit in one block.
+            let mut bits = 0;
+            let symbols: Vec<u16> = syms
+                .iter()
+                .map(|&s| s % n)
+                .take_while(|&s| {
+                    bits += book.code_len(s) as usize;
+                    bits <= BLOCK_BITS
+                })
+                .collect();
+            let cur = encoded(&book, &symbols);
+            let dec = book.symbol_decoder();
+            let mut pos = 0;
             for &s in &symbols {
-                book.encode_symbol(&mut w, s);
+                prop_assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(s));
             }
-            prop_assert_eq!(w.bit_len(), book.encoded_len(&symbols));
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            for &s in &symbols {
-                prop_assert_eq!(book.decode_symbol(&mut r), Some(s));
-            }
+            prop_assert_eq!(pos, book.encoded_len(&symbols));
         }
 
         #[test]

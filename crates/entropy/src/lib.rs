@@ -12,7 +12,8 @@
 //!   bit-efficiency metric `η = H / B_real`,
 //! * [`huffman`] — optimal length-limited prefix codes via the
 //!   package-merge algorithm, canonical code assignment, and bitstream
-//!   encode/decode on top of [`ecco_bits`],
+//!   encode/decode on top of [`ecco_bits`] (codes go out through its
+//!   `BitWriter` and come back through `BlockCursor` windows),
 //! * [`lut`] — precomputed per-codebook sub-decoder chain tables, the
 //!   single-probe primitive behind the parallel decoder's hot path,
 //! * [`multi`] — [`MultiLenTable`], packed per-symbol length lanes that
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use ecco_entropy::huffman::Codebook;
-//! use ecco_bits::{BitReader, BitWriter};
+//! use ecco_bits::{BitWriter, Block64};
 //!
 //! // A skewed 16-symbol distribution, as produced by Ecco quantization.
 //! let freqs = [400u64, 200, 100, 50, 25, 12, 6, 3, 2, 1, 1, 1, 1, 1, 1, 30];
@@ -34,10 +35,11 @@
 //! for sym in [0u16, 1, 0, 15, 7] {
 //!     book.encode_symbol(&mut w, sym);
 //! }
-//! let bytes = w.into_bytes();
-//! let mut r = BitReader::new(&bytes);
+//! let cur = Block64::from_writer(w).unwrap().cursor();
+//! let dec = book.symbol_decoder();
+//! let mut pos = 0;
 //! for expect in [0u16, 1, 0, 15, 7] {
-//!     assert_eq!(book.decode_symbol(&mut r), Some(expect));
+//!     assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(expect));
 //! }
 //! ```
 

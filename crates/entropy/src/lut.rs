@@ -12,7 +12,8 @@
 //! the entire greedy decode chain from window offset 0: up to four
 //! `(symbol, end_bit)` pairs plus a flag for windows whose chain hits an
 //! invalid prefix. One table probe therefore replaces one-to-four
-//! `decode_window` calls *and* all per-symbol cursor bookkeeping — the
+//! [`SymbolDecoder::decode_window`](crate::SymbolDecoder::decode_window)
+//! calls *and* all per-symbol position bookkeeping — the
 //! decoder truncates the returned chain to its entry offset's bit budget
 //! with pure index math (see `ecco-hw::paradec` for the layout of that
 //! pass).
@@ -179,17 +180,18 @@ impl std::fmt::Debug for SegmentLut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecco_bits::{BitReader, BitWriter};
+    use ecco_bits::{BitWriter, Block64};
     use proptest::prelude::*;
 
     /// Reference chain decode straight off the public `decode_window` API.
     fn reference_chain(book: &Codebook, window: u64) -> (Vec<(u16, usize)>, bool) {
+        let dec = book.symbol_decoder();
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos < SEGMENT_BITS {
             let idx = (window >> (WINDOW_BITS as usize - pos - book.max_len() as usize))
                 & ((1 << book.max_len()) - 1);
-            match book.decode_window(idx) {
+            match dec.decode_window(idx) {
                 Some((sym, len)) => {
                     pos += len as usize;
                     out.push((sym, pos));
@@ -226,9 +228,10 @@ mod tests {
         for &s in &symbols {
             book.encode_symbol(&mut w, s);
         }
-        w.pad_to(15);
-        let bytes = w.into_bytes();
-        let window = BitReader::new(&bytes).peek_bits_padded(WINDOW_BITS);
+        let window = Block64::from_writer(w)
+            .unwrap()
+            .cursor()
+            .window(0, WINDOW_BITS);
         let e = lut.entry(window);
         assert!(!e.bad() || e.count() > 0);
         for (i, &sym) in symbols.iter().take(e.count()).enumerate() {

@@ -16,10 +16,11 @@
 //!
 //! # Implementation: one lazy EOP walk over window probes
 //!
-//! 1. **Window probe.** The block is viewed once as an
-//!    [`ecco_bits::BlockCursor`]; each visited segment's sub-decoder reads
-//!    its 15-bit window with one [`ecco_bits::BlockCursor::window`] probe
-//!    at `seg * 8 + offset` — two shifts and an OR.
+//! 1. **Window probe.** The walk reads the [`ecco_bits::BlockCursor`]
+//!    the block reader ([`ecco_core::read_block`]) built when it viewed
+//!    the block; each visited segment's sub-decoder reads its 15-bit
+//!    window with one [`ecco_bits::BlockCursor::window`] probe at
+//!    `seg * 8 + offset` — two shifts and an OR.
 //!
 //! 2. **EOP walk.** The concatenation tree's fixed point is computed
 //!    directly: starting from the entry offset of `start_bit`, each
@@ -155,30 +156,32 @@ impl<'a> ParallelDecoder<'a> {
         }
     }
 
-    /// Decodes up to `max_symbols` codes starting at `start_bit` into
-    /// `out` (which is cleared first). Zero heap allocations beyond
-    /// `out`'s one-time capacity.
+    /// Decodes up to `max_symbols` codes starting at bit `start_bit` of
+    /// the block `cur` views into `out` (which is cleared first). Zero
+    /// heap allocations beyond `out`'s one-time capacity.
     ///
     /// # Panics
     ///
     /// Panics if `start_bit` is outside the block.
     pub fn decode_into(
         &self,
-        block: &Block64,
+        cur: &BlockCursor,
         start_bit: usize,
         max_symbols: usize,
         out: &mut Vec<u16>,
     ) -> DecodeStats {
         out.clear();
-        self.walk(block, start_bit, max_symbols, |sym| out.push(sym))
+        self.walk(cur, start_bit, max_symbols, |sym| out.push(sym))
     }
 
-    /// The decode-to-values walk: like [`ParallelDecoder::decode_into`],
-    /// but each resolved symbol is gathered through a per-block
-    /// [`BlockValueTable`] as the walk visits it, **appending** up to
-    /// `max_symbols` reconstructed f32 values to `out` — no intermediate
-    /// symbol buffer, no second reconstruction pass. The caller computes
-    /// the decoded count from `out.len()` before/after.
+    /// The decode-to-values walk: like [`ParallelDecoder::decode_into`]
+    /// over the same cursor, but each resolved symbol is gathered through
+    /// a per-block [`BlockValueTable`] as the walk visits it,
+    /// **appending** up to `max_symbols` reconstructed f32 values to
+    /// `out` — no intermediate symbol buffer, no second reconstruction
+    /// pass. The caller computes the decoded count from `out.len()`
+    /// before/after. [`decode_block_parallel_into`] passes the cursor
+    /// [`ecco_core::read_block`] built.
     ///
     /// # Panics
     ///
@@ -187,14 +190,14 @@ impl<'a> ParallelDecoder<'a> {
     /// [`ecco_core::read_block`] accepts).
     pub fn decode_values_into(
         &self,
-        block: &Block64,
+        cur: &BlockCursor,
         start_bit: usize,
         max_symbols: usize,
         table: &BlockValueTable,
         out: &mut Vec<f32>,
     ) -> DecodeStats {
         out.reserve(max_symbols);
-        self.walk(block, start_bit, max_symbols, |sym| {
+        self.walk(cur, start_bit, max_symbols, |sym| {
             out.push(table.value(sym))
         })
     }
@@ -205,7 +208,7 @@ impl<'a> ParallelDecoder<'a> {
     #[inline]
     fn walk(
         &self,
-        block: &Block64,
+        cur: &BlockCursor,
         start_bit: usize,
         max_symbols: usize,
         mut emit: impl FnMut(u16),
@@ -213,7 +216,6 @@ impl<'a> ParallelDecoder<'a> {
         assert!(start_bit < BLOCK_BITS, "start bit outside block");
         let first_seg = start_bit / SEGMENT_BITS;
         let segments = NUM_SEGMENTS - first_seg;
-        let cur = BlockCursor::new(block);
 
         let mut emitted = 0usize;
         let mut end_bit = start_bit;
@@ -286,10 +288,10 @@ pub fn decode_block_parallel_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodeStats, DecodeError> {
-    let (_, stats) = read_block(block, meta, values, |book, data_start, table, values| {
+    let (_, stats) = read_block(block, meta, values, |book, cur, start, table, values| {
         let stats = ParallelDecoder::new(book).decode_values_into(
-            block,
-            data_start,
+            cur,
+            start,
             meta.group_size,
             table,
             values,
@@ -358,28 +360,24 @@ mod tests {
     }
 
     /// The per-symbol oracle over raw symbol streams: the plain
-    /// `decode_symbol` loop the parallel decoder must be bit-exact with.
+    /// `SymbolDecoder::decode_symbol` loop the parallel decoder must be
+    /// bit-exact with.
     fn sequential_symbols(
         book: &Codebook,
         block: &Block64,
         start_bit: usize,
         max_symbols: usize,
     ) -> (Vec<u16>, usize) {
-        let mut r = block.reader();
-        r.seek(start_bit);
+        let (cur, dec) = (block.cursor(), book.symbol_decoder());
+        let mut pos = start_bit;
         let mut out = Vec::new();
         while out.len() < max_symbols {
-            match book.decode_symbol(&mut r) {
+            match dec.decode_symbol(&cur, &mut pos) {
                 Some(s) => out.push(s),
                 None => break,
             }
         }
-        let end = if out.is_empty() {
-            start_bit
-        } else {
-            r.bit_pos()
-        };
-        (out, end)
+        (out, pos)
     }
 
     #[test]
@@ -419,7 +417,7 @@ mod tests {
             assert_eq!(seq, par);
             let header = ecco_core::parse_block_header(&block, &meta).unwrap();
             ParallelDecoder::new(&uniform).decode_into(
-                &block,
+                &block.cursor(),
                 header.data_start,
                 meta.group_size,
                 &mut symbols,
@@ -427,6 +425,46 @@ mod tests {
             assert_eq!(sinfo.decoded_symbols, symbols.len());
         }
         assert!(clipped_seen, "test must exercise the clipped path");
+    }
+
+    #[test]
+    fn stream_ending_exactly_at_bit_512_decodes_identically() {
+        // One book per pattern gives a zero-width ID_HF field, and uniform
+        // 4-bit codes for the 16 pattern ids and every data book make the
+        // header 12 bits: 125 whole codes end exactly at bit 512, the last
+        // 3 symbols are clipped and no partial code is written.
+        let t = SynthSpec::for_kind(TensorKind::Weight, 16, 512)
+            .seeded(105)
+            .generate();
+        let cfg = EccoConfig {
+            num_patterns: 16,
+            books_per_pattern: 1,
+            max_calibration_groups: 128,
+            ..EccoConfig::default()
+        };
+        let mut meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal);
+        assert_eq!((meta.patterns.len(), meta.id_hf_bits), (16, 0));
+        let uniform = Codebook::from_lengths(&[4; 16]).unwrap();
+        meta.pattern_code = uniform.clone();
+        for row in &mut meta.books {
+            for b in row {
+                *b = uniform.clone();
+            }
+        }
+        meta.rebuild_tables();
+        let g = t.groups(128).next().unwrap();
+        let (block, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
+        assert_eq!(
+            (info.header_bits, info.data_bits, info.clipped_symbols),
+            (12, 500, 3)
+        );
+
+        let mut seq = Vec::new();
+        let dinfo = ecco_core::decode_group_into(&block, &meta, &mut seq).unwrap();
+        assert_eq!((dinfo.decoded_symbols, dinfo.applied_outliers), (125, 0));
+        let (par, stats) = decode_block_parallel(&block, &meta).unwrap();
+        assert_eq!(par, seq);
+        assert_eq!(stats.end_bit, BLOCK_BITS);
     }
 
     #[test]
@@ -537,7 +575,7 @@ mod tests {
             let header = ecco_core::parse_block_header(&block, &meta).unwrap();
             let book = &meta.books[header.kp][header.book_id];
             ParallelDecoder::new(book).decode_into(
-                &block,
+                &block.cursor(),
                 header.data_start,
                 meta.group_size,
                 &mut symbols,
@@ -569,7 +607,7 @@ mod tests {
                 let (par, stats) = decode_block_parallel(&block, &meta).unwrap();
                 let mut syms = Vec::new();
                 ParallelDecoder::new(book).decode_into(
-                    &block,
+                    &block.cursor(),
                     header.data_start,
                     meta.group_size,
                     &mut syms,
@@ -621,7 +659,7 @@ mod tests {
 
             let (want, want_end) = sequential_symbols(&book, &block, start, max);
             let mut got = Vec::new();
-            let stats = ParallelDecoder::new(&book).decode_into(&block, start, max, &mut got);
+            let stats = ParallelDecoder::new(&book).decode_into(&block.cursor(), start, max, &mut got);
             prop_assert_eq!(&got, &want, "LUT decoder diverged");
             prop_assert_eq!(stats.end_bit, want_end);
         }
@@ -653,7 +691,7 @@ mod tests {
             // Nonzero base pins the append (not clear) contract.
             let mut fused = vec![9.0f32; 3];
             let stats = ParallelDecoder::new(&book)
-                .decode_values_into(&block, start, max, &table, &mut fused);
+                .decode_values_into(&block.cursor(), start, max, &table, &mut fused);
             prop_assert_eq!(&fused[..3], &[9.0f32; 3][..], "value walk overwrote its base");
             prop_assert_eq!(&fused[3..], &want[..], "value walk diverged");
             prop_assert_eq!(stats.end_bit, want_end);
@@ -681,7 +719,7 @@ mod tests {
             }
             let block = Block64::from_writer(w).expect("within 512 bits");
             let mut got = Vec::new();
-            let stats = ParallelDecoder::new(&book).decode_into(&block, 0, fits, &mut got);
+            let stats = ParallelDecoder::new(&book).decode_into(&block.cursor(), 0, fits, &mut got);
             prop_assert_eq!(&got[..], &symbols[..fits]);
             let (want, want_end) = sequential_symbols(&book, &block, 0, fits);
             prop_assert_eq!(&got, &want);
