@@ -35,6 +35,10 @@
 //!   `encoded_len`-per-book baseline,
 //! * `encode` — full `encode_group_scratch` and the parallel encode
 //!   pipeline,
+//! * `kv_encode` — the serving write path: `encode_group_scratch` under
+//!   the min/max selector on one thread, and `KvCodec::compress_batch`
+//!   over 16-token pages across the pool, on a synthetic K-cache tensor
+//!   calibrated the way the serve workloads calibrate,
 //! * `calibration` — pool-parallel `TensorMetadata::calibrate` vs the
 //!   pinned sequential reference `calibrate_weighted_seq`.
 
@@ -43,8 +47,8 @@ use ecco_bits::Block64;
 use ecco_core::parallel::encode_groups_parallel_unchecked;
 use ecco_core::{
     decode_group, encode_group, encode_group_scratch, normalize_group, select_pattern_ref,
-    EccoConfig, GroupScratch, NormalizedGroup, PatternSelector, RecoveryPolicy, TensorMetadata,
-    WeightCodec,
+    EccoConfig, GroupScratch, KvCodec, NormalizedGroup, PatternSelector, RecoveryPolicy,
+    TensorMetadata, WeightCodec,
 };
 use ecco_tensor::Tensor;
 use std::hint::black_box;
@@ -496,9 +500,62 @@ fn write_bench_json(
     );
 }
 
+/// The `kv_encode` JSON object: the serving write path on a synthetic
+/// K-cache tensor of 1024 groups, calibrated as the serve workloads
+/// calibrate (`max_calibration_groups: 512`). One thread runs
+/// `encode_group_scratch` under the min/max selector over every group;
+/// the pool runs `KvCodec::compress_batch` over the tensor cut into
+/// 16-token pages, as one eviction batch.
+fn kv_encode_timings() -> String {
+    use ecco_tensor::{synth::SynthSpec, TensorKind};
+    const PAGE_TOKENS: usize = 16;
+    let kt = SynthSpec::for_kind(TensorKind::KCache, 128, 1024)
+        .seeded(3)
+        .generate();
+    let cfg = EccoConfig {
+        max_calibration_groups: 512,
+        ..EccoConfig::default()
+    };
+    let codec = KvCodec::calibrate(&[&kt], &cfg);
+    let meta = codec.metadata();
+    let mut scratch = GroupScratch::new();
+    let encode_ns = time_ns(|| {
+        for g in kt.groups(GROUP) {
+            black_box(encode_group_scratch(
+                black_box(g),
+                meta,
+                PatternSelector::MinMax,
+                &mut scratch,
+            ));
+        }
+    });
+    let page_values = PAGE_TOKENS * kt.cols();
+    let pages: Vec<Tensor> = kt
+        .data()
+        .chunks_exact(page_values)
+        .map(|p| Tensor::from_vec(PAGE_TOKENS, kt.cols(), p.to_vec()))
+        .collect();
+    let page_refs: Vec<&Tensor> = pages.iter().collect();
+    let batch_ns = time_ns(|| {
+        black_box(codec.compress_batch(black_box(&page_refs)));
+    });
+    format!(
+        "\"kv_encode\": {{\n    \
+           \"encode_group_minmax_syms_per_s\": {enc:.0},\n    \
+           \"compress_batch_values_per_s\": {batch:.0},\n    \
+           \"compress_batch_pages\": {n_pages},\n    \
+           \"page_tokens\": {PAGE_TOKENS},\n    \
+           \"compress_batch_executors\": {executors}\n  }},",
+        enc = kt.len() as f64 / encode_ns * 1e9,
+        batch = kt.len() as f64 / batch_ns * 1e9,
+        n_pages = pages.len(),
+        executors = ecco_core::pool::Pool::current().executors(),
+    )
+}
+
 /// Compress-side counterpart of [`write_bench_json`]: codebook selection
-/// single-pass vs H-pass, full encode throughput, and parallel vs
-/// sequential calibration wall time.
+/// single-pass vs H-pass, full encode throughput, the KV write path, and
+/// parallel vs sequential calibration wall time.
 fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     // Precompute per-group symbol streams exactly as the encoder derives
     // them, so the selection timings isolate the codebook choice.
@@ -603,6 +660,8 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
         ));
     });
 
+    let kv = kv_encode_timings();
+
     let per_s = |ns: f64| symbols / ns * 1e9;
     let selections_per_s = |ns: f64| n_groups as f64 / ns * 1e9;
     let json = format!(
@@ -622,6 +681,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
          \"encode\": {{\n    \
            \"encode_group_syms_per_s\": {enc:.0},\n    \
            \"pipeline_encode_syms_per_s\": {pipe:.0}\n  }},\n  \
+         {kv}\n  \
          \"calibration\": {{\n    \
            \"sequential_ms\": {cal_seq:.2},\n    \
            \"parallel_ms\": {cal_par:.2},\n    \

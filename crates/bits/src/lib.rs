@@ -12,9 +12,9 @@
 //! decoder slices the 512-bit input into overlapping 15-bit windows.
 //!
 //! Both move data at word granularity: the writer accumulates into a
-//! 64-bit register and flushes whole bytes, the cursor views the block as
-//! big-endian words and cuts any window out of two of them — neither ever
-//! loops per bit.
+//! 64-bit register and flushes whole 64-bit words, the cursor views the
+//! block as big-endian words and cuts any window out of two of them —
+//! neither ever loops per bit or per byte.
 //!
 //! # Examples
 //!
@@ -40,11 +40,11 @@ pub const BLOCK_BYTES: usize = 64;
 /// Number of bits in an Ecco compressed block.
 pub const BLOCK_BITS: usize = BLOCK_BYTES * 8;
 
-/// An MSB-first bit accumulator backed by a growable byte buffer.
+/// An MSB-first bit accumulator backed by a growable word buffer.
 ///
-/// Bits are staged in a 64-bit accumulator and flushed to the byte buffer
-/// a whole byte at a time, so a `write_bits` call costs a shift and at
-/// most a handful of byte stores — never a per-bit loop.
+/// Bits are staged in a 64-bit accumulator and flushed to the buffer a
+/// whole 64-bit word at a time, so a `write_bits` call costs a shift or
+/// two and at most one word push — never a per-bit or per-byte loop.
 ///
 /// # Examples
 ///
@@ -59,8 +59,11 @@ pub const BLOCK_BITS: usize = BLOCK_BYTES * 8;
 /// ```
 #[derive(Clone, Default)]
 pub struct BitWriter {
-    bytes: Vec<u8>,
-    /// Pending bits, right-aligned; always fewer than 8 between calls.
+    /// Flushed bits, one big-endian-ordered word per 64.
+    words: Vec<u64>,
+    /// Pending bits, right-aligned; always fewer than 64 between calls.
+    /// Bits above the low `acc_bits` are stale: every read left-aligns
+    /// the pending bits by `64 - acc_bits`, which shifts them out.
     acc: u64,
     acc_bits: u32,
 }
@@ -74,7 +77,7 @@ impl BitWriter {
     /// Creates an empty writer with space reserved for `bits` bits.
     pub fn with_capacity(bits: usize) -> BitWriter {
         BitWriter {
-            bytes: Vec::with_capacity(bits.div_ceil(8)),
+            words: Vec::with_capacity(bits.div_ceil(64)),
             acc: 0,
             acc_bits: 0,
         }
@@ -83,7 +86,7 @@ impl BitWriter {
     /// Number of bits written so far.
     #[inline]
     pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8 + self.acc_bits as usize
+        self.words.len() * 64 + self.acc_bits as usize
     }
 
     /// Appends the low `n` bits of `value`, most significant first.
@@ -98,27 +101,22 @@ impl BitWriter {
             n == 64 || value < (1u64 << n),
             "value {value:#x} does not fit in {n} bits"
         );
-        if n > 32 {
-            // Split so the accumulator (holding < 8 pending bits) never
-            // overflows: each chunk is at most 32 bits.
-            self.write_chunk(value >> 32, n - 32);
-            self.write_chunk(value & 0xFFFF_FFFF, 32);
-        } else if n > 0 {
-            self.write_chunk(value, n);
+        let free = 64 - self.acc_bits;
+        if n < free {
+            self.acc = (self.acc << n) | value;
+            self.acc_bits += n;
+        } else {
+            // The top `free` bits of `value` complete the word; the
+            // remaining `n - free` (< 64) start the next one.
+            let rest = n - free;
+            let word = match free {
+                64 => value,
+                _ => (self.acc << free) | (value >> rest),
+            };
+            self.words.push(word);
+            self.acc = value;
+            self.acc_bits = rest;
         }
-    }
-
-    /// Core word-level append: `n <= 32`, `value < 2^n`.
-    #[inline]
-    fn write_chunk(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 32 && self.acc_bits < 8);
-        self.acc = (self.acc << n) | value;
-        self.acc_bits += n;
-        while self.acc_bits >= 8 {
-            self.acc_bits -= 8;
-            self.bytes.push((self.acc >> self.acc_bits) as u8);
-        }
-        self.acc &= (1u64 << self.acc_bits) - 1;
     }
 
     /// Appends zero bits until `bit_len` reaches `target_bits`.
@@ -127,20 +125,28 @@ impl BitWriter {
     pub fn pad_to(&mut self, target_bits: usize) {
         let mut need = target_bits.saturating_sub(self.bit_len());
         while need > 0 {
-            let n = need.min(32) as u32;
-            self.write_chunk(0, n);
+            let n = need.min(64) as u32;
+            self.write_bits(0, n);
             need -= n as usize;
         }
     }
 
+    /// The flushed words followed by the pending bits, left-aligned in
+    /// one last word (zero-filled) when there are any.
+    fn left_aligned_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let tail = (self.acc_bits > 0).then(|| self.acc << (64 - self.acc_bits));
+        self.words.iter().copied().chain(tail)
+    }
+
     /// Consumes the writer, returning the packed bytes (zero-padded to a
     /// byte boundary).
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        if self.acc_bits > 0 {
-            let tail = (self.acc << (8 - self.acc_bits)) as u8;
-            self.bytes.push(tail);
-        }
-        self.bytes
+    pub fn into_bytes(self) -> Vec<u8> {
+        let mut bytes: Vec<u8> = self
+            .left_aligned_words()
+            .flat_map(u64::to_be_bytes)
+            .collect();
+        bytes.truncate(self.bit_len().div_ceil(8));
+        bytes
     }
 }
 
@@ -183,21 +189,22 @@ impl Block64 {
         Block64 { bytes }
     }
 
-    /// Builds a block from a writer, zero-padding to 512 bits.
+    /// Builds a block from a writer, zero-padding to 512 bits: its
+    /// (at most eight) words are copied in big-endian order.
     ///
     /// # Errors
     ///
     /// Returns `Err` with the writer's bit length if it exceeds 512 bits —
     /// the caller (the codec's clip stage) decides what to drop.
-    pub fn from_writer(mut writer: BitWriter) -> Result<Block64, usize> {
+    pub fn from_writer(writer: BitWriter) -> Result<Block64, usize> {
         if writer.bit_len() > BLOCK_BITS {
             return Err(writer.bit_len());
         }
-        writer.pad_to(BLOCK_BITS);
-        let bytes = writer.into_bytes();
-        let mut out = [0u8; BLOCK_BYTES];
-        out.copy_from_slice(&bytes[..BLOCK_BYTES]);
-        Ok(Block64 { bytes: out })
+        let mut bytes = [0u8; BLOCK_BYTES];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(writer.left_aligned_words()) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        Ok(Block64 { bytes })
     }
 
     /// Borrows the raw bytes.
@@ -426,7 +433,24 @@ mod tests {
                 }
             }
             prop_assert_eq!(w.bit_len(), reference.len());
+            // A block holds the same bytes, zero-filled to 64, and so
+            // does the writer padded with zeros.
+            let block = Block64::from_writer(w.clone());
+            let mut padded = w.clone();
+            padded.pad_to(reference.len() + 100);
+            prop_assert_eq!(padded.bit_len(), reference.len() + 100);
+            let padded = padded.into_bytes();
             let bytes = w.into_bytes();
+            prop_assert_eq!(&padded[..bytes.len()], &bytes[..]);
+            prop_assert!(padded[bytes.len()..].iter().all(|&b| b == 0));
+            prop_assert_eq!(bytes.len(), reference.len().div_ceil(8));
+            match block {
+                Ok(block) => {
+                    prop_assert_eq!(&block.as_bytes()[..bytes.len()], &bytes[..]);
+                    prop_assert!(block.as_bytes()[bytes.len()..].iter().all(|&b| b == 0));
+                }
+                Err(len) => prop_assert!(len > BLOCK_BITS && len == reference.len()),
+            }
             for (i, &bit) in reference.iter().enumerate() {
                 let got = (bytes[i / 8] >> (7 - i % 8)) & 1 == 1;
                 prop_assert_eq!(got, bit, "bit {}", i);

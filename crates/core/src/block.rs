@@ -36,6 +36,12 @@ use crate::select::{with_thread_scratch, GroupScratch};
 /// Bits per padded outlier: 7-bit position + 8-bit FP8 value.
 pub const OUTLIER_BITS: usize = 15;
 
+/// The most outliers a block can pad: with the 8-bit SF and 128 data
+/// codes of at least 2 bits each (the envelope `validate_data_book`
+/// enforces), at most `512 − 8 − 256 = 248` bits are left, 16 slots.
+/// Encoders rank no more candidates than this.
+pub const MAX_PAD_SLOTS: usize = (BLOCK_BITS - 8 - 128 * 2) / OUTLIER_BITS;
+
 /// Per-group encoding report, aggregated into [`crate::CodecStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EncodedGroupInfo {
@@ -213,10 +219,12 @@ pub fn encode_group(
 }
 
 /// Compresses one group through a caller-provided [`GroupScratch`]: the
-/// fused sweep selects the pattern *and* quantizes the group in one pass
-/// over its sorted values, and the winner's symbols are emitted straight
-/// from the scratch — no per-group selection allocation, no
-/// re-quantization.
+/// selector picks the pattern *and* quantizes the group in one pass —
+/// MinMax straight off the group with no sort, MseOptimal by the fused
+/// sweep over its sorted values — and the winner's symbols are emitted
+/// straight from the scratch: no per-group selection allocation, no
+/// re-quantization. Outliers are ranked only for blocks that pad, and
+/// only as many as a block can hold ([`MAX_PAD_SLOTS`]).
 ///
 /// # Panics
 ///
@@ -254,20 +262,20 @@ pub fn encode_group_weighted_scratch(
     encode_selected(group, &ng, meta, kp, scratch)
 }
 
-/// The codec's selection after the fused sweep picked pattern `kp`: the
-/// winner's symbols scattered back to group order (step 5), the shortest
-/// of the pattern's codebooks in one packed-lane pass (step 8, exact
-/// totals, ties to the lowest book — bit-identical to `H` separate
-/// `encoded_len` sweeps), and the group's values ranked by magnitude as
-/// padding candidates. [`write_block`] does the rest.
+/// The codec's selection after either selector picked pattern `kp`: the
+/// winner's symbols in group order as the scratch holds them (step 5),
+/// the shortest of the pattern's codebooks in one packed-lane pass (step
+/// 8, exact totals, ties to the lowest book — bit-identical to `H`
+/// separate `encoded_len` sweeps), and the group's largest values ranked
+/// by magnitude as padding candidates. [`write_block`] does the rest.
 fn encode_selected(
     group: &[f32],
     ng: &crate::group::NormalizedGroup,
     meta: &TensorMetadata,
     kp: usize,
-    scratch: &mut GroupScratch,
+    scratch: &GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
-    let symbols: &[u16] = scratch.scatter(meta.group_size);
+    let symbols = scratch.symbols();
     let (book_id, _) = meta
         .len_table(kp)
         .expect("the selected pattern has a codebook row")
@@ -285,11 +293,13 @@ fn encode_selected(
 /// value)` pairs, most important first — as fit, each as a 7-bit
 /// position and an FP8 value.
 ///
-/// Every choice belongs to the caller: the codec passes its fused
-/// sweep's selection, the hardware compressor (`ecco_hw`) the output of
-/// its sorter, pattern selector and parallel encoders. `ranked_outliers`
-/// is only consumed when nothing was clipped, so a lazy iterator defers
-/// its ranking to the blocks that pad.
+/// Every choice belongs to the caller: the codec passes its selector's
+/// choice, the hardware compressor (`ecco_hw`) the output of its sorter,
+/// pattern selector and parallel encoders. `ranked_outliers` is only
+/// consumed when nothing was clipped, so a lazy iterator defers its
+/// ranking to the blocks that pad. Under any book inside the format's
+/// 2..=8-bit code envelope at most [`MAX_PAD_SLOTS`] outliers fit, so
+/// both callers rank no more candidates than that.
 ///
 /// # Panics
 ///
@@ -633,17 +643,39 @@ pub fn read_block<R>(
     Ok((info, report))
 }
 
-/// Positions and values ranked by |value| descending, excluding the absmax
-/// position — the padding order of step 9.
-fn rank_outliers(group: &[f32], max_pos: usize) -> Vec<(usize, f32)> {
-    let mut v: Vec<(usize, f32)> = group
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != max_pos)
-        .map(|(i, &x)| (i, x))
-        .collect();
-    v.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
-    v
+/// The padding order of step 9: the group's positions and values other
+/// than the absmax, by |value| descending (IEEE total order, so a NaN
+/// ranks above ±inf) with ties to the lower position — the first
+/// [`MAX_PAD_SLOTS`] of them, as many as a block can hold. Ranks on the
+/// stack: a partial selection of the top keys, then a sort of just those.
+///
+/// # Panics
+///
+/// Panics if the group is longer than the 128 positions an outlier's
+/// 7-bit field can name.
+fn rank_outliers(group: &[f32], max_pos: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+    // One key per value: |x|'s bits high (the sign cleared, so their
+    // unsigned order is `total_cmp`'s on |x|), the complemented position
+    // low (so equal magnitudes put the lower position first). Descending
+    // key order is then exactly a stable sort by |x| descending.
+    let mut keys = [0u64; 128];
+    let mut n = 0;
+    for (pos, &x) in group.iter().enumerate() {
+        if pos != max_pos {
+            keys[n] = u64::from(x.to_bits() & 0x7FFF_FFFF) << 32 | u64::from(!(pos as u32));
+            n += 1;
+        }
+    }
+    let k = n.min(MAX_PAD_SLOTS);
+    let top = &mut keys[..n];
+    if k < n {
+        top.select_nth_unstable_by(k, |a, b| b.cmp(a));
+    }
+    top[..k].sort_unstable_by(|a, b| b.cmp(a));
+    (0..k).map(move |i| {
+        let pos = !(keys[i] as u32) as usize;
+        (pos, group[pos])
+    })
 }
 
 #[cfg(test)]
@@ -1074,6 +1106,68 @@ mod tests {
                 let fill = ecco_numerics::round_f16(zero * scale.abs());
                 assert_eq!(table.tail_fill().to_bits(), fill.to_bits());
             }
+        }
+    }
+
+    /// The ranking oracle: every value but the absmax, fully
+    /// stable-sorted by |value| descending. `rank_outliers` must return
+    /// its first `MAX_PAD_SLOTS` entries.
+    fn rank_by_stable_sort(group: &[f32], max_pos: usize) -> Vec<(usize, f32)> {
+        let mut v: Vec<(usize, f32)> = group
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != max_pos)
+            .map(|(i, &x)| (i, x))
+            .collect();
+        v.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
+        v
+    }
+
+    /// Values the ranking must order exactly as the stable sort does:
+    /// ±0.0, subnormals, ±inf and NaNs of both signs and two payloads.
+    const RANK_SPECIALS: [f32; 10] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7F80_0001),
+        f32::from_bits(0xFF80_0001),
+    ];
+
+    proptest! {
+        #[test]
+        fn ranking_matches_stable_sort(
+            lattice in prop::collection::vec(-8i32..=8, 128),
+            specials in prop::collection::vec((0usize..128, 0usize..RANK_SPECIALS.len()), 0..24),
+            dup_absmax in any::<bool>(),
+            a in 0usize..128,
+            b in 0usize..128,
+            short in any::<bool>(),
+            short_len in 1usize..=20,
+        ) {
+            // A lattice of quarters: |x| ties abound, in both signs.
+            let mut g: Vec<f32> = lattice.iter().map(|&q| q as f32 / 4.0).collect();
+            for &(pos, which) in &specials {
+                g[pos] = RANK_SPECIALS[which];
+            }
+            if dup_absmax {
+                g[a] = 3.0;
+                g[b] = -3.0;
+            }
+            // Short groups hold no more candidates than slots.
+            g.truncate(if short { short_len } else { 128 });
+            let max_pos = normalize_group(&g, ecco_numerics::Po2Scale::IDENTITY).max_pos;
+            let bits = |v: &[(usize, f32)]| -> Vec<(usize, u32)> {
+                v.iter().map(|&(p, x)| (p, x.to_bits())).collect()
+            };
+            let got: Vec<(usize, f32)> = rank_outliers(&g, max_pos).collect();
+            let oracle = rank_by_stable_sort(&g, max_pos);
+            prop_assert_eq!(got.len(), oracle.len().min(MAX_PAD_SLOTS));
+            prop_assert_eq!(bits(&got), bits(&oracle[..got.len()]));
         }
     }
 

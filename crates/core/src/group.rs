@@ -85,22 +85,30 @@ impl NormalizedGroup {
     }
 
     /// Min/max of the normalized values excluding the absmax position —
-    /// the two quantities the online KV pattern selector compares.
+    /// the two quantities the online KV pattern selector compares. NaNs
+    /// are ignored; with no other value left the result is `(0.0, 0.0)`.
     pub fn minmax_excluding_max(&self) -> (f32, f32) {
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for (i, &v) in self.values.iter().enumerate() {
-            if i == self.max_pos {
-                continue;
-            }
-            lo = lo.min(v);
-            hi = hi.max(v);
+        minmax_excluding(&self.values, Some(self.max_pos))
+    }
+}
+
+/// Min/max of `values` without position `skip`, ignoring NaNs — the rule
+/// behind [`NormalizedGroup::minmax_excluding_max`], which calibration's
+/// pre-extracted values share. `(0.0, 0.0)` when nothing is left.
+pub(crate) fn minmax_excluding(values: &[f32], skip: Option<usize>) -> (f32, f32) {
+    let mut lo = f32::INFINITY;
+    let mut hi = f32::NEG_INFINITY;
+    for (i, &v) in values.iter().enumerate() {
+        if Some(i) == skip {
+            continue;
         }
-        if lo > hi {
-            (0.0, 0.0) // single-element group
-        } else {
-            (lo, hi)
-        }
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    if lo > hi {
+        (0.0, 0.0) // single-element group
+    } else {
+        (lo, hi)
     }
 }
 

@@ -40,9 +40,11 @@
 //!   `decompress_batch_report` of [`WeightCodec`] and [`KvCodec`] all
 //!   shard the independent 64-byte blocks of a whole batch across the
 //!   pool in one pass,
-//! * per-group pattern selection + quantization run as one fused sweep
-//!   over a reusable [`GroupScratch`] (see [`select`]) — pinned against
-//!   the reference [`select_pattern_ref`] by differential proptests.
+//! * per-group pattern selection + quantization run in one pass over a
+//!   reusable [`GroupScratch`] (see [`select`]: the KV path's min/max
+//!   selector without sorting, the fused sweep for MSE-optimal and
+//!   weighted selection) — pinned against the reference
+//!   [`select_pattern_ref`] by differential proptests.
 //!
 //! # Quick start
 //!

@@ -53,7 +53,8 @@ pub struct TensorMetadata {
     /// restores the codebook decode LUTs, which do need it).
     len_tables: OnceLock<Vec<OnceLock<Arc<MultiLenTable>>>>,
     /// Lazily-built per-pattern decision boundaries (the 14 centroid
-    /// midpoints) for the encoder's fused selection sweep; shared (via
+    /// midpoints) for the encoder's selection (the fused sweep's merge and
+    /// the min/max selector's symbol map); shared (via
     /// `Arc`) by clones made after first use. Not serialized — derived
     /// from `patterns` on first access, so metadata revived by `wire`
     /// ingest works without a rebuild; replacing `patterns` by field
@@ -135,17 +136,18 @@ impl TensorMetadata {
     }
 
     /// Picks the pattern for a normalized group under `selector`, through
-    /// the fused single-sweep engine on a thread-local scratch — no
-    /// per-call allocation. Prefer [`TensorMetadata::select_pattern_scratch`]
-    /// on hot loops that already hold a [`GroupScratch`].
+    /// [`TensorMetadata::select_pattern_scratch`] on a thread-local
+    /// scratch — no per-call allocation. Prefer calling that directly on
+    /// hot loops that already hold a [`GroupScratch`].
     pub fn select_pattern(&self, ng: &NormalizedGroup, selector: PatternSelector) -> usize {
         select::with_thread_scratch(|s| self.select_pattern_scratch(ng, selector, s))
     }
 
-    /// Fused selection into a caller-provided scratch: sorts the group
-    /// once, scores every pattern with one sorted merge each, and leaves
-    /// the winner's symbols in `scratch` for the encoder to emit directly
-    /// (see [`crate::select`]). Bit-identical to
+    /// Selection into a caller-provided scratch, leaving the winner's
+    /// symbols in group order in `scratch` for the encoder to emit
+    /// directly (see [`crate::select`]): MinMax reads the group's min and
+    /// max as it lies, no sort; MseOptimal sorts the group once and scores
+    /// every pattern with one sorted merge each. Bit-identical to
     /// [`TensorMetadata::select_pattern_ref`].
     pub fn select_pattern_scratch(
         &self,
@@ -153,8 +155,7 @@ impl TensorMetadata {
         selector: PatternSelector,
         scratch: &mut GroupScratch,
     ) -> usize {
-        scratch.load_group(ng);
-        scratch.select(&self.patterns, self.boundaries(), selector)
+        scratch.select_group(&self.patterns, self.boundaries(), ng, None, selector)
     }
 
     /// Weighted counterpart of [`TensorMetadata::select_pattern_scratch`]:
@@ -166,8 +167,13 @@ impl TensorMetadata {
         group_w2: &[f32],
         scratch: &mut GroupScratch,
     ) -> usize {
-        scratch.load_group_weighted(ng, group_w2);
-        scratch.select_weighted(&self.patterns, self.boundaries())
+        scratch.select_group(
+            &self.patterns,
+            self.boundaries(),
+            ng,
+            Some(group_w2),
+            PatternSelector::MseOptimal,
+        )
     }
 
     /// The pinned reference selection — see [`select::select_pattern_ref`].
@@ -177,8 +183,9 @@ impl TensorMetadata {
     }
 
     /// The per-pattern decision-boundary tables (14 centroid midpoints
-    /// each) behind the fused selection sweep — built from `patterns` on
-    /// first use and shared (via `Arc`) by every clone made after that.
+    /// each) behind pattern selection (the fused sweep's merge and the
+    /// min/max selector's symbol map) — built from `patterns` on first
+    /// use and shared (via `Arc`) by every clone made after that.
     pub fn boundaries(&self) -> &[PatternBoundaries] {
         self.bounds.get_or_init(|| {
             Arc::new(
@@ -450,20 +457,18 @@ fn calibrate_impl(
     // Step 5 (on the calibration set): assign each group a pattern and
     // build its symbol histogram in parallel, then merge in group order —
     // the same order the sequential loop pushes in. Assignment runs the
-    // same fused boundary-table sweep the encoder uses, so
-    // calibration-time pattern choices match compression-time choices
-    // exactly, and the winner's symbols feed the histogram directly.
+    // encoder's selection rules (the fused boundary-table sweep, or the
+    // unsorted MinMax selector), so calibration-time pattern choices
+    // match compression-time choices exactly, and the winner's symbols
+    // feed the histogram directly.
     let bounds: Vec<PatternBoundaries> = patterns.iter().map(KmeansPattern::boundaries).collect();
     let assigned: Vec<(usize, Vec<f32>)> = map_ordered(parallel, &sampled, |_, sg| {
         crate::select::with_thread_scratch(|scratch| {
-            scratch.load_values(&sg.vals, sg.wts.as_deref());
-            let kp = match (&sg.wts, selector) {
-                (Some(_), _) => scratch.select_weighted(&patterns, &bounds),
-                (None, sel) => scratch.select(&patterns, &bounds, sel),
-            };
+            let (kp, syms) =
+                scratch.select_values(&patterns, &bounds, &sg.vals, sg.wts.as_deref(), selector);
             let mut h = vec![0f32; SYMBOL_COUNT];
             h[SCALE_SYMBOL as usize] += 1.0; // the absmax position
-            for &sym in scratch.winner_symbols() {
+            for &sym in syms {
                 h[sym as usize] += 1.0;
             }
             let n = sg.ng.values.len() as f32;
@@ -782,7 +787,7 @@ mod tests {
                     )
                 };
                 prop_assert_eq!(kp, kp_ref);
-                prop_assert_eq!(scratch.scatter(meta.group_size), &ng.symbols(&meta.patterns[kp])[..]);
+                prop_assert_eq!(scratch.symbols(), &ng.symbols(&meta.patterns[kp])[..]);
             }
         }
 

@@ -147,8 +147,8 @@ fn encode_run(
     let gs = meta.group_size;
     let mut blocks = Vec::with_capacity(hi - lo);
     let mut stats = CodecStats::default();
-    // One selection scratch per run: the fused sweep reuses its
-    // sorted-group and symbol buffers for every group here.
+    // One selection scratch per run: selection reuses its sorted-group
+    // and symbol buffers for every group here.
     let mut scratch = GroupScratch::new();
     for (gi, g) in (lo..hi).zip(data[lo * gs..hi * gs].chunks_exact(gs)) {
         let (block, info) = match w2 {

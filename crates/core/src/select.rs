@@ -1,11 +1,23 @@
-//! The fused pattern-selection + quantization engine (paper step 5 on the
-//! encoder hot path).
+//! Pattern selection + quantization on the encoder hot path (paper
+//! step 5).
 //!
-//! Pattern selection is the encoder's dominant cost: naively, each of the
-//! `S` shared patterns scores a group with 127 independent
-//! nearest-centroid searches, and the winner is then quantized *again* to
-//! produce symbols. This module replaces all of that with one **fused
-//! sweep**:
+//! Two selectors, one [`GroupScratch`] entry point per caller (the
+//! encoder's `select_group`, calibration's `select_values`):
+//!
+//! * **MinMax** (the online KV path, §3.2) needs only the group's min and
+//!   max, so it never sorts: `select_minmax` takes them straight off the
+//!   normalized group by the reference's rule
+//!   ([`NormalizedGroup::minmax_excluding_max`]), picks the pattern by
+//!   [`KmeansPattern::minmax_fitness`], and maps every value to its symbol
+//!   through the winner's [`PatternBoundaries`] — two comparisons per
+//!   pattern and one boundary scan per value, like the hardware selector.
+//! * **MseOptimal** and the activation-weighted path score every pattern's
+//!   squared error, which the **fused sweep** below makes cheap.
+//!
+//! Naively, each of the `S` shared patterns scores a group with 127
+//! independent nearest-centroid searches, and the winner is then
+//! quantized *again* to produce symbols. The fused sweep replaces all of
+//! that:
 //!
 //! 1. the group's 127 non-absmax values are sorted **once** into a
 //!    reusable [`GroupScratch`] (the rank permutation is retained so the
@@ -29,9 +41,12 @@
 //!
 //! # Bit-identity contract
 //!
-//! The fused sweep is pinned against [`select_pattern_ref`] — a simple,
-//! allocating reference implementation — by differential proptests below.
-//! Four properties make the two bit-identical rather than merely close:
+//! Both selectors are pinned against [`select_pattern_ref`] — a simple,
+//! allocating reference implementation — plus [`NormalizedGroup::symbols`]
+//! of its winner, by differential proptests below. MinMax shares the
+//! reference's min/max rule and `argmin` outright, and its boundary scan
+//! equals [`KmeansPattern::nearest`] for every probe, NaN included. Four
+//! properties make the sweep bit-identical rather than merely close:
 //!
 //! * **shared boundary rule**: both quantize by the midpoint-boundary
 //!   rule of [`ecco_kmeans::nearest_sorted`] (ties at exact midpoints take
@@ -48,18 +63,22 @@
 //! * **shared tie-breaks**: both resolve equal pattern scores to the
 //!   lowest pattern id via `argmin`, and NaN scores never win.
 //!
-//! Encode paths require **finite** group values; the merge cursor is
-//! monotone and a NaN would sort to one end without resetting it.
+//! The sweep requires **finite** group values; its merge cursor is
+//! monotone and a NaN would sort to one end without resetting it. MinMax
+//! has no such limit: a NaN is left out of the min and max and maps to
+//! symbol 0, exactly as in the reference.
 
 use crate::group::NormalizedGroup;
 use crate::metadata::PatternSelector;
 use crate::pattern::{KmeansPattern, PatternBoundaries, SCALE_SYMBOL};
 
-/// Reusable workspace for fused pattern selection: the sorted group view,
-/// per-pattern symbol buffers and the scattered symbol output. Create one
-/// per worker (or use the crate-internal thread-local behind the classic
-/// entry points) and feed it every group — after the first group no call
-/// allocates.
+/// Reusable workspace for pattern selection: the fused sweep's sorted
+/// group view and prefix sums, the winner's symbols and the group-order
+/// symbol output. Create one per worker (or use the crate-internal
+/// thread-local behind the classic entry points) and pass it with every
+/// group to [`crate::encode_group_scratch`] or
+/// [`crate::TensorMetadata::select_pattern_scratch`] — after the first
+/// group no call allocates.
 #[derive(Clone, Debug, Default)]
 pub struct GroupScratch {
     /// Packed sort keys: the value's IEEE total-order ordinal in the high
@@ -81,9 +100,10 @@ pub struct GroupScratch {
     pw0: Vec<f64>,
     pw1: Vec<f64>,
     pw2: Vec<f64>,
-    /// Symbols of the winning pattern, in sorted order.
+    /// Symbols of the sweep's winning pattern, in sorted order.
     win: Vec<u16>,
-    /// Winner symbols scattered back to group order.
+    /// The selected pattern's symbols in group order — scattered from
+    /// `win` after the sweep, written directly by MinMax.
     syms: Vec<u16>,
 }
 
@@ -196,7 +216,7 @@ impl GroupScratch {
     /// Loads a normalized group: every value except the absmax position,
     /// tagged with its group position, sorted ascending, with the prefix
     /// sums the run-closed-form scoring reads.
-    pub fn load_group(&mut self, ng: &NormalizedGroup) {
+    fn load_group(&mut self, ng: &NormalizedGroup) {
         self.keys.clear();
         self.wts.clear();
         for (i, &v) in ng.values.iter().enumerate() {
@@ -214,7 +234,7 @@ impl GroupScratch {
     /// # Panics
     ///
     /// Panics if `group_w2` is shorter than the group.
-    pub fn load_group_weighted(&mut self, ng: &NormalizedGroup, group_w2: &[f32]) {
+    fn load_group_weighted(&mut self, ng: &NormalizedGroup, group_w2: &[f32]) {
         assert!(group_w2.len() >= ng.values.len(), "one weight per value");
         self.load_group(ng);
         self.wts
@@ -225,8 +245,8 @@ impl GroupScratch {
     /// Loads pre-extracted non-absmax values (and optional aligned
     /// weights), as calibration holds them. Positions index into `vals`,
     /// so a scratch loaded this way must not be scattered back to group
-    /// order — calibration only consumes [`GroupScratch::winner_symbols`].
-    pub fn load_values(&mut self, vals: &[f32], wts: Option<&[f32]>) {
+    /// order — calibration only counts the winner's sorted-order symbols.
+    fn load_values(&mut self, vals: &[f32], wts: Option<&[f32]>) {
         self.keys.clear();
         self.wts.clear();
         self.keys
@@ -258,16 +278,6 @@ impl GroupScratch {
             &mut self.pw1,
             &mut self.pw2,
         );
-    }
-
-    /// Min and max of the loaded values — the sorted ends, matching
-    /// [`NormalizedGroup::minmax_excluding_max`] for finite groups
-    /// (empty groups mirror its `(0.0, 0.0)`).
-    fn minmax(&self) -> (f32, f32) {
-        match (self.vals.first(), self.vals.last()) {
-            (Some(&lo), Some(&hi)) => (lo, hi),
-            _ => (0.0, 0.0),
-        }
     }
 
     /// Scores one pattern with the sorted merge: the values split into at
@@ -341,55 +351,75 @@ impl GroupScratch {
         best.0
     }
 
-    /// Fused selection for a loaded group: returns the chosen pattern id
-    /// and leaves its symbols available via [`GroupScratch::winner_symbols`]
-    /// / [`GroupScratch::scatter`].
-    ///
-    /// Bit-identical to [`select_pattern_ref`] under the same selector.
+    /// The encoder's selection for one normalized group, with the
+    /// arguments of [`select_pattern_ref`] (plus the boundary tables):
+    /// returns the chosen pattern and leaves its symbols in group order
+    /// for [`GroupScratch::symbols`] — bit-identical to the reference's
+    /// pattern and [`NormalizedGroup::symbols`] of it. Weighted and
+    /// MSE-optimal selection run the fused sweep and scatter its winner;
+    /// MinMax runs `select_minmax` on the group as it lies, no sort.
     ///
     /// # Panics
     ///
-    /// Panics if `patterns` is empty or `bounds` disagrees in length.
-    pub fn select(
+    /// Panics if `patterns` is empty, `bounds` disagrees in length, or
+    /// `group_w2` is shorter than the group.
+    pub(crate) fn select_group(
         &mut self,
         patterns: &[KmeansPattern],
         bounds: &[PatternBoundaries],
+        ng: &NormalizedGroup,
+        group_w2: Option<&[f32]>,
         selector: PatternSelector,
     ) -> usize {
-        match selector {
-            PatternSelector::MseOptimal => self.select_by_sweep(patterns, bounds, false),
-            PatternSelector::MinMax => {
-                assert_eq!(
-                    patterns.len(),
-                    bounds.len(),
-                    "one boundary table per pattern"
-                );
-                let (lo, hi) = self.minmax();
-                let kp = argmin(patterns.iter().map(|p| p.minmax_fitness(lo, hi)));
-                self.quantize(&patterns[kp], &bounds[kp]);
-                kp
+        let weighted = match (group_w2, selector) {
+            (None, PatternSelector::MinMax) => {
+                return select_minmax(
+                    patterns,
+                    bounds,
+                    &ng.values,
+                    Some(ng.max_pos),
+                    &mut self.syms,
+                )
             }
-        }
+            (None, PatternSelector::MseOptimal) => {
+                self.load_group(ng);
+                false
+            }
+            (Some(w2), _) => {
+                self.load_group_weighted(ng, w2);
+                true
+            }
+        };
+        let kp = self.select_by_sweep(patterns, bounds, weighted);
+        self.scatter(ng.values.len());
+        kp
     }
 
-    /// Fused activation-weighted selection (the offline weight path);
-    /// requires a weighted load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch was loaded without weights.
-    pub fn select_weighted(
+    /// Calibration's counterpart of [`GroupScratch::select_group`], over a
+    /// group's pre-extracted non-absmax values (and optional aligned
+    /// weights): returns the chosen pattern and one symbol per value. The
+    /// symbols' order depends on the selector (sorted after the sweep,
+    /// value order after MinMax); calibration only counts them.
+    pub(crate) fn select_values(
         &mut self,
         patterns: &[KmeansPattern],
         bounds: &[PatternBoundaries],
-    ) -> usize {
-        assert_eq!(self.wts.len(), self.vals.len(), "weighted load required");
-        self.select_by_sweep(patterns, bounds, true)
+        vals: &[f32],
+        wts: Option<&[f32]>,
+        selector: PatternSelector,
+    ) -> (usize, &[u16]) {
+        if let (None, PatternSelector::MinMax) = (wts, selector) {
+            let kp = select_minmax(patterns, bounds, vals, None, &mut self.syms);
+            return (kp, &self.syms);
+        }
+        self.load_values(vals, wts);
+        let kp = self.select_by_sweep(patterns, bounds, wts.is_some());
+        (kp, &self.win)
     }
 
     /// Quantizes the loaded values against one explicit pattern with a
-    /// single run merge, leaving the symbols as the winner — how every
-    /// selection materializes its winner's symbols after scoring.
+    /// single run merge, leaving the symbols as the winner — how the
+    /// sweep materializes its winner's symbols after scoring.
     fn quantize(&mut self, pattern: &KmeansPattern, bounds: &PatternBoundaries) {
         let mids = bounds.midpoints();
         let n = self.vals.len();
@@ -407,33 +437,64 @@ impl GroupScratch {
         }
     }
 
-    /// The winning pattern's symbols in sorted-value order — the same
-    /// multiset [`NormalizedGroup::symbols`] produces minus the one
-    /// [`SCALE_SYMBOL`]. This is what calibration histograms consume.
-    pub fn winner_symbols(&self) -> &[u16] {
-        &self.win
-    }
-
-    /// Scatters the winner's symbols back to group order through the
-    /// retained rank permutation: position `max_pos` (and any position not
-    /// loaded) gets [`SCALE_SYMBOL`], every other position its quantized
-    /// symbol. Bit-identical to [`NormalizedGroup::symbols`] of the
-    /// winning pattern. Only valid after a [`GroupScratch::load_group`]
-    /// (positions must be group positions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no selection ran or `group_size` doesn't cover the
-    /// loaded positions.
-    pub fn scatter(&mut self, group_size: usize) -> &[u16] {
+    /// Scatters the sweep winner's symbols back to group order through
+    /// the retained rank permutation: positions not loaded (`max_pos`)
+    /// get [`SCALE_SYMBOL`], every other position its quantized symbol.
+    /// Only valid after a [`GroupScratch::load_group`] (positions must be
+    /// group positions).
+    fn scatter(&mut self, group_size: usize) {
         assert_eq!(self.win.len(), self.keys.len(), "select before scatter");
         self.syms.clear();
         self.syms.resize(group_size, SCALE_SYMBOL);
         for (&k, &s) in self.keys.iter().zip(&self.win) {
             self.syms[key_pos(k)] = s;
         }
+    }
+
+    /// The selected pattern's symbols in group order, as the last
+    /// [`GroupScratch::select_group`] left them: [`SCALE_SYMBOL`] at the
+    /// absmax position, the quantized symbol everywhere else.
+    pub(crate) fn symbols(&self) -> &[u16] {
         &self.syms
     }
+}
+
+/// The online KV selector (§3.2), the one MinMax rule of the encoder and
+/// calibration alike. The min and max of `values` — skipping position
+/// `skip` and ignoring NaNs ([`crate::group::minmax_excluding`], the rule
+/// of [`NormalizedGroup::minmax_excluding_max`]) — pick the pattern by
+/// [`KmeansPattern::minmax_fitness`] through `argmin`, exactly as
+/// [`select_pattern_ref`] does. Every value then maps to its symbol by
+/// the winner's [`PatternBoundaries::nearest`] (equal to
+/// [`KmeansPattern::nearest`]), with [`SCALE_SYMBOL`] at `skip`; `syms`
+/// receives them in value order. No sort, no prefix sums.
+///
+/// # Panics
+///
+/// Panics if `patterns` is empty, `bounds` disagrees in length, or `skip`
+/// is out of range.
+fn select_minmax(
+    patterns: &[KmeansPattern],
+    bounds: &[PatternBoundaries],
+    values: &[f32],
+    skip: Option<usize>,
+    syms: &mut Vec<u16>,
+) -> usize {
+    assert_eq!(
+        patterns.len(),
+        bounds.len(),
+        "one boundary table per pattern"
+    );
+    assert!(!patterns.is_empty(), "no patterns to select from");
+    let (lo, hi) = crate::group::minmax_excluding(values, skip);
+    let kp = argmin(patterns.iter().map(|p| p.minmax_fitness(lo, hi)));
+    let b = &bounds[kp];
+    syms.clear();
+    syms.extend(values.iter().map(|&v| b.nearest(v)));
+    if let Some(s) = skip {
+        syms[s] = SCALE_SYMBOL;
+    }
+    kp
 }
 
 /// Reference scorer for one pattern over **sorted** values (with optional
@@ -484,9 +545,9 @@ pub(crate) fn ref_pattern_error(
 /// The pinned reference implementation of pattern selection — simple and
 /// allocating: sorts the group, scores every pattern independently with
 /// `ref_pattern_error` (or [`KmeansPattern::minmax_fitness`]) and takes
-/// the `argmin`. The fused sweep must stay bit-identical to this
-/// function (differential proptests in this module and the
-/// `codec_throughput` bench both compare against it).
+/// the `argmin`. The fused sweep and the unsorted MinMax selector must
+/// stay bit-identical to this function (differential proptests in this
+/// module and the `codec_throughput` bench both compare against it).
 ///
 /// Values are scored in ascending order (the same unique order the fused
 /// scratch sorts into), which makes selection invariant to the group's
@@ -640,23 +701,29 @@ mod tests {
             a in 0usize..128,
             b in 0usize..128,
             minmax in any::<bool>(),
+            plant_nan in any::<bool>(),
+            nan_at in 0usize..128,
+            nan_negative in any::<bool>(),
         ) {
-            let g = build_group(&lattice, dup_absmax, a, b);
+            let mut g = build_group(&lattice, dup_absmax, a, b);
+            // MinMax takes any group as it lies: plant a ±NaN (it never
+            // wins the absmax). The sweep requires finite values.
+            if minmax && plant_nan {
+                g[nan_at] = if nan_negative { -f32::NAN } else { f32::NAN };
+            }
             let patterns = test_patterns();
             let bounds = bounds_of(&patterns);
             let ng = normalize_group(&g, Po2Scale::IDENTITY);
             let selector = selector_of(minmax);
 
             let mut scratch = GroupScratch::new();
-            scratch.load_group(&ng);
-            let kp = scratch.select(&patterns, &bounds, selector);
+            let kp = scratch.select_group(&patterns, &bounds, &ng, None, selector);
             let kp_ref = select_pattern_ref(&patterns, &ng, None, selector);
             prop_assert_eq!(kp, kp_ref, "fused and reference disagree on the pattern");
 
-            // The fused winner symbols must equal the from-scratch
-            // quantization of the winning pattern, in group order.
-            let syms = scratch.scatter(g.len()).to_vec();
-            prop_assert_eq!(syms, ng.symbols(&patterns[kp]));
+            // The winner symbols must equal the from-scratch quantization
+            // of the winning pattern, in group order.
+            prop_assert_eq!(scratch.symbols(), &ng.symbols(&patterns[kp])[..]);
         }
 
         #[test]
@@ -675,12 +742,10 @@ mod tests {
             let w2: Vec<f32> = (0..g.len()).map(|i| 0.05 + (i % 5) as f32 * 0.3).collect();
 
             let mut scratch = GroupScratch::new();
-            scratch.load_group_weighted(&ng, &w2);
-            let kp = scratch.select_weighted(&patterns, &bounds);
+            let kp = scratch.select_group(&patterns, &bounds, &ng, Some(&w2), PatternSelector::MseOptimal);
             let kp_ref = select_pattern_ref(&patterns, &ng, Some(&w2), PatternSelector::MseOptimal);
             prop_assert_eq!(kp, kp_ref, "weighted fused and reference disagree");
-            let syms = scratch.scatter(g.len()).to_vec();
-            prop_assert_eq!(syms, ng.symbols(&patterns[kp]));
+            prop_assert_eq!(scratch.symbols(), &ng.symbols(&patterns[kp])[..]);
         }
 
         #[test]
@@ -719,8 +784,9 @@ mod tests {
             a in 0usize..128,
             b in 0usize..128,
         ) {
-            // Calibration loads pre-extracted values; the encoder loads the
-            // normalized group. Same selection either way.
+            // Calibration selects over pre-extracted values; the encoder
+            // over the normalized group. Same pattern and symbols either
+            // way, under both selectors.
             let g = build_group(&lattice, dup_absmax, a, b);
             let patterns = test_patterns();
             let bounds = bounds_of(&patterns);
@@ -733,15 +799,21 @@ mod tests {
                 .map(|(_, &v)| v)
                 .collect();
             let mut a = GroupScratch::new();
-            a.load_group(&ng);
             let mut b = GroupScratch::new();
-            b.load_values(&vals, None);
             for selector in [PatternSelector::MseOptimal, PatternSelector::MinMax] {
-                prop_assert_eq!(
-                    a.select(&patterns, &bounds, selector),
-                    b.select(&patterns, &bounds, selector)
-                );
-                prop_assert_eq!(a.winner_symbols(), b.winner_symbols());
+                let kp = a.select_group(&patterns, &bounds, &ng, None, selector);
+                let (kp_cal, cal_syms) = b.select_values(&patterns, &bounds, &vals, None, selector);
+                prop_assert_eq!(kp, kp_cal);
+                match selector {
+                    // The sweep's symbols, in sorted order on both sides.
+                    PatternSelector::MseOptimal => prop_assert_eq!(&a.win[..], cal_syms),
+                    // MinMax's, in value order: the group's minus its absmax.
+                    PatternSelector::MinMax => {
+                        let mut group_syms = a.symbols().to_vec();
+                        prop_assert_eq!(group_syms.remove(ng.max_pos), SCALE_SYMBOL);
+                        prop_assert_eq!(&group_syms[..], cal_syms);
+                    }
+                }
             }
         }
     }
@@ -749,7 +821,8 @@ mod tests {
     #[test]
     fn scratch_reuse_is_stateless() {
         // A scratch that just processed one group must give the same
-        // answers on the next as a fresh scratch (loaders fully reset).
+        // answers on the next as a fresh scratch, whichever selector ran
+        // before (loaders and selectors fully reset).
         let patterns = test_patterns();
         let bounds = bounds_of(&patterns);
         let g1: Vec<f32> = (0..128)
@@ -759,18 +832,22 @@ mod tests {
         let ng1 = normalize_group(&g1, Po2Scale::IDENTITY);
         let ng2 = normalize_group(&g2, Po2Scale::IDENTITY);
 
-        let mut reused = GroupScratch::new();
-        reused.load_group(&ng1);
-        reused.select(&patterns, &bounds, PatternSelector::MseOptimal);
-        reused.load_group(&ng2);
-        let kp_reused = reused.select(&patterns, &bounds, PatternSelector::MseOptimal);
-        let reused_syms = reused.scatter(128).to_vec();
+        for first in [PatternSelector::MseOptimal, PatternSelector::MinMax] {
+            for second in [PatternSelector::MseOptimal, PatternSelector::MinMax] {
+                let mut reused = GroupScratch::new();
+                reused.select_group(&patterns, &bounds, &ng1, None, first);
+                let kp_reused = reused.select_group(&patterns, &bounds, &ng2, None, second);
 
-        let mut fresh = GroupScratch::new();
-        fresh.load_group(&ng2);
-        let kp_fresh = fresh.select(&patterns, &bounds, PatternSelector::MseOptimal);
-        assert_eq!(kp_reused, kp_fresh);
-        assert_eq!(reused_syms, fresh.scatter(128));
+                let mut fresh = GroupScratch::new();
+                let kp_fresh = fresh.select_group(&patterns, &bounds, &ng2, None, second);
+                assert_eq!(kp_reused, kp_fresh, "{first:?} then {second:?}");
+                assert_eq!(
+                    reused.symbols(),
+                    fresh.symbols(),
+                    "{first:?} then {second:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -783,7 +860,8 @@ mod tests {
         scratch.load_group(&ng);
         for (kp, (p, b)) in patterns.iter().zip(&bounds).enumerate() {
             scratch.quantize(p, b);
-            assert_eq!(scratch.scatter(128), ng.symbols(p), "pattern {kp}");
+            scratch.scatter(128);
+            assert_eq!(scratch.symbols(), ng.symbols(p), "pattern {kp}");
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The hardware compression pipeline (Figure 9 of the paper).
 //!
 //! Stage 1: the [`BitonicSorter`] extracts the scale factor, the top-16
-//! sorted values/indices for outlier padding, and the group min/max.
+//! sorted values/indices for outlier padding (a block never has room for
+//! more: [`ecco_core::block::MAX_PAD_SLOTS`]), and the group min/max.
 //! Stage 2: the pattern selector scores all 16 shared patterns with the
 //! 2-comparison min/max fitness. Stage 3: four Huffman encoders encode
 //! the group in parallel and the shortest stream wins.
@@ -15,14 +16,10 @@
 //! software codec's behaviour.
 
 use ecco_bits::Block64;
+use ecco_core::block::MAX_PAD_SLOTS;
 use ecco_core::{normalize_group, write_block, EncodedGroupInfo, TensorMetadata, SCALE_SYMBOL};
 
 use crate::bitonic::BitonicSorter;
-
-/// Outlier candidates the sorter hands to the block writer. A block
-/// never has room for more: its leftover space is at most
-/// `512 − 8 (SF) − 128 × 2 (shortest codes) = 248` bits, 16 slots.
-const PAD_CANDIDATES: usize = 16;
 
 /// Per-stage activity of one group compression (pipeline accounting).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -116,8 +113,9 @@ impl<'a> HwCompressor<'a> {
             .expect("H >= 1");
 
         // Concatenation: the shared writer clips the stream at bit 512 or
-        // pads it with the sorter's top outliers.
-        let outliers = sorted.top_outliers(PAD_CANDIDATES).iter().copied();
+        // pads it with the sorter's top outliers — as many as a block can
+        // hold.
+        let outliers = sorted.top_outliers(MAX_PAD_SLOTS).iter().copied();
         let (block, info) = write_block(self.meta, kp, book_id, ng.sf_bits, &symbols, outliers);
         let trace = CompressorTrace {
             sorter_stages: sorted.stages,

@@ -12,8 +12,12 @@
 //! * **field-level** — magic/version/flags placement, footer arithmetic,
 //!   directory shape and per-entry fields, decoded independently of the
 //!   reader under test, so a reader bug cannot mask a writer bug.
+//!
+//! The image's tensors, its K-cache one included, are encoded by
+//! `WeightCodec`. The blocks `KvCodec` writes (min/max selection, the
+//! serving write path) are pinned separately by `kv_blocks_are_byte_exact`.
 
-use ecco::codec::{wire, EccoConfig, WeightCodec};
+use ecco::codec::{wire, CodecStats, EccoConfig, KvCodec, WeightCodec};
 use ecco::container::{
     crc32, encode_model, Container, CONTAINER_VERSION, FOOTER_BYTES, HEADER_BYTES,
 };
@@ -156,6 +160,76 @@ fn golden_image_opens_and_roundtrips() {
     }
 }
 
+/// The KV fixtures: one seeded K-cache and one seeded V-cache tensor,
+/// each calibrated on itself the way the serving workloads calibrate
+/// (`max_calibration_groups: 512`) and compressed by `KvCodec`.
+const KV_FIXTURE: [(TensorKind, usize, usize, u64); 2] = [
+    (TensorKind::KCache, 32, 512, 9101),
+    (TensorKind::VCache, 32, 512, 9102),
+];
+
+/// Per KV fixture: block count, CRC-32 of every block's bytes in order,
+/// and the encoder's `CodecStats`.
+const KV_GOLDEN: [(usize, u32, CodecStats); 2] = [
+    (
+        128,
+        0x1A43_613F,
+        CodecStats {
+            groups: 128,
+            values: 16384,
+            clipped_symbols: 0,
+            padded_outliers: 1108,
+            header_bits: 1754,
+            data_bits: 46257,
+        },
+    ),
+    (
+        128,
+        0xD5F6_2491,
+        CodecStats {
+            groups: 128,
+            values: 16384,
+            clipped_symbols: 4,
+            padded_outliers: 361,
+            header_bits: 1769,
+            data_bits: 57554,
+        },
+    ),
+];
+
+/// Compresses each KV fixture: `(block count, blocks' CRC-32, stats)`.
+fn kv_fingerprints() -> Vec<(usize, u32, CodecStats)> {
+    let cfg = EccoConfig {
+        max_calibration_groups: 512,
+        ..EccoConfig::default()
+    };
+    KV_FIXTURE
+        .iter()
+        .map(|&(kind, rows, cols, seed)| {
+            let t = SynthSpec::for_kind(kind, rows, cols)
+                .seeded(seed)
+                .generate();
+            let (ct, stats) = KvCodec::calibrate(&[&t], &cfg).compress(&t);
+            let bytes: Vec<u8> = ct.blocks().iter().flat_map(|b| *b.as_bytes()).collect();
+            (ct.blocks().len(), crc32(&bytes), stats)
+        })
+        .collect()
+}
+
+#[test]
+fn kv_blocks_are_byte_exact() {
+    for (got, (want, fixture)) in kv_fingerprints()
+        .iter()
+        .zip(KV_GOLDEN.iter().zip(KV_FIXTURE))
+    {
+        assert_eq!(
+            got, want,
+            "KvCodec output changed for the {:?} fixture — the KV write path must stay bit-identical",
+            fixture.0
+        );
+    }
+}
+
 /// Not a test of the code — a regeneration helper. Run
 /// `cargo test -q --test container_golden -- --ignored --nocapture`
 /// after an intentional format change and copy the printed constants.
@@ -168,4 +242,7 @@ fn regen_golden() {
         image.len(),
         crc32(&image)
     );
+    for (blocks, crc, stats) in kv_fingerprints() {
+        println!("KV_GOLDEN entry: ({blocks}, 0x{crc:08X}, {stats:?})");
+    }
 }

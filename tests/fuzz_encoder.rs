@@ -8,14 +8,16 @@
 //! encoder or emit blocks its own decoder rejects. The invariants:
 //!
 //! * **never panic**: any f32 storm — NaN/±inf floods, denormal dust,
-//!   all-equal groups, mixed garbage — calibrates and compresses;
+//!   all-equal groups, mixed garbage — calibrates and compresses, through
+//!   `WeightCodec` and through `KvCodec` (the serving write path, min/max
+//!   selection) alike;
 //! * **self-decodable output**: whatever the encoder emits, its own
 //!   decoder accepts (garbage in, *typed values* out — non-finite
 //!   inputs land as zero-scale groups, never as undecodable blocks);
 //! * **bit-identical decode** for finite inputs across pools {1, 4} —
 //!   the encoder must not produce blocks whose decode is pool-dependent.
 
-use ecco::codec::{EccoConfig, WeightCodec};
+use ecco::codec::{EccoConfig, KvCodec, WeightCodec};
 use ecco::prelude::*;
 use proptest::prelude::*;
 
@@ -106,6 +108,22 @@ proptest! {
         // (NaN breaks bit-equality); every finite-output case gets it.
         if decoded.data().iter().all(|v| v.is_finite()) {
             assert_decode_invariant_everywhere(&codec, &ct, decoded.data())?;
+        }
+
+        // The same storm as a K-cache tensor through the KV codec: it
+        // must calibrate and compress, and every block it writes must
+        // decode.
+        let kv = KvCodec::calibrate(&[&t], &small_cfg());
+        let (kct, _) = kv.compress(&t);
+        let kv_decoded = kv.decompress_batch(&[&kct]).remove(0);
+        prop_assert!(kv_decoded.is_ok(), "a KV block failed to decode: {:?}", kv_decoded.err());
+        let kv_decoded = kv_decoded.unwrap();
+        prop_assert_eq!(kv_decoded.len(), ROWS * COLS);
+        if in_f16_range {
+            prop_assert!(
+                kv_decoded.data().iter().all(|v| v.is_finite()),
+                "finite in-range input decoded to a non-finite KV value"
+            );
         }
     }
 
