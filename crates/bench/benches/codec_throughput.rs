@@ -28,13 +28,18 @@
 //! `BENCH_encode.json` covers the compress-side hot path:
 //!
 //! * `pattern_select` — the fused single-sweep pattern selection (sorted
-//!   group + boundary-table merge in a reused `GroupScratch`) vs the
-//!   pinned per-pattern reference `select_pattern_ref`,
+//!   group + one merge against every pattern's boundaries in a reused
+//!   `GroupScratch`) vs the pinned per-pattern reference
+//!   `select_pattern_ref`,
 //! * `book_selection` — the packed-lane single-pass codebook selection
 //!   (the cached `MultiLenTable` path `encode_group` uses) vs the H-pass
 //!   `encoded_len`-per-book baseline,
 //! * `encode` — full `encode_group_scratch` and the parallel encode
 //!   pipeline,
+//! * `weight_encode` — the offline weight path at the paper's S = 64
+//!   (`EccoConfig::default()`): `encode_group_scratch` under MSE-optimal
+//!   selection on one thread, and `WeightCodec::compress_batch` across
+//!   the pool,
 //! * `kv_encode` — the serving write path: `encode_group_scratch` under
 //!   the min/max selector on one thread, and `KvCodec::compress_batch`
 //!   over 16-token pages across the pool, on a synthetic K-cache tensor
@@ -500,6 +505,56 @@ fn write_bench_json(
     );
 }
 
+/// The `weight_encode` JSON object: the offline weight path at the
+/// paper's S = 64 (`EccoConfig::default()`) on a synthetic weight tensor
+/// of 1024 groups, calibrated on itself. One thread runs
+/// `encode_group_scratch` under MSE-optimal selection over every group;
+/// the pool runs `WeightCodec::compress_batch` over the tensor cut into
+/// row slices, as one batch.
+fn weight_encode_timings() -> String {
+    use ecco_tensor::{synth::SynthSpec, TensorKind};
+    const SLICES: usize = 8;
+    let wt = SynthSpec::for_kind(TensorKind::Weight, 128, 1024)
+        .seeded(4)
+        .generate();
+    let cfg = EccoConfig::default();
+    let codec = WeightCodec::calibrate(&[&wt], &cfg);
+    let meta = codec.metadata();
+    let mut scratch = GroupScratch::new();
+    let encode_ns = time_ns(|| {
+        for g in wt.groups(GROUP) {
+            black_box(encode_group_scratch(
+                black_box(g),
+                meta,
+                PatternSelector::MseOptimal,
+                &mut scratch,
+            ));
+        }
+    });
+    let rows = wt.rows() / SLICES;
+    let slices: Vec<Tensor> = wt
+        .data()
+        .chunks_exact(rows * wt.cols())
+        .map(|s| Tensor::from_vec(rows, wt.cols(), s.to_vec()))
+        .collect();
+    let slice_refs: Vec<&Tensor> = slices.iter().collect();
+    let batch_ns = time_ns(|| {
+        black_box(codec.compress_batch(black_box(&slice_refs)));
+    });
+    format!(
+        "\"weight_encode\": {{\n    \
+           \"num_patterns\": {patterns},\n    \
+           \"encode_group_mse_syms_per_s\": {enc:.0},\n    \
+           \"compress_batch_values_per_s\": {batch:.0},\n    \
+           \"compress_batch_tensors\": {SLICES},\n    \
+           \"compress_batch_executors\": {executors}\n  }},",
+        patterns = cfg.num_patterns,
+        enc = wt.len() as f64 / encode_ns * 1e9,
+        batch = wt.len() as f64 / batch_ns * 1e9,
+        executors = ecco_core::pool::Pool::current().executors(),
+    )
+}
+
 /// The `kv_encode` JSON object: the serving write path on a synthetic
 /// K-cache tensor of 1024 groups, calibrated as the serve workloads
 /// calibrate (`max_calibration_groups: 512`). One thread runs
@@ -554,8 +609,8 @@ fn kv_encode_timings() -> String {
 }
 
 /// Compress-side counterpart of [`write_bench_json`]: codebook selection
-/// single-pass vs H-pass, full encode throughput, the KV write path, and
-/// parallel vs sequential calibration wall time.
+/// single-pass vs H-pass, full encode throughput, the weight and KV
+/// write paths, and parallel vs sequential calibration wall time.
 fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     // Precompute per-group symbol streams exactly as the encoder derives
     // them, so the selection timings isolate the codebook choice.
@@ -660,6 +715,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
         ));
     });
 
+    let wt = weight_encode_timings();
     let kv = kv_encode_timings();
 
     let per_s = |ns: f64| symbols / ns * 1e9;
@@ -681,6 +737,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
          \"encode\": {{\n    \
            \"encode_group_syms_per_s\": {enc:.0},\n    \
            \"pipeline_encode_syms_per_s\": {pipe:.0}\n  }},\n  \
+         {wt}\n  \
          {kv}\n  \
          \"calibration\": {{\n    \
            \"sequential_ms\": {cal_seq:.2},\n    \

@@ -12,7 +12,7 @@ use crate::group::{normalize_group, NormalizedGroup};
 use crate::pattern::{
     shared_patterns, KmeansPattern, PatternBoundaries, NUM_CENTROIDS, SCALE_SYMBOL, SYMBOL_COUNT,
 };
-use crate::select::{self, GroupScratch};
+use crate::select::{self, BoundaryLadder, GroupScratch};
 use crate::EccoConfig;
 
 /// How a group picks its shared k-means pattern.
@@ -53,14 +53,15 @@ pub struct TensorMetadata {
     /// restores the codebook decode LUTs, which do need it).
     len_tables: OnceLock<Vec<OnceLock<Arc<MultiLenTable>>>>,
     /// Lazily-built per-pattern decision boundaries (the 14 centroid
-    /// midpoints) for the encoder's selection (the fused sweep's merge and
-    /// the min/max selector's symbol map); shared (via
-    /// `Arc`) by clones made after first use. Not serialized — derived
-    /// from `patterns` on first access, so metadata revived by `wire`
-    /// ingest works without a rebuild; replacing `patterns` by field
-    /// access requires [`TensorMetadata::rebuild_tables`] to stay
+    /// midpoints) for the encoder's selection: the min/max selector's
+    /// symbol map, and their ladder (all `S × 14` midpoints in one
+    /// ascending list) for the fused sweep's one merge per group; shared
+    /// (via `Arc`) by clones made after first use. Not serialized —
+    /// derived from `patterns` on first access, so metadata revived by
+    /// `wire` ingest works without a rebuild; replacing `patterns` by
+    /// field access requires [`TensorMetadata::rebuild_tables`] to stay
     /// coherent.
-    bounds: OnceLock<Arc<Vec<PatternBoundaries>>>,
+    bounds: OnceLock<Arc<BoundaryLadder>>,
 }
 
 impl TensorMetadata {
@@ -147,15 +148,15 @@ impl TensorMetadata {
     /// symbols in group order in `scratch` for the encoder to emit
     /// directly (see [`crate::select`]): MinMax reads the group's min and
     /// max as it lies, no sort; MseOptimal sorts the group once and scores
-    /// every pattern with one sorted merge each. Bit-identical to
-    /// [`TensorMetadata::select_pattern_ref`].
+    /// every pattern from one merge against all their boundaries.
+    /// Bit-identical to [`TensorMetadata::select_pattern_ref`].
     pub fn select_pattern_scratch(
         &self,
         ng: &NormalizedGroup,
         selector: PatternSelector,
         scratch: &mut GroupScratch,
     ) -> usize {
-        scratch.select_group(&self.patterns, self.boundaries(), ng, None, selector)
+        scratch.select_group(&self.patterns, self.ladder(), ng, None, selector)
     }
 
     /// Weighted counterpart of [`TensorMetadata::select_pattern_scratch`]:
@@ -169,7 +170,7 @@ impl TensorMetadata {
     ) -> usize {
         scratch.select_group(
             &self.patterns,
-            self.boundaries(),
+            self.ladder(),
             ng,
             Some(group_w2),
             PatternSelector::MseOptimal,
@@ -183,18 +184,18 @@ impl TensorMetadata {
     }
 
     /// The per-pattern decision-boundary tables (14 centroid midpoints
-    /// each) behind pattern selection (the fused sweep's merge and the
-    /// min/max selector's symbol map) — built from `patterns` on first
-    /// use and shared (via `Arc`) by every clone made after that.
+    /// each) behind pattern selection (the min/max selector's symbol map;
+    /// the fused sweep merges against their ladder) — built from
+    /// `patterns` on first use and shared (via `Arc`) by every clone made
+    /// after that.
     pub fn boundaries(&self) -> &[PatternBoundaries] {
-        self.bounds.get_or_init(|| {
-            Arc::new(
-                self.patterns
-                    .iter()
-                    .map(KmeansPattern::boundaries)
-                    .collect(),
-            )
-        })
+        self.ladder().tables()
+    }
+
+    /// The boundary tables and their ladder, built on first use.
+    fn ladder(&self) -> &BoundaryLadder {
+        self.bounds
+            .get_or_init(|| Arc::new(BoundaryLadder::new(&self.patterns)))
     }
 
     /// Returns a copy bound to a different per-tensor FP16→FP8 scale.
@@ -461,11 +462,11 @@ fn calibrate_impl(
     // unsorted MinMax selector), so calibration-time pattern choices
     // match compression-time choices exactly, and the winner's symbols
     // feed the histogram directly.
-    let bounds: Vec<PatternBoundaries> = patterns.iter().map(KmeansPattern::boundaries).collect();
+    let ladder = BoundaryLadder::new(&patterns);
     let assigned: Vec<(usize, Vec<f32>)> = map_ordered(parallel, &sampled, |_, sg| {
         crate::select::with_thread_scratch(|scratch| {
             let (kp, syms) =
-                scratch.select_values(&patterns, &bounds, &sg.vals, sg.wts.as_deref(), selector);
+                scratch.select_values(&patterns, &ladder, &sg.vals, sg.wts.as_deref(), selector);
             let mut h = vec![0f32; SYMBOL_COUNT];
             h[SCALE_SYMBOL as usize] += 1.0; // the absmax position
             for &sym in syms {
@@ -761,33 +762,40 @@ mod tests {
         ) {
             use crate::select::{select_pattern_ref, GroupScratch};
             let kind = if kind_kv { TensorKind::KCache } else { TensorKind::Weight };
-            let cal = SynthSpec::for_kind(kind, 8, 512).seeded(seed).generate();
-            let meta = TensorMetadata::calibrate(&[&cal], &small_cfg(), PatternSelector::MseOptimal);
-            // Compress a *different, larger-ranged* tensor under the same
-            // metadata so normalized values stray outside the patterns'
-            // centroid range (clipped symbols) — selection must still agree.
-            let mut t = SynthSpec::for_kind(kind, 8, 512).seeded(seed + 1).generate();
-            for x in t.data_mut() {
-                *x *= 3.0;
-            }
-            let selector = if minmax { PatternSelector::MinMax } else { PatternSelector::MseOptimal };
-            let w2: Vec<f32> = (0..meta.group_size).map(|i| 0.1 + (i % 9) as f32 * 0.2).collect();
-            let mut scratch = GroupScratch::new();
-            for g in t.groups(meta.group_size).take(24) {
-                let ng = normalize_group(g, meta.tensor_scale);
-                let (kp, kp_ref) = if weighted {
-                    (
-                        meta.select_pattern_weighted_scratch(&ng, &w2, &mut scratch),
-                        select_pattern_ref(&meta.patterns, &ng, Some(&w2), selector),
-                    )
-                } else {
-                    (
-                        meta.select_pattern_scratch(&ng, selector, &mut scratch),
-                        select_pattern_ref(&meta.patterns, &ng, None, selector),
-                    )
-                };
-                prop_assert_eq!(kp, kp_ref);
-                prop_assert_eq!(scratch.symbols(), &ng.symbols(&meta.patterns[kp])[..]);
+            // `small_cfg()`'s 8 patterns, and the paper's 64 (an 896-rung
+            // ladder) calibrated on enough groups to fill them.
+            let wide = EccoConfig { num_patterns: 64, ..small_cfg() };
+            for (cfg, cal_rows) in [(small_cfg(), 8), (wide, 32)] {
+                let cal = SynthSpec::for_kind(kind, cal_rows, 512).seeded(seed).generate();
+                let meta = TensorMetadata::calibrate(&[&cal], &cfg, PatternSelector::MseOptimal);
+                prop_assert_eq!(meta.num_patterns(), cfg.num_patterns);
+                // Compress a *different, larger-ranged* tensor under the
+                // same metadata so normalized values stray outside the
+                // patterns' centroid range (clipped symbols) — selection
+                // must still agree.
+                let mut t = SynthSpec::for_kind(kind, 8, 512).seeded(seed + 1).generate();
+                for x in t.data_mut() {
+                    *x *= 3.0;
+                }
+                let selector = if minmax { PatternSelector::MinMax } else { PatternSelector::MseOptimal };
+                let w2: Vec<f32> = (0..meta.group_size).map(|i| 0.1 + (i % 9) as f32 * 0.2).collect();
+                let mut scratch = GroupScratch::new();
+                for g in t.groups(meta.group_size).take(24) {
+                    let ng = normalize_group(g, meta.tensor_scale);
+                    let (kp, kp_ref) = if weighted {
+                        (
+                            meta.select_pattern_weighted_scratch(&ng, &w2, &mut scratch),
+                            select_pattern_ref(&meta.patterns, &ng, Some(&w2), selector),
+                        )
+                    } else {
+                        (
+                            meta.select_pattern_scratch(&ng, selector, &mut scratch),
+                            select_pattern_ref(&meta.patterns, &ng, None, selector),
+                        )
+                    };
+                    prop_assert_eq!(kp, kp_ref);
+                    prop_assert_eq!(scratch.symbols(), &ng.symbols(&meta.patterns[kp])[..]);
+                }
             }
         }
 

@@ -165,8 +165,9 @@ impl KmeansPattern {
 /// midpoints strictly below `x`**. Because the centroids are sorted, the
 /// midpoints are non-decreasing, so the count can be read off by a
 /// branch-free scan ([`PatternBoundaries::nearest`]) or — when many
-/// values are quantized at once — by a single sorted merge of values
-/// against boundaries (the encoder's fused sweep in [`crate::select`]).
+/// values are quantized at once — by one merge of the sorted values
+/// against every pattern's boundaries (the encoder's fused sweep in
+/// [`crate::select`]).
 ///
 /// The rule pins every corner case deterministically:
 ///
@@ -174,9 +175,8 @@ impl KmeansPattern {
 /// * **duplicate centroids**: values at/below the duplicated value take
 ///   the *lowest* symbol among them, values strictly above the *highest*
 ///   — the reconstructed centroid is identical either way,
-/// * **NaN** compares false against every midpoint and maps to symbol 0
-///   (the encode paths require finite inputs; this is a backstop, not a
-///   feature).
+/// * **NaN** compares false against every midpoint and maps to symbol 0,
+///   the symbol the encoder gives a NaN value under either selector.
 ///
 /// [`KmeansPattern::nearest`] recomputes the same midpoints per probe, so
 /// for every non-NaN `x`:

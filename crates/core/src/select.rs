@@ -24,20 +24,24 @@
 //!    winner's symbols can be scattered back to group order), and prefix
 //!    sums of `v`, `v²` (and their weighted forms) are accumulated over
 //!    the sorted order,
-//! 2. each pattern is scored by an `O(127 + 15)` **sorted merge** of the
-//!    values against the pattern's precomputed midpoint boundaries
-//!    ([`crate::pattern::PatternBoundaries`]): both sequences are
-//!    non-decreasing, so a single forward-moving cursor splits the sorted
-//!    values into at most 15 **runs** — one per centroid — and each run's
-//!    squared error closes in constant time from the prefix sums
-//!    (`Σ(v−c)² = s2 − 2c·s1 + n·c²`, the `run_error` helper),
-//! 3. the merge records the symbols it assigns, so the winning pattern's
-//!    symbols are **emitted directly** instead of re-quantized.
+//! 2. one forward **ladder merge** ranks the sorted values against every
+//!    pattern's boundaries at once. The `BoundaryLadder` holds all
+//!    `S × 14` midpoints of the patterns' [`PatternBoundaries`] in one
+//!    ascending list, each tagged with its slot `pattern * 14 + j`; one
+//!    pass over values and rungs together records at every rung how many
+//!    values lie at or below it. Both sequences ascend, so neither cursor
+//!    moves back: `O(127 + 14·S)` per group, not one merge per pattern,
+//! 3. each pattern is scored from its 14 ranks: run `j` is
+//!    `[lo, max(lo, rank_j))` and the last run ends at the value count,
+//!    one run per centroid, and each run's squared error closes in
+//!    constant time from the prefix sums (`Σ(v−c)² = s2 − 2c·s1 + n·c²`,
+//!    the `run_error` helper),
+//! 4. the winner's symbols are read off the same ranks instead of
+//!    re-quantized.
 //!
 //! Nothing allocates per group once the scratch has warmed up, and the
 //! per-pattern cost collapses from 127 nearest-centroid searches plus 127
-//! floating-point error terms to one linear merge plus ≤ 15 closed-form
-//! run errors.
+//! floating-point error terms to ≤ 15 closed-form run errors.
 //!
 //! # Bit-identity contract
 //!
@@ -51,7 +55,7 @@
 //! * **shared boundary rule**: both quantize by the midpoint-boundary
 //!   rule of [`ecco_kmeans::nearest_sorted`] (ties at exact midpoints take
 //!   the lower symbol; the reference finds runs per value, the sweep by
-//!   boundary merge — the partitions provably coincide),
+//!   the ranks of its ladder merge — the partitions provably coincide),
 //! * **pinned accumulation order**: both score over the values in
 //!   ascending order (equal values in group order), so selection is
 //!   invariant to how the group happens to be laid out,
@@ -63,30 +67,39 @@
 //! * **shared tie-breaks**: both resolve equal pattern scores to the
 //!   lowest pattern id via `argmin`, and NaN scores never win.
 //!
-//! The sweep requires **finite** group values; its merge cursor is
-//! monotone and a NaN would sort to one end without resetting it. MinMax
-//! has no such limit: a NaN is left out of the min and max and maps to
-//! symbol 0, exactly as in the reference.
+//! # NaN values
+//!
+//! The sweep and the reference leave NaN values out of their sort, as
+//! they leave out the absmax: a NaN neither scores nor enters the ladder
+//! merge, and its position gets symbol 0 — what
+//! [`KmeansPattern::nearest`] gives a NaN, and what MinMax gives it too
+//! (MinMax leaves NaNs out of the min and max). One NaN therefore costs
+//! its group that one value, under either selector.
 
 use crate::group::NormalizedGroup;
 use crate::metadata::PatternSelector;
-use crate::pattern::{KmeansPattern, PatternBoundaries, SCALE_SYMBOL};
+use crate::pattern::{KmeansPattern, PatternBoundaries, NUM_CENTROIDS, SCALE_SYMBOL};
+
+/// Boundaries per pattern: one midpoint between each pair of adjacent
+/// centroids.
+const MIDS: usize = NUM_CENTROIDS - 1;
 
 /// Reusable workspace for pattern selection: the fused sweep's sorted
-/// group view and prefix sums, the winner's symbols and the group-order
-/// symbol output. Create one per worker (or use the crate-internal
-/// thread-local behind the classic entry points) and pass it with every
-/// group to [`crate::encode_group_scratch`] or
+/// group view, prefix sums and ladder ranks, the winner's symbols and the
+/// group-order symbol output. Create one per worker (or use the
+/// crate-internal thread-local behind the classic entry points) and pass
+/// it with every group to [`crate::encode_group_scratch`] or
 /// [`crate::TensorMetadata::select_pattern_scratch`] — after the first
 /// group no call allocates.
 #[derive(Clone, Debug, Default)]
 pub struct GroupScratch {
-    /// Packed sort keys: the value's IEEE total-order ordinal in the high
-    /// 32 bits, its source position in the low 32. Sorting these as plain
-    /// `u64`s yields exactly the `(total_cmp, position)` order the
-    /// reference sorts into, with branch-free integer compares.
+    /// Packed sort keys of the loaded values (NaNs are never loaded):
+    /// the value's IEEE total-order ordinal in the high 32 bits, its
+    /// source position in the low 32. Sorting these as plain `u64`s yields
+    /// exactly the `(total_cmp, position)` order the reference sorts into,
+    /// with branch-free integer compares.
     keys: Vec<u64>,
-    /// The sorted values alone, contiguous, for the boundary merge.
+    /// The sorted values alone, contiguous, for the ladder merge.
     vals: Vec<f32>,
     /// Per-value weights aligned with the sorted order (weighted
     /// selection only).
@@ -100,6 +113,9 @@ pub struct GroupScratch {
     pw0: Vec<f64>,
     pw1: Vec<f64>,
     pw2: Vec<f64>,
+    /// The ladder merge's output, one entry per slot `pattern * 14 + j`:
+    /// how many sorted values lie at or below that pattern's boundary `j`.
+    ranks: Vec<u16>,
     /// Symbols of the sweep's winning pattern, in sorted order.
     win: Vec<u16>,
     /// The selected pattern's symbols in group order — scattered from
@@ -149,6 +165,74 @@ fn sort_key(v: f32, pos: usize) -> u64 {
 #[inline]
 fn key_pos(key: u64) -> usize {
     (key & 0xFFFF_FFFF) as usize
+}
+
+/// The boundary tables of a pattern set, plus the **ladder** the fused
+/// sweep ranks a group against: every table's midpoints in one ascending
+/// list, each tagged with its slot `pattern * 14 + j`. Built once per
+/// metadata (cached next to the packed length tables) and once per
+/// calibration.
+#[derive(Debug)]
+pub(crate) struct BoundaryLadder {
+    /// One boundary table per pattern, in pattern order — the MinMax
+    /// selector's symbol map.
+    tables: Vec<PatternBoundaries>,
+    /// `(midpoint, slot)` rungs by ascending midpoint (equal midpoints by
+    /// slot). A NaN midpoint, which only adjacent −∞/+∞ centroids make,
+    /// is left off: no value is `<=` it, so its slot keeps rank 0.
+    rungs: Vec<(f32, u16)>,
+}
+
+impl BoundaryLadder {
+    /// Builds every pattern's boundary table and their ladder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slots outgrow `u16`: more than 4681 patterns
+    /// (`EccoConfig::validate` caps `S` at 4096).
+    pub(crate) fn new(patterns: &[KmeansPattern]) -> BoundaryLadder {
+        let tables: Vec<PatternBoundaries> =
+            patterns.iter().map(KmeansPattern::boundaries).collect();
+        let mut rungs: Vec<(f32, u16)> = tables
+            .iter()
+            .flat_map(PatternBoundaries::midpoints)
+            .enumerate()
+            .map(|(slot, &m)| (m, u16::try_from(slot).expect("ladder slots fit u16")))
+            .filter(|&(m, _)| !m.is_nan())
+            .collect();
+        // `-0.0` sorts before `+0.0`; both compare equal under `<=`, so
+        // they rank the same in either order.
+        rungs.sort_unstable_by_key(|&(m, slot)| (f32_ordinal(m), slot));
+        BoundaryLadder { tables, rungs }
+    }
+
+    /// The per-pattern boundary tables, in pattern order.
+    pub(crate) fn tables(&self) -> &[PatternBoundaries] {
+        &self.tables
+    }
+}
+
+/// The non-empty runs `(symbol, lo, hi)` that pattern `kp`'s 14 ranks
+/// (slots `kp * 14 ..` of the ladder merge's `ranks`) cut `n` sorted
+/// values into, in ascending symbol order: run `j` is
+/// `[lo, max(lo, rank_j))`, and the last run ends at `n`.
+///
+/// These are the runs a per-pattern merge finds. Let `P(m)` be the
+/// longest prefix of the sorted values that are all `<= m`, which is what
+/// the ladder merge records. Over sorted values without NaN, a merge that
+/// resumes at `lo` and takes every value `<= m` stops at `max(lo, P(m))`.
+#[inline]
+fn runs(ranks: &[u16], kp: usize, n: usize) -> impl Iterator<Item = (u16, usize, usize)> + '_ {
+    let ranks = &ranks[kp * MIDS..(kp + 1) * MIDS];
+    let mut lo = 0;
+    (0..NUM_CENTROIDS as u16).filter_map(move |j| {
+        let hi = ranks
+            .get(usize::from(j))
+            .map_or(n, |&r| lo.max(usize::from(r)));
+        let run = (j, lo, hi);
+        lo = hi;
+        (hi > run.1).then_some(run)
+    })
 }
 
 /// Squared error of one run of values assigned to centroid `c`, in closed
@@ -213,18 +297,30 @@ impl GroupScratch {
         GroupScratch::default()
     }
 
-    /// Loads a normalized group: every value except the absmax position,
-    /// tagged with its group position, sorted ascending, with the prefix
-    /// sums the run-closed-form scoring reads.
-    fn load_group(&mut self, ng: &NormalizedGroup) {
+    /// Loads `values` except position `skip` and any NaN, each tagged
+    /// with its position, sorted ascending, with the prefix sums the
+    /// run-closed-form scoring reads.
+    fn load(&mut self, values: &[f32], skip: Option<usize>) {
         self.keys.clear();
         self.wts.clear();
-        for (i, &v) in ng.values.iter().enumerate() {
-            if i != ng.max_pos {
-                self.keys.push(sort_key(v, i));
-            }
-        }
-        self.finish_load();
+        self.keys.extend(
+            values
+                .iter()
+                .enumerate()
+                .filter(|&(i, v)| Some(i) != skip && !v.is_nan())
+                .map(|(i, &v)| sort_key(v, i)),
+        );
+        self.keys.sort_unstable();
+        self.vals.clear();
+        self.vals
+            .extend(self.keys.iter().map(|&k| ordinal_to_f32((k >> 32) as u32)));
+        accumulate_prefixes(self.vals.iter().copied(), &mut self.p1, &mut self.p2);
+    }
+
+    /// Loads a normalized group: every value except the absmax position
+    /// and NaNs, positioned in the group.
+    fn load_group(&mut self, ng: &NormalizedGroup) {
+        self.load(&ng.values, Some(ng.max_pos));
     }
 
     /// Loads a normalized group plus per-position squared channel
@@ -243,30 +339,17 @@ impl GroupScratch {
     }
 
     /// Loads pre-extracted non-absmax values (and optional aligned
-    /// weights), as calibration holds them. Positions index into `vals`,
-    /// so a scratch loaded this way must not be scattered back to group
-    /// order — calibration only counts the winner's sorted-order symbols.
+    /// weights), as calibration holds them (finite: calibration drops
+    /// non-finite values). Positions index into `vals`, so a scratch
+    /// loaded this way must not be scattered back to group order —
+    /// calibration only counts the winner's sorted-order symbols.
     fn load_values(&mut self, vals: &[f32], wts: Option<&[f32]>) {
-        self.keys.clear();
-        self.wts.clear();
-        self.keys
-            .extend(vals.iter().enumerate().map(|(i, &v)| sort_key(v, i)));
-        self.finish_load();
+        self.load(vals, None);
         if let Some(w) = wts {
             assert_eq!(w.len(), vals.len(), "one weight per value");
             self.wts.extend(self.keys.iter().map(|&k| w[key_pos(k)]));
             self.finish_weighted_load();
         }
-    }
-
-    /// Sorts the loaded keys, extracts the contiguous value view and
-    /// accumulates the unweighted prefix sums.
-    fn finish_load(&mut self) {
-        self.keys.sort_unstable();
-        self.vals.clear();
-        self.vals
-            .extend(self.keys.iter().map(|&k| ordinal_to_f32((k >> 32) as u32)));
-        accumulate_prefixes(self.vals.iter().copied(), &mut self.p1, &mut self.p2);
     }
 
     /// Accumulates the weighted prefix sums (after `wts` is aligned with
@@ -280,79 +363,92 @@ impl GroupScratch {
         );
     }
 
-    /// Scores one pattern with the sorted merge: the values split into at
-    /// most 15 contiguous runs (one per centroid, delimited by the
-    /// pattern's boundaries) and each run's error closes in constant time
-    /// from the prefix sums via `run_error`. Run errors accumulate in
-    /// ascending symbol order — the same partition and order the
-    /// reference scorer produces. Pure scoring: symbols are materialized
-    /// only for the winner, by [`GroupScratch::quantize`].
-    fn score(&self, pattern: &KmeansPattern, bounds: &PatternBoundaries, weighted: bool) -> f64 {
-        let centroids = pattern.centroids();
-        let mids = bounds.midpoints();
+    /// The ladder merge: ranks the loaded values against every rung of
+    /// `ladder` in one forward pass. Slot `pattern * 14 + j` receives the
+    /// length of the longest prefix of the sorted values that are all
+    /// `<=` that pattern's boundary `j`: the index of the first value not
+    /// `<=` the rung, or `n` if there is none. Values and rungs both
+    /// ascend, so neither cursor ever moves back: `O(n + 14·S)`.
+    fn rank(&mut self, ladder: &BoundaryLadder) {
         let vals = &self.vals[..];
-        let n = vals.len();
-        let mut err = 0f64;
-        let mut lo = 0usize;
-        for (j, &c) in centroids.iter().enumerate() {
-            // Values ascend and midpoints are non-decreasing, so the value
-            // cursor only ever moves forward: O(127 + 15) per pattern. Run
-            // `j` ends at the first value above boundary `j`; the last
-            // centroid takes everything that remains.
-            let hi = match mids.get(j) {
-                Some(&m) => lo + vals[lo..].iter().take_while(|&&x| x <= m).count(),
-                None => n,
-            };
-            if hi > lo {
-                err += if weighted {
-                    run_error(
-                        self.pw0[hi] - self.pw0[lo],
-                        self.pw1[hi] - self.pw1[lo],
-                        self.pw2[hi] - self.pw2[lo],
-                        c as f64,
-                    )
-                } else {
-                    run_error(
-                        (hi - lo) as f64,
-                        self.p1[hi] - self.p1[lo],
-                        self.p2[hi] - self.p2[lo],
-                        c as f64,
-                    )
-                };
-                lo = hi;
+        assert!(vals.len() <= usize::from(u16::MAX), "ranks fit u16");
+        self.ranks.clear();
+        self.ranks.resize(ladder.tables.len() * MIDS, 0);
+        let rungs = &ladder.rungs[..];
+        let mut r = 0usize;
+        for (k, &v) in vals.iter().enumerate() {
+            // Neither is NaN (the loaders leave NaN values out, the ladder
+            // NaN rungs), so "not `v <= m`" is `v > m`.
+            while r < rungs.len() && v > rungs[r].0 {
+                self.ranks[usize::from(rungs[r].1)] = k as u16;
+                r += 1;
             }
+        }
+        for &(_, slot) in &rungs[r..] {
+            self.ranks[usize::from(slot)] = vals.len() as u16;
+        }
+    }
+
+    /// Scores pattern `kp` from its ranks: the values split into at most
+    /// 15 contiguous runs (one per centroid, see `runs`) and each run's
+    /// error closes in constant time from the prefix sums via
+    /// `run_error`. Run errors accumulate in ascending symbol order — the
+    /// same partition and order the reference scorer produces. Pure
+    /// scoring: symbols are materialized only for the winner, by
+    /// [`GroupScratch::quantize`].
+    fn score(&self, kp: usize, pattern: &KmeansPattern, weighted: bool) -> f64 {
+        let centroids = pattern.centroids();
+        let mut err = 0f64;
+        for (j, lo, hi) in runs(&self.ranks, kp, self.vals.len()) {
+            let c = centroids[usize::from(j)] as f64;
+            err += if weighted {
+                run_error(
+                    self.pw0[hi] - self.pw0[lo],
+                    self.pw1[hi] - self.pw1[lo],
+                    self.pw2[hi] - self.pw2[lo],
+                    c,
+                )
+            } else {
+                run_error(
+                    (hi - lo) as f64,
+                    self.p1[hi] - self.p1[lo],
+                    self.p2[hi] - self.p2[lo],
+                    c,
+                )
+            };
         }
         err
     }
 
-    /// Scores every pattern, then materializes the winner's symbols with
-    /// one final merge; lowest score wins, ties to the lowest pattern id,
-    /// NaN scores never win.
+    /// Ranks the loaded values once, scores every pattern from its ranks,
+    /// then materializes the winner's symbols from the same ranks; lowest
+    /// score wins, ties to the lowest pattern id, NaN scores never win
+    /// (`argmin`).
     fn select_by_sweep(
         &mut self,
         patterns: &[KmeansPattern],
-        bounds: &[PatternBoundaries],
+        ladder: &BoundaryLadder,
         weighted: bool,
     ) -> usize {
         assert_eq!(
             patterns.len(),
-            bounds.len(),
+            ladder.tables.len(),
             "one boundary table per pattern"
         );
         assert!(!patterns.is_empty(), "no patterns to select from");
-        let mut best = (0usize, self.score(&patterns[0], &bounds[0], weighted));
-        for (i, (p, b)) in patterns.iter().zip(bounds).enumerate().skip(1) {
-            let err = self.score(p, b, weighted);
-            if err < best.1 {
-                best = (i, err);
-            }
-        }
-        self.quantize(&patterns[best.0], &bounds[best.0]);
-        best.0
+        self.rank(ladder);
+        let kp = argmin(
+            patterns
+                .iter()
+                .enumerate()
+                .map(|(kp, p)| self.score(kp, p, weighted)),
+        );
+        self.quantize(kp);
+        kp
     }
 
     /// The encoder's selection for one normalized group, with the
-    /// arguments of [`select_pattern_ref`] (plus the boundary tables):
+    /// arguments of [`select_pattern_ref`] (plus the boundary ladder):
     /// returns the chosen pattern and leaves its symbols in group order
     /// for [`GroupScratch::symbols`] — bit-identical to the reference's
     /// pattern and [`NormalizedGroup::symbols`] of it. Weighted and
@@ -361,12 +457,12 @@ impl GroupScratch {
     ///
     /// # Panics
     ///
-    /// Panics if `patterns` is empty, `bounds` disagrees in length, or
-    /// `group_w2` is shorter than the group.
+    /// Panics if `patterns` is empty, `ladder` was built for a different
+    /// number of patterns, or `group_w2` is shorter than the group.
     pub(crate) fn select_group(
         &mut self,
         patterns: &[KmeansPattern],
-        bounds: &[PatternBoundaries],
+        ladder: &BoundaryLadder,
         ng: &NormalizedGroup,
         group_w2: Option<&[f32]>,
         selector: PatternSelector,
@@ -375,7 +471,7 @@ impl GroupScratch {
             (None, PatternSelector::MinMax) => {
                 return select_minmax(
                     patterns,
-                    bounds,
+                    ladder.tables(),
                     &ng.values,
                     Some(ng.max_pos),
                     &mut self.syms,
@@ -390,8 +486,8 @@ impl GroupScratch {
                 true
             }
         };
-        let kp = self.select_by_sweep(patterns, bounds, weighted);
-        self.scatter(ng.values.len());
+        let kp = self.select_by_sweep(patterns, ladder, weighted);
+        self.scatter(ng.values.len(), ng.max_pos);
         kp
     }
 
@@ -403,49 +499,41 @@ impl GroupScratch {
     pub(crate) fn select_values(
         &mut self,
         patterns: &[KmeansPattern],
-        bounds: &[PatternBoundaries],
+        ladder: &BoundaryLadder,
         vals: &[f32],
         wts: Option<&[f32]>,
         selector: PatternSelector,
     ) -> (usize, &[u16]) {
         if let (None, PatternSelector::MinMax) = (wts, selector) {
-            let kp = select_minmax(patterns, bounds, vals, None, &mut self.syms);
+            let kp = select_minmax(patterns, ladder.tables(), vals, None, &mut self.syms);
             return (kp, &self.syms);
         }
         self.load_values(vals, wts);
-        let kp = self.select_by_sweep(patterns, bounds, wts.is_some());
+        let kp = self.select_by_sweep(patterns, ladder, wts.is_some());
         (kp, &self.win)
     }
 
-    /// Quantizes the loaded values against one explicit pattern with a
-    /// single run merge, leaving the symbols as the winner — how the
-    /// sweep materializes its winner's symbols after scoring.
-    fn quantize(&mut self, pattern: &KmeansPattern, bounds: &PatternBoundaries) {
-        let mids = bounds.midpoints();
-        let n = self.vals.len();
+    /// Quantizes the loaded values against pattern `kp` from its ranks,
+    /// leaving the symbols as the winner — how the sweep materializes its
+    /// winner's symbols after scoring.
+    fn quantize(&mut self, kp: usize) {
         self.win.clear();
-        let mut lo = 0usize;
-        for j in 0..pattern.centroids().len() {
-            let hi = match mids.get(j) {
-                Some(&m) => lo + self.vals[lo..].iter().take_while(|&&x| x <= m).count(),
-                None => n,
-            };
-            if hi > lo {
-                self.win.resize(hi, j as u16);
-                lo = hi;
-            }
+        for (j, _, hi) in runs(&self.ranks, kp, self.vals.len()) {
+            self.win.resize(hi, j);
         }
     }
 
     /// Scatters the sweep winner's symbols back to group order through
-    /// the retained rank permutation: positions not loaded (`max_pos`)
-    /// get [`SCALE_SYMBOL`], every other position its quantized symbol.
-    /// Only valid after a [`GroupScratch::load_group`] (positions must be
-    /// group positions).
-    fn scatter(&mut self, group_size: usize) {
+    /// the retained rank permutation: `max_pos` gets [`SCALE_SYMBOL`], a
+    /// NaN (never loaded) gets symbol 0 — [`KmeansPattern::nearest`] of
+    /// NaN — and every other position its quantized symbol. Only valid
+    /// after a [`GroupScratch::load_group`] (positions must be group
+    /// positions).
+    fn scatter(&mut self, group_size: usize, max_pos: usize) {
         assert_eq!(self.win.len(), self.keys.len(), "select before scatter");
         self.syms.clear();
-        self.syms.resize(group_size, SCALE_SYMBOL);
+        self.syms.resize(group_size, 0);
+        self.syms[max_pos] = SCALE_SYMBOL;
         for (&k, &s) in self.keys.iter().zip(&self.win) {
             self.syms[key_pos(k)] = s;
         }
@@ -551,8 +639,9 @@ pub(crate) fn ref_pattern_error(
 ///
 /// Values are scored in ascending order (the same unique order the fused
 /// scratch sorts into), which makes selection invariant to the group's
-/// memory layout; `group_w2`, when given, holds one squared channel
-/// magnitude per group position.
+/// memory layout; NaN values are left out, as the fused scratch leaves
+/// them out. `group_w2`, when given, holds one squared channel magnitude
+/// per group position.
 ///
 /// # Panics
 ///
@@ -568,7 +657,7 @@ pub fn select_pattern_ref(
         .values
         .iter()
         .enumerate()
-        .filter(|&(i, _)| i != ng.max_pos)
+        .filter(|&(i, v)| i != ng.max_pos && !v.is_nan())
         .map(|(i, &v)| (v, i as u32))
         .collect();
     pairs.sort_unstable_by(pair_order);
@@ -620,7 +709,6 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut GroupScratch) -> R) -> 
 mod tests {
     use super::*;
     use crate::group::normalize_group;
-    use crate::pattern::NUM_CENTROIDS;
     use ecco_numerics::Po2Scale;
     use proptest::prelude::*;
 
@@ -639,7 +727,9 @@ mod tests {
     }
 
     /// A small deliberately-awkward pattern set: smooth, narrow, wide, a
-    /// pattern with duplicate centroids, and a skewed one.
+    /// pattern with duplicate centroids, a skewed one, and one whose
+    /// adjacent `-0.0` and adjacent `+0.0` centroids put both zeros among
+    /// its boundaries.
     fn test_patterns() -> Vec<KmeansPattern> {
         let mut out = Vec::new();
         out.push(KmeansPattern::new(core::array::from_fn(|i| {
@@ -663,19 +753,46 @@ mod tests {
         out.push(KmeansPattern::new(core::array::from_fn(|i| {
             ((i as f32 / 14.0).powi(2)) * 1.6 - 0.8
         })));
+        let zeros = KmeansPattern::new(core::array::from_fn(|i| match i {
+            0..=6 => (i as f32 - 7.0) / 7.0,
+            7 | 8 => -0.0,
+            9 | 10 => 0.0,
+            _ => (i as f32 - 10.0) / 4.0,
+        }));
+        let zero_bits = zeros.boundaries().midpoints().map(f32::to_bits);
+        assert!(zero_bits.contains(&(-0.0f32).to_bits()) && zero_bits.contains(&0.0f32.to_bits()));
+        out.push(zeros);
         out
     }
 
-    fn bounds_of(patterns: &[KmeansPattern]) -> Vec<PatternBoundaries> {
-        patterns.iter().map(KmeansPattern::boundaries).collect()
+    /// A set of 64 patterns, each with sorted centroids from a coarse
+    /// lattice (one row of 15 draws per pattern): rungs of different
+    /// patterns tie often, on an 896-rung ladder, the size
+    /// `EccoConfig::default()` selects over.
+    fn lattice_patterns(rows: &[Vec<i32>]) -> Vec<KmeansPattern> {
+        rows.iter()
+            .map(|row| {
+                let mut c: [f32; NUM_CENTROIDS] = core::array::from_fn(|i| row[i] as f32 / 8.0);
+                c.sort_unstable_by(f32::total_cmp);
+                KmeansPattern::new(c)
+            })
+            .collect()
     }
 
     /// Builds a group that stresses the fused sweep: values drawn from a
-    /// coarse lattice (forcing duplicates and exact boundary hits), some
-    /// outside [-1, 1] after normalization (clipped symbols), and
-    /// optionally the absmax magnitude duplicated at a second position.
+    /// coarse lattice (forcing duplicates and exact boundary hits, zeros
+    /// of both signs), some outside [-1, 1] after normalization (clipped
+    /// symbols), and optionally the absmax magnitude duplicated at a
+    /// second position.
     fn build_group(lattice: &[i32], dup_absmax: bool, a: usize, b: usize) -> Vec<f32> {
-        let mut g: Vec<f32> = lattice.iter().map(|&q| q as f32 / 16.0).collect();
+        let mut g: Vec<f32> = lattice
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| match (q, i % 2) {
+                (0, 1) => -0.0,
+                _ => q as f32 / 16.0,
+            })
+            .collect();
         if dup_absmax && a != b {
             // Two positions share the absolute-maximum magnitude.
             let m = g.iter().fold(0f32, |m, &x| m.max(x.abs())) + 0.25;
@@ -704,26 +821,27 @@ mod tests {
             plant_nan in any::<bool>(),
             nan_at in 0usize..128,
             nan_negative in any::<bool>(),
+            rows in prop::collection::vec(prop::collection::vec(-8i32..=8, NUM_CENTROIDS), 64),
         ) {
             let mut g = build_group(&lattice, dup_absmax, a, b);
-            // MinMax takes any group as it lies: plant a ±NaN (it never
-            // wins the absmax). The sweep requires finite values.
-            if minmax && plant_nan {
+            // Both selectors take any group as it lies: plant a ±NaN (it
+            // never wins the absmax).
+            if plant_nan {
                 g[nan_at] = if nan_negative { -f32::NAN } else { f32::NAN };
             }
-            let patterns = test_patterns();
-            let bounds = bounds_of(&patterns);
             let ng = normalize_group(&g, Po2Scale::IDENTITY);
             let selector = selector_of(minmax);
+            for patterns in [test_patterns(), lattice_patterns(&rows)] {
+                let ladder = BoundaryLadder::new(&patterns);
+                let mut scratch = GroupScratch::new();
+                let kp = scratch.select_group(&patterns, &ladder, &ng, None, selector);
+                let kp_ref = select_pattern_ref(&patterns, &ng, None, selector);
+                prop_assert_eq!(kp, kp_ref, "fused and reference disagree on the pattern");
 
-            let mut scratch = GroupScratch::new();
-            let kp = scratch.select_group(&patterns, &bounds, &ng, None, selector);
-            let kp_ref = select_pattern_ref(&patterns, &ng, None, selector);
-            prop_assert_eq!(kp, kp_ref, "fused and reference disagree on the pattern");
-
-            // The winner symbols must equal the from-scratch quantization
-            // of the winning pattern, in group order.
-            prop_assert_eq!(scratch.symbols(), &ng.symbols(&patterns[kp])[..]);
+                // The winner symbols must equal the from-scratch
+                // quantization of the winning pattern, in group order.
+                prop_assert_eq!(scratch.symbols(), &ng.symbols(&patterns[kp])[..]);
+            }
         }
 
         #[test]
@@ -732,20 +850,27 @@ mod tests {
             dup_absmax in any::<bool>(),
             a in 0usize..128,
             b in 0usize..128,
+            plant_nan in any::<bool>(),
+            nan_at in 0usize..128,
+            nan_negative in any::<bool>(),
+            rows in prop::collection::vec(prop::collection::vec(-8i32..=8, NUM_CENTROIDS), 64),
         ) {
-            let g = build_group(&lattice, dup_absmax, a, b);
-            let patterns = test_patterns();
-            let bounds = bounds_of(&patterns);
+            let mut g = build_group(&lattice, dup_absmax, a, b);
+            if plant_nan {
+                g[nan_at] = if nan_negative { -f32::NAN } else { f32::NAN };
+            }
             let ng = normalize_group(&g, Po2Scale::IDENTITY);
             // Repeating weights guarantee duplicate values with *different*
             // weights exist, exercising the pinned equal-value order.
             let w2: Vec<f32> = (0..g.len()).map(|i| 0.05 + (i % 5) as f32 * 0.3).collect();
-
-            let mut scratch = GroupScratch::new();
-            let kp = scratch.select_group(&patterns, &bounds, &ng, Some(&w2), PatternSelector::MseOptimal);
-            let kp_ref = select_pattern_ref(&patterns, &ng, Some(&w2), PatternSelector::MseOptimal);
-            prop_assert_eq!(kp, kp_ref, "weighted fused and reference disagree");
-            prop_assert_eq!(scratch.symbols(), &ng.symbols(&patterns[kp])[..]);
+            for patterns in [test_patterns(), lattice_patterns(&rows)] {
+                let ladder = BoundaryLadder::new(&patterns);
+                let mut scratch = GroupScratch::new();
+                let kp = scratch.select_group(&patterns, &ladder, &ng, Some(&w2), PatternSelector::MseOptimal);
+                let kp_ref = select_pattern_ref(&patterns, &ng, Some(&w2), PatternSelector::MseOptimal);
+                prop_assert_eq!(kp, kp_ref, "weighted fused and reference disagree");
+                prop_assert_eq!(scratch.symbols(), &ng.symbols(&patterns[kp])[..]);
+            }
         }
 
         #[test]
@@ -789,7 +914,7 @@ mod tests {
             // way, under both selectors.
             let g = build_group(&lattice, dup_absmax, a, b);
             let patterns = test_patterns();
-            let bounds = bounds_of(&patterns);
+            let ladder = BoundaryLadder::new(&patterns);
             let ng = normalize_group(&g, Po2Scale::IDENTITY);
             let vals: Vec<f32> = ng
                 .values
@@ -801,8 +926,8 @@ mod tests {
             let mut a = GroupScratch::new();
             let mut b = GroupScratch::new();
             for selector in [PatternSelector::MseOptimal, PatternSelector::MinMax] {
-                let kp = a.select_group(&patterns, &bounds, &ng, None, selector);
-                let (kp_cal, cal_syms) = b.select_values(&patterns, &bounds, &vals, None, selector);
+                let kp = a.select_group(&patterns, &ladder, &ng, None, selector);
+                let (kp_cal, cal_syms) = b.select_values(&patterns, &ladder, &vals, None, selector);
                 prop_assert_eq!(kp, kp_cal);
                 match selector {
                     // The sweep's symbols, in sorted order on both sides.
@@ -824,7 +949,7 @@ mod tests {
         // answers on the next as a fresh scratch, whichever selector ran
         // before (loaders and selectors fully reset).
         let patterns = test_patterns();
-        let bounds = bounds_of(&patterns);
+        let ladder = BoundaryLadder::new(&patterns);
         let g1: Vec<f32> = (0..128)
             .map(|i| ((i * 37) % 128) as f32 / 64.0 - 1.0)
             .collect();
@@ -835,11 +960,11 @@ mod tests {
         for first in [PatternSelector::MseOptimal, PatternSelector::MinMax] {
             for second in [PatternSelector::MseOptimal, PatternSelector::MinMax] {
                 let mut reused = GroupScratch::new();
-                reused.select_group(&patterns, &bounds, &ng1, None, first);
-                let kp_reused = reused.select_group(&patterns, &bounds, &ng2, None, second);
+                reused.select_group(&patterns, &ladder, &ng1, None, first);
+                let kp_reused = reused.select_group(&patterns, &ladder, &ng2, None, second);
 
                 let mut fresh = GroupScratch::new();
-                let kp_fresh = fresh.select_group(&patterns, &bounds, &ng2, None, second);
+                let kp_fresh = fresh.select_group(&patterns, &ladder, &ng2, None, second);
                 assert_eq!(kp_reused, kp_fresh, "{first:?} then {second:?}");
                 assert_eq!(
                     reused.symbols(),
@@ -852,15 +977,18 @@ mod tests {
 
     #[test]
     fn quantize_matches_group_symbols() {
+        // Every pattern's symbols, read off its ranks from one ladder
+        // merge, equal the from-scratch quantization.
         let patterns = test_patterns();
-        let bounds = bounds_of(&patterns);
+        let ladder = BoundaryLadder::new(&patterns);
         let g: Vec<f32> = (0..128).map(|i| ((i as f32) / 42.0).sin()).collect();
         let ng = normalize_group(&g, Po2Scale::IDENTITY);
         let mut scratch = GroupScratch::new();
         scratch.load_group(&ng);
-        for (kp, (p, b)) in patterns.iter().zip(&bounds).enumerate() {
-            scratch.quantize(p, b);
-            scratch.scatter(128);
+        scratch.rank(&ladder);
+        for (kp, p) in patterns.iter().enumerate() {
+            scratch.quantize(kp);
+            scratch.scatter(128, ng.max_pos);
             assert_eq!(scratch.symbols(), ng.symbols(p), "pattern {kp}");
         }
     }

@@ -428,6 +428,49 @@ mod tests {
     }
 
     #[test]
+    fn nan_in_a_weight_group_leaves_its_finite_values_quantized() {
+        // One NaN per group, at a position other than the absmax and
+        // alternating in sign, must cost the group only that value: the
+        // MSE-optimal sweep leaves it out of its sort and every finite
+        // value keeps its symbol.
+        let clean = SynthSpec::for_kind(TensorKind::Weight, 64, 1024)
+            .seeded(61)
+            .generate();
+        let mut poisoned = clean.clone();
+        let mut planted = 0;
+        for (gi, g) in poisoned.data_mut().chunks_exact_mut(128).enumerate() {
+            let absmax = crate::normalize_group(g, ecco_numerics::Po2Scale::IDENTITY).max_pos;
+            let pos = (gi * 37 + 11) % 128;
+            if pos != absmax {
+                g[pos] = if gi % 2 == 0 { f32::NAN } else { -f32::NAN };
+                planted += 1;
+            }
+        }
+        // Two of the 512 groups have their absmax at the planting
+        // position and stay clean.
+        assert_eq!(planted, 510);
+
+        let codec = WeightCodec::calibrate(&[&clean], &EccoConfig::default());
+        // NMSE over the poisoned tensor's finite positions.
+        let finite_nmse = |out: &Tensor| {
+            let (mut num, mut den) = (0f64, 0f64);
+            for ((&x, &y), &p) in clean.data().iter().zip(out.data()).zip(poisoned.data()) {
+                if p.is_finite() {
+                    num += ((x - y) as f64).powi(2);
+                    den += (x as f64).powi(2);
+                }
+            }
+            num / den
+        };
+        let clean_nmse = finite_nmse(&codec.roundtrip(&clean).0);
+        let poisoned_nmse = finite_nmse(&codec.roundtrip(&poisoned).0);
+        assert!(
+            poisoned_nmse <= 1.5 * clean_nmse,
+            "finite-position NMSE {poisoned_nmse} vs {clean_nmse} on the clean tensor"
+        );
+    }
+
+    #[test]
     fn stats_cover_all_groups() {
         let t = SynthSpec::for_kind(TensorKind::Weight, 16, 512).generate();
         let codec = WeightCodec::calibrate(&[&t], &cfg());
