@@ -21,9 +21,13 @@
 //! sharding — the pre-pool scheduler, reimplemented as the baseline —
 //! vs the persistent pool's fast path and its forced queue dispatch),
 //! a `batch_decode` section comparing a per-tensor pooled loop with
-//! one batched `decode_tensors_batch_report` submission, and a `container_load`
-//! section timing ECCF model cold starts: full-model vs 25%-of-layers
-//! partial loads through the mmap reader and the pread fallback.
+//! one batched `decode_tensors_batch_report` submission, a `kv_decode`
+//! section timing the serving read path (`decode_group_into` on one
+//! thread, and `KvCodec::decompress_batch_report` over the 16-token
+//! pages one `chat` decode step reads) on the `kv_encode` K-cache
+//! tensor, and a `container_load` section timing ECCF model cold
+//! starts: full-model vs 25%-of-layers partial loads through the mmap
+//! reader and the pread fallback.
 //!
 //! `BENCH_encode.json` covers the compress-side hot path:
 //!
@@ -51,9 +55,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ecco_bits::Block64;
 use ecco_core::parallel::encode_groups_parallel_unchecked;
 use ecco_core::{
-    decode_group, encode_group, encode_group_scratch, normalize_group, select_pattern_ref,
-    EccoConfig, GroupScratch, KvCodec, NormalizedGroup, PatternSelector, RecoveryPolicy,
-    TensorMetadata, WeightCodec,
+    decode_group, decode_group_into, encode_group, encode_group_scratch, normalize_group,
+    select_pattern_ref, CompressedTensor, EccoConfig, GroupScratch, KvCodec, NormalizedGroup,
+    PatternSelector, RecoveryPolicy, TensorMetadata, WeightCodec,
 };
 use ecco_tensor::Tensor;
 use std::hint::black_box;
@@ -462,6 +466,7 @@ fn write_bench_json(
            \"pipeline_reference_syms_per_s\": {piper:.0},\n    \
            \"pipeline_hw_model_syms_per_s\": {pipeh:.0},\n    \
            \"pipeline_vs_sequential_speedup\": {pipe_speedup:.2}\n  }},\n  \
+         {kvd}\n  \
          \"pool_spawn\": {{\n    \
            \"tensors\": {SMALL_TENSORS},\n    \
            \"blocks_per_tensor\": {SMALL_BLOCKS},\n    \
@@ -480,6 +485,7 @@ fn write_bench_json(
            \"notes\": \"claim_ranges groups contiguous tensors into block-target-sized claims, so one submission pays one queue wake-up for the whole batch and spreads it across executors; with a single executor that fixed cost is not amortized and batched submission measured ~0.85-0.9x of the per-tensor loop\"\n  }},\n  \
          \"container_load\": {csec}\n}}\n",
         csec = container_load_section(),
+        kvd = kv_decode_timings(),
         threads = ecco_core::pool::Pool::current().executors(),
         lut = per_s(lut_ns),
         wdtv = decode_to_values_section(blocks, meta),
@@ -555,15 +561,14 @@ fn weight_encode_timings() -> String {
     )
 }
 
-/// The `kv_encode` JSON object: the serving write path on a synthetic
-/// K-cache tensor of 1024 groups, calibrated as the serve workloads
-/// calibrate (`max_calibration_groups: 512`). One thread runs
-/// `encode_group_scratch` under the min/max selector over every group;
-/// the pool runs `KvCodec::compress_batch` over the tensor cut into
-/// 16-token pages, as one eviction batch.
-fn kv_encode_timings() -> String {
+/// Tokens per page of the serve workloads' paged KV store.
+const PAGE_TOKENS: usize = 16;
+
+/// The KV sections' input: a synthetic K-cache tensor of 1024 groups
+/// and the `KvCodec` calibrated on it the way the serve workloads
+/// calibrate (`max_calibration_groups: 512`).
+fn kv_bench_codec() -> (Tensor, KvCodec) {
     use ecco_tensor::{synth::SynthSpec, TensorKind};
-    const PAGE_TOKENS: usize = 16;
     let kt = SynthSpec::for_kind(TensorKind::KCache, 128, 1024)
         .seeded(3)
         .generate();
@@ -572,6 +577,77 @@ fn kv_encode_timings() -> String {
         ..EccoConfig::default()
     };
     let codec = KvCodec::calibrate(&[&kt], &cfg);
+    (kt, codec)
+}
+
+/// `t` cut into [`PAGE_TOKENS`]-row pages.
+fn pages(t: &Tensor) -> Vec<Tensor> {
+    t.data()
+        .chunks_exact(PAGE_TOKENS * t.cols())
+        .map(|p| Tensor::from_vec(PAGE_TOKENS, t.cols(), p.to_vec()))
+        .collect()
+}
+
+/// The `kv_decode` JSON object: the serving read path on the
+/// [`kv_bench_codec`] tensor. One thread runs `decode_group_into` over
+/// the whole tensor's blocks; the pool runs
+/// `KvCodec::decompress_batch_report` (under the serve store's default
+/// `SalvageBlocks`) over `READ_PAGES` compressed pages, the cold pages
+/// a `chat` decode step reads.
+fn kv_decode_timings() -> String {
+    const READ_PAGES: usize = 9;
+    let (kt, codec) = kv_bench_codec();
+    let (ct, _) = codec.compress(&kt);
+    let meta = codec.metadata();
+    assert_eq!(
+        ct.tensor_scale(),
+        meta.tensor_scale,
+        "calibrated on the tensor it compresses"
+    );
+    let mut values = Vec::with_capacity(kt.len());
+    let decode_ns = time_ns(|| {
+        values.clear();
+        for blk in ct.blocks() {
+            decode_group_into(black_box(blk), meta, &mut values).unwrap();
+        }
+        black_box(&values);
+    });
+    let read: Vec<CompressedTensor> = codec
+        .compress_batch(&pages(&kt).iter().take(READ_PAGES).collect::<Vec<_>>())
+        .into_iter()
+        .map(|(ct, _)| ct)
+        .collect();
+    let read_refs: Vec<&CompressedTensor> = read.iter().collect();
+    let batch_ns = time_ns(|| {
+        let report =
+            codec.decompress_batch_report(black_box(&read_refs), RecoveryPolicy::SalvageBlocks);
+        assert!(
+            report.iter().all(|r| r.is_ok()),
+            "benchmark blocks are valid"
+        );
+        black_box(report);
+    });
+    let read_values = (READ_PAGES * PAGE_TOKENS * kt.cols()) as f64;
+    format!(
+        "\"kv_decode\": {{\n    \
+           \"decode_group_into_values_per_s\": {dec:.0},\n    \
+           \"decompress_batch_values_per_s\": {batch:.0},\n    \
+           \"decompress_batch_pages\": {READ_PAGES},\n    \
+           \"page_tokens\": {PAGE_TOKENS},\n    \
+           \"decompress_batch_executors\": {executors}\n  }},",
+        dec = kt.len() as f64 / decode_ns * 1e9,
+        batch = read_values / batch_ns * 1e9,
+        executors = ecco_core::pool::Pool::current().executors(),
+    )
+}
+
+/// The `kv_encode` JSON object: the serving write path on the
+/// [`kv_bench_codec`] tensor. One thread runs `encode_group_scratch`
+/// under the min/max selector over every group; the pool runs
+/// `KvCodec::compress_batch` over the tensor cut into 16-token pages, as
+/// one eviction batch.
+fn kv_encode_timings() -> String {
+    let (kt, codec) = kv_bench_codec();
     let meta = codec.metadata();
     let mut scratch = GroupScratch::new();
     let encode_ns = time_ns(|| {
@@ -584,12 +660,7 @@ fn kv_encode_timings() -> String {
             ));
         }
     });
-    let page_values = PAGE_TOKENS * kt.cols();
-    let pages: Vec<Tensor> = kt
-        .data()
-        .chunks_exact(page_values)
-        .map(|p| Tensor::from_vec(PAGE_TOKENS, kt.cols(), p.to_vec()))
-        .collect();
+    let pages = pages(&kt);
     let page_refs: Vec<&Tensor> = pages.iter().collect();
     let batch_ns = time_ns(|| {
         black_box(codec.compress_batch(black_box(&page_refs)));

@@ -22,11 +22,16 @@
 //! [`decode_group_into`]) and the hardware models' in `ecco_hw` alike.
 //! [`read_block`] views each block once as an [`ecco_bits::BlockCursor`]
 //! and reads everything through its windows: the header fields, the
-//! symbols (the walk gets the same cursor) and the padded outliers.
+//! symbols (the walk gets the same cursor) and the padded outliers. The
+//! tensor's power-of-two scale is a parameter of the reader, so a batch
+//! decode binds one scale per tensor to one shared metadata. The codec's
+//! walk ([`SymbolDecoder::decode_run`](ecco_entropy::SymbolDecoder::decode_run))
+//! reads the symbols through a shift register, one 57-bit window per run
+//! of codes.
 
 use ecco_bits::{BitWriter, Block64, BlockCursor, BLOCK_BITS};
 use ecco_entropy::Codebook;
-use ecco_numerics::F8E4M3;
+use ecco_numerics::{Po2Scale, F8E4M3};
 
 use crate::group::normalize_group;
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -541,13 +546,14 @@ pub fn decode_group(
     Ok((values, info))
 }
 
-/// The codec's decoder: [`read_block`] with the per-symbol walk — the
-/// book's [`SymbolDecoder`](ecco_entropy::SymbolDecoder) resolves one
-/// symbol per window of the block's cursor, and each is gathered through
-/// the block's [`BlockValueTable`] as it lands, with no intermediate
-/// symbol buffer or second reconstruction pass. **Appends**
-/// `meta.group_size` FP16 values to `values`; on error nothing is
-/// appended.
+/// The codec's decoder: [`read_block`] under `meta.tensor_scale` with the
+/// codec's symbol walk — the book's
+/// [`SymbolDecoder::decode_run`](ecco_entropy::SymbolDecoder::decode_run)
+/// shifts codes out of a register refilled from 57-bit windows of the
+/// block's cursor, and each symbol is gathered through the block's
+/// [`BlockValueTable`] as it lands, with no intermediate symbol buffer or
+/// second reconstruction pass. **Appends** `meta.group_size` FP16 values
+/// to `values`; on error nothing is appended.
 ///
 /// # Errors
 ///
@@ -558,18 +564,32 @@ pub fn decode_group_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodedGroupInfo, DecodeError> {
-    let (info, ()) = read_block(block, meta, values, |book, cur, mut pos, table, values| {
-        // A clipped tail ends the walk early: prefix-freeness makes the
-        // truncation point unambiguous.
-        let dec = book.symbol_decoder();
-        for _ in 0..meta.group_size {
-            match dec.decode_symbol(cur, &mut pos) {
-                Some(s) => values.push(table.value(s)),
-                None => break,
-            }
-        }
-        (pos, ())
-    })?;
+    decode_group_scaled_into(block, meta, meta.tensor_scale, values)
+}
+
+/// [`decode_group_into`] under the tensor scale `scale` instead of
+/// `meta.tensor_scale`: the one codec walk, which the decode engine runs
+/// with each tensor's own scale so the shared metadata is never copied.
+pub(crate) fn decode_group_scaled_into(
+    block: &Block64,
+    meta: &TensorMetadata,
+    scale: Po2Scale,
+    values: &mut Vec<f32>,
+) -> Result<DecodedGroupInfo, DecodeError> {
+    let (info, ()) = read_block(
+        block,
+        meta,
+        scale,
+        values,
+        |book, cur, pos, table, values| {
+            // A clipped tail ends the walk early: prefix-freeness makes the
+            // truncation point unambiguous.
+            let end = book
+                .symbol_decoder()
+                .decode_run(cur, pos, meta.group_size, |s| values.push(table.value(s)));
+            (end, ())
+        },
+    )?;
     Ok(info)
 }
 
@@ -580,11 +600,16 @@ pub fn decode_group_into(
 /// the padded outliers — **appending** `meta.group_size` values to
 /// `values`. On error nothing is appended and `walk` never runs.
 ///
+/// `scale` is the tensor's power-of-two scale: the block's scale factor
+/// and its padded outliers are expanded by it. Everything else comes from
+/// the shared `meta` (its own `tensor_scale` is not read), so a batch of
+/// tensors decodes under one metadata and one scale per tensor.
+///
 /// `walk(book, cur, data_start, table, values)` resolves symbols from
 /// bit `data_start` of `cur` on, appends the value of each (at most
 /// `meta.group_size`) to `values`, and returns the bit just past the
 /// last one plus whatever the walk reports. The codec passes its
-/// per-symbol walk ([`decode_group_into`]), the hardware model
+/// shift-register walk ([`decode_group_into`]), the hardware model
 /// (`ecco_hw`) its 64×8 speculative walk; everything else about the
 /// format lives here.
 ///
@@ -600,6 +625,7 @@ pub fn decode_group_into(
 pub fn read_block<R>(
     block: &Block64,
     meta: &TensorMetadata,
+    scale: Po2Scale,
     values: &mut Vec<f32>,
     walk: impl FnOnce(&Codebook, &BlockCursor, usize, &BlockValueTable, &mut Vec<f32>) -> (usize, R),
 ) -> Result<(DecodedGroupInfo, R), DecodeError> {
@@ -608,7 +634,7 @@ pub fn read_block<R>(
     let book = &meta.books[header.kp][header.book_id];
     validate_data_book(book)?;
     let sf = F8E4M3::from_bits(header.sf_bits);
-    let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
+    let scale_signed = ecco_numerics::round_f16(scale.expand(sf.to_f32()));
     let table = BlockValueTable::new(&meta.patterns[header.kp], scale_signed);
 
     let base = values.len();
@@ -628,8 +654,7 @@ pub fn read_block<R>(
             let pos = cur.window(at, 7) as usize;
             let f8 = F8E4M3::from_bits(cur.window(at + 7, 8) as u8);
             if pos < meta.group_size && !f8.is_nan() {
-                values[base + pos] =
-                    ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));
+                values[base + pos] = ecco_numerics::round_f16(scale.expand(f8.to_f32()));
                 applied += 1;
             }
         }

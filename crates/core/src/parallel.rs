@@ -23,17 +23,27 @@
 //! where the block fails, the tensor's batch index where its chunk is
 //! claimed.
 //!
+//! Decode copies nothing per tensor. The engine reads every tensor's
+//! blocks under the one shared metadata, each with its own power-of-two
+//! scale bound by value (the metadata, codebooks and decode tables
+//! included, is never cloned), and the driver's chunk at block 0 of a
+//! tensor allocates for the whole tensor: that buffer becomes the
+//! tensor's values, and the tensor's later chunks extend it, so a tensor
+//! decoded in one chunk is allocated once and never copied.
+//!
 //! The hardware model's batch decode
 //! (`ecco_hw::decode_tensors_batch_report`) runs on the same decode
 //! driver ([`decode_tensors_batch_report_with`]) with the speculative
-//! parallel decoder in place of [`decode_group_into`].
+//! parallel decoder in place of the codec walk of
+//! [`decode_group_into`](crate::block::decode_group_into).
 
 use ecco_bits::Block64;
+use ecco_numerics::Po2Scale;
 use ecco_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::block::{
-    decode_group_into, encode_group_scratch, encode_group_weighted_scratch, DecodeError,
+    decode_group_scaled_into, encode_group_scratch, encode_group_weighted_scratch, DecodeError,
     DecodeErrorKind, EncodedGroupInfo,
 };
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -197,8 +207,11 @@ pub fn encode_groups_parallel_unchecked(
 }
 
 /// The decode engine behind every codec `decompress*` method: screens
-/// each tensor's shape, binds its own scale, and decodes every healthy
-/// tensor's blocks in **one pool pass** through [`decode_group_into`].
+/// each tensor's shape and decodes every healthy tensor's blocks in
+/// **one pool pass** through the codec walk of
+/// [`decode_group_into`](crate::block::decode_group_into), under the
+/// shared `meta` and the tensor's own scale, bound by value — the
+/// metadata is never copied per tensor.
 ///
 /// Nothing panics on malformed inputs. A tensor whose group size
 /// disagrees with `meta`'s, or whose block count disagrees with its
@@ -234,10 +247,7 @@ pub(crate) fn decode_batch(
             }
         })
         .collect();
-    let metas: Vec<TensorMetadata> = cts
-        .iter()
-        .map(|ct| meta.with_scale(ct.tensor_scale()))
-        .collect();
+    let scales: Vec<Po2Scale> = cts.iter().map(|ct| ct.tensor_scale()).collect();
     // Screened-out tensors enter the pool pass as empty block lists.
     let batch: Vec<&[Block64]> = cts
         .iter()
@@ -245,7 +255,7 @@ pub(crate) fn decode_batch(
         .map(|(ct, s)| if s.is_some() { &[][..] } else { ct.blocks() })
         .collect();
     let mut out = decode_tensors_batch_report_with(&batch, gs, policy, |ti, b, out| {
-        decode_group_into(b, &metas[ti], out).map(drop)
+        decode_group_scaled_into(b, meta, scales[ti], out).map(drop)
     });
     for (slot, s) in out.iter_mut().zip(screened) {
         if let Some(e) = s {
@@ -430,7 +440,11 @@ where
                     // metadata, but this is the failure-injection
                     // surface) must poison only this tensor's result.
                     catch_unwind(AssertUnwindSafe(|| {
-                        let mut values = Vec::with_capacity((hi - lo) * group_size);
+                        // The tensor's first chunk allocates for the whole
+                        // tensor: reassembly keeps its buffer as the
+                        // tensor's values and extends it with the rest.
+                        let blocks = if lo == 0 { sizes[tensor] } else { hi - lo };
+                        let mut values = Vec::with_capacity(blocks * group_size);
                         let mut bad: Vec<DecodeError> = Vec::new();
                         for (i, b) in batch[tensor][lo..hi].iter().enumerate() {
                             let before = values.len();
@@ -457,10 +471,7 @@ where
         .unwrap_or_else(|p| p.resume());
 
     // Reassemble per tensor, in block (= chunk) order.
-    let mut out: Vec<BatchOutcome> = sizes
-        .iter()
-        .map(|&n| BatchOutcome::Ok(Vec::with_capacity(n * group_size)))
-        .collect();
+    let mut out = vec![BatchOutcome::Ok(Vec::new()); sizes.len()];
     for (c, part) in chunks.iter().zip(parts.into_iter().flatten()) {
         let slot = &mut out[c.tensor];
         if matches!(slot, BatchOutcome::Failed(_)) {
@@ -479,16 +490,24 @@ where
                         };
                     }
                 }
-                match slot {
-                    BatchOutcome::Ok(v) => v.extend(values),
+                let v = match slot {
+                    BatchOutcome::Ok(v) => v,
                     BatchOutcome::Salvaged {
                         values: v,
                         bad_blocks,
                     } => {
-                        v.extend(values);
                         bad_blocks.extend(bad);
+                        v
                     }
                     BatchOutcome::Failed(_) => unreachable!("filtered above"),
+                };
+                // The first chunk's buffer, sized for the whole tensor,
+                // becomes the tensor's values; a tensor of one chunk is
+                // never copied.
+                if c.lo == 0 {
+                    *v = values;
+                } else {
+                    v.extend(values);
                 }
             }
             Err(e) => *slot = BatchOutcome::Failed(e),
@@ -589,13 +608,26 @@ mod tests {
         (blocks, stats)
     }
 
-    /// The per-block decode oracle: `decode_group` over every block.
-    fn oracle_decode(meta: &TensorMetadata, ct: &CompressedTensor) -> Vec<f32> {
+    /// The per-block decode oracle: `decode_group` over every block of
+    /// batch entry `tensor`, each corrupt block's group zero-filled and
+    /// its error located — what `SalvageBlocks` must report.
+    fn oracle_decode(
+        meta: &TensorMetadata,
+        ct: &CompressedTensor,
+        tensor: usize,
+    ) -> (Vec<f32>, Vec<DecodeError>) {
         let meta = meta.with_scale(ct.tensor_scale());
-        ct.blocks()
-            .iter()
-            .flat_map(|b| decode_group(b, &meta).unwrap().0)
-            .collect()
+        let (mut values, mut bad) = (Vec::new(), Vec::new());
+        for (i, b) in ct.blocks().iter().enumerate() {
+            match decode_group(b, &meta) {
+                Ok((v, _)) => values.extend(v),
+                Err(e) => {
+                    values.resize(values.len() + meta.group_size, 0.0);
+                    bad.push(e.at_block(i).at_tensor(tensor));
+                }
+            }
+        }
+        (values, bad)
     }
 
     /// One oracle per wrapper, for one codec and tensor: `compress` ==
@@ -678,13 +710,17 @@ mod tests {
         /// The pool differential: batched encode and decode through the
         /// engine are bit-identical to the per-group loops across pool
         /// sizes {1,2,4,8} × ragged chunk pins — including a batch of many
-        /// tiny tensors (claim grouping) with one corrupt block, which
-        /// must fail only its own tensor, located.
+        /// tiny tensors (claim grouping) with corrupt blocks, which must
+        /// touch only their own tensors, located. The chunk pin stays
+        /// below the big tensor's 32 blocks, so it always spans several
+        /// chunks, and it is corrupted in its first chunk and its last:
+        /// `FailTensor` reports the first corrupt block, and
+        /// `SalvageBlocks` the per-block oracle's values and errors.
         #[test]
         fn pipelines_bit_identical_across_pool_shapes(
             seed in 0u64..200,
             threads_sel in 0usize..4,
-            chunk in 1usize..40,
+            chunk in 1usize..32,
         ) {
             let threads = [1usize, 2, 4, 8][threads_sel];
             let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512).seeded(seed).generate();
@@ -715,18 +751,42 @@ mod tests {
                 }
 
                 let mut cts: Vec<CompressedTensor> = batch.into_iter().map(|(ct, _)| ct).collect();
-                let mut poisoned = cts[2].blocks().to_vec();
-                poisoned[1] = Block64::from_bytes([0xFF; 64]);
-                cts[2] = cts[2].with_blocks(poisoned);
+                // A tiny tensor's second block, and the big tensor's last
+                // block of its first chunk and its last block.
+                let big = cts.len() - 1;
+                let poison = [(2, vec![1]), (big, vec![chunk - 1, 31])];
+                for (ti, at) in &poison {
+                    let mut blocks = cts[*ti].blocks().to_vec();
+                    for &b in at {
+                        blocks[b] = Block64::from_bytes([0xFF; 64]);
+                    }
+                    cts[*ti] = cts[*ti].with_blocks(blocks);
+                }
                 let ct_refs: Vec<&CompressedTensor> = cts.iter().collect();
                 let decoded = codec.decompress_batch(&ct_refs);
-                for (i, (ct, r)) in cts.iter().zip(&decoded).enumerate() {
-                    if i == 2 {
-                        let e = r.as_ref().unwrap_err();
-                        prop_assert_eq!((e.tensor, e.block), (Some(2), Some(1)));
-                    } else {
-                        let got = r.as_ref().expect("healthy tensor decodes");
-                        prop_assert_eq!(bits(got.data()), bits(&oracle_decode(meta, ct)));
+                let salvaged = codec.decompress_batch_report(&ct_refs, RecoveryPolicy::SalvageBlocks);
+                for (i, ((ct, r), s)) in cts.iter().zip(&decoded).zip(&salvaged).enumerate() {
+                    let (want, want_bad) = oracle_decode(meta, ct, i);
+                    match poison.iter().find(|(ti, _)| *ti == i) {
+                        Some((_, at)) => {
+                            let e = r.as_ref().unwrap_err();
+                            prop_assert_eq!((e.tensor, e.block), (Some(i), Some(at[0])));
+                            let located: Vec<_> =
+                                want_bad.iter().map(|e| (e.tensor, e.block)).collect();
+                            let want_at: Vec<_> = at.iter().map(|&b| (Some(i), Some(b))).collect();
+                            prop_assert_eq!(located, want_at);
+                            let BatchOutcome::Salvaged { values, bad_blocks } = s else {
+                                panic!("tensor {i} salvages: {s:?}");
+                            };
+                            prop_assert_eq!(bits(values), bits(&want));
+                            prop_assert_eq!(bad_blocks, &want_bad);
+                        }
+                        None => {
+                            let got = r.as_ref().expect("healthy tensor decodes");
+                            prop_assert_eq!(bits(got.data()), bits(&want));
+                            prop_assert!(s.is_ok(), "tensor {} is healthy: {:?}", i, s);
+                            prop_assert_eq!(bits(s.values().unwrap()), bits(&want));
+                        }
                     }
                 }
                 Ok(())

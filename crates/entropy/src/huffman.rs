@@ -447,9 +447,16 @@ impl Codebook {
 /// [`Codebook::symbol_decoder`] so the table-cache fetch happens once per
 /// block instead of once per symbol.
 ///
-/// It reads a block the way the hardware sub-decoders do: one
-/// `max_len`-bit [`BlockCursor::window`], one table probe, then the code's
-/// length in bits is consumed (peek, probe, consume).
+/// It reads a block the way the hardware sub-decoders do: peek
+/// `max_len` bits, probe the table once, consume the code's length. Two
+/// walks share those rules:
+///
+/// * [`SymbolDecoder::decode_run`], the codec's symbol walk, peeks from a
+///   shift register holding one 57-bit [`BlockCursor::window`] and reads
+///   a new window only when fewer than `max_len` of its bits are unread;
+/// * [`SymbolDecoder::decode_symbol`] cuts one `max_len`-bit window per
+///   symbol. It decodes a block header's pattern id, and a loop of it is
+///   the oracle every walk is tested against.
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolDecoder<'a> {
     lut: &'a [(u16, u8)],
@@ -457,6 +464,55 @@ pub struct SymbolDecoder<'a> {
 }
 
 impl SymbolDecoder<'_> {
+    /// Decodes up to `max` symbols from bit `pos` of `cur` on, handing
+    /// each to `emit` in stream order, and returns the bit just past the
+    /// last one. The symbols and the end bit are exactly those of calling
+    /// [`SymbolDecoder::decode_symbol`] until it returns `None` or `max`
+    /// symbols have landed: the walk stops at an invalid prefix, before a
+    /// code that would end past bit 512, and at bit 512, and the block's
+    /// zero fill past bit 512 is probed like any other bits.
+    ///
+    /// The walk is a shift register: one 57-bit window from `pos`,
+    /// left-aligned in a `u64`, yields a `max_len`-bit probe per symbol
+    /// and shifts each code out, and a fresh window is read from the new
+    /// position once fewer than `max_len` of its bits are unread.
+    #[inline]
+    pub fn decode_run(
+        &self,
+        cur: &BlockCursor,
+        mut pos: usize,
+        max: usize,
+        mut emit: impl FnMut(u16),
+    ) -> usize {
+        /// Bits per refill: the widest window a cursor cuts.
+        const REFILL: u32 = 57;
+        // Every table entry is at most `max_len` bits long, so a code
+        // never runs past the bits its probe saw, and a zero-width table
+        // (an incoherent revived book's) decodes nothing.
+        let width = u32::from(self.max_len);
+        if width == 0 {
+            return pos;
+        }
+        let mut decoded = 0;
+        while decoded < max && pos < BLOCK_BITS {
+            let mut reg = cur.window(pos, REFILL) << (64 - REFILL);
+            let mut unread = REFILL;
+            while unread >= width && decoded < max {
+                let (sym, len) = self.lut[(reg >> (64 - width)) as usize];
+                let end = pos + usize::from(len);
+                if len == 0 || end > BLOCK_BITS {
+                    return pos;
+                }
+                emit(sym);
+                reg <<= len;
+                unread -= u32::from(len);
+                pos = end;
+                decoded += 1;
+            }
+        }
+        pos
+    }
+
     /// Decodes the symbol whose code starts at bit `*pos` of `cur` and
     /// advances `*pos` past it.
     ///
@@ -720,6 +776,36 @@ mod tests {
         );
     }
 
+    /// The oracle: [`SymbolDecoder::decode_symbol`] looped until it
+    /// returns `None` or `max` symbols have landed.
+    fn symbol_loop(
+        dec: &SymbolDecoder,
+        cur: &BlockCursor,
+        mut pos: usize,
+        max: usize,
+    ) -> (Vec<u16>, usize) {
+        let mut symbols = Vec::new();
+        while symbols.len() < max {
+            match dec.decode_symbol(cur, &mut pos) {
+                Some(s) => symbols.push(s),
+                None => break,
+            }
+        }
+        (symbols, pos)
+    }
+
+    /// [`SymbolDecoder::decode_run`]'s symbols and end bit.
+    fn run_walk(
+        dec: &SymbolDecoder,
+        cur: &BlockCursor,
+        pos: usize,
+        max: usize,
+    ) -> (Vec<u16>, usize) {
+        let mut symbols = Vec::new();
+        let end = dec.decode_run(cur, pos, max, |s| symbols.push(s));
+        (symbols, end)
+    }
+
     #[test]
     fn decode_stops_at_the_block_end() {
         // A uniform 4-bit book reads every 4-bit window as a valid code,
@@ -739,6 +825,25 @@ mod tests {
             let mut pos = start;
             assert_eq!(dec.decode_symbol(&cur, &mut pos), None, "start {start}");
             assert_eq!(pos, start);
+        }
+
+        // The run walk stops at the same places: a run from bit 0 takes
+        // all 128 codes and ends at bit 512, one from inside the last
+        // code takes nothing, and one at bit 512 stays there.
+        let (symbols, end) = run_walk(&dec, &cur, 0, usize::MAX);
+        assert_eq!(symbols.len(), BLOCK_BITS / 4);
+        assert!(symbols.chunks(2).all(|p| p == [0xA, 0x5]));
+        assert_eq!(end, BLOCK_BITS);
+        assert_eq!(
+            run_walk(&dec, &cur, BLOCK_BITS - 4, 9),
+            (vec![0x5], BLOCK_BITS)
+        );
+        for start in BLOCK_BITS - 3..=BLOCK_BITS {
+            assert_eq!(
+                run_walk(&dec, &cur, start, 9),
+                (vec![], start),
+                "start {start}"
+            );
         }
     }
 
@@ -794,6 +899,61 @@ mod tests {
             let book = Codebook::from_frequencies(&freqs, 1, 15).unwrap();
             prop_assert!(book.lengths().iter().all(|&l| (1..=15).contains(&l)));
             prop_assert!(book.kraft_sum() <= 1.0 + 1e-12);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The run walk against the `decode_symbol` loop: the same
+        /// symbols and the same end bit, on fuzzed 2..=8-bit data books,
+        /// 1..=15-bit books like the pattern-id code, and revived books
+        /// whose tables are all-invalid (a Kraft violation, `max_len` 0,
+        /// and a `max_len` past the 15-bit cap); over raw blocks and over
+        /// streams coded from the start bit and clipped at bit 512; from
+        /// every start bit, for up to 160 symbols.
+        #[test]
+        fn run_walk_matches_symbol_loop(
+            book_kind in 0usize..5,
+            freqs in prop::collection::vec(0u64..1000, 2..=64),
+            raw in prop::collection::vec(any::<u8>(), BLOCK_BYTES),
+            coded in any::<bool>(),
+            syms in prop::collection::vec(any::<u16>(), 0..300),
+            start in 0usize..BLOCK_BITS,
+            max in 0usize..=160,
+        ) {
+            let book = match book_kind {
+                0 => Codebook::from_frequencies(&freqs[..freqs.len().min(16)], 2, 8).unwrap(),
+                1 => Codebook::from_frequencies(&freqs, 1, 15).unwrap(),
+                2 => Codebook::from_serialized_parts(vec![1, 1, 1], vec![0, 1, 2], 1),
+                3 => Codebook::from_serialized_parts(vec![2; 4], vec![0, 1, 2, 3], 0),
+                _ => Codebook::from_serialized_parts(vec![2; 4], vec![0, 1, 2, 3], 200),
+            };
+            let mut bytes = [0u8; BLOCK_BYTES];
+            bytes.copy_from_slice(&raw);
+            if coded && book.revival_coherent() {
+                // Raw bits up to `start`, then codes, the last one cut
+                // at bit 512 when it does not fit, then zero fill.
+                let mut w = BitWriter::new();
+                for i in 0..start {
+                    w.write_bits(u64::from(bytes[i / 8] >> (7 - i % 8) & 1), 1);
+                }
+                for &s in &syms {
+                    let s = s % book.num_symbols() as u16;
+                    let (code, len) = (book.code(s) as u64, book.code_len(s) as usize);
+                    let room = BLOCK_BITS - w.bit_len();
+                    if len > room {
+                        if room > 0 {
+                            w.write_bits(code >> (len - room), room as u32);
+                        }
+                        break;
+                    }
+                    w.write_bits(code, len as u32);
+                }
+                bytes = *Block64::from_writer(w).expect("fits one block").as_bytes();
+            }
+            let cur = Block64::from_bytes(bytes).cursor();
+            let dec = book.symbol_decoder();
+            prop_assert_eq!(run_walk(&dec, &cur, start, max), symbol_loop(&dec, &cur, start, max));
         }
     }
 }

@@ -288,16 +288,22 @@ pub fn decode_block_parallel_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodeStats, DecodeError> {
-    let (_, stats) = read_block(block, meta, values, |book, cur, start, table, values| {
-        let stats = ParallelDecoder::new(book).decode_values_into(
-            cur,
-            start,
-            meta.group_size,
-            table,
-            values,
-        );
-        (stats.end_bit, stats)
-    })?;
+    let (_, stats) = read_block(
+        block,
+        meta,
+        meta.tensor_scale,
+        values,
+        |book, cur, start, table, values| {
+            let stats = ParallelDecoder::new(book).decode_values_into(
+                cur,
+                start,
+                meta.group_size,
+                table,
+                values,
+            );
+            (stats.end_bit, stats)
+        },
+    )?;
     Ok(stats)
 }
 

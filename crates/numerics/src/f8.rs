@@ -49,16 +49,25 @@ fn encode_magnitude(a: f64, mant: u32, bias: i32, e_max: i32, max_q: u32) -> u8 
     }
 }
 
-/// Decodes the 7-bit magnitude of a minifloat.
-fn decode_magnitude(code: u8, mant: u32, bias: i32) -> f64 {
-    let exp_field = (code as u32) >> mant;
-    let mant_field = (code as u32) & ((1 << mant) - 1);
-    if exp_field == 0 {
-        mant_field as f64 * ((1 - bias - mant as i32) as f64).exp2()
+/// Assembles the `f32` of a finite minifloat code with `mant` mantissa
+/// bits and bias `bias` from its fields: the sign bit moves to bit 31, a
+/// normal's exponent is rebiased and its mantissa shifted up under
+/// f32's, and a subnormal (`frac × 2^(1 - bias - mant)`, every one of
+/// them normal in f32) is renormalized on its leading one.
+#[inline]
+fn minifloat_to_f32(code: u8, mant: u32, bias: u32) -> f32 {
+    let sign = u32::from(code & 0x80) << 24;
+    let exp = u32::from(code & 0x7F) >> mant;
+    let frac = u32::from(code) & ((1 << mant) - 1);
+    let mag = if exp != 0 {
+        (exp + 127 - bias) << 23 | frac << (23 - mant)
+    } else if frac == 0 {
+        0
     } else {
-        let m = (mant_field | (1 << mant)) as f64;
-        m * ((exp_field as i32 - bias - mant as i32) as f64).exp2()
-    }
+        let lead = frac.ilog2();
+        (128 - bias - mant + lead) << 23 | (frac << (23 - lead)) & 0x007F_FFFF
+    };
+    f32::from_bits(sign | mag)
 }
 
 /// An OCP FP8 E4M3 value: 1 sign, 4 exponent (bias 7), 3 mantissa bits.
@@ -115,18 +124,13 @@ impl F8E4M3 {
         F8E4M3(sign | mag)
     }
 
-    /// Converts to `f32` exactly.
+    /// Converts to `f32` exactly; both NaN codes give `f32::NAN`.
+    #[inline]
     pub fn to_f32(self) -> f32 {
         if self.is_nan() {
             return f32::NAN;
         }
-        let mag = decode_magnitude(self.0 & 0x7F, Self::MANT_BITS, Self::BIAS);
-        let v = mag as f32;
-        if self.0 & 0x80 != 0 {
-            -v
-        } else {
-            v
-        }
+        minifloat_to_f32(self.0, Self::MANT_BITS, Self::BIAS as u32)
     }
 
     /// Returns `true` when the encoding is one of the two NaN codes.
@@ -205,6 +209,7 @@ impl F8E5M2 {
     }
 
     /// Converts to `f32` exactly (infinities decode to infinities).
+    #[inline]
     pub fn to_f32(self) -> f32 {
         let exp_field = (self.0 >> Self::MANT_BITS) & 0x1F;
         let mant_field = self.0 & 0x03;
@@ -216,13 +221,7 @@ impl F8E5M2 {
             };
             return if self.0 & 0x80 != 0 { -v } else { v };
         }
-        let mag = decode_magnitude(self.0 & 0x7F, Self::MANT_BITS, Self::BIAS);
-        let v = mag as f32;
-        if self.0 & 0x80 != 0 {
-            -v
-        } else {
-            v
-        }
+        minifloat_to_f32(self.0, Self::MANT_BITS, Self::BIAS as u32)
     }
 
     /// Returns `true` when the encoding is a NaN code.
@@ -254,6 +253,57 @@ impl fmt::Display for F8E5M2 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Today's f64 formula for a minifloat's 7-bit magnitude, the
+    /// reference the bit-level conversions are pinned to.
+    fn decode_magnitude(code: u8, mant: u32, bias: i32) -> f64 {
+        let exp_field = (code as u32) >> mant;
+        let mant_field = (code as u32) & ((1 << mant) - 1);
+        if exp_field == 0 {
+            mant_field as f64 * ((1 - bias - mant as i32) as f64).exp2()
+        } else {
+            let m = (mant_field | (1 << mant)) as f64;
+            m * ((exp_field as i32 - bias - mant as i32) as f64).exp2()
+        }
+    }
+
+    /// The signed reference value of a finite code.
+    fn reference(code: u8, mant: u32, bias: i32) -> f32 {
+        let v = decode_magnitude(code & 0x7F, mant, bias) as f32;
+        if code & 0x80 != 0 {
+            -v
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn e4m3_to_f32_matches_formula_on_every_code() {
+        for bits in 0u8..=u8::MAX {
+            let want = if bits & 0x7F == 0x7F {
+                f32::NAN
+            } else {
+                reference(bits, 3, 7)
+            };
+            let got = F8E4M3::from_bits(bits).to_f32();
+            assert_eq!(got.to_bits(), want.to_bits(), "code {bits:#04x}");
+        }
+    }
+
+    #[test]
+    fn e5m2_to_f32_matches_formula_on_every_code() {
+        for bits in 0u8..=u8::MAX {
+            let want = match (bits & 0x7C == 0x7C, bits & 0x03) {
+                (true, 0) if bits & 0x80 != 0 => f32::NEG_INFINITY,
+                (true, 0) => f32::INFINITY,
+                (true, _) if bits & 0x80 != 0 => -f32::NAN,
+                (true, _) => f32::NAN,
+                (false, _) => reference(bits, 2, 15),
+            };
+            let got = F8E5M2::from_bits(bits).to_f32();
+            assert_eq!(got.to_bits(), want.to_bits(), "code {bits:#04x}");
+        }
+    }
 
     #[test]
     fn e4m3_known_values() {

@@ -15,7 +15,9 @@
 //!
 //! The image's tensors, its K-cache one included, are encoded by
 //! `WeightCodec`. The blocks `KvCodec` writes (min/max selection, the
-//! serving write path) are pinned separately by `kv_blocks_are_byte_exact`.
+//! serving write path) are pinned separately by `kv_blocks_are_byte_exact`,
+//! and what both codecs decode the fixtures to by
+//! `decoded_values_are_bit_exact`.
 
 use ecco::codec::{wire, CodecStats, EccoConfig, KvCodec, WeightCodec};
 use ecco::container::{
@@ -197,8 +199,8 @@ const KV_GOLDEN: [(usize, u32, CodecStats); 2] = [
     ),
 ];
 
-/// Compresses each KV fixture: `(block count, blocks' CRC-32, stats)`.
-fn kv_fingerprints() -> Vec<(usize, u32, CodecStats)> {
+/// Calibrates `KvCodec` on each KV fixture and compresses it.
+fn kv_fixture() -> Vec<(KvCodec, ecco::codec::CompressedTensor, CodecStats)> {
     let cfg = EccoConfig {
         max_calibration_groups: 512,
         ..EccoConfig::default()
@@ -209,7 +211,18 @@ fn kv_fingerprints() -> Vec<(usize, u32, CodecStats)> {
             let t = SynthSpec::for_kind(kind, rows, cols)
                 .seeded(seed)
                 .generate();
-            let (ct, stats) = KvCodec::calibrate(&[&t], &cfg).compress(&t);
+            let codec = KvCodec::calibrate(&[&t], &cfg);
+            let (ct, stats) = codec.compress(&t);
+            (codec, ct, stats)
+        })
+        .collect()
+}
+
+/// Compresses each KV fixture: `(block count, blocks' CRC-32, stats)`.
+fn kv_fingerprints() -> Vec<(usize, u32, CodecStats)> {
+    kv_fixture()
+        .into_iter()
+        .map(|(_, ct, stats)| {
             let bytes: Vec<u8> = ct.blocks().iter().flat_map(|b| *b.as_bytes()).collect();
             (ct.blocks().len(), crc32(&bytes), stats)
         })
@@ -230,6 +243,55 @@ fn kv_blocks_are_byte_exact() {
     }
 }
 
+/// CRC-32 of decoded values: every value's f32 bit pattern,
+/// little-endian, in order.
+fn values_crc(values: &[f32]) -> u32 {
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    crc32(&bytes)
+}
+
+/// Decoded-value pins, one CRC-32 ([`values_crc`]) per tensor: the ECCF
+/// fixture's tensors through `WeightCodec::decompress`, in `FIXTURE`
+/// order.
+const DECODED_WEIGHT_CRCS: [u32; 3] = [0x9D4D_6842, 0x32F4_F1EB, 0x25FA_4D1F];
+/// The same for the KV fixtures through `KvCodec::decompress`, in
+/// `KV_FIXTURE` order.
+const DECODED_KV_CRCS: [u32; 2] = [0xF24E_8014, 0xDF5E_3FF4];
+
+/// Decodes every fixture tensor: `(ECCF fixture CRCs, KV fixture CRCs)`.
+fn decoded_fingerprints() -> (Vec<u32>, Vec<u32>) {
+    let (codec, compressed) = fixture();
+    let weights = compressed
+        .iter()
+        .map(|(_, ct)| values_crc(codec.decompress(ct).data()))
+        .collect();
+    let kv = kv_fixture()
+        .iter()
+        .map(|(codec, ct, _)| values_crc(codec.decompress(ct).data()))
+        .collect();
+    (weights, kv)
+}
+
+/// The written bytes are pinned above; this pins what they decode to.
+/// The codec's decode is otherwise checked only against the hardware
+/// model, and both run the same block reader, value table and numerics,
+/// so a slip shared by the two would pass that differential.
+#[test]
+fn decoded_values_are_bit_exact() {
+    let (weights, kv) = decoded_fingerprints();
+    assert_eq!(
+        weights, DECODED_WEIGHT_CRCS,
+        "WeightCodec::decompress changed a decoded value of the ECCF fixture"
+    );
+    assert_eq!(
+        kv, DECODED_KV_CRCS,
+        "KvCodec::decompress changed a decoded value of a KV fixture"
+    );
+}
+
 /// Not a test of the code — a regeneration helper. Run
 /// `cargo test -q --test container_golden -- --ignored --nocapture`
 /// after an intentional format change and copy the printed constants.
@@ -245,4 +307,11 @@ fn regen_golden() {
     for (blocks, crc, stats) in kv_fingerprints() {
         println!("KV_GOLDEN entry: ({blocks}, 0x{crc:08X}, {stats:?})");
     }
+    let hex = |crcs: Vec<u32>| -> String {
+        let items: Vec<String> = crcs.iter().map(|c| format!("0x{c:08X}")).collect();
+        items.join(", ")
+    };
+    let (weights, kv) = decoded_fingerprints();
+    println!("const DECODED_WEIGHT_CRCS: [u32; 3] = [{}];", hex(weights));
+    println!("const DECODED_KV_CRCS: [u32; 2] = [{}];", hex(kv));
 }
