@@ -54,7 +54,7 @@ fn main() {
 
         // Padding disabled: the same blocks with their padded slots masked.
         let meta = codec.metadata().with_scale(ct.tensor_scale());
-        let gs = meta.group_size;
+        let gs = ecco_tensor::GROUP_SIZE;
         let mut named = vec![false; t.len()];
         let masked: Vec<Block64> = t
             .groups(gs)

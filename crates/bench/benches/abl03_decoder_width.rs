@@ -21,13 +21,13 @@ fn main() {
     let meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MinMax);
     let mut freqs = vec![0u64; 16];
     for g in t.groups(128) {
-        let ng = normalize_group(g, meta.tensor_scale);
+        let ng = normalize_group(g, meta.tensor_scale());
         let kp = meta.select_pattern(&ng, PatternSelector::MinMax);
         for (i, &v) in ng.values.iter().enumerate() {
             let s = if i == ng.max_pos {
                 15
             } else {
-                meta.patterns[kp].nearest(v)
+                meta.patterns()[kp].nearest(v)
             };
             freqs[s as usize] += 1;
         }

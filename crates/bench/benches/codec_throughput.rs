@@ -380,7 +380,7 @@ fn parse_header<'m>(
     meta: &'m TensorMetadata,
 ) -> (&'m ecco_entropy::Codebook, usize) {
     let h = ecco_core::parse_block_header(block, meta).expect("benchmark blocks are valid");
-    (&meta.books[h.kp][h.book_id], h.data_start)
+    (&meta.books()[h.kp][h.book_id], h.data_start)
 }
 
 fn write_bench_json(
@@ -532,6 +532,7 @@ fn weight_encode_timings() -> String {
             black_box(encode_group_scratch(
                 black_box(g),
                 meta,
+                meta.tensor_scale(),
                 PatternSelector::MseOptimal,
                 &mut scratch,
             ));
@@ -601,7 +602,7 @@ fn kv_decode_timings() -> String {
     let meta = codec.metadata();
     assert_eq!(
         ct.tensor_scale(),
-        meta.tensor_scale,
+        meta.tensor_scale(),
         "calibrated on the tensor it compresses"
     );
     let mut values = Vec::with_capacity(kt.len());
@@ -655,6 +656,7 @@ fn kv_encode_timings() -> String {
             black_box(encode_group_scratch(
                 black_box(g),
                 meta,
+                meta.tensor_scale(),
                 PatternSelector::MinMax,
                 &mut scratch,
             ));
@@ -688,9 +690,9 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     let symbol_sets: Vec<(usize, Vec<u16>)> = t
         .groups(GROUP)
         .map(|g| {
-            let ng = normalize_group(g, meta.tensor_scale);
+            let ng = normalize_group(g, meta.tensor_scale());
             let kp = meta.select_pattern(&ng, PatternSelector::MseOptimal);
-            (kp, ng.symbols(&meta.patterns[kp]))
+            (kp, ng.symbols(&meta.patterns()[kp]))
         })
         .collect();
     let n_groups = symbol_sets.len();
@@ -702,12 +704,12 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     // Normalization is precomputed so both timings isolate selection.
     let ngs: Vec<NormalizedGroup> = t
         .groups(GROUP)
-        .map(|g| normalize_group(g, meta.tensor_scale))
+        .map(|g| normalize_group(g, meta.tensor_scale()))
         .collect();
     let ref_select_ns = time_ns(|| {
         for ng in &ngs {
             black_box(select_pattern_ref(
-                &meta.patterns,
+                meta.patterns(),
                 black_box(ng),
                 None,
                 PatternSelector::MseOptimal,
@@ -729,7 +731,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     // baseline) vs one packed-lane pass.
     let h_pass_ns = time_ns(|| {
         for (kp, syms) in &symbol_sets {
-            let best = meta.books[*kp]
+            let best = meta.books()[*kp]
                 .iter()
                 .enumerate()
                 .map(|(i, b)| (i, b.encoded_len(black_box(syms))))
@@ -754,6 +756,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
             black_box(encode_group_scratch(
                 black_box(g),
                 meta,
+                meta.tensor_scale(),
                 PatternSelector::MseOptimal,
                 &mut scratch,
             ));

@@ -52,13 +52,13 @@ fn main() {
     let meta = TensorMetadata::calibrate(&[&tensor], &cfg, PatternSelector::MseOptimal);
     let mut codes = Vec::with_capacity(tensor.len());
     for g in tensor.groups(group) {
-        let ng = normalize_group(g, meta.tensor_scale);
+        let ng = normalize_group(g, meta.tensor_scale());
         let kp = meta.select_pattern(&ng, PatternSelector::MseOptimal);
         for (i, &v) in ng.values.iter().enumerate() {
             codes.push(if i == ng.max_pos {
                 15
             } else {
-                meta.patterns[kp].nearest(v)
+                meta.patterns()[kp].nearest(v)
             });
         }
         let _ = encode_group(g, &meta, PatternSelector::MseOptimal);

@@ -14,7 +14,7 @@ fn main() {
     println!("\n=== Figure 7 — shared k-means patterns (KV codec, S=16) ===");
     println!("Each row: one pattern; '*' marks centroid positions in [-1, 1].\n");
     const W: usize = 81;
-    for (i, p) in meta.patterns.iter().enumerate() {
+    for (i, p) in meta.patterns().iter().enumerate() {
         let mut line = vec![b'.'; W];
         line[W / 2] = b'|';
         for &c in p.centroids() {
@@ -27,7 +27,7 @@ fn main() {
     // Quantify the skew: fraction of centroid mass inside |c| < 0.25.
     let mut near_zero = 0usize;
     let mut total = 0usize;
-    for p in &meta.patterns {
+    for p in meta.patterns() {
         near_zero += p.centroids().iter().filter(|c| c.abs() < 0.25).count();
         total += p.centroids().len();
     }

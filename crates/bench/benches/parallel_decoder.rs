@@ -79,7 +79,7 @@ fn parse_header<'m>(
     meta: &'m TensorMetadata,
 ) -> (&'m ecco_entropy::Codebook, usize) {
     let h = ecco_core::parse_block_header(block, meta).expect("benchmark blocks are valid");
-    (&meta.books[h.kp][h.book_id], h.data_start)
+    (&meta.books()[h.kp][h.book_id], h.data_start)
 }
 
 criterion_group!(benches, bench);

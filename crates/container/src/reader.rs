@@ -32,7 +32,7 @@ use ecco_core::{
     BatchOutcome, CompressedTensor, DecodeError, DecodeErrorKind, RecoveryPolicy, TensorMetadata,
     WeightCodec,
 };
-use ecco_tensor::Tensor;
+use ecco_tensor::{Tensor, GROUP_SIZE};
 
 use crate::crc::crc32;
 use crate::source::MapSource;
@@ -298,7 +298,7 @@ impl Container {
             if len != want_len {
                 return Err(located(DecodeError::new(DecodeErrorKind::LengthMismatch)));
             }
-            if decoded_len != block_count as u64 * meta.group_size as u64 {
+            if decoded_len != block_count as u64 * GROUP_SIZE as u64 {
                 return Err(located(DecodeError::new(DecodeErrorKind::LengthMismatch)));
             }
             if by_name.insert(name.clone(), i).is_some() {

@@ -42,7 +42,6 @@ pub struct ContainerWriter {
     meta_offset: u64,
     meta_len: u64,
     meta_crc: u32,
-    group_size: usize,
     entries: Vec<PendingEntry>,
 }
 
@@ -66,7 +65,6 @@ impl ContainerWriter {
             meta_offset,
             meta_len: meta_bytes.len() as u64,
             meta_crc,
-            group_size: meta.group_size,
             entries: Vec::new(),
         }
     }
@@ -78,9 +76,7 @@ impl ContainerWriter {
     /// # Panics
     ///
     /// Panics on an empty, oversized (> [`MAX_NAME_BYTES`]) or duplicate
-    /// `name`, or when `ct` was compressed under a different group size
-    /// than the snapshot metadata — all caller bugs a directory must
-    /// never encode.
+    /// `name` — caller bugs a directory must never encode.
     pub fn add_tensor(&mut self, name: &str, ct: &CompressedTensor) {
         assert!(
             !name.is_empty() && name.len() <= MAX_NAME_BYTES,
@@ -89,11 +85,6 @@ impl ContainerWriter {
         assert!(
             self.entries.iter().all(|e| e.name != name),
             "duplicate tensor name {name:?}"
-        );
-        assert_eq!(
-            ct.group_size(),
-            self.group_size,
-            "tensor group size disagrees with the metadata snapshot"
         );
 
         let frame = wire::encode_tensor(ct);

@@ -11,10 +11,11 @@
 
 use ecco_bits::Block64;
 use ecco_numerics::Po2Scale;
-use ecco_tensor::Tensor;
+use ecco_tensor::{Tensor, GROUP_SIZE};
 
-use crate::block::{decode_group, encode_group};
+use crate::block::{decode_group_scaled_into, encode_group_scratch};
 use crate::metadata::{PatternSelector, TensorMetadata};
+use crate::select::GroupScratch;
 use crate::weight::WeightCodec;
 use crate::EccoConfig;
 
@@ -131,18 +132,23 @@ impl AdaptiveCodec {
         self.policy
     }
 
-    /// Compresses, falling back to raw per group when the policy demands.
+    /// Compresses under the tensor's own scale, falling back to raw per
+    /// group when the policy demands.
     pub fn compress(&self, tensor: &Tensor) -> (AdaptiveTensor, AdaptiveStats) {
         let tensor_scale = TensorMetadata::scale_for(tensor);
-        let meta = self.inner.metadata().with_scale(tensor_scale);
-        let mut blocks = Vec::with_capacity(tensor.len() / meta.group_size);
+        let meta = self.inner.metadata();
+        let mut scratch = GroupScratch::new();
+        let mut out = Vec::with_capacity(GROUP_SIZE);
+        let mut blocks = Vec::with_capacity(tensor.len() / GROUP_SIZE);
         let mut stats = AdaptiveStats::default();
         let mut sum_err = 0f64;
         let mut sum_ref = 0f64;
         let mut stored_bytes = 0usize;
-        for g in tensor.groups(meta.group_size) {
-            let (block, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            let (out, _) = decode_group(&block, &meta).expect("own block");
+        for g in tensor.groups(GROUP_SIZE) {
+            let selector = PatternSelector::MseOptimal;
+            let (block, info) = encode_group_scratch(g, meta, tensor_scale, selector, &mut scratch);
+            out.clear();
+            decode_group_scaled_into(&block, meta, tensor_scale, &mut out).expect("own block");
             let (mut e, mut r) = (0f64, 0f64);
             for (&a, &b) in g.iter().zip(&out) {
                 e += ((a - b) as f64).powi(2);
@@ -184,14 +190,14 @@ impl AdaptiveCodec {
     /// copied losslessly; compressed groups decode under the stream's own
     /// per-tensor scale.
     pub fn decompress(&self, at: &AdaptiveTensor) -> Tensor {
-        let meta = self.inner.metadata().with_scale(at.tensor_scale);
+        let meta = self.inner.metadata();
         let mut data = Vec::with_capacity(at.rows * at.cols);
         for b in &at.blocks {
             match b {
                 AdaptiveBlock::Raw(v) => data.extend_from_slice(v),
                 AdaptiveBlock::Compressed(block) => {
-                    let (vals, _) = decode_group(block, &meta).expect("valid block");
-                    data.extend_from_slice(&vals);
+                    decode_group_scaled_into(block, meta, at.tensor_scale, &mut data)
+                        .expect("valid block");
                 }
             }
         }

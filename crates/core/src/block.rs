@@ -32,6 +32,7 @@
 use ecco_bits::{BitWriter, Block64, BlockCursor, BLOCK_BITS};
 use ecco_entropy::Codebook;
 use ecco_numerics::{Po2Scale, F8E4M3};
+use ecco_tensor::GROUP_SIZE;
 
 use crate::group::normalize_group;
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -42,9 +43,9 @@ use crate::select::{with_thread_scratch, GroupScratch};
 pub const OUTLIER_BITS: usize = 15;
 
 /// The most outliers a block can pad: with the 8-bit SF and 128 data
-/// codes of at least 2 bits each (the envelope `validate_data_book`
-/// enforces), at most `512 − 8 − 256 = 248` bits are left, 16 slots.
-/// Encoders rank no more candidates than this.
+/// codes of at least 2 bits each (the envelope every data book lies in,
+/// see [`TensorMetadata::from_parts`]), at most `512 − 8 − 256 = 248`
+/// bits are left, 16 slots. Encoders rank no more candidates than this.
 pub const MAX_PAD_SLOTS: usize = (BLOCK_BITS - 8 - 128 * 2) / OUTLIER_BITS;
 
 /// Per-group encoding report, aggregated into [`crate::CodecStats`].
@@ -77,16 +78,19 @@ pub enum DecodeErrorKind {
     BadBookId,
     /// The scale-factor byte decoded to NaN.
     BadScaleFactor,
-    /// A revived codebook's serialized fields do not cohere (Kraft
-    /// violation, `max_len` disagreeing with its lengths, an alphabet
-    /// wider than the symbol space, or code lengths the parallel decoder
-    /// cannot segment) — decoding refuses instead of silently
-    /// zero-filling through an all-invalid table or indexing out of
-    /// bounds.
+    /// A codebook handed to metadata construction cannot be used: its
+    /// lengths form no canonical code, its stored codes or `max_len` are
+    /// not the ones its lengths derive, or a data book lies outside the
+    /// format's 16-symbol, 2..=8-bit envelope. Raised only where metadata
+    /// is built (wire ingest, [`TensorMetadata::from_parts`]), never by a
+    /// block decode.
     CorruptCodebook,
-    /// Revived tensor metadata is structurally inconsistent (fewer
-    /// codebook rows than patterns, an `ID_HF` width that cannot fit a
-    /// block header, a corrupt pattern-id code, …).
+    /// Metadata or a container is structurally inconsistent: a bad magic
+    /// or version, pattern and codebook counts that disagree or leave
+    /// their ranges, an `ID_HF` width that cannot name every book, a
+    /// pattern-id code short of the pattern count, unsorted centroids, or
+    /// a container directory that lies. Raised only at ingest or
+    /// construction, never by a block decode.
     CorruptMetadata,
     /// A serialized stream ended before its declared contents: a tensor
     /// whose block array stops short of its shape, or a wire snapshot
@@ -212,15 +216,18 @@ impl std::error::Error for DecodeError {}
 /// groups should hold their own scratch and call
 /// [`encode_group_scratch`] instead (same bits, explicit reuse).
 ///
+/// Encodes under the metadata's own scale, like [`decode_group`] decodes.
+///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size`.
+/// Panics if `group.len()` is not [`GROUP_SIZE`].
 pub fn encode_group(
     group: &[f32],
     meta: &TensorMetadata,
     selector: PatternSelector,
 ) -> (Block64, EncodedGroupInfo) {
-    with_thread_scratch(|s| encode_group_scratch(group, meta, selector, s))
+    let scale = meta.tensor_scale();
+    with_thread_scratch(|s| encode_group_scratch(group, meta, scale, selector, s))
 }
 
 /// Compresses one group through a caller-provided [`GroupScratch`]: the
@@ -231,40 +238,46 @@ pub fn encode_group(
 /// re-quantization. Outliers are ranked only for blocks that pad, and
 /// only as many as a block can hold ([`MAX_PAD_SLOTS`]).
 ///
+/// `scale` is the tensor's power-of-two scale, as in [`read_block`]; the
+/// metadata's own is not read.
+///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size`.
+/// Panics if `group.len()` is not [`GROUP_SIZE`].
 pub fn encode_group_scratch(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
     scratch: &mut GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    let ng = normalize_group(group, meta.tensor_scale);
+    assert_eq!(group.len(), GROUP_SIZE, "group size mismatch");
+    let ng = normalize_group(group, scale);
     let kp = meta.select_pattern_scratch(&ng, selector, scratch);
-    encode_selected(group, &ng, meta, kp, scratch)
+    encode_selected(group, &ng, meta, scale, kp, scratch)
 }
 
 /// Fused activation-aware compression of one group: selects the pattern
 /// minimizing the *weighted* squared error (`group_w2[i]` = squared
 /// channel magnitude of value `i`) and encodes with the winner's symbols
-/// from the same sweep — the offline weight path's hot loop.
+/// from the same sweep — the offline weight path's hot loop. `scale` is
+/// the tensor's, as in [`encode_group_scratch`].
 ///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size` or `group_w2` is shorter
-/// than the group.
+/// Panics if `group.len()` is not [`GROUP_SIZE`] or `group_w2` is
+/// shorter than the group.
 pub fn encode_group_weighted_scratch(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     group_w2: &[f32],
     scratch: &mut GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    let ng = normalize_group(group, meta.tensor_scale);
+    assert_eq!(group.len(), GROUP_SIZE, "group size mismatch");
+    let ng = normalize_group(group, scale);
     let kp = meta.select_pattern_weighted_scratch(&ng, group_w2, scratch);
-    encode_selected(group, &ng, meta, kp, scratch)
+    encode_selected(group, &ng, meta, scale, kp, scratch)
 }
 
 /// The codec's selection after either selector picked pattern `kp`: the
@@ -277,6 +290,7 @@ fn encode_selected(
     group: &[f32],
     ng: &crate::group::NormalizedGroup,
     meta: &TensorMetadata,
+    scale: Po2Scale,
     kp: usize,
     scratch: &GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
@@ -287,7 +301,7 @@ fn encode_selected(
         .best(symbols);
     // Ranked lazily: a clipped block never reads its outliers.
     let outliers = std::iter::once_with(|| rank_outliers(group, ng.max_pos)).flatten();
-    write_block(meta, kp, book_id, ng.sf_bits, symbols, outliers)
+    write_block(meta, scale, kp, book_id, ng.sf_bits, symbols, outliers)
 }
 
 /// The one block writer (steps 8–9, Fig. 6a): writes the header
@@ -304,7 +318,8 @@ fn encode_selected(
 /// consumed when nothing was clipped, so a lazy iterator defers its
 /// ranking to the blocks that pad. Under any book inside the format's
 /// 2..=8-bit code envelope at most [`MAX_PAD_SLOTS`] outliers fit, so
-/// both callers rank no more candidates than that.
+/// both callers rank no more candidates than that. Outliers are
+/// compressed under `scale`, the tensor's power-of-two scale.
 ///
 /// # Panics
 ///
@@ -312,19 +327,18 @@ fn encode_selected(
 /// the book's alphabet, or a written outlier position exceeds 7 bits.
 pub fn write_block(
     meta: &TensorMetadata,
+    scale: Po2Scale,
     kp: usize,
     book_id: usize,
     sf_bits: u8,
     symbols: &[u16],
     ranked_outliers: impl IntoIterator<Item = (usize, f32)>,
 ) -> (Block64, EncodedGroupInfo) {
-    let book = &meta.books[kp][book_id];
+    let book = &meta.books()[kp][book_id];
     let mut w = BitWriter::with_capacity(BLOCK_BITS);
-    if meta.id_hf_bits > 0 {
-        w.write_bits(book_id as u64, meta.id_hf_bits);
-    }
+    w.write_bits(book_id as u64, meta.id_hf_bits());
     w.write_bits(sf_bits as u64, 8);
-    meta.pattern_code.encode_symbol(&mut w, kp as u16);
+    meta.pattern_code().encode_symbol(&mut w, kp as u16);
     let header_bits = w.bit_len();
 
     // Fit or clip: codes go in while they fit; the first one that does
@@ -355,7 +369,7 @@ pub fn write_block(
         // Step 9: pad the leftover space with the next-largest values.
         let slots = (BLOCK_BITS - w.bit_len()) / OUTLIER_BITS;
         for (pos, val) in ranked_outliers.into_iter().take(slots) {
-            let f8 = F8E4M3::from_f32(meta.tensor_scale.compress(val));
+            let f8 = F8E4M3::from_f32(scale.compress(val));
             w.write_bits(pos as u64, 7);
             w.write_bits(f8.to_bits() as u64, 8);
             info.padded_outliers += 1;
@@ -383,41 +397,15 @@ pub struct BlockHeader {
     pub data_start: usize,
 }
 
-/// Maximum believable `ID_HF` field width: 2^16 codebooks per pattern is
-/// far past any real configuration, so wider values only arise from
-/// corrupt revived metadata.
-const MAX_ID_HF_BITS: u32 = 16;
-
-/// Validates a revived *data* codebook before decoding through it.
-///
-/// The Ecco format constrains data codes to lengths `2..=8` over at most
-/// [`crate::pattern::SYMBOL_COUNT`] symbols (the parallel-decode
-/// constraint of the paper); a revived book outside that envelope — or
-/// one whose serialized fields do not heal into a canonical code at all —
-/// is reported as [`DecodeErrorKind::CorruptCodebook`]. The block reader
-/// applies it before any walk runs (so the codec and the hardware model
-/// agree error-for-error on corrupt metadata), and wire ingest applies it
-/// to every revived book.
-pub(crate) fn validate_data_book(book: &Codebook) -> Result<(), DecodeError> {
-    if !book.revival_coherent()
-        || book.num_symbols() > crate::pattern::SYMBOL_COUNT
-        || book.max_len() > 8
-        || book.lengths().iter().any(|&l| l < 2)
-    {
-        return Err(DecodeErrorKind::CorruptCodebook.into());
-    }
-    Ok(())
-}
-
 /// Parses and validates a block's header fields against `meta`.
 ///
 /// # Errors
 ///
-/// Structural [`DecodeErrorKind::CorruptMetadata`] checks come first (an
-/// `ID_HF` width no real configuration produces, a corrupt pattern-id
-/// code, a codebook table with fewer rows than patterns), then the
-/// per-block field errors in the same precedence order every decoder
-/// reports: bad pattern id, then bad book id, then NaN scale factor.
+/// The block's own field errors, in the precedence order every decoder
+/// reports: [`DecodeErrorKind::BadPatternId`] for an `ID_KP` that decodes
+/// to no pattern, then [`DecodeErrorKind::BadBookId`] for an `ID_HF` past
+/// `H`, then [`DecodeErrorKind::BadScaleFactor`] for a NaN scale factor.
+/// The metadata itself was checked when it was built.
 pub fn parse_block_header(
     block: &Block64,
     meta: &TensorMetadata,
@@ -427,26 +415,19 @@ pub fn parse_block_header(
 
 /// [`parse_block_header`] on a block [`read_block`] has already viewed.
 fn parse_header(cur: &BlockCursor, meta: &TensorMetadata) -> Result<BlockHeader, DecodeError> {
-    if meta.id_hf_bits > MAX_ID_HF_BITS || !meta.pattern_code.revival_coherent() {
-        return Err(DecodeErrorKind::CorruptMetadata.into());
-    }
-    let book_id = cur.window(0, meta.id_hf_bits) as usize;
-    let sf_at = meta.id_hf_bits as usize;
+    let book_id = cur.window(0, meta.id_hf_bits()) as usize;
+    let sf_at = meta.id_hf_bits() as usize;
     let sf_bits = cur.window(sf_at, 8) as u8;
     let mut data_start = sf_at + 8;
     let kp = meta
-        .pattern_code
+        .pattern_code()
         .symbol_decoder()
         .decode_symbol(cur, &mut data_start)
         .ok_or(DecodeError::new(DecodeErrorKind::BadPatternId))? as usize;
-    if kp >= meta.patterns.len() {
+    if kp >= meta.num_patterns() {
         return Err(DecodeErrorKind::BadPatternId.into());
     }
-    let books = meta
-        .books
-        .get(kp)
-        .ok_or(DecodeError::new(DecodeErrorKind::CorruptMetadata))?;
-    if book_id >= books.len() {
+    if book_id >= meta.books_per_pattern() {
         return Err(DecodeErrorKind::BadBookId.into());
     }
     if F8E4M3::from_bits(sf_bits).is_nan() {
@@ -514,8 +495,8 @@ impl BlockValueTable {
     ///
     /// # Panics
     ///
-    /// Panics if `sym >= SYMBOL_COUNT`; every data codebook
-    /// [`read_block`] accepts only emits symbols below that bound.
+    /// Panics if `sym >= SYMBOL_COUNT`; no data codebook emits a symbol
+    /// past that bound.
     #[inline]
     pub fn value(&self, sym: u16) -> f32 {
         self.values[sym as usize]
@@ -528,7 +509,7 @@ impl BlockValueTable {
     }
 }
 
-/// Decompresses one block back into `meta.group_size` FP16 values.
+/// Decompresses one block back into [`GROUP_SIZE`] FP16 values.
 ///
 /// Thin wrapper over the fused [`decode_group_into`], kept for callers
 /// that want an owned buffer per block.
@@ -541,19 +522,19 @@ pub fn decode_group(
     block: &Block64,
     meta: &TensorMetadata,
 ) -> Result<(Vec<f32>, DecodedGroupInfo), DecodeError> {
-    let mut values = Vec::with_capacity(meta.group_size);
+    let mut values = Vec::with_capacity(GROUP_SIZE);
     let info = decode_group_into(block, meta, &mut values)?;
     Ok((values, info))
 }
 
-/// The codec's decoder: [`read_block`] under `meta.tensor_scale` with the
+/// The codec's decoder: [`read_block`] under the metadata's own scale with the
 /// codec's symbol walk — the book's
 /// [`SymbolDecoder::decode_run`](ecco_entropy::SymbolDecoder::decode_run)
 /// shifts codes out of a register refilled from 57-bit windows of the
 /// block's cursor, and each symbol is gathered through the block's
 /// [`BlockValueTable`] as it lands, with no intermediate symbol buffer or
-/// second reconstruction pass. **Appends** `meta.group_size` FP16 values
-/// to `values`; on error nothing is appended.
+/// second reconstruction pass. **Appends** [`GROUP_SIZE`] FP16 values to
+/// `values`; on error nothing is appended.
 ///
 /// # Errors
 ///
@@ -564,12 +545,12 @@ pub fn decode_group_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodedGroupInfo, DecodeError> {
-    decode_group_scaled_into(block, meta, meta.tensor_scale, values)
+    decode_group_scaled_into(block, meta, meta.tensor_scale(), values)
 }
 
-/// [`decode_group_into`] under the tensor scale `scale` instead of
-/// `meta.tensor_scale`: the one codec walk, which the decode engine runs
-/// with each tensor's own scale so the shared metadata is never copied.
+/// [`decode_group_into`] under the tensor scale `scale` instead of the
+/// metadata's own: the one codec walk, which the decode engine runs with
+/// each tensor's own scale so the shared metadata is never copied.
 pub(crate) fn decode_group_scaled_into(
     block: &Block64,
     meta: &TensorMetadata,
@@ -586,7 +567,7 @@ pub(crate) fn decode_group_scaled_into(
             // truncation point unambiguous.
             let end = book
                 .symbol_decoder()
-                .decode_run(cur, pos, meta.group_size, |s| values.push(table.value(s)));
+                .decode_run(cur, pos, GROUP_SIZE, |s| values.push(table.value(s)));
             (end, ())
         },
     )?;
@@ -594,20 +575,21 @@ pub(crate) fn decode_group_scaled_into(
 }
 
 /// The one block reader (Fig. 6a): views the block once as a
-/// [`BlockCursor`], parses and validates the header and the data
-/// codebook, builds the block's [`BlockValueTable`], hands the cursor to
-/// `walk`, then fills the clipped tail with the zero centroid and applies
-/// the padded outliers — **appending** `meta.group_size` values to
-/// `values`. On error nothing is appended and `walk` never runs.
+/// [`BlockCursor`], parses and validates the header, builds the block's
+/// [`BlockValueTable`], hands the cursor to `walk`, then fills the
+/// clipped tail with the zero centroid and applies the padded outliers —
+/// **appending** [`GROUP_SIZE`] values to `values`. On error nothing is
+/// appended and `walk` never runs. It checks nothing about `meta`, whose
+/// books were checked when it was built.
 ///
 /// `scale` is the tensor's power-of-two scale: the block's scale factor
 /// and its padded outliers are expanded by it. Everything else comes from
-/// the shared `meta` (its own `tensor_scale` is not read), so a batch of
+/// the shared `meta` (its own scale is not read), so a batch of
 /// tensors decodes under one metadata and one scale per tensor.
 ///
 /// `walk(book, cur, data_start, table, values)` resolves symbols from
 /// bit `data_start` of `cur` on, appends the value of each (at most
-/// `meta.group_size`) to `values`, and returns the bit just past the
+/// [`GROUP_SIZE`]) to `values`, and returns the bit just past the
 /// last one plus whatever the walk reports. The codec passes its
 /// shift-register walk ([`decode_group_into`]), the hardware model
 /// (`ecco_hw`) its 64×8 speculative walk; everything else about the
@@ -615,13 +597,11 @@ pub(crate) fn decode_group_scaled_into(
 ///
 /// # Errors
 ///
-/// The [`parse_block_header`] errors, then
-/// [`DecodeErrorKind::CorruptCodebook`] for a revived data book outside
-/// the format's envelope.
+/// The [`parse_block_header`] errors.
 ///
 /// # Panics
 ///
-/// Panics if `walk` appends more than `meta.group_size` values.
+/// Panics if `walk` appends more than [`GROUP_SIZE`] values.
 pub fn read_block<R>(
     block: &Block64,
     meta: &TensorMetadata,
@@ -631,29 +611,29 @@ pub fn read_block<R>(
 ) -> Result<(DecodedGroupInfo, R), DecodeError> {
     let cur = block.cursor();
     let header = parse_header(&cur, meta)?;
-    let book = &meta.books[header.kp][header.book_id];
-    validate_data_book(book)?;
+    let book = &meta.books()[header.kp][header.book_id];
     let sf = F8E4M3::from_bits(header.sf_bits);
     let scale_signed = ecco_numerics::round_f16(scale.expand(sf.to_f32()));
-    let table = BlockValueTable::new(&meta.patterns[header.kp], scale_signed);
+    let table = BlockValueTable::new(&meta.patterns()[header.kp], scale_signed);
 
     let base = values.len();
-    values.reserve(meta.group_size);
+    values.reserve(GROUP_SIZE);
     let (data_end, report) = walk(book, &cur, header.data_start, &table, values);
     let decoded = values.len() - base;
-    assert!(decoded <= meta.group_size, "the walk overran its group");
+    assert!(decoded <= GROUP_SIZE, "the walk overran its group");
 
     // Clipped tail: the reconstructed zero centroid.
-    values.resize(base + meta.group_size, table.tail_fill());
+    values.resize(base + GROUP_SIZE, table.tail_fill());
 
-    // Outliers exist only when nothing was clipped.
+    // Outliers exist only when nothing was clipped. A 7-bit position
+    // always names one of the group's 128 values.
     let mut applied = 0usize;
-    if decoded == meta.group_size {
+    if decoded == GROUP_SIZE {
         for slot in 0..(BLOCK_BITS - data_end) / OUTLIER_BITS {
             let at = data_end + slot * OUTLIER_BITS;
             let pos = cur.window(at, 7) as usize;
             let f8 = F8E4M3::from_bits(cur.window(at + 7, 8) as u8);
-            if pos < meta.group_size && !f8.is_nan() {
+            if !f8.is_nan() {
                 values[base + pos] = ecco_numerics::round_f16(scale.expand(f8.to_f32()));
                 applied += 1;
             }
@@ -662,7 +642,7 @@ pub fn read_block<R>(
 
     let info = DecodedGroupInfo {
         decoded_symbols: decoded,
-        clipped_symbols: meta.group_size - decoded,
+        clipped_symbols: GROUP_SIZE - decoded,
         applied_outliers: applied,
     };
     Ok((info, report))
@@ -718,6 +698,20 @@ mod tests {
             ..EccoConfig::default()
         };
         TensorMetadata::calibrate(&[t], &cfg, PatternSelector::MseOptimal)
+    }
+
+    /// `meta` with every data book the uniform 4-bit book, whose 128 × 4
+    /// bits overflow any block: every group clips.
+    fn with_uniform_books(meta: &TensorMetadata) -> TensorMetadata {
+        let uniform = Codebook::from_lengths(&[4; 16]).unwrap();
+        TensorMetadata::from_parts(
+            meta.tensor_scale(),
+            meta.patterns().to_vec(),
+            vec![vec![uniform; meta.books_per_pattern()]; meta.num_patterns()],
+            meta.pattern_code().clone(),
+            meta.id_hf_bits(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -814,13 +808,7 @@ mod tests {
         let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
             .seeded(15)
             .generate();
-        let mut meta = meta_for(&t);
-        let uniform = ecco_entropy::Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
+        let meta = with_uniform_books(&meta_for(&t));
         let g: Vec<f32> = (0..128)
             .map(|i| ((i * 37 % 128) as f32 - 64.0) * 0.01)
             .collect();
@@ -840,17 +828,17 @@ mod tests {
             .generate();
         let meta = meta_for(&t);
         for g in t.groups(128) {
-            let ng = normalize_group(g, meta.tensor_scale);
+            let ng = normalize_group(g, meta.tensor_scale());
             let kp = meta.select_pattern(&ng, PatternSelector::MseOptimal);
-            let symbols = ng.symbols(&meta.patterns[kp]);
-            let baseline = meta.books[kp]
+            let symbols = ng.symbols(&meta.patterns()[kp]);
+            let baseline = meta.books()[kp]
                 .iter()
                 .enumerate()
                 .map(|(i, b)| (i, b.encoded_len(&symbols)))
                 .min_by_key(|&(_, len)| len)
                 .unwrap();
-            let table = ecco_entropy::MultiLenTable::new(&meta.books[kp]);
-            let totals: Vec<usize> = meta.books[kp]
+            let table = ecco_entropy::MultiLenTable::new(&meta.books()[kp]);
+            let totals: Vec<usize> = meta.books()[kp]
                 .iter()
                 .map(|b| b.encoded_len(&symbols))
                 .collect();
@@ -915,7 +903,7 @@ mod tests {
     }
 
     /// Decodes `block` onto a buffer with a nonzero base and checks the
-    /// append contract: on success exactly `group_size` values follow the
+    /// append contract: on success exactly `GROUP_SIZE` values follow the
     /// untouched base, on error nothing is appended. Returns the decoded
     /// values alone.
     fn decode_appending(
@@ -927,7 +915,7 @@ mod tests {
         assert_eq!(&vals[..3], &[7.0f32; 3], "decode must append");
         match res {
             Ok(info) => {
-                assert_eq!(vals.len(), 3 + meta.group_size);
+                assert_eq!(vals.len(), 3 + GROUP_SIZE);
                 Ok((vals.split_off(3), info))
             }
             Err(e) => {
@@ -942,8 +930,8 @@ mod tests {
     fn table_for(block: &Block64, meta: &TensorMetadata) -> BlockValueTable {
         let header = parse_block_header(block, meta).unwrap();
         let sf = F8E4M3::from_bits(header.sf_bits);
-        let scale = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-        BlockValueTable::new(&meta.patterns[header.kp], scale)
+        let scale = ecco_numerics::round_f16(meta.tensor_scale().expand(sf.to_f32()));
+        BlockValueTable::new(&meta.patterns()[header.kp], scale)
     }
 
     #[test]
@@ -974,13 +962,7 @@ mod tests {
         // Clipped tail: uniform 4-bit books force 128×4 = 512 bits >
         // budget, and every value past the clip point is the table's
         // tail fill.
-        let mut clip_meta = meta.clone();
-        let uniform = ecco_entropy::Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut clip_meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
+        let clip_meta = with_uniform_books(&meta);
         let (cb, cinfo) = encode_group(&g, &clip_meta, PatternSelector::MseOptimal);
         assert!(cinfo.clipped_symbols > 0, "clipping must occur");
         let (out, dinfo) = decode_appending(&cb, &clip_meta).unwrap();
@@ -1022,61 +1004,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn decode_skips_out_of_range_outlier_positions() {
-        // The format fixes encoding groups at 128, so a 7-bit outlier
-        // position is always in range there — the `pos < group_size`
-        // guard protects decode-side mismatches (a revived snapshot
-        // claiming a smaller group). Craft that: uniform 4-bit books
-        // make every 4-bit window a valid code, so decoding the same
-        // block under `group_size = 64` stops cleanly after exactly
-        // 64 × 4 = 256 data bits, and everything after is the outlier
-        // region, which we rewrite deterministically.
-        let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-            .seeded(21)
-            .generate();
-        let mut meta = meta_for(&t);
-        let uniform = ecco_entropy::Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
-        let g: Vec<f32> = (0..128).map(|i| (i as f32 - 64.0) * 0.01).collect();
-        let (block, _) = encode_group(&g, &meta, PatternSelector::MseOptimal);
-        let data_start = parse_block_header(&block, &meta).unwrap().data_start;
-
-        let mut small_meta = meta.clone();
-        small_meta.group_size = 64;
-        let data_end = data_start + 64 * 4;
-        let n_out = (BLOCK_BITS - data_end) / OUTLIER_BITS;
-        assert!(n_out >= 2, "need at least two outlier slots: {n_out}");
-        let mut bytes = *block.as_bytes();
-        // Slot 0: position 100 ≥ group_size 64 with a valid FP8 value —
-        // must be skipped. Slot 1: in-range position 10 — must apply.
-        // Remaining slots: NaN values — must be skipped.
-        set_bits(&mut bytes, data_end, 7, 100);
-        set_bits(&mut bytes, data_end + 7, 8, 0x30);
-        set_bits(&mut bytes, data_end + OUTLIER_BITS, 7, 10);
-        set_bits(&mut bytes, data_end + OUTLIER_BITS + 7, 8, 0x30);
-        for slot in 2..n_out {
-            set_bits(&mut bytes, data_end + slot * OUTLIER_BITS + 7, 8, 0x7F);
-        }
-        let crafted = Block64::from_bytes(bytes);
-        let (out, dinfo) = decode_appending(&crafted, &small_meta).unwrap();
-        assert_eq!(out.len(), 64);
-        assert_eq!(
-            dinfo.applied_outliers, 1,
-            "only the in-range, non-NaN outlier may apply"
-        );
-        let want = ecco_numerics::round_f16(
-            small_meta
-                .tensor_scale
-                .expand(F8E4M3::from_bits(0x30).to_f32()),
-        );
-        assert_eq!(out[10].to_bits(), want.to_bits());
-    }
-
     /// Deterministic f32 fuzz stream for the value-table formula test.
     fn fuzz_f32(state: &mut u64) -> f32 {
         *state = state
@@ -1115,7 +1042,7 @@ mod tests {
                 scales.push(ecco_numerics::round_f16(s));
             }
         }
-        for pattern in &meta.patterns {
+        for pattern in meta.patterns() {
             let zero = pattern.centroids()[pattern.zero_symbol() as usize];
             for &scale in &scales {
                 let table = BlockValueTable::new(pattern, scale);

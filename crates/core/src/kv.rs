@@ -196,7 +196,7 @@ mod tests {
         assert!(report[0].is_ok(), "healthy tensor unaffected");
         match &report[1] {
             BatchOutcome::Salvaged { values, bad_blocks } => {
-                let gs = codec.metadata().group_size;
+                let gs = ecco_tensor::GROUP_SIZE;
                 let want = codec.decompress(&good);
                 assert_eq!(&values[..2 * gs], &want.data()[..2 * gs]);
                 assert!(values[2 * gs..3 * gs].iter().all(|&v| v == 0.0));
@@ -225,12 +225,13 @@ mod tests {
         // must stay in the same quality class.
         let t = kv_tensor(3);
         let codec = KvCodec::calibrate(&[&t], &EccoConfig::default());
-        let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&t));
+        let meta = codec.metadata();
+        let scale = TensorMetadata::scale_for(&t);
 
         let mut fit_mse = 0.0;
         let mut fit_mm = 0.0;
         for g in t.groups(128) {
-            let ng = crate::normalize_group(g, meta.tensor_scale);
+            let ng = crate::normalize_group(g, scale);
             let vals: Vec<f32> = ng
                 .values
                 .iter()
@@ -240,8 +241,8 @@ mod tests {
                 .collect();
             let kp_mse = meta.select_pattern(&ng, crate::PatternSelector::MseOptimal);
             let kp_mm = meta.select_pattern(&ng, crate::PatternSelector::MinMax);
-            fit_mse += meta.patterns[kp_mse].sq_error(&vals);
-            fit_mm += meta.patterns[kp_mm].sq_error(&vals);
+            fit_mse += meta.patterns()[kp_mse].sq_error(&vals);
+            fit_mm += meta.patterns()[kp_mm].sq_error(&vals);
         }
         assert!(fit_mse <= fit_mm + 1e-9, "MSE-optimal fit can't be worse");
 

@@ -104,7 +104,8 @@ pub use pool::{quick_from_env, with_pool, Pool, PoolBuilder};
 pub use select::{select_pattern_ref, GroupScratch};
 pub use weight::{CompressedTensor, WeightCodec};
 
-/// Top-level codec configuration (the paper's `S`, `H` and group size).
+/// Top-level codec configuration (the paper's `S` and `H`). The 4×
+/// format fixes groups at [`ecco_tensor::GROUP_SIZE`] values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EccoConfig {
     /// Number of shared k-means patterns `S` (paper default 64; the KV
@@ -112,8 +113,6 @@ pub struct EccoConfig {
     pub num_patterns: usize,
     /// Huffman codebooks per pattern `H` (paper default 4).
     pub books_per_pattern: usize,
-    /// Values per group (128 for the 4× format).
-    pub group_size: usize,
     /// Maximum number of calibration groups sampled per tensor (keeps
     /// calibration tractable on large tensors; sampled evenly).
     pub max_calibration_groups: usize,
@@ -126,7 +125,6 @@ impl Default for EccoConfig {
         EccoConfig {
             num_patterns: 64,
             books_per_pattern: 4,
-            group_size: ecco_tensor::GROUP_SIZE,
             max_calibration_groups: 2048,
             seed: 0xECC0,
         }
@@ -153,7 +151,6 @@ impl EccoConfig {
             (1..=256).contains(&self.books_per_pattern),
             "H must be in 1..=256"
         );
-        assert!(self.group_size == 128, "the 4x format fixes groups at 128");
         assert!(self.max_calibration_groups >= 1);
     }
 }
@@ -179,7 +176,6 @@ mod tests {
         let cfg = EccoConfig::default();
         assert_eq!(cfg.num_patterns, 64);
         assert_eq!(cfg.books_per_pattern, 4);
-        assert_eq!(cfg.group_size, 128);
         cfg.validate();
     }
 }

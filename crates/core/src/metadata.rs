@@ -1,13 +1,12 @@
 //! Tensor-level metadata and offline calibration (steps 1–7 of Figure 4).
 
-use std::sync::{Arc, OnceLock};
-
 use ecco_entropy::huffman::Codebook;
 use ecco_entropy::MultiLenTable;
 use ecco_kmeans::{fit_scalar_batch, fit_vectors, KmeansConfig, ScalarJob};
 use ecco_numerics::{Po2Scale, F8E4M3};
-use ecco_tensor::Tensor;
+use ecco_tensor::{Tensor, GROUP_SIZE};
 
+use crate::block::{DecodeError, DecodeErrorKind};
 use crate::group::{normalize_group, NormalizedGroup};
 use crate::pattern::{
     shared_patterns, KmeansPattern, PatternBoundaries, NUM_CENTROIDS, SCALE_SYMBOL, SYMBOL_COUNT,
@@ -29,39 +28,43 @@ pub enum PatternSelector {
 
 /// Everything the decompressor preloads before touching blocks: shared
 /// patterns, Huffman codebooks, the pattern-id code and the tensor scale.
+///
+/// Metadata is immutable and is only ever built by
+/// [`TensorMetadata::from_parts`]: calibration ([`TensorMetadata::calibrate`]
+/// and its variants) and wire ingest ([`crate::wire::decode_metadata`])
+/// both go through it. So every encoder and decoder may assume what it
+/// checks: `S` patterns with `H` data books each, every data book a
+/// 16-symbol code with lengths in `2..=8`, an `ID_HF` field wide enough
+/// to name `H` books, and a pattern-id code for every pattern. The
+/// encoder's tables are built there too, once.
 #[derive(Clone, Debug)]
 pub struct TensorMetadata {
-    /// Per-tensor FP16→FP8 power-of-two scale.
-    pub tensor_scale: Po2Scale,
-    /// The `S` shared k-means patterns.
-    pub patterns: Vec<KmeansPattern>,
-    /// `H` Huffman codebooks per pattern, indexed `[pattern][book]`.
-    pub books: Vec<Vec<Codebook>>,
-    /// Variable-length canonical code over pattern ids (the `ID_KP` field).
-    pub pattern_code: Codebook,
-    /// Width of the `ID_HF` field in bits.
-    pub id_hf_bits: u32,
-    /// Values per group (always 128 in the 4× format).
-    pub group_size: usize,
-    /// Lazily-built packed length tables, one per pattern, for the
-    /// encoder's single-pass codebook selection; shared (via `Arc`) by
-    /// clones made after first use. Not serialized — the outer `OnceLock`
-    /// re-sizes the slot array from `books` on first access, so metadata
-    /// revived by `wire` ingest self-heals without a rebuild; replacing
-    /// `books` by field access requires
-    /// [`TensorMetadata::rebuild_tables`] to stay coherent (it also
-    /// restores the codebook decode LUTs, which do need it).
-    len_tables: OnceLock<Vec<OnceLock<Arc<MultiLenTable>>>>,
-    /// Lazily-built per-pattern decision boundaries (the 14 centroid
-    /// midpoints) for the encoder's selection: the min/max selector's
-    /// symbol map, and their ladder (all `S × 14` midpoints in one
-    /// ascending list) for the fused sweep's one merge per group; shared
-    /// (via `Arc`) by clones made after first use. Not serialized —
-    /// derived from `patterns` on first access, so metadata revived by
-    /// `wire` ingest works without a rebuild; replacing `patterns` by
-    /// field access requires [`TensorMetadata::rebuild_tables`] to stay
-    /// coherent.
-    bounds: OnceLock<Arc<BoundaryLadder>>,
+    tensor_scale: Po2Scale,
+    patterns: Vec<KmeansPattern>,
+    /// `[pattern][book]`.
+    books: Vec<Vec<Codebook>>,
+    pattern_code: Codebook,
+    id_hf_bits: u32,
+    /// The packed length table of each pattern's books, for the
+    /// encoder's single-pass codebook selection.
+    len_tables: Vec<MultiLenTable>,
+    /// The per-pattern decision boundaries (the 14 centroid midpoints)
+    /// and their ladder: the min/max selector's symbol map, and all
+    /// `S × 14` midpoints in one ascending list for the fused sweep's
+    /// one merge per group.
+    ladder: BoundaryLadder,
+}
+
+/// Caps mirroring [`EccoConfig::validate`].
+const MAX_PATTERNS: usize = 4096;
+const MAX_BOOKS_PER_PATTERN: usize = 256;
+/// The widest `ID_HF` field a block header takes.
+const MAX_ID_HF_BITS: u32 = 16;
+
+/// Whether `lengths` describe a data book: exactly [`SYMBOL_COUNT`]
+/// codes, each 2..=8 bits long (the paper's parallel-decode envelope).
+pub(crate) fn is_data_book(lengths: &[u8]) -> bool {
+    lengths.len() == SYMBOL_COUNT && lengths.iter().all(|l| (2..=8).contains(l))
 }
 
 impl TensorMetadata {
@@ -136,6 +139,79 @@ impl TensorMetadata {
         calibrate_impl(tensors, col_mags, cfg, selector, false)
     }
 
+    /// Assembles metadata from its parts, checking once everything an
+    /// encoder or decoder relies on, then builds the encoder's tables.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeErrorKind::CorruptMetadata`] unless `S` is in `1..=4096`,
+    /// there is one row of books per pattern and every row holds the same
+    /// `H` books, `H` in `1..=256`; unless `id_hf_bits` is at most 16 and
+    /// names all `H` books; or unless `pattern_code` has a symbol for
+    /// every pattern. [`DecodeErrorKind::CorruptCodebook`] unless every
+    /// data book codes exactly [`SYMBOL_COUNT`] symbols with lengths in
+    /// `2..=8`, the envelope the 64×8 parallel decoder and the outlier
+    /// slot count assume.
+    pub fn from_parts(
+        tensor_scale: Po2Scale,
+        patterns: Vec<KmeansPattern>,
+        books: Vec<Vec<Codebook>>,
+        pattern_code: Codebook,
+        id_hf_bits: u32,
+    ) -> Result<TensorMetadata, DecodeError> {
+        let h = books.first().map_or(0, Vec::len);
+        let corrupt = |kind: DecodeErrorKind| Err(DecodeError::new(kind));
+        if !(1..=MAX_PATTERNS).contains(&patterns.len())
+            || books.len() != patterns.len()
+            || books.iter().any(|row| row.len() != h)
+            || !(1..=MAX_BOOKS_PER_PATTERN).contains(&h)
+            || id_hf_bits > MAX_ID_HF_BITS
+            || h > 1 << id_hf_bits
+            || pattern_code.num_symbols() < patterns.len()
+        {
+            return corrupt(DecodeErrorKind::CorruptMetadata);
+        }
+        if !books.iter().flatten().all(|b| is_data_book(b.lengths())) {
+            return corrupt(DecodeErrorKind::CorruptCodebook);
+        }
+        Ok(TensorMetadata {
+            len_tables: books.iter().map(|row| MultiLenTable::new(row)).collect(),
+            ladder: BoundaryLadder::new(&patterns),
+            tensor_scale,
+            patterns,
+            books,
+            pattern_code,
+            id_hf_bits,
+        })
+    }
+
+    /// The per-tensor FP16→FP8 power-of-two scale.
+    pub fn tensor_scale(&self) -> Po2Scale {
+        self.tensor_scale
+    }
+
+    /// The `S` shared k-means patterns.
+    pub fn patterns(&self) -> &[KmeansPattern] {
+        &self.patterns
+    }
+
+    /// The `H` Huffman codebooks of each pattern, indexed
+    /// `[pattern][book]`.
+    pub fn books(&self) -> &[Vec<Codebook>] {
+        &self.books
+    }
+
+    /// The variable-length canonical code over pattern ids (the `ID_KP`
+    /// field).
+    pub fn pattern_code(&self) -> &Codebook {
+        &self.pattern_code
+    }
+
+    /// Width of the `ID_HF` field in bits.
+    pub fn id_hf_bits(&self) -> u32 {
+        self.id_hf_bits
+    }
+
     /// Picks the pattern for a normalized group under `selector`, through
     /// [`TensorMetadata::select_pattern_scratch`] on a thread-local
     /// scratch — no per-call allocation. Prefer calling that directly on
@@ -156,7 +232,7 @@ impl TensorMetadata {
         selector: PatternSelector,
         scratch: &mut GroupScratch,
     ) -> usize {
-        scratch.select_group(&self.patterns, self.ladder(), ng, None, selector)
+        scratch.select_group(&self.patterns, &self.ladder, ng, None, selector)
     }
 
     /// Weighted counterpart of [`TensorMetadata::select_pattern_scratch`]:
@@ -170,7 +246,7 @@ impl TensorMetadata {
     ) -> usize {
         scratch.select_group(
             &self.patterns,
-            self.ladder(),
+            &self.ladder,
             ng,
             Some(group_w2),
             PatternSelector::MseOptimal,
@@ -185,17 +261,9 @@ impl TensorMetadata {
 
     /// The per-pattern decision-boundary tables (14 centroid midpoints
     /// each) behind pattern selection (the min/max selector's symbol map;
-    /// the fused sweep merges against their ladder) — built from
-    /// `patterns` on first use and shared (via `Arc`) by every clone made
-    /// after that.
+    /// the fused sweep merges against their ladder).
     pub fn boundaries(&self) -> &[PatternBoundaries] {
-        self.ladder().tables()
-    }
-
-    /// The boundary tables and their ladder, built on first use.
-    fn ladder(&self) -> &BoundaryLadder {
-        self.bounds
-            .get_or_init(|| Arc::new(BoundaryLadder::new(&self.patterns)))
+        self.ladder.tables()
     }
 
     /// Returns a copy bound to a different per-tensor FP16→FP8 scale.
@@ -204,7 +272,11 @@ impl TensorMetadata {
     /// absmax-normalized values), but the power-of-two scale is per-tensor
     /// metadata: each compressed tensor carries its own so FP8 scale
     /// factors never saturate on tensors larger-ranged than the
-    /// calibration set.
+    /// calibration set. The codecs never copy their metadata: their
+    /// encoders and decoders take each tensor's scale as a parameter.
+    /// This copy is for driving [`crate::encode_group`],
+    /// [`crate::decode_group`] and the other functions that read the
+    /// metadata's own scale under another tensor's.
     pub fn with_scale(&self, tensor_scale: Po2Scale) -> TensorMetadata {
         TensorMetadata {
             tensor_scale,
@@ -213,17 +285,11 @@ impl TensorMetadata {
     }
 
     /// The packed per-symbol length table for pattern `kp`'s codebooks —
-    /// the encoder's single-pass selection primitive — built on first use
-    /// and shared (via `Arc`) by every clone made after that. The slot
-    /// array itself materializes lazily from `books`, so the cache works
-    /// (and self-heals) on freshly deserialized metadata too.
+    /// the encoder's single-pass selection primitive.
     ///
     /// Returns `None` only for an out-of-range `kp`.
     pub fn len_table(&self, kp: usize) -> Option<&MultiLenTable> {
-        self.len_tables
-            .get_or_init(|| empty_len_tables(self.books.len()))
-            .get(kp)
-            .map(|slot| &**slot.get_or_init(|| Arc::new(MultiLenTable::new(&self.books[kp]))))
+        self.len_tables.get(kp)
     }
 
     /// The scale a given tensor should be compressed under.
@@ -256,43 +322,6 @@ impl TensorMetadata {
             .sum::<usize>();
         let pattern_code_bytes = self.patterns.len().div_ceil(2);
         pattern_bytes + book_bytes + pattern_code_bytes + 1 // +1: tensor scale exp
-    }
-
-    /// Assembles metadata from revived wire-format parts (see
-    /// [`crate::wire`]). The derived caches start empty, exactly as
-    /// deserialization leaves them, and self-heal on first use; the parts
-    /// themselves must already be validated by the caller.
-    pub(crate) fn from_wire_parts(
-        tensor_scale: Po2Scale,
-        patterns: Vec<KmeansPattern>,
-        books: Vec<Vec<Codebook>>,
-        pattern_code: Codebook,
-        id_hf_bits: u32,
-        group_size: usize,
-    ) -> TensorMetadata {
-        TensorMetadata {
-            tensor_scale,
-            patterns,
-            books,
-            pattern_code,
-            id_hf_bits,
-            group_size,
-            len_tables: OnceLock::new(),
-            bounds: OnceLock::new(),
-        }
-    }
-
-    /// Restores the non-serialized encode/decode tables after `wire`
-    /// ingest (or after replacing `books` in place).
-    pub fn rebuild_tables(&mut self) {
-        for row in &mut self.books {
-            for b in row {
-                b.rebuild_tables();
-            }
-        }
-        self.pattern_code.rebuild_tables();
-        self.len_tables = OnceLock::new();
-        self.bounds = OnceLock::new();
     }
 }
 
@@ -347,11 +376,10 @@ fn calibrate_impl(
     assert!(!tensors.is_empty(), "need at least one calibration tensor");
     for t in tensors {
         assert_eq!(
-            t.len() % cfg.group_size,
+            t.len() % GROUP_SIZE,
             0,
-            "tensor length {} not divisible by group size {}",
+            "tensor length {} not divisible by group size {GROUP_SIZE}",
             t.len(),
-            cfg.group_size
         );
     }
     if let Some(mags) = col_mags {
@@ -368,16 +396,16 @@ fn calibrate_impl(
     // Sample calibration groups evenly across all tensors. Deciding which
     // groups to keep is pure index math and stays sequential; the actual
     // normalization work fans out below.
-    let total_groups: usize = tensors.iter().map(|t| t.len() / cfg.group_size).sum();
+    let total_groups: usize = tensors.iter().map(|t| t.len() / GROUP_SIZE).sum();
     let budget = cfg.max_calibration_groups.min(total_groups).max(1);
     let stride = (total_groups as f64 / budget as f64).max(1.0);
     let mut picks: Vec<Pick> = Vec::with_capacity(budget);
     let mut next_pick = 0f64;
     let mut idx = 0usize;
     for (ti, t) in tensors.iter().enumerate() {
-        for gi in 0..t.len() / cfg.group_size {
+        for gi in 0..t.len() / GROUP_SIZE {
             if idx as f64 >= next_pick {
-                let start = gi * cfg.group_size;
+                let start = gi * GROUP_SIZE;
                 picks.push(Pick {
                     ti,
                     start,
@@ -392,10 +420,10 @@ fn calibrate_impl(
     // Steps 1–2 per group: normalize and split off the absmax position,
     // keeping the squared channel magnitudes of each group's columns.
     let sampled: Vec<SampledGroup> = map_ordered(parallel, &picks, |_, p| {
-        let group = &tensors[p.ti].data()[p.start..p.start + cfg.group_size];
+        let group = &tensors[p.ti].data()[p.start..p.start + GROUP_SIZE];
         let ng = normalize_group(group, tensor_scale);
         let w2: Option<Vec<f32>> = col_mags.map(|mags| {
-            mags[p.ti][p.col0..p.col0 + cfg.group_size]
+            mags[p.ti][p.col0..p.col0 + GROUP_SIZE]
                 .iter()
                 .map(|&m| m * m)
                 .collect()
@@ -498,21 +526,14 @@ fn calibrate_impl(
     let pattern_code =
         Codebook::from_frequencies(&smoothed, 1, 15).expect("S ≤ 4096 fits 15-bit codes");
 
-    TensorMetadata {
+    TensorMetadata::from_parts(
         tensor_scale,
         patterns,
         books,
         pattern_code,
-        id_hf_bits: cfg.id_hf_bits(),
-        group_size: cfg.group_size,
-        len_tables: OnceLock::new(),
-        bounds: OnceLock::new(),
-    }
-}
-
-/// One unbuilt cache slot per pattern.
-fn empty_len_tables(patterns: usize) -> Vec<OnceLock<Arc<MultiLenTable>>> {
-    (0..patterns).map(|_| OnceLock::new()).collect()
+        cfg.id_hf_bits(),
+    )
+    .expect("a validated config calibrates valid metadata")
 }
 
 /// Clusters per-group symbol histograms into `h` representative
@@ -557,7 +578,6 @@ mod tests {
             "pattern code"
         );
         assert_eq!(a.id_hf_bits, b.id_hf_bits);
-        assert_eq!(a.group_size, b.group_size);
     }
 
     fn small_cfg() -> EccoConfig {
@@ -645,50 +665,43 @@ mod tests {
     }
 
     #[test]
-    fn caches_self_heal_after_rebuild() {
-        // rebuild_tables leaves the lazy caches in the same empty state
-        // deserialization does; both must rebuild themselves on first
-        // access instead of degrading to per-call table packing.
+    fn from_parts_refuses_what_an_encoder_cannot_use() {
+        use DecodeErrorKind::{CorruptCodebook, CorruptMetadata};
+        // Calibrated parts: S = 8 patterns, H = 2 books, a 1-bit ID_HF.
         let t = weight_tensor(9);
-        let mut meta = TensorMetadata::calibrate(&[&t], &small_cfg(), PatternSelector::MseOptimal);
-        assert!(meta.len_table(0).is_some());
-        meta.rebuild_tables();
-        assert!(
-            meta.len_table(0).is_some(),
-            "len table cache must self-heal"
-        );
-        assert_eq!(meta.boundaries().len(), meta.num_patterns());
-        assert!(
-            meta.len_table(meta.num_patterns()).is_none(),
-            "out of range"
-        );
-    }
-
-    #[test]
-    fn serde_revived_metadata_decodes_without_rebuild() {
-        // Regression for the decode-side self-heal: rebuild_tables leaves
-        // every derived cache — the per-pattern length tables, the
-        // boundary tables, AND each codebook's decode LUT + SegmentLut —
-        // in the exact empty state `wire` ingest produces. A block
-        // must decode correctly (and identically) straight from that
-        // state, with no warm-up call.
-        let t = weight_tensor(10);
-        let mut meta = TensorMetadata::calibrate(&[&t], &small_cfg(), PatternSelector::MseOptimal);
-        let g: Vec<f32> = t.groups(128).next().unwrap().to_vec();
-        let (block, _) = crate::block::encode_group(&g, &meta, PatternSelector::MseOptimal);
-        let (want, winfo) = crate::block::decode_group(&block, &meta).unwrap();
-
-        meta.rebuild_tables();
-        let (got, ginfo) = crate::block::decode_group(&block, &meta)
-            .expect("revived metadata must decode without rebuild");
-        assert_eq!(want, got, "self-healed decode must be bit-identical");
-        assert_eq!(winfo, ginfo);
-
-        // Encoding from the revived state is bit-identical too (the
-        // encode-side caches self-heal the same way).
-        meta.rebuild_tables();
-        let (block2, _) = crate::block::encode_group(&g, &meta, PatternSelector::MseOptimal);
-        assert_eq!(block, block2);
+        let meta = TensorMetadata::calibrate(&[&t], &small_cfg(), PatternSelector::MseOptimal);
+        let (p, b, code) = (&meta.patterns, &meta.books, &meta.pattern_code);
+        let short = Codebook::from_lengths(&[2; 4]).unwrap();
+        let lengths: Vec<u8> = (1..=15).chain([15]).collect();
+        let wide = Codebook::from_lengths(&lengths).unwrap();
+        let with_book = |book: &Codebook| {
+            let mut books = b.clone();
+            books[5][1] = book.clone();
+            books
+        };
+        let mut ragged = b.clone();
+        ragged[3].pop();
+        let cases = [
+            (p.clone(), b.clone(), code, 1, None),
+            // Structure: no patterns, a missing row, a ragged row, an
+            // ID_HF field too narrow for H or wider than a header takes,
+            // and a pattern-id code that cannot name every pattern.
+            (vec![], vec![], code, 1, Some(CorruptMetadata)),
+            (p.clone(), b[1..].to_vec(), code, 1, Some(CorruptMetadata)),
+            (p.clone(), ragged, code, 1, Some(CorruptMetadata)),
+            (p.clone(), b.clone(), code, 0, Some(CorruptMetadata)),
+            (p.clone(), b.clone(), code, 17, Some(CorruptMetadata)),
+            (p.clone(), b.clone(), &short, 1, Some(CorruptMetadata)),
+            // Data books outside the envelope: 4 symbols, and 16 symbols
+            // with codes of 1 and of 9..=15 bits.
+            (p.clone(), with_book(&short), code, 1, Some(CorruptCodebook)),
+            (p.clone(), with_book(&wide), code, 1, Some(CorruptCodebook)),
+        ];
+        for (i, (patterns, books, code, bits, want)) in cases.into_iter().enumerate() {
+            let built =
+                TensorMetadata::from_parts(meta.tensor_scale, patterns, books, code.clone(), bits);
+            assert_eq!(built.err().map(|e| e.kind), want, "case {i}");
+        }
     }
 
     #[test]
@@ -778,9 +791,9 @@ mod tests {
                     *x *= 3.0;
                 }
                 let selector = if minmax { PatternSelector::MinMax } else { PatternSelector::MseOptimal };
-                let w2: Vec<f32> = (0..meta.group_size).map(|i| 0.1 + (i % 9) as f32 * 0.2).collect();
+                let w2: Vec<f32> = (0..GROUP_SIZE).map(|i| 0.1 + (i % 9) as f32 * 0.2).collect();
                 let mut scratch = GroupScratch::new();
-                for g in t.groups(meta.group_size).take(24) {
+                for g in t.groups(GROUP_SIZE).take(24) {
                     let ng = normalize_group(g, meta.tensor_scale);
                     let (kp, kp_ref) = if weighted {
                         (

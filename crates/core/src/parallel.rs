@@ -39,7 +39,7 @@
 
 use ecco_bits::Block64;
 use ecco_numerics::Po2Scale;
-use ecco_tensor::Tensor;
+use ecco_tensor::{Tensor, GROUP_SIZE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::block::{
@@ -89,7 +89,8 @@ where
 /// The encode engine behind every codec `compress*` method: checks each
 /// tensor against the group size (and, for activation-aware encoding,
 /// `act_mags` against its columns), binds each tensor's own power-of-two
-/// scale, and encodes every tensor's groups in **one pool pass**.
+/// scale by value (the shared metadata is never copied), and encodes
+/// every tensor's groups in **one pool pass**.
 ///
 /// With `act_mags`, every group is encoded by
 /// [`encode_group_weighted_scratch`] under the squared magnitudes of its
@@ -107,7 +108,7 @@ pub(crate) fn encode_batch(
     selector: PatternSelector,
     act_mags: Option<&[f32]>,
 ) -> Vec<(CompressedTensor, CodecStats)> {
-    let gs = meta.group_size;
+    let gs = GROUP_SIZE;
     for t in tensors {
         assert_eq!(t.len() % gs, 0, "tensor not a multiple of group size");
         if let Some(mags) = act_mags {
@@ -115,46 +116,41 @@ pub(crate) fn encode_batch(
         }
     }
     let w2: Option<Vec<f32>> = act_mags.map(|mags| mags.iter().map(|&m| m * m).collect());
-    let metas: Vec<TensorMetadata> = tensors
+    let scales: Vec<Po2Scale> = tensors
         .iter()
-        .map(|t| meta.with_scale(TensorMetadata::scale_for(t)))
+        .map(|t| TensorMetadata::scale_for(t))
         .collect();
     let counts: Vec<usize> = tensors.iter().map(|t| t.len() / gs).collect();
     let encoded = encode_tensors_batch_with(&counts, |ti, lo, hi| {
-        encode_run(
-            tensors[ti].data(),
-            &metas[ti],
-            selector,
-            w2.as_deref(),
-            lo,
-            hi,
-        )
+        let data = tensors[ti].data();
+        encode_run(data, meta, scales[ti], selector, w2.as_deref(), lo, hi)
     });
     encoded
         .into_iter()
         .zip(tensors)
-        .zip(metas)
-        .map(|(((blocks, stats), t), m)| {
-            let ct = CompressedTensor::from_parts(t.rows(), t.cols(), gs, m.tensor_scale, blocks);
+        .zip(scales)
+        .map(|(((blocks, stats), t), scale)| {
+            let ct = CompressedTensor::from_parts(t.rows(), t.cols(), gs, scale, blocks);
             (ct, stats)
         })
         .collect()
 }
 
-/// Encodes groups `lo..hi` of `data` (a flat `group_size`-aligned value
-/// stream) under `meta`, accumulating the encoder's per-group reports —
-/// it only writes, never decodes. `w2`, when given, holds the squared
-/// activation magnitude of every column (`w2.len()` is the row length)
-/// and switches to weighted encoding.
+/// Encodes groups `lo..hi` of `data` (a flat group-aligned value stream)
+/// under `meta` and the tensor scale `scale`, accumulating the encoder's
+/// per-group reports — it only writes, never decodes. `w2`, when given,
+/// holds the squared activation magnitude of every column (`w2.len()` is
+/// the row length) and switches to weighted encoding.
 fn encode_run(
     data: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
     w2: Option<&[f32]>,
     lo: usize,
     hi: usize,
 ) -> (Vec<Block64>, CodecStats) {
-    let gs = meta.group_size;
+    let gs = GROUP_SIZE;
     let mut blocks = Vec::with_capacity(hi - lo);
     let mut stats = CodecStats::default();
     // One selection scratch per run: selection reuses its sorted-group
@@ -164,9 +160,10 @@ fn encode_run(
         let (block, info) = match w2 {
             Some(w2) => {
                 let col0 = (gi * gs) % w2.len();
-                encode_group_weighted_scratch(g, meta, &w2[col0..col0 + gs], &mut scratch)
+                let w2 = &w2[col0..col0 + gs];
+                encode_group_weighted_scratch(g, meta, scale, w2, &mut scratch)
             }
-            None => encode_group_scratch(g, meta, selector, &mut scratch),
+            None => encode_group_scratch(g, meta, scale, selector, &mut scratch),
         };
         stats.record(&info, gs);
         blocks.push(block);
@@ -176,7 +173,8 @@ fn encode_run(
 
 /// Encodes every group of `tensor` across the pool without the engine's
 /// batching or statistics — the encode engine's pool pass stripped to
-/// blocks and per-group reports, for throughput benchmarking.
+/// blocks and per-group reports, for throughput benchmarking. Like the
+/// engine, it encodes under the tensor's own scale.
 ///
 /// # Panics
 ///
@@ -186,8 +184,9 @@ pub fn encode_groups_parallel_unchecked(
     meta: &TensorMetadata,
     selector: PatternSelector,
 ) -> (Vec<Block64>, Vec<EncodedGroupInfo>) {
-    let gs = meta.group_size;
+    let gs = GROUP_SIZE;
     assert_eq!(tensor.len() % gs, 0, "tensor not a multiple of group size");
+    let scale = TensorMetadata::scale_for(tensor);
     let total = tensor.len() / gs;
     let pool = Pool::current();
     let chunk = block_chunk(&pool, total);
@@ -198,7 +197,7 @@ pub fn encode_groups_parallel_unchecked(
             let mut scratch = GroupScratch::new();
             data[lo * gs..hi * gs]
                 .chunks_exact(gs)
-                .map(|g| encode_group_scratch(g, meta, selector, &mut scratch))
+                .map(|g| encode_group_scratch(g, meta, scale, selector, &mut scratch))
                 .collect()
         })
         .unwrap_or_else(|p| p.resume());
@@ -213,9 +212,9 @@ pub fn encode_groups_parallel_unchecked(
 /// shared `meta` and the tensor's own scale, bound by value — the
 /// metadata is never copied per tensor.
 ///
-/// Nothing panics on malformed inputs. A tensor whose group size
-/// disagrees with `meta`'s, or whose block count disagrees with its
-/// shape, fails its own slot with a located
+/// Nothing panics on malformed inputs. A tensor whose group size is not
+/// the format's, or whose block count disagrees with its shape, fails its
+/// own slot with a located
 /// [`DecodeErrorKind::LengthMismatch`] /
 /// [`DecodeErrorKind::TruncatedStream`] without its blocks being touched.
 pub(crate) fn decode_batch(
@@ -223,7 +222,7 @@ pub(crate) fn decode_batch(
     cts: &[&CompressedTensor],
     policy: RecoveryPolicy,
 ) -> Vec<BatchOutcome> {
-    let gs = meta.group_size;
+    let gs = GROUP_SIZE;
     let screened: Vec<Option<DecodeError>> = cts
         .iter()
         .enumerate()
@@ -254,7 +253,7 @@ pub(crate) fn decode_batch(
         .zip(&screened)
         .map(|(ct, s)| if s.is_some() { &[][..] } else { ct.blocks() })
         .collect();
-    let mut out = decode_tensors_batch_report_with(&batch, gs, policy, |ti, b, out| {
+    let mut out = decode_tensors_batch_report_with(&batch, policy, |ti, b, out| {
         decode_group_scaled_into(b, meta, scales[ti], out).map(drop)
     });
     for (slot, s) in out.iter_mut().zip(screened) {
@@ -412,13 +411,12 @@ type ChunkPart = Result<(Vec<f32>, Vec<DecodeError>), DecodeError>;
 /// concurrent requests share workers instead of oversubscribing.
 ///
 /// `decode` receives the batch index of the tensor the block belongs to
-/// (for per-tensor metadata) and appends exactly `group_size` values per
+/// (for per-tensor metadata) and appends exactly [`GROUP_SIZE`] values per
 /// block. Every error is located: block index at the failing block,
 /// tensor index at the claim. A panicking `decode` fails only its own
 /// tensor, as [`DecodeErrorKind::WorkerPanic`].
 pub fn decode_tensors_batch_report_with<F>(
     batch: &[&[Block64]],
-    group_size: usize,
     policy: RecoveryPolicy,
     decode: F,
 ) -> Vec<BatchOutcome>
@@ -444,7 +442,7 @@ where
                         // tensor: reassembly keeps its buffer as the
                         // tensor's values and extends it with the rest.
                         let blocks = if lo == 0 { sizes[tensor] } else { hi - lo };
-                        let mut values = Vec::with_capacity(blocks * group_size);
+                        let mut values = Vec::with_capacity(blocks * GROUP_SIZE);
                         let mut bad: Vec<DecodeError> = Vec::new();
                         for (i, b) in batch[tensor][lo..hi].iter().enumerate() {
                             let before = values.len();
@@ -454,7 +452,7 @@ where
                                     RecoveryPolicy::FailTensor => return Err(located),
                                     RecoveryPolicy::SalvageBlocks => {
                                         values.truncate(before);
-                                        values.resize(before + group_size, 0.0);
+                                        values.resize(before + GROUP_SIZE, 0.0);
                                         bad.push(located);
                                     }
                                 }
@@ -560,7 +558,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{decode_group, encode_group};
+    use crate::block::decode_group_scaled_into;
     use crate::pool::{with_pool, PoolBuilder};
     use crate::{EccoConfig, KvCodec, WeightCodec};
     use ecco_tensor::{synth::SynthSpec, TensorKind};
@@ -588,8 +586,8 @@ mod tests {
         selector: PatternSelector,
         mags: Option<&[f32]>,
     ) -> (Vec<Block64>, CodecStats) {
-        let meta = meta.with_scale(TensorMetadata::scale_for(t));
-        let gs = meta.group_size;
+        let scale = TensorMetadata::scale_for(t);
+        let gs = GROUP_SIZE;
         let mut scratch = GroupScratch::new();
         let mut blocks = Vec::new();
         let mut stats = CodecStats::default();
@@ -598,9 +596,9 @@ mod tests {
                 Some(mags) => {
                     let col0 = (gi * gs) % t.cols();
                     let w2: Vec<f32> = mags[col0..col0 + gs].iter().map(|&m| m * m).collect();
-                    encode_group_weighted_scratch(g, &meta, &w2, &mut scratch)
+                    encode_group_weighted_scratch(g, meta, scale, &w2, &mut scratch)
                 }
-                None => encode_group(g, &meta, selector),
+                None => encode_group_scratch(g, meta, scale, selector, &mut scratch),
             };
             stats.record(&info, gs);
             blocks.push(block);
@@ -608,7 +606,7 @@ mod tests {
         (blocks, stats)
     }
 
-    /// The per-block decode oracle: `decode_group` over every block of
+    /// The per-block decode oracle: the codec walk over every block of
     /// batch entry `tensor`, each corrupt block's group zero-filled and
     /// its error located — what `SalvageBlocks` must report.
     fn oracle_decode(
@@ -616,15 +614,11 @@ mod tests {
         ct: &CompressedTensor,
         tensor: usize,
     ) -> (Vec<f32>, Vec<DecodeError>) {
-        let meta = meta.with_scale(ct.tensor_scale());
         let (mut values, mut bad) = (Vec::new(), Vec::new());
         for (i, b) in ct.blocks().iter().enumerate() {
-            match decode_group(b, &meta) {
-                Ok((v, _)) => values.extend(v),
-                Err(e) => {
-                    values.resize(values.len() + meta.group_size, 0.0);
-                    bad.push(e.at_block(i).at_tensor(tensor));
-                }
+            if let Err(e) = decode_group_scaled_into(b, meta, ct.tensor_scale(), &mut values) {
+                values.resize(values.len() + GROUP_SIZE, 0.0);
+                bad.push(e.at_block(i).at_tensor(tensor));
             }
         }
         (values, bad)
@@ -738,9 +732,8 @@ mod tests {
             let pool = PoolBuilder::new().threads(threads).chunk(chunk).build();
             with_pool(&pool, || {
                 let (seq_blocks, _) = oracle_encode(meta, &t, PatternSelector::MseOptimal, None);
-                let scaled = meta.with_scale(TensorMetadata::scale_for(&t));
                 let (unchecked, _) =
-                    encode_groups_parallel_unchecked(&t, &scaled, PatternSelector::MseOptimal);
+                    encode_groups_parallel_unchecked(&t, meta, PatternSelector::MseOptimal);
                 prop_assert_eq!(&unchecked, &seq_blocks, "unchecked encode diverged");
 
                 let batch = codec.compress_batch(&refs);
@@ -816,10 +809,10 @@ mod tests {
             let got = with_pool(&pool, || {
                 TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal)
             });
-            prop_assert_eq!(&got.patterns, &want.patterns, "shared patterns");
-            prop_assert_eq!(&got.books, &want.books, "codebooks");
-            prop_assert_eq!(got.pattern_code.lengths(), want.pattern_code.lengths());
-            prop_assert_eq!(got.tensor_scale, want.tensor_scale);
+            prop_assert_eq!(got.patterns(), want.patterns(), "shared patterns");
+            prop_assert_eq!(got.books(), want.books(), "codebooks");
+            prop_assert_eq!(got.pattern_code().lengths(), want.pattern_code().lengths());
+            prop_assert_eq!(got.tensor_scale(), want.tensor_scale());
         }
     }
 }

@@ -170,9 +170,9 @@ fn key_pos(key: u64) -> usize {
 /// The boundary tables of a pattern set, plus the **ladder** the fused
 /// sweep ranks a group against: every table's midpoints in one ascending
 /// list, each tagged with its slot `pattern * 14 + j`. Built once per
-/// metadata (cached next to the packed length tables) and once per
+/// metadata (next to the packed length tables) and once per
 /// calibration.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct BoundaryLadder {
     /// One boundary table per pattern, in pattern order — the MinMax
     /// selector's symbol map.

@@ -376,7 +376,7 @@ mod tests {
         let report = codec.decompress_batch_report(&[&good, &bad], RecoveryPolicy::SalvageBlocks);
         match &report[1] {
             BatchOutcome::Salvaged { values, bad_blocks } => {
-                let gs = codec.metadata().group_size;
+                let gs = ecco_tensor::GROUP_SIZE;
                 let mut want = reference.data().to_vec();
                 want[2 * gs..3 * gs].fill(0.0);
                 assert_eq!(values, &want);

@@ -9,10 +9,13 @@
 //! * [`DecodeErrorKind::TruncatedStream`] — the buffer ends before a
 //!   declared field or block payload,
 //! * [`DecodeErrorKind::CorruptMetadata`] — bad magic/version, out-of-range
-//!   structural fields (including any group size but the format's 128),
-//!   or unsorted/non-finite pattern centroids,
-//! * [`DecodeErrorKind::CorruptCodebook`] — a revived codebook whose
-//!   serialized fields do not heal into a valid canonical code,
+//!   structural fields (including any group size but the format's 128,
+//!   and an `ID_HF` width that cannot name every book), or
+//!   unsorted/non-finite pattern centroids,
+//! * [`DecodeErrorKind::CorruptCodebook`] — a codebook whose lengths form
+//!   no canonical code, whose stored codes or `max_len` are not the ones
+//!   its lengths derive, or a data book outside the format's 16-symbol,
+//!   2..=8-bit envelope,
 //! * [`DecodeErrorKind::LengthMismatch`] — a length field that disagrees
 //!   with the payload actually present (trailing bytes, lied counts).
 //!
@@ -35,11 +38,13 @@
 //! ```
 //!
 //! Codebooks serialize as `u32 N | N x u8 lengths | N x u16 codes |
-//! u8 max_len` and revive through
-//! [`Codebook::from_serialized_parts`][ecco_entropy::huffman::Codebook::from_serialized_parts],
-//! so the decode tables heal lazily exactly as in-process revival does —
-//! the decoder here only checks coherence eagerly to surface the typed
-//! error at ingest time instead of at first block decode.
+//! u8 max_len`. Ingest rebuilds each book from its lengths alone
+//! ([`Codebook::from_lengths`]) and refuses it unless the stored codes and
+//! `max_len` are the rebuilt ones: the encoder writes a book's codes and
+//! the decoder reads through its lengths, so the two must agree. The
+//! revived parts then go through [`TensorMetadata::from_parts`], which
+//! checks the whole, so what ingest returns is as usable as calibrated
+//! metadata, its tables built, and nothing is checked or rebuilt later.
 //!
 //! # Examples
 //!
@@ -50,11 +55,10 @@
 //! let t = SynthSpec::for_kind(TensorKind::Weight, 8, 256).generate();
 //! let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
 //! let (ct, _) = codec.compress(&t);
-//! let meta = codec.metadata().with_scale(ct.tensor_scale());
 //!
-//! let bytes = wire::encode_metadata(&meta);
+//! let bytes = wire::encode_metadata(codec.metadata());
 //! let revived = wire::decode_metadata(&bytes).unwrap();
-//! assert_eq!(revived.patterns, meta.patterns);
+//! assert_eq!(revived.patterns(), codec.metadata().patterns());
 //!
 //! let frame = wire::encode_tensor(&ct);
 //! let back = wire::decode_tensor(&frame).unwrap();
@@ -66,7 +70,8 @@ use ecco_entropy::huffman::Codebook;
 use ecco_numerics::Po2Scale;
 use ecco_tensor::GROUP_SIZE;
 
-use crate::block::{validate_data_book, DecodeError, DecodeErrorKind};
+use crate::block::{DecodeError, DecodeErrorKind};
+use crate::metadata::is_data_book;
 use crate::pattern::{KmeansPattern, NUM_CENTROIDS};
 use crate::weight::CompressedTensor;
 use crate::TensorMetadata;
@@ -84,13 +89,6 @@ pub const WIRE_VERSION: u16 = 1;
 /// arithmetic the container's tail directory is validated against.
 pub const TENSOR_FRAME_HEADER_BYTES: usize = 23;
 
-/// Caps mirroring [`crate::EccoConfig::validate`]: a lied count field must
-/// fail fast, not drive a multi-gigabyte allocation.
-const MAX_PATTERNS: u32 = 4096;
-const MAX_BOOKS_PER_PATTERN: u32 = 256;
-const MAX_BOOK_SYMBOLS: u32 = 4096;
-const MAX_ID_HF_BITS: u32 = 16;
-
 fn corrupt_meta() -> DecodeError {
     DecodeError::new(DecodeErrorKind::CorruptMetadata)
 }
@@ -100,22 +98,20 @@ pub fn encode_metadata(meta: &TensorMetadata) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&METADATA_MAGIC);
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.push(meta.tensor_scale.exp() as u8);
-    out.extend_from_slice(&meta.id_hf_bits.to_le_bytes());
-    out.extend_from_slice(&(meta.group_size as u32).to_le_bytes());
-    out.extend_from_slice(&(meta.patterns.len() as u32).to_le_bytes());
-    for p in &meta.patterns {
+    out.push(meta.tensor_scale().exp() as u8);
+    out.extend_from_slice(&meta.id_hf_bits().to_le_bytes());
+    out.extend_from_slice(&(GROUP_SIZE as u32).to_le_bytes());
+    out.extend_from_slice(&(meta.num_patterns() as u32).to_le_bytes());
+    for p in meta.patterns() {
         for c in p.centroids() {
             out.extend_from_slice(&c.to_le_bytes());
         }
     }
     out.extend_from_slice(&(meta.books_per_pattern() as u32).to_le_bytes());
-    for row in &meta.books {
-        for book in row {
-            encode_book(&mut out, book);
-        }
+    for book in meta.books().iter().flatten() {
+        encode_book(&mut out, book);
     }
-    encode_book(&mut out, &meta.pattern_code);
+    encode_book(&mut out, meta.pattern_code());
     out
 }
 
@@ -126,6 +122,11 @@ pub fn encode_metadata(meta: &TensorMetadata) -> Vec<u8> {
 /// Returns a [`DecodeError`] mapping the malformation onto the taxonomy —
 /// see the module docs for the kind-by-kind contract. Errors carry no
 /// tensor/block location: metadata is shared, not per-tensor.
+///
+/// No count field sizes an allocation: every pattern and book is read
+/// before it is stored, so a lied count runs out of bytes
+/// ([`DecodeErrorKind::TruncatedStream`]) instead of memory, and
+/// [`TensorMetadata::from_parts`] range-checks the counts that remain.
 pub fn decode_metadata(bytes: &[u8]) -> Result<TensorMetadata, DecodeError> {
     let mut r = Reader::new(bytes);
     if r.array::<4>()? != METADATA_MAGIC {
@@ -136,60 +137,34 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<TensorMetadata, DecodeError> {
     }
     let tensor_scale = Po2Scale::new(r.u8()? as i8);
     let id_hf_bits = r.u32()?;
-    let group_size = r.u32()? as usize;
-    if id_hf_bits > MAX_ID_HF_BITS || group_size != GROUP_SIZE {
+    if r.u32()? as usize != GROUP_SIZE {
         return Err(corrupt_meta());
     }
 
     let num_patterns = r.u32()?;
-    if num_patterns == 0 || num_patterns > MAX_PATTERNS {
-        return Err(corrupt_meta());
-    }
-    let mut patterns = Vec::with_capacity(num_patterns as usize);
-    for _ in 0..num_patterns {
-        let mut centroids = [0f32; NUM_CENTROIDS];
-        for c in &mut centroids {
-            *c = f32::from_le_bytes(r.array::<4>()?);
-        }
-        // The non-panicking revival constructor enforces the sorted /
-        // finite invariant `KmeansPattern::new` would assert on.
-        patterns.push(KmeansPattern::from_revived(centroids).ok_or_else(corrupt_meta)?);
-    }
-
+    let patterns = (0..num_patterns)
+        .map(|_| {
+            let mut centroids = [0f32; NUM_CENTROIDS];
+            for c in &mut centroids {
+                *c = f32::from_le_bytes(r.array::<4>()?);
+            }
+            // The non-panicking revival constructor enforces the sorted /
+            // finite invariant `KmeansPattern::new` would assert on.
+            KmeansPattern::from_revived(centroids).ok_or_else(corrupt_meta)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let books_per_pattern = r.u32()?;
-    if books_per_pattern == 0 || books_per_pattern > MAX_BOOKS_PER_PATTERN {
-        return Err(corrupt_meta());
-    }
-    let mut books = Vec::with_capacity(num_patterns as usize);
-    for _ in 0..num_patterns {
-        let mut row = Vec::with_capacity(books_per_pattern as usize);
-        for _ in 0..books_per_pattern {
-            let book = decode_book(&mut r)?;
-            // Same predicate both decoders run per block; checking at
-            // ingest surfaces the typed error before any data flows.
-            validate_data_book(&book)?;
-            row.push(book);
-        }
-        books.push(row);
-    }
-
-    let pattern_code = decode_book(&mut r)?;
-    // The pattern code is structural metadata (parse_block_header treats
-    // an incoherent one as CorruptMetadata), and it must be able to name
-    // every pattern.
-    if !pattern_code.revival_coherent() || pattern_code.num_symbols() < num_patterns as usize {
-        return Err(corrupt_meta());
-    }
+    let books = (0..num_patterns)
+        .map(|_| {
+            (0..books_per_pattern)
+                .map(|_| decode_book(&mut r, true))
+                .collect()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let pattern_code = decode_book(&mut r, false)?;
     r.finish()?;
 
-    Ok(TensorMetadata::from_wire_parts(
-        tensor_scale,
-        patterns,
-        books,
-        pattern_code,
-        id_hf_bits,
-        group_size,
-    ))
+    TensorMetadata::from_parts(tensor_scale, patterns, books, pattern_code, id_hf_bits)
 }
 
 /// Serializes a compressed tensor into an `ECCT` frame.
@@ -271,24 +246,22 @@ fn encode_book(out: &mut Vec<u8>, book: &Codebook) {
     out.push(book.max_len());
 }
 
-/// Decodes one codebook, reviving it through `from_serialized_parts` (no
-/// up-front validation; tables heal lazily) and then eagerly checking
-/// coherence so garbage lengths surface here as `CorruptCodebook` rather
-/// than as a silent all-invalid decode later.
-fn decode_book(r: &mut Reader<'_>) -> Result<Codebook, DecodeError> {
-    let n = r.u32()?;
-    if n == 0 || n > MAX_BOOK_SYMBOLS {
-        return Err(DecodeError::new(DecodeErrorKind::CorruptCodebook));
+/// Decodes one codebook: rebuilds it from its lengths alone and refuses
+/// it as `CorruptCodebook` unless those form a canonical code whose codes
+/// and `max_len` are the stored ones. A data book must also lie in the
+/// data-book envelope, which is checked before its decode table is built.
+fn decode_book(r: &mut Reader<'_>, data: bool) -> Result<Codebook, DecodeError> {
+    let corrupt = || DecodeError::new(DecodeErrorKind::CorruptCodebook);
+    let n = r.u32()? as usize;
+    let lengths = r.take(n)?;
+    if data && !is_data_book(lengths) {
+        return Err(corrupt());
     }
-    let lengths = r.take(n as usize)?.to_vec();
-    let mut codes = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        codes.push(r.u16()?);
-    }
+    let codes = (0..n).map(|_| r.u16()).collect::<Result<Vec<_>, _>>()?;
     let max_len = r.u8()?;
-    let book = Codebook::from_serialized_parts(lengths, codes, max_len);
-    if !book.revival_coherent() {
-        return Err(DecodeError::new(DecodeErrorKind::CorruptCodebook));
+    let book = Codebook::from_lengths(lengths).map_err(|_| corrupt())?;
+    if book.codes() != codes || book.max_len() != max_len {
+        return Err(corrupt());
     }
     Ok(book)
 }
@@ -362,7 +335,7 @@ mod tests {
         };
         let codec = WeightCodec::calibrate(&[&t], &cfg);
         let (ct, _) = codec.compress(&t);
-        let meta = codec.metadata().with_scale(ct.tensor_scale());
+        let meta = codec.metadata().clone();
         (codec, ct, meta)
     }
 
@@ -370,29 +343,24 @@ mod tests {
     fn metadata_roundtrip_decodes_identically() {
         let (codec, ct, meta) = fixture();
         let revived = decode_metadata(&encode_metadata(&meta)).expect("roundtrip");
-        assert_eq!(revived.tensor_scale, meta.tensor_scale);
-        assert_eq!(revived.patterns, meta.patterns);
-        assert_eq!(revived.id_hf_bits, meta.id_hf_bits);
-        assert_eq!(revived.group_size, meta.group_size);
+        assert_eq!(revived.tensor_scale(), meta.tensor_scale());
+        assert_eq!(revived.patterns(), meta.patterns());
+        assert_eq!(revived.id_hf_bits(), meta.id_hf_bits());
+        assert_eq!(revived.pattern_code(), meta.pattern_code());
         for (a, b) in revived
-            .books
+            .books()
             .iter()
             .flatten()
-            .zip(meta.books.iter().flatten())
+            .zip(meta.books().iter().flatten())
         {
             assert_eq!(a.lengths(), b.lengths());
             assert_eq!(a.codes(), b.codes());
             assert_eq!(a.max_len(), b.max_len());
         }
-        // The revived metadata decodes blocks bit-identically with no
-        // rebuild call — the lazy caches self-heal.
+        // The revived metadata decodes blocks bit-identically.
         let want = codec.decompress(&ct);
-        let got: Vec<f32> = ct
-            .blocks()
-            .iter()
-            .flat_map(|b| crate::block::decode_group(b, &revived).unwrap().0)
-            .collect();
-        assert_eq!(got, want.data());
+        let got = WeightCodec::from_metadata(revived).decompress(&ct);
+        assert_eq!(got.data(), want.data());
     }
 
     #[test]
@@ -532,7 +500,7 @@ mod tests {
         );
 
         // Garbage codebook lengths: zero out book 0's length vector.
-        let books0 = pat0 + meta.patterns.len() * NUM_CENTROIDS * 4 + 4;
+        let books0 = pat0 + meta.num_patterns() * NUM_CENTROIDS * 4 + 4;
         let mut bad = bytes.clone();
         let n = u32::from_le_bytes(bad[books0..books0 + 4].try_into().unwrap()) as usize;
         for b in &mut bad[books0 + 4..books0 + 4 + n] {
@@ -550,5 +518,99 @@ mod tests {
             decode_metadata(&bad).unwrap_err().kind,
             DecodeErrorKind::CorruptMetadata
         );
+    }
+
+    /// The byte ranges of a snapshot's data books, in `[pattern][book]`
+    /// order; each is `u32 N | N x u8 lengths | N x u16 codes | u8 max_len`.
+    fn data_books(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let mut at = 19 + word(15) * NUM_CENTROIDS * 4;
+        let books = word(15) * word(at);
+        at += 4;
+        (0..books)
+            .map(|_| {
+                let start = at;
+                at += 4 + 3 * word(at) + 1;
+                start..at
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ingest_refuses_metadata_the_encoder_cannot_use() {
+        // Calibrated metadata with H = 4 books per pattern, so its
+        // ID_HF field is 2 bits wide.
+        let t = SynthSpec::for_kind(TensorKind::Weight, 16, 512)
+            .seeded(1001)
+            .generate();
+        let cfg = EccoConfig {
+            num_patterns: 8,
+            books_per_pattern: 4,
+            max_calibration_groups: 64,
+            ..EccoConfig::default()
+        };
+        let codec = WeightCodec::calibrate(&[&t], &cfg);
+        let bytes = encode_metadata(codec.metadata());
+        assert!(decode_metadata(&bytes).is_ok());
+        let books = data_books(&bytes);
+        assert_eq!(books.len(), 8 * 4);
+        let codes = |book: &std::ops::Range<usize>| book.start + 4 + 16;
+        let mut cases: Vec<(&str, Vec<u8>, DecodeErrorKind)> = Vec::new();
+
+        // A stored code that is not its length's canonical code: the
+        // encoder writes stored codes, the decoder derives them.
+        let mut bad = bytes.clone();
+        bad[codes(&books[0])..][..2].copy_from_slice(&0xFFFFu16.to_le_bytes());
+        cases.push(("code 0xFFFF", bad, DecodeErrorKind::CorruptCodebook));
+        let mut bad = bytes.clone();
+        for book in &books {
+            let lens = &bytes[book.start + 4..codes(book)];
+            let (a, b) = (0..16)
+                .flat_map(|a| (a + 1..16).map(move |b| (a, b)))
+                .find(|&(a, b)| lens[a] == lens[b])
+                .expect("16 lengths in 2..=8 repeat one");
+            for i in 0..2 {
+                bad.swap(codes(book) + 2 * a + i, codes(book) + 2 * b + i);
+            }
+        }
+        cases.push((
+            "equal-length codes swapped",
+            bad,
+            DecodeErrorKind::CorruptCodebook,
+        ));
+
+        // A stored max_len that is not the longest length.
+        let mut bad = bytes.clone();
+        bad[books[0].end - 1] += 1;
+        cases.push(("max_len off by one", bad, DecodeErrorKind::CorruptCodebook));
+
+        // An ID_HF field too narrow to name all 4 books.
+        for width in [0u32, 1] {
+            let mut bad = bytes.clone();
+            bad[7..11].copy_from_slice(&width.to_le_bytes());
+            cases.push(("ID_HF too narrow", bad, DecodeErrorKind::CorruptMetadata));
+        }
+
+        // Canonical 4-symbol data books, which the encoder's 16 symbols
+        // overrun.
+        let mut four = 4u32.to_le_bytes().to_vec();
+        four.extend([2u8; 4]);
+        for c in 0u16..4 {
+            four.extend(c.to_le_bytes());
+        }
+        four.push(2);
+        let mut bad = bytes[..books[0].start].to_vec();
+        for _ in &books {
+            bad.extend(&four);
+        }
+        bad.extend(&bytes[books[books.len() - 1].end..]);
+        cases.push(("4-symbol data books", bad, DecodeErrorKind::CorruptCodebook));
+
+        let got: Vec<_> = cases
+            .iter()
+            .map(|(what, bad, _)| (*what, decode_metadata(bad).err().map(|e| e.kind)))
+            .collect();
+        let want: Vec<_> = cases.iter().map(|(what, _, k)| (*what, Some(*k))).collect();
+        assert_eq!(got, want);
     }
 }

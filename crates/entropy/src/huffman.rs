@@ -108,21 +108,8 @@ fn package_merge(weights: &[u64], max_len: u8) -> Vec<u8> {
     lengths
 }
 
-/// The resolved decode table plus a memoized coherence verdict.
-///
-/// `coherent` is `false` when the serialized fields could not be healed
-/// into a valid canonical code — the table is then all-invalid and
-/// [`Codebook::revival_coherent`] lets callers surface a typed error
-/// instead of decoding nothing.
-#[derive(Clone, Debug)]
-struct DecodeTable {
-    lut: Vec<(u16, u8)>,
-    coherent: bool,
-}
-
-/// The full `(symbol, length)` decode table over `max_len`-bit windows —
-/// derived purely from the serialized fields, so it can be rebuilt after
-/// deserialization.
+/// The full `(symbol, length)` decode table over `max_len`-bit windows,
+/// with length 0 marking an invalid prefix.
 fn build_decode_lut(lengths: &[u8], codes: &[u16], max_len: u8) -> Vec<(u16, u8)> {
     let mut lut = vec![(0u16, 0u8); 1 << max_len];
     for (sym, (&len, &c)) in lengths.iter().zip(codes).enumerate() {
@@ -141,6 +128,12 @@ fn build_decode_lut(lengths: &[u8], codes: &[u16], max_len: u8) -> Vec<(u16, u8)
 /// bits, the software analogue of the paper's sub-decoder combinational
 /// logic.
 ///
+/// Every book is built by [`Codebook::from_lengths`], which checks the
+/// length vector once and derives the rest from it: the canonical codes,
+/// `max_len` and the decode table. A book is therefore always coherent,
+/// and a wire format that stores codes beside the lengths compares them
+/// with the derived ones instead of trusting them.
+///
 /// # Examples
 ///
 /// ```
@@ -156,22 +149,18 @@ pub struct Codebook {
     codes: Vec<u16>,
     max_len: u8,
     /// Lookup table indexed by a `max_len`-bit window: `(symbol, length)`,
-    /// with length 0 marking an invalid prefix, plus the memoized verdict
-    /// of the heal. Built eagerly by the constructors, but held in a
-    /// `OnceLock` so a book revived from wire bytes
-    /// ([`Codebook::from_serialized_parts`], or after
-    /// [`Codebook::rebuild_tables`]) self-heals it on first decode instead
-    /// of indexing an empty table.
-    lut: OnceLock<DecodeTable>,
-    /// Lazily-built parallel-decoder chain table (256 KiB), shared across
-    /// clones of this book via the `Arc`. See [`Codebook::segment_lut`].
+    /// with length 0 marking an invalid prefix.
+    lut: Vec<(u16, u8)>,
+    /// The parallel-decoder chain table (256 KiB): built on first use,
+    /// since only the hardware model reads it, and shared across clones
+    /// of this book via the `Arc`. See [`Codebook::segment_lut`].
     seg_lut: OnceLock<Arc<SegmentLut>>,
 }
 
 impl PartialEq for Codebook {
     fn eq(&self, other: &Codebook) -> bool {
-        // Canonical codes are fully determined by the length vector; the
-        // decode tables are derived caches and excluded on purpose.
+        // The codes and the decode tables are fully determined by the
+        // length vector.
         self.lengths == other.lengths
     }
 }
@@ -250,90 +239,13 @@ impl Codebook {
             prev_len = len;
         }
 
-        let lut = OnceLock::new();
-        lut.set(DecodeTable {
-            lut: build_decode_lut(lengths, &codes, max_len),
-            coherent: true,
-        })
-        .expect("fresh cell");
         Ok(Codebook {
             lengths: lengths.to_vec(),
+            lut: build_decode_lut(lengths, &codes, max_len),
             codes,
             max_len,
-            lut,
             seg_lut: OnceLock::new(),
         })
-    }
-
-    /// Reconstructs a codebook from its three serialized fields, the path
-    /// `ecco_core::wire` ingest takes: nothing is validated up front, the
-    /// derived decode tables start empty and self-heal (or refuse, see
-    /// [`Codebook::revival_coherent`]) on first use.
-    ///
-    /// This is the revival entry point for wire formats and fuzz harnesses
-    /// that materialize books from untrusted bytes.
-    pub fn from_serialized_parts(lengths: Vec<u8>, codes: Vec<u16>, max_len: u8) -> Codebook {
-        Codebook {
-            lengths,
-            codes,
-            max_len,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
-        }
-    }
-
-    /// Clears the derived decode tables (they are not serialized),
-    /// leaving the book in the same state wire ingest produces; both
-    /// tables rebuild themselves on first use, so calling this is never
-    /// required for correctness — the decode LUT heals inside
-    /// [`Codebook::symbol_decoder`], the chain table inside
-    /// [`Codebook::segment_lut`].
-    pub fn rebuild_tables(&mut self) {
-        self.lut = OnceLock::new();
-        self.seg_lut = OnceLock::new();
-    }
-
-    /// The `max_len`-bit decode table, rebuilding it on first use if this
-    /// book was deserialized (the table is derived and never serialized).
-    ///
-    /// The heal path re-derives everything from the **validated length
-    /// vector alone** — canonical codes are fully determined by it (the
-    /// same fact `PartialEq` relies on) — so corrupted or inconsistent
-    /// serialized `codes` can never drive out-of-bounds table writes. A
-    /// book whose serialized fields do not cohere (Kraft violation,
-    /// `max_len` disagreeing with its lengths) gets an all-invalid table
-    /// instead: it decodes nothing, rather than panicking mid-stream.
-    #[inline]
-    fn decode_table(&self) -> &DecodeTable {
-        self.lut.get_or_init(|| {
-            Codebook::from_lengths(&self.lengths)
-                .ok()
-                .filter(|b| b.max_len == self.max_len)
-                .and_then(|b| b.lut.into_inner())
-                .unwrap_or_else(|| DecodeTable {
-                    // `clamp` only bounds the allocation for a corrupt
-                    // out-of-range `max_len`; every constructible book
-                    // has 1 <= max_len <= 15.
-                    lut: vec![(0u16, 0u8); 1usize << self.max_len.clamp(1, 15)],
-                    coherent: false,
-                })
-        })
-    }
-
-    #[inline]
-    fn decode_lut(&self) -> &[(u16, u8)] {
-        &self.decode_table().lut
-    }
-
-    /// Whether this book's serialized fields heal into a valid canonical
-    /// code. `false` means the lengths violate the Kraft inequality, are
-    /// out of bounds, or disagree with the serialized `max_len`: the
-    /// decode table is then all-invalid (every decode returns `None`),
-    /// and ingest paths should surface a typed corrupt-codebook error
-    /// instead of silently zero-filling. The verdict is memoized with the
-    /// healed table, so the check is one atomic load after first use.
-    pub fn revival_coherent(&self) -> bool {
-        self.decode_table().coherent
     }
 
     /// The parallel-decoder chain table for this book, built on first use
@@ -381,8 +293,9 @@ impl Codebook {
     }
 
     /// The per-symbol canonical code vector, aligned with
-    /// [`Codebook::lengths`] — the third serialized field wire formats
-    /// carry alongside the lengths and `max_len`.
+    /// [`Codebook::lengths`]. Wire formats store it beside the lengths
+    /// and `max_len`, and ingest refuses a book whose stored codes differ
+    /// from these.
     pub fn codes(&self) -> &[u16] {
         &self.codes
     }
@@ -406,20 +319,12 @@ impl Codebook {
         writer.write_bits(self.codes[sym as usize] as u64, len as u32);
     }
 
-    /// The book's decoder: a borrowed view of the resolved decode table.
-    /// Fetch it once per block (resolving the lazily-healed cache a
-    /// single time), then decode per symbol with a plain slice index.
+    /// The book's decoder: a borrowed view of its decode table, which
+    /// decodes per symbol with a plain slice index.
     pub fn symbol_decoder(&self) -> SymbolDecoder<'_> {
-        let lut = self.decode_lut();
-        // The table length is always a power of two; index with the
-        // width it was actually sized for, so a corrupt out-of-range
-        // serialized `max_len` (whose heal produced a smaller
-        // all-invalid table) still decodes to `None` instead of
-        // indexing out of bounds.
-        let width = lut.len().trailing_zeros() as u8;
         SymbolDecoder {
-            lut,
-            max_len: self.max_len.min(width),
+            lut: &self.lut,
+            max_len: self.max_len,
         }
     }
 
@@ -443,9 +348,8 @@ impl Codebook {
     }
 }
 
-/// A codebook's decoder over its resolved decode table — created by
-/// [`Codebook::symbol_decoder`] so the table-cache fetch happens once per
-/// block instead of once per symbol.
+/// A codebook's decoder over its decode table, created by
+/// [`Codebook::symbol_decoder`].
 ///
 /// It reads a block the way the hardware sub-decoders do: peek
 /// `max_len` bits, probe the table once, consume the code's length. Two
@@ -487,12 +391,8 @@ impl SymbolDecoder<'_> {
         /// Bits per refill: the widest window a cursor cuts.
         const REFILL: u32 = 57;
         // Every table entry is at most `max_len` bits long, so a code
-        // never runs past the bits its probe saw, and a zero-width table
-        // (an incoherent revived book's) decodes nothing.
+        // never runs past the bits its probe saw.
         let width = u32::from(self.max_len);
-        if width == 0 {
-            return pos;
-        }
         let mut decoded = 0;
         while decoded < max && pos < BLOCK_BITS {
             let mut reg = cur.window(pos, REFILL) << (64 - REFILL);
@@ -577,120 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_self_heals_decode_tables() {
-        // Regression: a book revived from wire bytes arrives with its
-        // derived decode tables empty. Both the `max_len`-bit LUT and
-        // the parallel-decoder SegmentLut cache must self-heal on first
-        // decode — no `rebuild_tables` call required (the mirror of the
-        // metadata length-table self-heal).
-        let freqs = [400u64, 210, 96, 60, 31, 17, 9, 5, 3, 2, 1, 1, 1, 1, 1, 30];
-        let book = Codebook::from_frequencies(&freqs, 2, 8).unwrap();
-        // Simulate the exact post-ingest state: serialized fields copied,
-        // derived tables at their defaults.
-        let revived = Codebook {
-            lengths: book.lengths.clone(),
-            codes: book.codes.clone(),
-            max_len: book.max_len,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
-        };
-        assert!(revived.lut.get().is_none(), "test must start table-less");
-        assert!(revived.revival_coherent(), "healthy revival must cohere");
-
-        // First decode goes straight through the healed table.
-        let cur = encoded(&book, &[0, 3, 1, 15, 7]);
-        let dec = revived.symbol_decoder();
-        let mut pos = 0;
-        for s in [0u16, 3, 1, 15, 7] {
-            assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(s));
-        }
-
-        // decode_window and the SegmentLut probe agree with the original.
-        for window in 0..(1u64 << book.max_len()) {
-            assert_eq!(
-                dec.decode_window(window),
-                book.symbol_decoder().decode_window(window)
-            );
-        }
-        for window in [0u64, 0x7FFF, 0x1234, 0x2BAD, 0x5A5A] {
-            assert_eq!(
-                revived.segment_lut().entry(window),
-                book.segment_lut().entry(window)
-            );
-        }
-
-        // rebuild_tables leaves the same (lazily healing) state.
-        let mut rebuilt = book.clone();
-        rebuilt.rebuild_tables();
-        assert_eq!(
-            rebuilt.symbol_decoder().decode_symbol(&cur, &mut 0),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn corrupt_deserialized_books_decode_nothing_instead_of_panicking() {
-        // The self-heal path must trust only the validated length vector:
-        // a revived book with garbage in its serialized `codes` heals to
-        // the canonical table (codes are derived, so decode still works),
-        // and one whose lengths are inconsistent (Kraft violation, or a
-        // max_len that disagrees) decodes nothing rather than indexing
-        // out of bounds mid-stream.
-        let book = Codebook::from_frequencies(&[40u64, 20, 10, 5], 2, 8).unwrap();
-        let cur = encoded(&book, &[0, 3]);
-
-        // Garbage codes: heal re-derives the canonical ones from lengths.
-        let bad_codes = Codebook {
-            lengths: book.lengths.clone(),
-            codes: vec![0xFFFF; book.lengths.len()],
-            max_len: book.max_len,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
-        };
-        let dec = bad_codes.symbol_decoder();
-        let mut pos = 0;
-        assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(0));
-        assert_eq!(dec.decode_symbol(&cur, &mut pos), Some(3));
-        assert!(
-            bad_codes.revival_coherent(),
-            "codes are derived; lengths alone decide coherence"
-        );
-
-        // Kraft-violating lengths: all-invalid table, every decode None.
-        let bad_lengths = Codebook {
-            lengths: vec![1, 1, 1],
-            codes: vec![0, 1, 2],
-            max_len: 1,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
-        };
-        let dec = bad_lengths.symbol_decoder();
-        assert_eq!(dec.decode_symbol(&cur, &mut 0), None);
-        assert_eq!(dec.decode_window(0), None);
-        assert!(
-            !bad_lengths.revival_coherent(),
-            "Kraft-violating revival must report incoherence"
-        );
-
-        // max_len disagreeing with the lengths: same graceful refusal —
-        // including values past the 15-bit cap and past the shift width,
-        // whose fallback tables are smaller than 2^max_len.
-        for bad in [book.max_len + 1, 20, 200] {
-            let bad_max = Codebook {
-                lengths: book.lengths.clone(),
-                codes: book.codes.clone(),
-                max_len: bad,
-                lut: OnceLock::new(),
-                seg_lut: OnceLock::new(),
-            };
-            let dec = bad_max.symbol_decoder();
-            assert_eq!(dec.decode_symbol(&cur, &mut 0), None, "max_len {bad}");
-            assert_eq!(dec.decode_window(u64::MAX), None, "max_len {bad}");
-            assert!(!bad_max.revival_coherent(), "max_len {bad} must not cohere");
-        }
-    }
-
-    #[test]
     fn lengths_ordered_by_frequency() {
         let freqs = [100u64, 50, 20, 5, 1];
         let book = Codebook::from_frequencies(&freqs, 1, 8).unwrap();
@@ -769,11 +555,21 @@ mod tests {
             Codebook::from_frequencies(&[1, 1], 9, 8),
             Err(CodebookError::BadLengthBounds { .. })
         ));
-        // Three 1-bit codes violate Kraft.
-        assert_eq!(
-            Codebook::from_lengths(&[1, 1, 1]),
-            Err(CodebookError::KraftViolation)
-        );
+        // Lengths that form no prefix code: three 1-bit codes and a
+        // zero-length code beside others violate Kraft; all-zero lengths
+        // and codes past 15 bits are out of bounds.
+        for lengths in [&[1, 1, 1][..], &[0, 2, 2, 2]] {
+            assert_eq!(
+                Codebook::from_lengths(lengths),
+                Err(CodebookError::KraftViolation)
+            );
+        }
+        for lengths in [&[0; 16][..], &[16, 16]] {
+            assert!(matches!(
+                Codebook::from_lengths(lengths),
+                Err(CodebookError::BadLengthBounds { .. })
+            ));
+        }
     }
 
     /// The oracle: [`SymbolDecoder::decode_symbol`] looped until it
@@ -905,15 +701,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
         /// The run walk against the `decode_symbol` loop: the same
-        /// symbols and the same end bit, on fuzzed 2..=8-bit data books,
-        /// 1..=15-bit books like the pattern-id code, and revived books
-        /// whose tables are all-invalid (a Kraft violation, `max_len` 0,
-        /// and a `max_len` past the 15-bit cap); over raw blocks and over
-        /// streams coded from the start bit and clipped at bit 512; from
-        /// every start bit, for up to 160 symbols.
+        /// symbols and the same end bit, on fuzzed 2..=8-bit data books
+        /// and 1..=15-bit books like the pattern-id code; over raw blocks
+        /// and over streams coded from the start bit and clipped at bit
+        /// 512; from every start bit, for up to 160 symbols.
         #[test]
         fn run_walk_matches_symbol_loop(
-            book_kind in 0usize..5,
+            data_book in any::<bool>(),
             freqs in prop::collection::vec(0u64..1000, 2..=64),
             raw in prop::collection::vec(any::<u8>(), BLOCK_BYTES),
             coded in any::<bool>(),
@@ -921,16 +715,14 @@ mod tests {
             start in 0usize..BLOCK_BITS,
             max in 0usize..=160,
         ) {
-            let book = match book_kind {
-                0 => Codebook::from_frequencies(&freqs[..freqs.len().min(16)], 2, 8).unwrap(),
-                1 => Codebook::from_frequencies(&freqs, 1, 15).unwrap(),
-                2 => Codebook::from_serialized_parts(vec![1, 1, 1], vec![0, 1, 2], 1),
-                3 => Codebook::from_serialized_parts(vec![2; 4], vec![0, 1, 2, 3], 0),
-                _ => Codebook::from_serialized_parts(vec![2; 4], vec![0, 1, 2, 3], 200),
+            let book = if data_book {
+                Codebook::from_frequencies(&freqs[..freqs.len().min(16)], 2, 8).unwrap()
+            } else {
+                Codebook::from_frequencies(&freqs, 1, 15).unwrap()
             };
             let mut bytes = [0u8; BLOCK_BYTES];
             bytes.copy_from_slice(&raw);
-            if coded && book.revival_coherent() {
+            if coded {
                 // Raw bits up to `start`, then codes, the last one cut
                 // at bit 512 when it does not fit, then zero fill.
                 let mut w = BitWriter::new();

@@ -18,6 +18,8 @@
 use ecco_bits::Block64;
 use ecco_core::block::MAX_PAD_SLOTS;
 use ecco_core::{normalize_group, write_block, EncodedGroupInfo, TensorMetadata, SCALE_SYMBOL};
+use ecco_numerics::Po2Scale;
+use ecco_tensor::GROUP_SIZE;
 
 use crate::bitonic::BitonicSorter;
 
@@ -32,27 +34,30 @@ pub struct CompressorTrace {
     pub encoders: usize,
 }
 
-/// The hardware compressor bound to tensor metadata.
+/// The hardware compressor bound to tensor metadata and one tensor's
+/// power-of-two scale.
 #[derive(Clone, Debug)]
 pub struct HwCompressor<'a> {
     meta: &'a TensorMetadata,
+    scale: Po2Scale,
     sorter: BitonicSorter,
 }
 
 impl<'a> HwCompressor<'a> {
     /// Creates a compressor over `meta` (at most 16 patterns, per the
-    /// paper's hardware reduction).
+    /// paper's hardware reduction) for a tensor compressed under `scale`.
     ///
     /// # Panics
     ///
     /// Panics if the metadata holds more than 16 patterns.
-    pub fn new(meta: &'a TensorMetadata) -> HwCompressor<'a> {
+    pub fn new(meta: &'a TensorMetadata, scale: Po2Scale) -> HwCompressor<'a> {
         assert!(
-            meta.patterns.len() <= 16,
+            meta.num_patterns() <= 16,
             "the hardware pattern selector supports at most 16 patterns"
         );
         HwCompressor {
             meta,
+            scale,
             sorter: BitonicSorter::new(),
         }
     }
@@ -63,14 +68,14 @@ impl<'a> HwCompressor<'a> {
     ///
     /// Panics if `group.len() != 128`.
     pub fn compress_group(&self, group: &[f32]) -> (Block64, EncodedGroupInfo, CompressorTrace) {
-        assert_eq!(group.len(), self.meta.group_size, "group size mismatch");
+        assert_eq!(group.len(), GROUP_SIZE, "group size mismatch");
 
         // Stage 1: bitonic sorter.
         let sorted = self.sorter.sort(group);
         let (max_pos, _) = sorted.absmax();
 
         // Normalization (the shared multiply-and-round circuit).
-        let ng = normalize_group(group, self.meta.tensor_scale);
+        let ng = normalize_group(group, self.scale);
         debug_assert_eq!(ng.max_pos, max_pos, "sorter and normalizer agree");
 
         // Stage 2: min/max pattern selector (2 comparisons per pattern).
@@ -80,14 +85,14 @@ impl<'a> HwCompressor<'a> {
         };
         let mut kp = 0usize;
         let mut best = f64::INFINITY;
-        for (i, p) in self.meta.patterns.iter().enumerate() {
+        for (i, p) in self.meta.patterns().iter().enumerate() {
             let fit = p.minmax_fitness(lo, hi);
             if fit < best {
                 best = fit;
                 kp = i;
             }
         }
-        let pattern = &self.meta.patterns[kp];
+        let pattern = &self.meta.patterns()[kp];
 
         // Value mappers: symbol per lane.
         let symbols: Vec<u16> = ng
@@ -104,7 +109,7 @@ impl<'a> HwCompressor<'a> {
             .collect();
 
         // Stage 3: four parallel encoders; shortest total length wins.
-        let books = &self.meta.books[kp];
+        let books = &self.meta.books()[kp];
         let (book_id, _) = books
             .iter()
             .enumerate()
@@ -116,10 +121,12 @@ impl<'a> HwCompressor<'a> {
         // pads it with the sorter's top outliers — as many as a block can
         // hold.
         let outliers = sorted.top_outliers(MAX_PAD_SLOTS).iter().copied();
-        let (block, info) = write_block(self.meta, kp, book_id, ng.sf_bits, &symbols, outliers);
+        let (block, info) = write_block(
+            self.meta, self.scale, kp, book_id, ng.sf_bits, &symbols, outliers,
+        );
         let trace = CompressorTrace {
             sorter_stages: sorted.stages,
-            patterns_scored: self.meta.patterns.len(),
+            patterns_scored: self.meta.num_patterns(),
             encoders: books.len(),
         };
         (block, info, trace)
@@ -154,18 +161,21 @@ mod tests {
         /// and encoders.
         #[test]
         fn hw_blocks_match_reference_codec_padded_and_clipped(seed in 0u64..500) {
-            let uniform = Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
+            let uniform = Codebook::from_lengths(&[4; 16]).unwrap();
             let (mut clipped, mut padded) = (0usize, 0usize);
             for kind in [TensorKind::KCache, TensorKind::VCache] {
                 let t = SynthSpec::for_kind(kind, 8, 512).seeded(seed).generate();
                 let meta = meta_for(&t);
-                let mut uniform_meta = meta.clone();
-                for row in &mut uniform_meta.books {
-                    row.fill(uniform.clone());
-                }
-                uniform_meta.rebuild_tables();
+                let uniform_meta = TensorMetadata::from_parts(
+                    meta.tensor_scale(),
+                    meta.patterns().to_vec(),
+                    vec![vec![uniform.clone(); meta.books_per_pattern()]; meta.num_patterns()],
+                    meta.pattern_code().clone(),
+                    meta.id_hf_bits(),
+                )
+                .unwrap();
                 for m in [&meta, &uniform_meta] {
-                    let hw = HwCompressor::new(m);
+                    let hw = HwCompressor::new(m, m.tensor_scale());
                     for g in t.groups(128) {
                         let (want, want_info) = encode_group(g, m, PatternSelector::MinMax);
                         let (got, info, _) = hw.compress_group(g);
@@ -186,7 +196,7 @@ mod tests {
             .seeded(112)
             .generate();
         let meta = meta_for(&t);
-        let hw = HwCompressor::new(&meta);
+        let hw = HwCompressor::new(&meta, meta.tensor_scale());
         let g = t.groups(128).next().unwrap();
         let (_, _, trace) = hw.compress_group(g);
         assert_eq!(trace.sorter_stages, 28);
@@ -205,6 +215,7 @@ mod tests {
             ..EccoConfig::default()
         };
         let meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal);
-        assert!(std::panic::catch_unwind(|| HwCompressor::new(&meta)).is_err());
+        let scale = meta.tensor_scale();
+        assert!(std::panic::catch_unwind(|| HwCompressor::new(&meta, scale)).is_err());
     }
 }

@@ -52,6 +52,7 @@ use ecco_core::block::DecodeError;
 use ecco_core::{read_block, BlockValueTable, TensorMetadata};
 use ecco_entropy::lut::{ChainEntry, SegmentLut, MAX_CHAIN, WINDOW_BITS as LUT_WINDOW_BITS};
 use ecco_entropy::Codebook;
+use ecco_tensor::GROUP_SIZE;
 
 /// Bits per decoder segment.
 pub const SEGMENT_BITS: usize = 8;
@@ -145,7 +146,8 @@ impl<'a> ParallelDecoder<'a> {
     ///
     /// Panics if the book's longest code exceeds 8 bits — the hardware's
     /// 15-bit windows require the 2..=8-bit constraint (the table build
-    /// also rejects codes shorter than 2 bits).
+    /// also rejects codes shorter than 2 bits). No metadata holds such a
+    /// data book: [`TensorMetadata::from_parts`] refuses it.
     pub fn new(book: &'a Codebook) -> ParallelDecoder<'a> {
         assert!(
             book.max_len() <= SEGMENT_BITS as u8,
@@ -186,8 +188,7 @@ impl<'a> ParallelDecoder<'a> {
     /// # Panics
     ///
     /// Panics if `start_bit` is outside the block, or if a decoded
-    /// symbol exceeds the table (impossible for a book
-    /// [`ecco_core::read_block`] accepts).
+    /// symbol exceeds the table (impossible for a metadata's data book).
     pub fn decode_values_into(
         &self,
         cur: &BlockCursor,
@@ -267,7 +268,7 @@ pub fn decode_block_parallel(
     block: &Block64,
     meta: &TensorMetadata,
 ) -> Result<(Vec<f32>, DecodeStats), DecodeError> {
-    let mut values = Vec::with_capacity(meta.group_size);
+    let mut values = Vec::with_capacity(GROUP_SIZE);
     let stats = decode_block_parallel_into(block, meta, &mut values)?;
     Ok((values, stats))
 }
@@ -275,8 +276,8 @@ pub fn decode_block_parallel(
 /// Full-block decompression: the format's one block reader
 /// ([`ecco_core::read_block`], shared with the codec) with the 64×8 walk
 /// ([`ParallelDecoder::decode_values_into`]) as its symbol walk,
-/// **appending** `meta.group_size` reconstructed values to `values`. On
-/// error nothing is appended. Bit-identical to
+/// **appending** [`GROUP_SIZE`] reconstructed values to `values`, under
+/// the metadata's own scale. On error nothing is appended. Bit-identical to
 /// [`ecco_core::decode_group_into`] on every input, errors included (held
 /// differentially by `tests/fuzz_ingest.rs`).
 ///
@@ -291,16 +292,11 @@ pub fn decode_block_parallel_into(
     let (_, stats) = read_block(
         block,
         meta,
-        meta.tensor_scale,
+        meta.tensor_scale(),
         values,
         |book, cur, start, table, values| {
-            let stats = ParallelDecoder::new(book).decode_values_into(
-                cur,
-                start,
-                meta.group_size,
-                table,
-                values,
-            );
+            let stats = ParallelDecoder::new(book)
+                .decode_values_into(cur, start, GROUP_SIZE, table, values);
             (stats.end_bit, stats)
         },
     )?;
@@ -333,18 +329,10 @@ pub fn decode_tensors_batch_report(
     batch: &[(&[Block64], &TensorMetadata)],
     policy: ecco_core::RecoveryPolicy,
 ) -> Vec<ecco_core::BatchOutcome> {
-    let group_size = batch.first().map_or(0, |(_, m)| m.group_size);
-    debug_assert!(
-        batch.iter().all(|(_, m)| m.group_size == group_size),
-        "mixed group sizes in one batch"
-    );
     let blocks: Vec<&[Block64]> = batch.iter().map(|&(b, _)| b).collect();
-    ecco_core::parallel::decode_tensors_batch_report_with(
-        &blocks,
-        group_size,
-        policy,
-        |ti, b, out| decode_block_parallel_into(b, batch[ti].1, out).map(drop),
-    )
+    ecco_core::parallel::decode_tensors_batch_report_with(&blocks, policy, |ti, b, out| {
+        decode_block_parallel_into(b, batch[ti].1, out).map(drop)
+    })
 }
 
 #[cfg(test)]
@@ -363,6 +351,23 @@ mod tests {
             ..EccoConfig::default()
         };
         TensorMetadata::calibrate(&[t], &cfg, PatternSelector::MseOptimal)
+    }
+
+    /// `meta` with every data book `book`, and the pattern-id code
+    /// `pattern_code` when one is given.
+    fn with_books(
+        meta: &TensorMetadata,
+        book: &Codebook,
+        pattern_code: Option<&Codebook>,
+    ) -> TensorMetadata {
+        TensorMetadata::from_parts(
+            meta.tensor_scale(),
+            meta.patterns().to_vec(),
+            vec![vec![book.clone(); meta.books_per_pattern()]; meta.num_patterns()],
+            pattern_code.unwrap_or(meta.pattern_code()).clone(),
+            meta.id_hf_bits(),
+        )
+        .unwrap()
     }
 
     /// The per-symbol oracle over raw symbol streams: the plain
@@ -406,13 +411,8 @@ mod tests {
         let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
             .seeded(102)
             .generate();
-        let mut meta = meta_for(&t);
-        let uniform = Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
+        let uniform = Codebook::from_lengths(&[4; 16]).unwrap();
+        let meta = with_books(&meta_for(&t), &uniform, None);
         let mut clipped_seen = false;
         let mut symbols = Vec::new();
         for g in t.groups(128) {
@@ -425,7 +425,7 @@ mod tests {
             ParallelDecoder::new(&uniform).decode_into(
                 &block.cursor(),
                 header.data_start,
-                meta.group_size,
+                GROUP_SIZE,
                 &mut symbols,
             );
             assert_eq!(sinfo.decoded_symbols, symbols.len());
@@ -448,16 +448,10 @@ mod tests {
             max_calibration_groups: 128,
             ..EccoConfig::default()
         };
-        let mut meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal);
-        assert_eq!((meta.patterns.len(), meta.id_hf_bits), (16, 0));
+        let meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal);
+        assert_eq!((meta.num_patterns(), meta.id_hf_bits()), (16, 0));
         let uniform = Codebook::from_lengths(&[4; 16]).unwrap();
-        meta.pattern_code = uniform.clone();
-        for row in &mut meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
-        meta.rebuild_tables();
+        let meta = with_books(&meta, &uniform, Some(&uniform));
         let g = t.groups(128).next().unwrap();
         let (block, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
         assert_eq!(
@@ -550,7 +544,7 @@ mod tests {
         let report = decode_tensors_batch_report(&batch[..2], RecoveryPolicy::SalvageBlocks);
         let healthy = per_block(blocks0, meta0);
         assert_eq!(report[0].values().unwrap(), &healthy);
-        let gs = meta0.group_size;
+        let gs = GROUP_SIZE;
         let mut want = healthy.clone();
         want[gs..2 * gs].fill(0.0);
         assert_eq!(
@@ -579,11 +573,11 @@ mod tests {
             assert_eq!(&seq[..], &values[before..]);
             // The symbol walk clears its buffer on every call.
             let header = ecco_core::parse_block_header(&block, &meta).unwrap();
-            let book = &meta.books[header.kp][header.book_id];
+            let book = &meta.books()[header.kp][header.book_id];
             ParallelDecoder::new(book).decode_into(
                 &block.cursor(),
                 header.data_start,
-                meta.group_size,
+                GROUP_SIZE,
                 &mut symbols,
             );
             assert_eq!(symbols.len(), info.decoded_symbols);
@@ -607,15 +601,15 @@ mod tests {
                 blocks.push(block);
                 seq_all.extend_from_slice(&seq);
                 let header = ecco_core::parse_block_header(&block, &meta).unwrap();
-                let book = &meta.books[header.kp][header.book_id];
+                let book = &meta.books()[header.kp][header.book_id];
                 let (want_syms, want_end) =
-                    sequential_symbols(book, &block, header.data_start, meta.group_size);
+                    sequential_symbols(book, &block, header.data_start, GROUP_SIZE);
                 let (par, stats) = decode_block_parallel(&block, &meta).unwrap();
                 let mut syms = Vec::new();
                 ParallelDecoder::new(book).decode_into(
                     &block.cursor(),
                     header.data_start,
-                    meta.group_size,
+                    GROUP_SIZE,
                     &mut syms,
                 );
                 prop_assert_eq!(&par, &seq, "values diverged from the per-symbol walk");
@@ -641,7 +635,7 @@ mod tests {
             prop_assert_eq!(batch[0].values().unwrap(), &seq_all[..], "batch diverged");
             prop_assert_eq!(
                 batch[1].values().unwrap(),
-                &seq_all[..meta.group_size],
+                &seq_all[..GROUP_SIZE],
                 "sub-batch diverged"
             );
         }
@@ -689,7 +683,7 @@ mod tests {
             // A calibrated pattern supplies a real centroid table.
             let t = SynthSpec::for_kind(TensorKind::Weight, 1, 128).seeded(7).generate();
             let meta = meta_for(&t);
-            let table = ecco_core::BlockValueTable::new(&meta.patterns[0], scale);
+            let table = ecco_core::BlockValueTable::new(&meta.patterns()[0], scale);
 
             let (symbols, want_end) = sequential_symbols(&book, &block, start, max);
             let want: Vec<f32> = symbols.iter().map(|&s| table.value(s)).collect();

@@ -73,7 +73,7 @@ use std::time::Instant;
 use ecco_core::BatchOutcome;
 pub use ecco_core::{CompressedTensor, DecodeError, KvCodec, RecoveryPolicy};
 use ecco_llm::ModelSpec;
-use ecco_tensor::Tensor;
+use ecco_tensor::{Tensor, GROUP_SIZE};
 
 /// What happens to a cold page after a read decompresses it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -525,7 +525,7 @@ impl PagedKvStore {
         assert!(cfg.hot_capacity_pages > 0, "hot capacity must be positive");
         let (_, kv_dim) = model.kv_request_shape(cfg.page_tokens);
         assert_eq!(
-            kv_dim % codec.metadata().group_size,
+            kv_dim % GROUP_SIZE,
             0,
             "kv_dim {kv_dim} must be group-aligned"
         );
@@ -1367,7 +1367,7 @@ mod tests {
         assert_eq!(c.bad_blocks.len(), 1);
         assert_eq!(c.bad_blocks[0].block, Some(5), "block-located");
         assert_eq!(c.bad_blocks[0].tensor, Some(0), "page-located");
-        let gs = st.codec().metadata().group_size;
+        let gs = GROUP_SIZE;
         assert!(out[5 * gs..6 * gs].iter().all(|&v| v == 0.0));
 
         // The store is not poisoned: the healthy page still reads, and

@@ -149,6 +149,6 @@ fn main() {
     println!(
         "injected bit rot salvaged: {} -> {} value(s) zero-filled, store still serving",
         report,
-        report.bad_blocks.len() * store.codec().metadata().group_size,
+        report.bad_blocks.len() * ecco::tensor::GROUP_SIZE,
     );
 }

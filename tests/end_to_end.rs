@@ -39,7 +39,7 @@ fn kv_pipeline_with_hw_compressor() {
         .generate();
     let codec = KvCodec::calibrate(&[&k], &EccoConfig::default());
     let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&k));
-    let hw = HwCompressor::new(&meta);
+    let hw = HwCompressor::new(codec.metadata(), TensorMetadata::scale_for(&k));
 
     for group in k.groups(128).take(128) {
         let (sw_block, sw_info) = encode_group(group, &meta, PatternSelector::MinMax);

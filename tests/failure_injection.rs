@@ -77,9 +77,9 @@ fn truncated_writer_blocks_are_zero_padded_safely() {
     let (meta, _) = test_meta();
     // A header-only block: valid header fields, no symbol data at all.
     let mut w = BitWriter::new();
-    w.write_bits(0, meta.id_hf_bits); // book 0
+    w.write_bits(0, meta.id_hf_bits()); // book 0
     w.write_bits(0x38, 8); // SF = 1.0 in FP8
-    meta.pattern_code.encode_symbol(&mut w, 0);
+    meta.pattern_code().encode_symbol(&mut w, 0);
     let block = Block64::from_writer(w).unwrap();
     let (vals, info) = decode_group(&block, &meta).expect("header is valid");
     assert_eq!(vals.len(), 128);
@@ -124,9 +124,9 @@ fn batched_pipeline_survives_truncated_and_garbage_blocks() {
     // Truncated block: valid header, zero symbol data (the encoder's
     // zero-fill clip shape).
     let mut w = BitWriter::new();
-    w.write_bits(0, meta.id_hf_bits);
+    w.write_bits(0, meta.id_hf_bits());
     w.write_bits(0x38, 8); // SF = 1.0 in FP8
-    meta.pattern_code.encode_symbol(&mut w, 0);
+    meta.pattern_code().encode_symbol(&mut w, 0);
     let truncated = Block64::from_writer(w).unwrap();
 
     let mut candidates = vec![truncated, Block64::from_bytes([0x00; 64])];
@@ -188,9 +188,9 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
 
     // Truncated: valid header, no symbol data (decodes, zero-filled).
     let mut w = BitWriter::new();
-    w.write_bits(0, meta.id_hf_bits);
+    w.write_bits(0, meta.id_hf_bits());
     w.write_bits(0x38, 8); // SF = 1.0 in FP8
-    meta.pattern_code.encode_symbol(&mut w, 0);
+    meta.pattern_code().encode_symbol(&mut w, 0);
     let truncated = Block64::from_writer(w).unwrap();
     let mut with_truncated = good.clone();
     with_truncated[4] = truncated;
@@ -320,7 +320,7 @@ fn cross_block_corruption_is_located_at_the_right_block() {
             let located: Vec<Option<usize>> = bad_blocks.iter().map(|e| e.block).collect();
             assert_eq!(located, vec![Some(3), Some(7), Some(9)]);
             assert!(bad_blocks.iter().all(|e| e.tensor == Some(0)));
-            let gs = meta.group_size;
+            let gs = ecco::tensor::GROUP_SIZE;
             for (i, b) in good.iter().enumerate() {
                 let got = &values[i * gs..(i + 1) * gs];
                 if [3, 7, 9].contains(&i) {
@@ -336,10 +336,10 @@ fn cross_block_corruption_is_located_at_the_right_block() {
 
 #[test]
 fn decompress_batch_locates_malformed_tensors_instead_of_panicking() {
-    // A block list one short, one long, or cut at a different group size
-    // fails its own slot with a located error in both codecs'
-    // `decompress_batch`, exactly as the report does; the healthy
-    // neighbour still decodes.
+    // A block list one short or one long fails its own slot with a
+    // located error in both codecs' `decompress_batch`, exactly as the
+    // report does; the healthy neighbour still decodes. No tensor can
+    // declare another group size: ingest refuses a frame that does.
     let cfg = EccoConfig {
         num_patterns: 16,
         max_calibration_groups: 64,
@@ -354,14 +354,6 @@ fn decompress_batch_locates_malformed_tensors_instead_of_panicking() {
     let weight = WeightCodec::calibrate(&[&w], &cfg);
     let kv_codec = KvCodec::calibrate(&[&kv], &cfg);
     let (wct, kct) = (weight.compress(&w).0, kv_codec.compress(&kv).0);
-    // The same values cut into 64-value groups, by metadata declaring
-    // that group size: a tensor whose group size disagrees with both
-    // codecs'. (A wire frame declaring 64 never gets this far: ingest
-    // refuses every group size but the format's 128.)
-    let mut meta64 = weight.metadata().clone();
-    meta64.group_size = 64;
-    let regrouped = WeightCodec::from_metadata(meta64).compress(&w).0;
-    assert_eq!(regrouped.group_size(), 64);
     type BatchFn<'a> = &'a dyn Fn(&[&CompressedTensor]) -> Vec<Result<Tensor, DecodeError>>;
     let arms: [(&CompressedTensor, Tensor, BatchFn); 2] = [
         (&wct, weight.decompress(&wct), &|cts| {
@@ -383,8 +375,8 @@ fn decompress_batch_locates_malformed_tensors_instead_of_panicking() {
             "a frame declaring 64-value groups"
         );
 
-        let out = decompress_batch(&[&short, &long, &regrouped, ct]);
-        let located: Vec<_> = out[..3]
+        let out = decompress_batch(&[&short, &long, ct]);
+        let located: Vec<_> = out[..2]
             .iter()
             .map(|r| {
                 let e = r.as_ref().unwrap_err();
@@ -396,10 +388,9 @@ fn decompress_batch_locates_malformed_tensors_instead_of_panicking() {
             [
                 (DecodeErrorKind::TruncatedStream, Some(0), Some(n - 1)),
                 (DecodeErrorKind::LengthMismatch, Some(1), Some(n + 1)),
-                (DecodeErrorKind::LengthMismatch, Some(2), None),
             ]
         );
-        assert_eq!(out[3].as_ref().unwrap().data(), want.data());
+        assert_eq!(out[2].as_ref().unwrap().data(), want.data());
     }
 }
 

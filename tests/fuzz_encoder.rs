@@ -88,7 +88,7 @@ proptest! {
         // Calibration on garbage must still produce metadata the wire
         // ingest accepts — non-finite centroids would be rejected as
         // corrupt by the very decoder this snapshot feeds.
-        for p in &codec.metadata().patterns {
+        for p in codec.metadata().patterns() {
             prop_assert!(
                 p.centroids().iter().all(|c| c.is_finite()),
                 "calibration emitted a non-finite centroid"

@@ -23,9 +23,7 @@ use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use ecco::bits::{Block64, BLOCK_BYTES};
-use ecco::codec::block::{
-    decode_group, decode_group_into, parse_block_header, DecodeError, DecodeErrorKind,
-};
+use ecco::codec::block::{decode_group, decode_group_into, DecodeError, DecodeErrorKind};
 use ecco::codec::parallel::RecoveryPolicy;
 use ecco::codec::wire::{
     decode_metadata, decode_tensor, encode_metadata, encode_tensor, METADATA_MAGIC,
@@ -34,6 +32,7 @@ use ecco::codec::wire::{
 use ecco::codec::{BatchOutcome, CompressedTensor, EccoConfig, TensorMetadata, WeightCodec};
 use ecco::container::{crc32, encode_model, Container, ContainerError, FOOTER_BYTES};
 use ecco::prelude::*;
+use ecco::tensor::GROUP_SIZE;
 use proptest::prelude::*;
 
 /// The two tensor names in the container fixture — same byte length, so
@@ -43,6 +42,8 @@ const T0: &str = "blk.0.w";
 const T1: &str = "blk.1.w";
 
 struct Fixture {
+    /// The tensor `ct` compresses.
+    t: Tensor,
     codec: WeightCodec,
     ct: CompressedTensor,
     ct2: CompressedTensor,
@@ -76,6 +77,7 @@ fn fixture() -> &'static Fixture {
         let frame_bytes = encode_tensor(&ct);
         let image = encode_model(codec.metadata(), &[(T0, &ct), (T1, &ct2)]);
         Fixture {
+            t,
             codec,
             ct,
             ct2,
@@ -231,7 +233,9 @@ fn set_bits(bytes: &mut [u8; BLOCK_BYTES], start: usize, len: usize, value: u64)
 proptest! {
     /// Field-targeted bit flips over serialized metadata snapshots:
     /// decode never panics, and when a mutated snapshot still revives,
-    /// both decoder arms agree on it block for block.
+    /// both decoder arms agree on it block for block, and it is as usable
+    /// as calibrated metadata: the fixture's tensor compresses under it,
+    /// and both arms decode every block it wrote.
     #[test]
     fn metadata_snapshot_bitflips_never_panic(
         flips in prop::collection::vec((0usize..2048, 0u8..8), 1..=8),
@@ -242,7 +246,7 @@ proptest! {
         // Aim the flips at one structural region: the fixed header, the
         // pattern centroids, or the codebook tables — structure-aware
         // mutation reaches the deep validators plain random bytes miss.
-        let patterns_end = 19 + fix.meta.patterns.len() * 15 * 4;
+        let patterns_end = 19 + fix.meta.num_patterns() * 15 * 4;
         let (lo, hi) = match region {
             0 => (0usize, 19usize),
             1 => (19, patterns_end),
@@ -270,6 +274,13 @@ proptest! {
                 // centroid table decodes different values; both arms
                 // must produce the *same* different values).
                 assert_arms_agree(fix.ct.blocks(), &revived)?;
+                let codec = WeightCodec::from_metadata(revived);
+                let (ct, _) = codec.compress(&fix.t);
+                let meta = codec.metadata().with_scale(ct.tensor_scale());
+                for (i, r) in decode_seq(ct.blocks(), &meta).iter().enumerate() {
+                    prop_assert!(r.is_ok(), "block {} the encoder wrote fails: {:?}", i, r);
+                }
+                assert_arms_agree(ct.blocks(), &meta)?;
             }
         }
     }
@@ -354,7 +365,7 @@ proptest! {
             &[(&blocks[..], &fix.meta)],
             RecoveryPolicy::SalvageBlocks,
         );
-        let gs = fix.meta.group_size;
+        let gs = GROUP_SIZE;
         match &report[0] {
             BatchOutcome::Ok(values) => {
                 prop_assert!(bad.is_empty(), "healthy report for corrupt stream");
@@ -639,43 +650,46 @@ fn every_decode_error_kind_is_reachable_from_ingest() {
         reached.insert(e.kind);
     };
 
-    // BadPatternId: a metadata set with no patterns makes every decoded
-    // pattern id out of range.
-    let mut no_patterns = meta.clone();
-    no_patterns.patterns.clear();
-    reach(decode_group(&block0, &no_patterns).unwrap_err());
-
-    // BadBookId: force ID_HF to 1 against rows truncated to one book.
-    let mut one_book = meta.clone();
-    for row in &mut one_book.books {
-        row.truncate(1);
-    }
-    let mut bytes = *block0.as_bytes();
-    set_bits(&mut bytes, 0, meta.id_hf_bits as usize, 1);
-    reach(decode_group(&Block64::from_bytes(bytes), &one_book).unwrap_err());
+    // BadPatternId and BadBookId, under metadata with one pattern and
+    // H = 3 books: its pattern-id code is the single 1-bit code `0`, and
+    // its ID_HF field is 2 bits wide.
+    let cfg = EccoConfig {
+        num_patterns: 1,
+        books_per_pattern: 3,
+        max_calibration_groups: 64,
+        ..EccoConfig::default()
+    };
+    let small = WeightCodec::calibrate(&[&fix.t], &cfg);
+    let small_meta = small.metadata();
+    let bits = small_meta.id_hf_bits() as usize;
+    assert_eq!((small_meta.pattern_code().lengths(), bits), (&[1u8][..], 2));
+    let small_block = *small.compress(&fix.t).0.blocks()[0].as_bytes();
+    // An ID_KP field starting with a 1 names no pattern.
+    let mut bytes = small_block;
+    set_bits(&mut bytes, bits + 8, 1, 1);
+    reach(decode_group(&Block64::from_bytes(bytes), small_meta).unwrap_err());
+    // An ID_HF field of 3 names the fourth of three books.
+    let mut bytes = small_block;
+    set_bits(&mut bytes, 0, bits, 3);
+    reach(decode_group(&Block64::from_bytes(bytes), small_meta).unwrap_err());
 
     // BadScaleFactor: overwrite the SF field with the FP8 E4M3 NaN.
     let mut bytes = *block0.as_bytes();
-    set_bits(&mut bytes, meta.id_hf_bits as usize, 8, 0x7F);
+    set_bits(&mut bytes, meta.id_hf_bits() as usize, 8, 0x7F);
     reach(decode_group(&Block64::from_bytes(bytes), meta).unwrap_err());
 
-    // CorruptMetadata: a block naming a pattern with no codebook row —
-    // and, on the wire, a flipped magic.
-    let mut no_books = meta.clone();
-    no_books.books.clear();
-    reach(decode_group(&block0, &no_books).unwrap_err());
+    // CorruptMetadata: a snapshot with a flipped magic.
     let mut bad_magic = fix.meta_bytes.clone();
     bad_magic[0] ^= 0xFF;
     assert!(!bad_magic.starts_with(&METADATA_MAGIC));
     reach(decode_metadata(&bad_magic).unwrap_err());
 
-    // CorruptCodebook: splice a Kraft-violating revived book into the
-    // slot this block selects.
-    let header = parse_block_header(&block0, meta).expect("fixture block is healthy");
-    let mut bad_book = meta.clone();
-    bad_book.books[header.kp][header.book_id] =
-        ecco::entropy::huffman::Codebook::from_serialized_parts(vec![0; 16], vec![0; 16], 8);
-    reach(decode_group(&block0, &bad_book).unwrap_err());
+    // CorruptCodebook: a snapshot whose first data book stores a code
+    // that is not its length's canonical code.
+    let mut bad_code = fix.meta_bytes.clone();
+    let first_code = 19 + meta.num_patterns() * 15 * 4 + 4 + 4 + 16;
+    bad_code[first_code..first_code + 2].copy_from_slice(&0xFFFFu16.to_le_bytes());
+    reach(decode_metadata(&bad_code).unwrap_err());
 
     // TruncatedStream: a tensor whose block stream ends a block early.
     let frame = encode_tensor(&fix.ct);
@@ -705,7 +719,6 @@ fn every_decode_error_kind_is_reachable_from_ingest() {
     // WorkerPanic: a panicking decode closure in the batch driver.
     let results = ecco::codec::parallel::decode_tensors_batch_report_with(
         &[fix.ct.blocks()],
-        meta.group_size,
         RecoveryPolicy::FailTensor,
         |_, _, _| panic!("injected ingest panic"),
     );

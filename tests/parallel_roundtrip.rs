@@ -50,10 +50,10 @@ fn weight_roundtrip_through_parallel_codec_and_batched_decoder() {
 
 #[test]
 fn revived_metadata_decodes_through_batched_pipeline() {
-    // Wire-ingest-style revival: rebuild_tables leaves every derived
-    // cache (codebook decode LUTs, SegmentLuts, length/boundary tables)
-    // in the empty state `wire` ingest produces; the batched parallel
-    // decode must self-heal them on first use and stay bit-identical.
+    // Metadata revived from a snapshot is as usable as the calibrated
+    // metadata it came from: the codec built on it encodes the same
+    // blocks, and it decodes them to the same values through the codec
+    // engine and through the hardware model's batched decode.
     let t = SynthSpec::for_kind(TensorKind::KCache, 8, 512)
         .seeded(4002)
         .generate();
@@ -61,8 +61,11 @@ fn revived_metadata_decodes_through_batched_pipeline() {
     let (ct, _) = codec.compress(&t);
     let out = codec.decompress(&ct);
 
-    let mut revived = codec.metadata().with_scale(ct.tensor_scale());
-    revived.rebuild_tables();
-    // Revived metadata must decode without a warm-up call.
+    let snapshot = ecco::codec::wire::encode_metadata(codec.metadata());
+    let revived = ecco::codec::wire::decode_metadata(&snapshot).expect("a calibrated snapshot");
+    assert_eq!(ecco::codec::wire::encode_metadata(&revived), snapshot);
     assert_eq!(hw_decode(ct.blocks(), &revived), out.data());
+    let revived = WeightCodec::from_metadata(revived);
+    assert_eq!(revived.compress(&t).0.blocks(), ct.blocks());
+    assert_eq!(revived.decompress(&ct).data(), out.data());
 }

@@ -191,7 +191,6 @@ fn worker_panic_poisons_only_its_batch_and_pool_survives() {
         let blocks = ct.blocks();
         let results = ecco::codec::parallel::decode_tensors_batch_report_with(
             &[blocks, blocks, blocks],
-            meta.group_size,
             RecoveryPolicy::FailTensor,
             |ti, b, out| {
                 if ti == 1 {

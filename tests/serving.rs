@@ -209,7 +209,7 @@ fn corrupt_cold_page_is_a_located_error_not_a_poisoned_store() {
     let c = &r.corruptions[0];
     assert_eq!((c.session, c.page), (sid, 0), "located at its page");
     assert_eq!(c.bad_blocks[0].block, Some(7), "located at its block");
-    let gs = st.codec().metadata().group_size;
+    let gs = ecco::tensor::GROUP_SIZE;
     assert!(
         out[7 * gs..8 * gs].iter().all(|&v| v == 0.0),
         "bad group zero-filled"
