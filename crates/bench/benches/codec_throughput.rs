@@ -53,11 +53,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ecco_bits::Block64;
+use ecco_core::block::rank_outliers;
 use ecco_core::parallel::encode_groups_parallel_unchecked;
 use ecco_core::{
     decode_group, decode_group_into, encode_group, encode_group_scratch, normalize_group,
-    select_pattern_ref, CompressedTensor, EccoConfig, GroupScratch, KvCodec, NormalizedGroup,
-    PatternSelector, RecoveryPolicy, TensorMetadata, WeightCodec,
+    select_pattern_ref, write_block, CompressedTensor, EccoConfig, GroupScratch, KvCodec,
+    NormalizedGroup, PatternSelector, RecoveryPolicy, TensorMetadata, WeightCodec,
 };
 use ecco_tensor::Tensor;
 use std::hint::black_box;
@@ -646,7 +647,8 @@ fn kv_decode_timings() -> String {
 /// [`kv_bench_codec`] tensor. One thread runs `encode_group_scratch`
 /// under the min/max selector over every group; the pool runs
 /// `KvCodec::compress_batch` over the tensor cut into 16-token pages, as
-/// one eviction batch.
+/// one eviction batch. `stages` splits one thread's encode per group
+/// ([`kv_encode_stages`]).
 fn kv_encode_timings() -> String {
     let (kt, codec) = kv_bench_codec();
     let meta = codec.metadata();
@@ -673,11 +675,155 @@ fn kv_encode_timings() -> String {
            \"compress_batch_values_per_s\": {batch:.0},\n    \
            \"compress_batch_pages\": {n_pages},\n    \
            \"page_tokens\": {PAGE_TOKENS},\n    \
-           \"compress_batch_executors\": {executors}\n  }},",
+           \"compress_batch_executors\": {executors},\n    \
+           {stages}\n  }},",
         enc = kt.len() as f64 / encode_ns * 1e9,
         batch = kt.len() as f64 / batch_ns * 1e9,
         n_pages = pages.len(),
         executors = ecco_core::pool::Pool::current().executors(),
+        stages = kv_encode_stages(&pages, meta),
+    )
+}
+
+/// One K-cache group's encode on one thread, stage by stage, in ns per
+/// group: the `stages` object of `kv_encode`. Every group is encoded
+/// under its page's scale, as the serve store encodes an evicted page.
+/// Each stage is timed alone over every group, on inputs the stages
+/// before it produced once up front:
+///
+/// * `normalize` — the normalization into the scratch's buffer,
+/// * `select_minmax` — the min/max fold, the pattern choice and the
+///   symbol map,
+/// * `book_choice` — the packed-lane shortest-book pass,
+/// * `rank_outliers` — the ranking of the block's free slots, on the
+///   groups that pad (the writer ranks nothing for the others),
+/// * `write_block` — the writer, handed the ranked outliers,
+///
+/// and `encode_group_scratch`, all of them in one call; each is the best
+/// of three timings. `stage_sum` adds the five, and `stage_sum_ratio`
+/// divides it by the whole.
+fn kv_encode_stages(pages: &[Tensor], meta: &TensorMetadata) -> String {
+    // `S` is the page's `Po2Scale`, a type this crate does not name.
+    struct Group<'a, S> {
+        values: &'a [f32],
+        scale: S,
+        ng: NormalizedGroup,
+        kp: usize,
+        symbols: Vec<u16>,
+        book_id: usize,
+        slots: usize,
+        ranked: Vec<(usize, f32)>,
+    }
+    let mut scratch = GroupScratch::new();
+    let groups: Vec<Group<_>> = pages
+        .iter()
+        .flat_map(|page| {
+            let scale = TensorMetadata::scale_for(page);
+            page.groups(GROUP).map(move |g| (g, scale))
+        })
+        .map(|(values, scale)| {
+            let ng = normalize_group(values, scale);
+            let kp = meta.select_pattern_scratch(&ng, PatternSelector::MinMax, &mut scratch);
+            // The scratch's symbols, as the reference quantization gives
+            // them (pinned equal by the selection differentials).
+            let symbols = ng.symbols(&meta.patterns()[kp]);
+            let (book_id, _) = meta.len_table(kp).expect("calibrated").best(&symbols);
+            let (_, info) =
+                encode_group_scratch(values, meta, scale, PatternSelector::MinMax, &mut scratch);
+            let slots = match info.clipped_symbols {
+                0 => (512 - info.header_bits - info.data_bits) / ecco_core::block::OUTLIER_BITS,
+                _ => 0,
+            };
+            let ranked = rank_outliers(values, ng.max_pos, slots).collect();
+            Group {
+                values,
+                scale,
+                ng,
+                kp,
+                symbols,
+                book_id,
+                slots,
+                ranked,
+            }
+        })
+        .collect();
+    // The best of three timings of every group, per group: these stages
+    // take well under a microsecond, and a shared host's bursts would
+    // otherwise decide their sum.
+    let per_group = |f: &mut dyn FnMut()| {
+        (0..3)
+            .map(|_| time_ns(&mut *f))
+            .fold(f64::INFINITY, f64::min)
+            / groups.len() as f64
+    };
+
+    let normalize = per_group(&mut || {
+        for g in &groups {
+            black_box(scratch.normalized(black_box(g.values), g.scale, |ng, _| ng.max_pos));
+        }
+    });
+    let select = per_group(&mut || {
+        for g in &groups {
+            black_box(meta.select_pattern_scratch(
+                black_box(&g.ng),
+                PatternSelector::MinMax,
+                &mut scratch,
+            ));
+        }
+    });
+    let book = per_group(&mut || {
+        for g in &groups {
+            black_box(
+                meta.len_table(g.kp)
+                    .expect("calibrated")
+                    .best(black_box(&g.symbols)),
+            );
+        }
+    });
+    let rank = per_group(&mut || {
+        for g in groups.iter().filter(|g| g.slots > 0) {
+            for outlier in rank_outliers(black_box(g.values), g.ng.max_pos, g.slots) {
+                black_box(outlier);
+            }
+        }
+    });
+    let write = per_group(&mut || {
+        for g in &groups {
+            black_box(write_block(
+                meta,
+                g.scale,
+                g.kp,
+                g.book_id,
+                g.ng.sf_bits,
+                black_box(&g.symbols),
+                |_| g.ranked.iter().copied(),
+            ));
+        }
+    });
+    let whole = per_group(&mut || {
+        for g in &groups {
+            black_box(encode_group_scratch(
+                black_box(g.values),
+                meta,
+                g.scale,
+                PatternSelector::MinMax,
+                &mut scratch,
+            ));
+        }
+    });
+    let sum = normalize + select + book + rank + write;
+    format!(
+        "\"stages\": {{\n      \
+           \"unit\": \"ns_per_group\",\n      \
+           \"normalize\": {normalize:.1},\n      \
+           \"select_minmax\": {select:.1},\n      \
+           \"book_choice\": {book:.1},\n      \
+           \"rank_outliers\": {rank:.1},\n      \
+           \"write_block\": {write:.1},\n      \
+           \"stage_sum\": {sum:.1},\n      \
+           \"encode_group_scratch\": {whole:.1},\n      \
+           \"stage_sum_ratio\": {ratio:.3}\n    }}",
+        ratio = sum / whole,
     )
 }
 

@@ -29,14 +29,13 @@
 //! reads the symbols through a shift register, one 57-bit window per run
 //! of codes.
 
-use ecco_bits::{BitWriter, Block64, BlockCursor, BLOCK_BITS};
+use ecco_bits::{Block64, BlockCursor, BLOCK_BITS};
 use ecco_entropy::Codebook;
 use ecco_numerics::{Po2Scale, F8E4M3};
 use ecco_tensor::GROUP_SIZE;
 
-use crate::group::normalize_group;
 use crate::metadata::{PatternSelector, TensorMetadata};
-use crate::pattern::SCALE_SYMBOL;
+use crate::pattern::{SCALE_SYMBOL, SYMBOL_COUNT};
 use crate::select::{with_thread_scratch, GroupScratch};
 
 /// Bits per padded outlier: 7-bit position + 8-bit FP8 value.
@@ -231,12 +230,13 @@ pub fn encode_group(
 }
 
 /// Compresses one group through a caller-provided [`GroupScratch`]: the
-/// selector picks the pattern *and* quantizes the group in one pass —
-/// MinMax straight off the group with no sort, MseOptimal by the fused
-/// sweep over its sorted values — and the winner's symbols are emitted
-/// straight from the scratch: no per-group selection allocation, no
-/// re-quantization. Outliers are ranked only for blocks that pad, and
-/// only as many as a block can hold ([`MAX_PAD_SLOTS`]).
+/// group is normalized into the scratch's own buffer, the selector picks
+/// the pattern *and* quantizes the group in one pass — MinMax straight
+/// off the group with no sort, MseOptimal by the fused sweep over its
+/// sorted values — and the winner's symbols are emitted straight from
+/// the scratch: no per-group allocation, no re-quantization. Outliers are
+/// ranked only for blocks that pad, and only as many as the block has
+/// slots for.
 ///
 /// `scale` is the tensor's power-of-two scale, as in [`read_block`]; the
 /// metadata's own is not read.
@@ -252,9 +252,10 @@ pub fn encode_group_scratch(
     scratch: &mut GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
     assert_eq!(group.len(), GROUP_SIZE, "group size mismatch");
-    let ng = normalize_group(group, scale);
-    let kp = meta.select_pattern_scratch(&ng, selector, scratch);
-    encode_selected(group, &ng, meta, scale, kp, scratch)
+    scratch.normalized(group, scale, |ng, scratch| {
+        let kp = meta.select_pattern_scratch(ng, selector, scratch);
+        encode_selected(group, ng, meta, scale, kp, scratch)
+    })
 }
 
 /// Fused activation-aware compression of one group: selects the pattern
@@ -275,17 +276,19 @@ pub fn encode_group_weighted_scratch(
     scratch: &mut GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
     assert_eq!(group.len(), GROUP_SIZE, "group size mismatch");
-    let ng = normalize_group(group, scale);
-    let kp = meta.select_pattern_weighted_scratch(&ng, group_w2, scratch);
-    encode_selected(group, &ng, meta, scale, kp, scratch)
+    scratch.normalized(group, scale, |ng, scratch| {
+        let kp = meta.select_pattern_weighted_scratch(ng, group_w2, scratch);
+        encode_selected(group, ng, meta, scale, kp, scratch)
+    })
 }
 
 /// The codec's selection after either selector picked pattern `kp`: the
 /// winner's symbols in group order as the scratch holds them (step 5),
 /// the shortest of the pattern's codebooks in one packed-lane pass (step
 /// 8, exact totals, ties to the lowest book — bit-identical to `H`
-/// separate `encoded_len` sweeps), and the group's largest values ranked
-/// by magnitude as padding candidates. [`write_block`] does the rest.
+/// separate `encoded_len` sweeps), and the ranking of the group's largest
+/// values as padding candidates, which [`write_block`] runs for the slots
+/// it has. [`write_block`] does the rest.
 fn encode_selected(
     group: &[f32],
     ng: &crate::group::NormalizedGroup,
@@ -299,85 +302,149 @@ fn encode_selected(
         .len_table(kp)
         .expect("the selected pattern has a codebook row")
         .best(symbols);
-    // Ranked lazily: a clipped block never reads its outliers.
-    let outliers = std::iter::once_with(|| rank_outliers(group, ng.max_pos)).flatten();
-    write_block(meta, scale, kp, book_id, ng.sf_bits, symbols, outliers)
+    write_block(meta, scale, kp, book_id, ng.sf_bits, symbols, |slots| {
+        rank_outliers(group, ng.max_pos, slots)
+    })
 }
+
+/// A block's 512 bits while [`write_block`] fills them: eight words,
+/// MSB first, and a ninth that catches whatever a field placed across
+/// bit 512 spills. The block drops it: that is the clip.
+struct BlockWords([u64; 9]);
+
+impl BlockWords {
+    /// ORs in `bits`, a field left-aligned in its word (every bit below
+    /// the field zero), starting at bit `pos` (< 512).
+    #[inline]
+    fn put(&mut self, pos: usize, bits: u64) {
+        debug_assert!(pos < BLOCK_BITS, "fields start inside the block");
+        let word = (pos >> 6) & 7;
+        let spread = (u128::from(bits) << 64) >> (pos & 63);
+        self.0[word] |= (spread >> 64) as u64;
+        self.0[word + 1] |= spread as u64;
+    }
+
+    /// The first 512 bits as a block.
+    fn into_block(self) -> Block64 {
+        let mut bytes = [0u8; BLOCK_BITS / 8];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(self.0) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        Block64::from_bytes(bytes)
+    }
+}
+
+/// Codes per data chunk: eight codes of at most 8 bits fill one word.
+const CODES_PER_WORD: usize = 8;
 
 /// The one block writer (steps 8–9, Fig. 6a): writes the header
 /// `| ID_HF | SF | ID_KP |`, then `symbols` under codebook `book_id` of
 /// pattern `kp`. If the codes overflow bit 512 the stream is clipped
 /// mid-code there (paper: "we simply clip the excess"); otherwise the
-/// leftover space holds as many of `ranked_outliers` — `(position,
-/// value)` pairs, most important first — as fit, each as a 7-bit
-/// position and an FP8 value.
+/// leftover space holds `k = ⌊(512 − data_end) / 15⌋` padded outliers,
+/// each a 7-bit position and an FP8 value.
 ///
 /// Every choice belongs to the caller: the codec passes its selector's
 /// choice, the hardware compressor (`ecco_hw`) the output of its sorter,
-/// pattern selector and parallel encoders. `ranked_outliers` is only
-/// consumed when nothing was clipped, so a lazy iterator defers its
-/// ranking to the blocks that pad. Under any book inside the format's
-/// 2..=8-bit code envelope at most [`MAX_PAD_SLOTS`] outliers fit, so
-/// both callers rank no more candidates than that. Outliers are
-/// compressed under `scale`, the tensor's power-of-two scale.
+/// pattern selector and parallel encoders. Only the writer knows `k`, so
+/// the outliers come from `rank_outliers(k)`, called once and only when
+/// the block pads (`k > 0`, nothing clipped). It returns `(position,
+/// value)` pairs, most important first, of which the first `k` are
+/// written. Under any book inside the format's 2..=8-bit code envelope
+/// `k` is at most [`MAX_PAD_SLOTS`]. Outliers are compressed under
+/// `scale`, the tensor's power-of-two scale.
+///
+/// The bits go into eight stack words: the codes eight at a time, each
+/// eight gathered into one left-aligned word (at most 64 bits) and placed
+/// at its offset. Placing stops once the stream reaches bit 512; the code
+/// that straddles it is cut there, and only then does the writer walk the
+/// code lengths to count the codes that fit.
 ///
 /// # Panics
 ///
 /// Panics if `kp` or `book_id` is out of range, a symbol lies outside
 /// the book's alphabet, or a written outlier position exceeds 7 bits.
-pub fn write_block(
+pub fn write_block<I: IntoIterator<Item = (usize, f32)>>(
     meta: &TensorMetadata,
     scale: Po2Scale,
     kp: usize,
     book_id: usize,
     sf_bits: u8,
     symbols: &[u16],
-    ranked_outliers: impl IntoIterator<Item = (usize, f32)>,
+    rank_outliers: impl FnOnce(usize) -> I,
 ) -> (Block64, EncodedGroupInfo) {
     let book = &meta.books()[kp][book_id];
-    let mut w = BitWriter::with_capacity(BLOCK_BITS);
-    w.write_bits(book_id as u64, meta.id_hf_bits());
-    w.write_bits(sf_bits as u64, 8);
-    meta.pattern_code().encode_symbol(&mut w, kp as u16);
-    let header_bits = w.bit_len();
+    let lens: &[u8; SYMBOL_COUNT] = book.lengths().try_into().expect("a data book");
+    let codes: &[u16; SYMBOL_COUNT] = book.codes().try_into().expect("a data book");
+    // Symbols index the 16-entry tables through a 4-bit mask, once every
+    // symbol is known to fit it.
+    let all = symbols.iter().fold(0u16, |acc, &s| acc | s);
+    assert!(
+        usize::from(all) < SYMBOL_COUNT,
+        "symbol outside the book's alphabet"
+    );
+    let sym = |s: u16| usize::from(s) & (SYMBOL_COUNT - 1);
 
-    // Fit or clip: codes go in while they fit; the first one that does
-    // not is cut at bit 512 and ends the stream.
-    let mut full = 0usize;
-    for &s in symbols {
-        let (code, len) = (book.code(s) as u64, book.code_len(s) as usize);
-        let room = BLOCK_BITS - w.bit_len();
-        if len > room {
-            if room > 0 {
-                w.write_bits(code >> (len - room), room as u32);
-            }
+    let mut words = BlockWords([0; 9]);
+    let kp_sym = u16::try_from(kp).expect("a pattern id");
+    let kp_len = u32::from(meta.pattern_code().code_len(kp_sym));
+    let header = ((book_id as u64) << 8 | u64::from(sf_bits)) << kp_len
+        | u64::from(meta.pattern_code().code(kp_sym));
+    let header_bits = (meta.id_hf_bits() + 8 + kp_len) as usize;
+    words.put(0, header << (64 - header_bits));
+
+    // Fit or clip: place the codes a word's worth at a time until the
+    // stream reaches bit 512; the spill word drops whatever crosses it.
+    let mut end = header_bits;
+    let mut chunks = symbols.chunks(CODES_PER_WORD);
+    for chunk in chunks.by_ref() {
+        let (mut bits, mut len) = (0u64, 0u32);
+        for &s in chunk {
+            len += u32::from(lens[sym(s)]);
+            bits |= u64::from(codes[sym(s)]) << (64 - len);
+        }
+        words.put(end, bits);
+        end += len as usize;
+        if end >= BLOCK_BITS {
             break;
         }
-        w.write_bits(code, len as u32);
-        full += 1;
     }
+    let clipped = end > BLOCK_BITS || chunks.next().is_some();
     let mut info = EncodedGroupInfo {
         pattern_id: kp,
         book_id,
         header_bits,
-        data_bits: w.bit_len() - header_bits,
-        clipped_symbols: symbols.len() - full,
+        data_bits: end.min(BLOCK_BITS) - header_bits,
+        clipped_symbols: 0,
         padded_outliers: 0,
     };
 
-    if info.clipped_symbols == 0 {
+    if clipped {
+        // The codes that fit whole; the next one was cut at bit 512.
+        let mut at = header_bits;
+        let full = symbols
+            .iter()
+            .take_while(|&&s| {
+                at += usize::from(lens[sym(s)]);
+                at <= BLOCK_BITS
+            })
+            .count();
+        info.clipped_symbols = symbols.len() - full;
+    } else {
         // Step 9: pad the leftover space with the next-largest values.
-        let slots = (BLOCK_BITS - w.bit_len()) / OUTLIER_BITS;
-        for (pos, val) in ranked_outliers.into_iter().take(slots) {
-            let f8 = F8E4M3::from_f32(scale.compress(val));
-            w.write_bits(pos as u64, 7);
-            w.write_bits(f8.to_bits() as u64, 8);
-            info.padded_outliers += 1;
+        let slots = (BLOCK_BITS - end) / OUTLIER_BITS;
+        if slots > 0 {
+            for (pos, val) in rank_outliers(slots).into_iter().take(slots) {
+                assert!(pos < GROUP_SIZE, "outlier position {pos} exceeds 7 bits");
+                let f8 = F8E4M3::from_f32(scale.compress(val));
+                let field = (pos as u64) << 8 | u64::from(f8.to_bits());
+                words.put(end, field << (64 - OUTLIER_BITS));
+                end += OUTLIER_BITS;
+                info.padded_outliers += 1;
+            }
         }
     }
-
-    let block = Block64::from_writer(w).expect("the writer never exceeds 512 bits");
-    (block, info)
+    (words.into_block(), info)
 }
 
 /// The parsed fixed header of a block: `| ID_HF | SF | ID_KP |`.
@@ -648,37 +715,96 @@ pub fn read_block<R>(
     Ok((info, report))
 }
 
-/// The padding order of step 9: the group's positions and values other
-/// than the absmax, by |value| descending (IEEE total order, so a NaN
-/// ranks above ±inf) with ties to the lower position — the first
-/// [`MAX_PAD_SLOTS`] of them, as many as a block can hold. Ranks on the
-/// stack: a partial selection of the top keys, then a sort of just those.
+/// The ranking's magnitude buckets, on the top 16 bits of `|x|`: 8
+/// exponent bits and 2 mantissa bits, four buckets per octave.
+const BUCKET_SHIFT: u32 = 5;
+
+/// Buckets the ranking searches, from the largest candidate's down;
+/// everything lower shares the last.
+const BUCKETS: i16 = 32;
+
+/// The padding order of step 9, cut to the block's `k` slots: the
+/// group's positions and values other than the absmax, by |value|
+/// descending (IEEE total order, so a NaN ranks above ±inf) with ties to
+/// the lower position — the first `k` of them, and never more than
+/// [`MAX_PAD_SLOTS`]. `k = ⌊(512 − data_end) / 15⌋` is what
+/// [`write_block`] finds left after the codes, about 8 on K-cache blocks.
+/// The codec hands it to [`write_block`] as
+/// `|k| rank_outliers(group, max_pos, k)`, with `max_pos` the
+/// [`NormalizedGroup::max_pos`](crate::NormalizedGroup::max_pos) of the
+/// group.
+///
+/// Ranks on the stack, without ordering all 127 candidates. The top 16
+/// bits of each magnitude go into one `i16` lane each, and packed passes
+/// over them find the largest and then, by bisection, the fewest
+/// magnitude buckets from the largest down that hold `k` values. Every
+/// value in those buckets (about ten on a K-cache group, whose absmax
+/// often lies octaves above the rest) ranks above every value outside
+/// them; only they are sorted.
 ///
 /// # Panics
 ///
 /// Panics if the group is longer than the 128 positions an outlier's
-/// 7-bit field can name.
-fn rank_outliers(group: &[f32], max_pos: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-    // One key per value: |x|'s bits high (the sign cleared, so their
-    // unsigned order is `total_cmp`'s on |x|), the complemented position
-    // low (so equal magnitudes put the lower position first). Descending
-    // key order is then exactly a stable sort by |x| descending.
-    let mut keys = [0u64; 128];
-    let mut n = 0;
-    for (pos, &x) in group.iter().enumerate() {
-        if pos != max_pos {
-            keys[n] = u64::from(x.to_bits() & 0x7FFF_FFFF) << 32 | u64::from(!(pos as u32));
-            n += 1;
+/// 7-bit field can name, or `max_pos` is not one of its positions.
+pub fn rank_outliers(
+    group: &[f32],
+    max_pos: usize,
+    k: usize,
+) -> impl Iterator<Item = (usize, f32)> + '_ {
+    assert!(group.len() <= GROUP_SIZE, "positions fit 7 bits");
+    let k = k.min(group.len() - 1).min(MAX_PAD_SLOTS);
+    // |x|'s bits, the sign cleared: their unsigned order is `total_cmp`'s
+    // on |x|, so every NaN lies above ±inf. The top half of each fits an
+    // `i16` lane; -1 marks the absmax and the positions past the group.
+    let mag = |x: f32| x.to_bits() & 0x7FFF_FFFF;
+    let mut high = [-1i16; GROUP_SIZE];
+    for (h, &x) in high.iter_mut().zip(group) {
+        *h = (mag(x) >> 16) as i16;
+    }
+    high[max_pos] = -1;
+    let top = high.iter().fold(0, |t, &h| t.max(h)) >> BUCKET_SHIFT;
+    // The least high half in the top `cut + 1` buckets (the last takes
+    // everything), and the fewest such buckets that hold `k` values.
+    let floor_of = |cut: i16| match cut {
+        c if c == BUCKETS - 1 => 0,
+        c => (top - c).max(0) << BUCKET_SHIFT,
+    };
+    let held = |floor: i16| high.iter().fold(0u16, |n, &h| n + u16::from(h >= floor));
+    let (mut lo, mut hi) = (0, BUCKETS - 1);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if usize::from(held(floor_of(mid))) >= k {
+            hi = mid;
+        } else {
+            lo = mid + 1;
         }
     }
-    let k = n.min(MAX_PAD_SLOTS);
-    let top = &mut keys[..n];
-    if k < n {
-        top.select_nth_unstable_by(k, |a, b| b.cmp(a));
+    let floor = floor_of(lo);
+    // One key per value in them: the magnitude high, the complemented
+    // position low, so descending key order is exactly a stable sort by
+    // |x| descending.
+    let mut keys = [0u64; GROUP_SIZE];
+    let mut n = 0;
+    for (at, lanes) in high.chunks_exact(16).enumerate() {
+        let mut bits = lanes
+            .iter()
+            .enumerate()
+            .fold(0u32, |b, (i, &h)| b | u32::from(h >= floor) << i);
+        while bits != 0 {
+            let pos = at * 16 + bits.trailing_zeros() as usize;
+            keys[n] = u64::from(mag(group[pos])) << 32 | u64::from(!(pos as u32));
+            n += 1;
+            bits &= bits - 1;
+        }
     }
-    top[..k].sort_unstable_by(|a, b| b.cmp(a));
-    (0..k).map(move |i| {
-        let pos = !(keys[i] as u32) as usize;
+    let candidates = &mut keys[..n];
+    candidates.sort_unstable_by(|a, b| b.cmp(a));
+    let mut ranked = [0u8; MAX_PAD_SLOTS];
+    for (r, &key) in ranked.iter_mut().zip(&candidates[..k]) {
+        *r = !(key as u32) as u8;
+    }
+    ranked.into_iter().take(k).map(move |pos| {
+        let pos = usize::from(pos);
         (pos, group[pos])
     })
 }
@@ -686,7 +812,8 @@ fn rank_outliers(group: &[f32], max_pos: usize) -> impl Iterator<Item = (usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EccoConfig, PatternSelector, TensorMetadata};
+    use crate::{normalize_group, EccoConfig, GroupScratch, PatternSelector, TensorMetadata};
+    use ecco_bits::BitWriter;
     use ecco_tensor::{synth::SynthSpec, Tensor, TensorKind};
     use proptest::prelude::*;
 
@@ -1061,9 +1188,195 @@ mod tests {
         }
     }
 
+    /// Today's writer, the oracle [`write_block`] is held to: the header
+    /// and every code through a `BitWriter`, a room check per code (the
+    /// first code that does not fit is cut at bit 512), then as many of
+    /// `ranked` as the leftover slots hold.
+    fn write_block_ref(
+        meta: &TensorMetadata,
+        scale: Po2Scale,
+        kp: usize,
+        book_id: usize,
+        sf_bits: u8,
+        symbols: &[u16],
+        ranked: impl IntoIterator<Item = (usize, f32)>,
+    ) -> (Block64, EncodedGroupInfo) {
+        let book = &meta.books()[kp][book_id];
+        let mut w = BitWriter::with_capacity(BLOCK_BITS);
+        w.write_bits(book_id as u64, meta.id_hf_bits());
+        w.write_bits(sf_bits as u64, 8);
+        meta.pattern_code().encode_symbol(&mut w, kp as u16);
+        let header_bits = w.bit_len();
+        let mut full = 0usize;
+        for &s in symbols {
+            let (code, len) = (book.code(s) as u64, book.code_len(s) as usize);
+            let room = BLOCK_BITS - w.bit_len();
+            if len > room {
+                if room > 0 {
+                    w.write_bits(code >> (len - room), room as u32);
+                }
+                break;
+            }
+            w.write_bits(code, len as u32);
+            full += 1;
+        }
+        let mut info = EncodedGroupInfo {
+            pattern_id: kp,
+            book_id,
+            header_bits,
+            data_bits: w.bit_len() - header_bits,
+            clipped_symbols: symbols.len() - full,
+            padded_outliers: 0,
+        };
+        if info.clipped_symbols == 0 {
+            let slots = (BLOCK_BITS - w.bit_len()) / OUTLIER_BITS;
+            for (pos, val) in ranked.into_iter().take(slots) {
+                let f8 = F8E4M3::from_f32(scale.compress(val));
+                w.write_bits(pos as u64, 7);
+                w.write_bits(f8.to_bits() as u64, 8);
+                info.padded_outliers += 1;
+            }
+        }
+        (Block64::from_writer(w).unwrap(), info)
+    }
+
+    /// Writes one selection with [`write_block`] and the codec's ranking,
+    /// and with the oracle writer and the full stable sort, and asserts
+    /// the same bytes and report. Returns the report.
+    fn assert_writers_agree(
+        meta: &TensorMetadata,
+        kp: usize,
+        book_id: usize,
+        sf_bits: u8,
+        symbols: &[u16],
+        group: &[f32],
+    ) -> EncodedGroupInfo {
+        let scale = meta.tensor_scale();
+        let max_pos = normalize_group(group, scale).max_pos;
+        let (got, info) = write_block(meta, scale, kp, book_id, sf_bits, symbols, |k| {
+            rank_outliers(group, max_pos, k)
+        });
+        let oracle = rank_by_stable_sort(group, max_pos);
+        let (want, want_info) = write_block_ref(meta, scale, kp, book_id, sf_bits, symbols, oracle);
+        assert_eq!(info, want_info, "pattern {kp}, book {book_id}");
+        assert_eq!(
+            got.as_bytes(),
+            want.as_bytes(),
+            "pattern {kp}, book {book_id}"
+        );
+        info
+    }
+
+    /// Writes every group of `t` as the codec selects it under `meta`
+    /// with both writers; returns how many groups padded and clipped.
+    fn assert_writers_agree_on(
+        t: &Tensor,
+        meta: &TensorMetadata,
+        selector: PatternSelector,
+    ) -> (usize, usize) {
+        let mut scratch = GroupScratch::new();
+        let (mut padded, mut clipped) = (0, 0);
+        for g in t.groups(GROUP_SIZE) {
+            let ng = normalize_group(g, meta.tensor_scale());
+            let kp = meta.select_pattern_scratch(&ng, selector, &mut scratch);
+            let (book_id, _) = meta.len_table(kp).unwrap().best(scratch.symbols());
+            let info = assert_writers_agree(meta, kp, book_id, ng.sf_bits, scratch.symbols(), g);
+            padded += usize::from(info.padded_outliers > 0);
+            clipped += usize::from(info.clipped_symbols > 0);
+        }
+        (padded, clipped)
+    }
+
+    /// A 16-symbol data book with codes of every length 2..=8: symbol
+    /// `2(ℓ − 2)` is ℓ bits long for ℓ < 8, and 12..=15 are 8 bits.
+    fn stepped_book() -> Codebook {
+        Codebook::from_lengths(&[2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 8, 8]).unwrap()
+    }
+
+    /// `n` symbols of [`stepped_book`] whose codes total exactly `bits`
+    /// (between `2n` and `8n`).
+    fn symbols_totalling(n: usize, bits: usize) -> Vec<u16> {
+        assert!(
+            (2 * n..=8 * n).contains(&bits),
+            "{bits} bits from {n} codes"
+        );
+        let mut extra = bits - 2 * n;
+        (0..n)
+            .map(|_| {
+                let add = extra.min(6);
+                extra -= add;
+                2 * add as u16
+            })
+            .collect()
+    }
+
+    #[test]
+    fn write_block_matches_bit_writer_loop() {
+        // Calibrated K-cache and weight groups, as the codec selects them.
+        for (kind, selector) in [
+            (TensorKind::KCache, PatternSelector::MinMax),
+            (TensorKind::Weight, PatternSelector::MseOptimal),
+        ] {
+            let t = SynthSpec::for_kind(kind, 32, 512).seeded(31).generate();
+            let meta = meta_for(&t);
+            let (padded, _) = assert_writers_agree_on(&t, &meta, selector);
+            assert!(padded > 0, "{kind:?}: no group padded");
+            // Uniform 4-bit books: 128 × 4 bits overflow every block.
+            let (padded, clipped) =
+                assert_writers_agree_on(&t, &with_uniform_books(&meta), selector);
+            assert_eq!((padded, clipped), (0, t.len() / GROUP_SIZE), "{kind:?}");
+        }
+
+        // Crafted streams under a book with every code length, with H = 4
+        // (a 2-bit ID_HF) and H = 1 (a 0-bit one): streams that end
+        // exactly at bit 512, leave 14 and 15 bits, hold only 2-bit codes
+        // (16 slots), cross bit 512 mid-code, end a code at bit 512 with
+        // more to come, and overflow by half.
+        let t = SynthSpec::for_kind(TensorKind::KCache, 8, 512)
+            .seeded(32)
+            .generate();
+        let calibrated = meta_for(&t);
+        let group: Vec<f32> = (0..GROUP_SIZE)
+            .map(|i| ((i * 37 % 128) as f32 - 64.0) / 8.0 + if i % 5 == 0 { 0.5 } else { 0.0 })
+            .collect();
+        for h in [4, 1] {
+            let meta = TensorMetadata::from_parts(
+                calibrated.tensor_scale(),
+                calibrated.patterns().to_vec(),
+                vec![vec![stepped_book(); h]; calibrated.num_patterns()],
+                calibrated.pattern_code().clone(),
+                if h == 1 { 0 } else { 2 },
+            )
+            .unwrap();
+            for kp in 0..meta.num_patterns() {
+                let header = meta.id_hf_bits() as usize
+                    + 8
+                    + usize::from(meta.pattern_code().code_len(kp as u16));
+                let fit = BLOCK_BITS - header;
+                let mut ends_at_512 = symbols_totalling(127, fit);
+                ends_at_512.push(0);
+                let cases = [
+                    (symbols_totalling(128, fit), 0, 0),
+                    (symbols_totalling(128, fit - 14), 0, 0),
+                    (symbols_totalling(128, fit - 15), 1, 0),
+                    (symbols_totalling(128, 256), (fit - 256) / OUTLIER_BITS, 0),
+                    (symbols_totalling(128, fit + 1), 0, 1),
+                    (ends_at_512, 0, 1),
+                    (symbols_totalling(128, 1024), 0, 128 - fit / 8),
+                ];
+                for (book_id, (symbols, slots, clipped)) in cases.into_iter().enumerate() {
+                    let info = assert_writers_agree(&meta, kp, book_id % h, 0x3A, &symbols, &group);
+                    assert_eq!(info.padded_outliers, slots, "kp {kp}, H = {h}");
+                    assert_eq!(info.clipped_symbols, clipped, "kp {kp}, H = {h}");
+                }
+                assert!(header <= 16, "16 slots need a header of at most 16 bits");
+            }
+        }
+    }
+
     /// The ranking oracle: every value but the absmax, fully
     /// stable-sorted by |value| descending. `rank_outliers` must return
-    /// its first `MAX_PAD_SLOTS` entries.
+    /// its first `k` entries.
     fn rank_by_stable_sort(group: &[f32], max_pos: usize) -> Vec<(usize, f32)> {
         let mut v: Vec<(usize, f32)> = group
             .iter()
@@ -1100,6 +1413,7 @@ mod tests {
             b in 0usize..128,
             short in any::<bool>(),
             short_len in 1usize..=20,
+            k in 0usize..=MAX_PAD_SLOTS,
         ) {
             // A lattice of quarters: |x| ties abound, in both signs.
             let mut g: Vec<f32> = lattice.iter().map(|&q| q as f32 / 4.0).collect();
@@ -1116,9 +1430,9 @@ mod tests {
             let bits = |v: &[(usize, f32)]| -> Vec<(usize, u32)> {
                 v.iter().map(|&(p, x)| (p, x.to_bits())).collect()
             };
-            let got: Vec<(usize, f32)> = rank_outliers(&g, max_pos).collect();
+            let got: Vec<(usize, f32)> = rank_outliers(&g, max_pos, k).collect();
             let oracle = rank_by_stable_sort(&g, max_pos);
-            prop_assert_eq!(got.len(), oracle.len().min(MAX_PAD_SLOTS));
+            prop_assert_eq!(got.len(), oracle.len().min(k));
             prop_assert_eq!(bits(&got), bits(&oracle[..got.len()]));
         }
     }

@@ -31,15 +31,23 @@ pub struct NormalizedGroup {
 ///
 /// Panics if `group` is empty.
 pub fn normalize_group(group: &[f32], tensor_scale: Po2Scale) -> NormalizedGroup {
+    normalize_into(group, tensor_scale, Vec::with_capacity(group.len()))
+}
+
+/// [`normalize_group`] into `values`, a buffer the caller lends, whose
+/// contents it replaces: the one normalizer. The encoder lends its
+/// [`GroupScratch`](crate::GroupScratch)'s buffer, so no group allocates.
+///
+/// # Panics
+///
+/// Panics if `group` is empty.
+pub(crate) fn normalize_into(
+    group: &[f32],
+    tensor_scale: Po2Scale,
+    mut values: Vec<f32>,
+) -> NormalizedGroup {
     assert!(!group.is_empty(), "empty group");
-    let mut max_pos = 0usize;
-    let mut max_abs = 0f32;
-    for (i, &x) in group.iter().enumerate() {
-        if x.abs() > max_abs {
-            max_abs = x.abs();
-            max_pos = i;
-        }
-    }
+    let max_pos = absmax_position(group);
     // A NaN can only end up at `max_pos` when no value has |x| > 0 (NaN
     // never wins the `>` comparison), i.e. the group is all NaNs and
     // zeros. Encode it as a zero-scale group — the block then round-trips
@@ -55,13 +63,48 @@ pub fn normalize_group(group: &[f32], tensor_scale: Po2Scale) -> NormalizedGroup
     let scale_signed = ecco_numerics::round_f16(tensor_scale.expand(sf.to_f32()));
     let mag = scale_signed.abs();
     let scale_mag = if mag > 0.0 { mag } else { 1.0 };
-    let values = group.iter().map(|&x| x / scale_mag).collect();
+    values.clear();
+    values.extend(group.iter().map(|&x| x / scale_mag));
     NormalizedGroup {
         max_pos,
         sf_bits: sf.to_bits(),
         scale_signed,
         scale_mag,
         values,
+    }
+}
+
+/// Lanes of the compare-select folds below: eight independent running
+/// extremes, which the compiler keeps in packed registers.
+const LANES: usize = 8;
+
+/// Position of the first value of largest magnitude, NaNs ignored; 0
+/// when no value has `|x| > 0`. That is where a scan that moves on every
+/// strictly larger `|x|` stops, found in two passes: a compare-select
+/// fold for the largest magnitude (packed max), then the first position
+/// holding it.
+fn absmax_position(group: &[f32]) -> usize {
+    let mut lanes = [0f32; LANES];
+    let chunks = group.chunks_exact(LANES);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            if x.abs() > *m {
+                *m = x.abs();
+            }
+        }
+    }
+    let max_abs = lanes
+        .iter()
+        .chain(rest)
+        .fold(0f32, |m, &x| if x.abs() > m { x.abs() } else { m });
+    if max_abs > 0.0 {
+        group
+            .iter()
+            .position(|x| x.abs() == max_abs)
+            .expect("the largest magnitude is in the group")
+    } else {
+        0
     }
 }
 
@@ -95,16 +138,50 @@ impl NormalizedGroup {
 /// Min/max of `values` without position `skip`, ignoring NaNs — the rule
 /// behind [`NormalizedGroup::minmax_excluding_max`], which calibration's
 /// pre-extracted values share. `(0.0, 0.0)` when nothing is left.
+///
+/// Every value but `skip`'s runs through one compare-select fold over
+/// eight lanes (`if v < lo`), which compiles to packed min and max and,
+/// like `f32::min`/`max`, passes over a NaN. Only the sign of a zero extreme
+/// may differ from theirs, and the min/max fitness `(c − lo)²` cannot
+/// tell `-0.0` from `+0.0`.
 pub(crate) fn minmax_excluding(values: &[f32], skip: Option<usize>) -> (f32, f32) {
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for (i, &v) in values.iter().enumerate() {
-        if Some(i) == skip {
-            continue;
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let mut fold = |chunk: &[f32; LANES]| {
+        lo = std::array::from_fn(|j| if chunk[j] < lo[j] { chunk[j] } else { lo[j] });
+        hi = std::array::from_fn(|j| if chunk[j] > hi[j] { chunk[j] } else { hi[j] });
+    };
+    // Whole chunks in one loop, except the one holding `skip`: it and the
+    // partial last chunk are folded as copies with NaN, which the fold
+    // passes over, in the lanes to leave out.
+    let skipped = skip.map_or(usize::MAX, |s| s / LANES);
+    let mut chunks = values.chunks_exact(LANES);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        if i != skipped {
+            fold(chunk.try_into().expect("a whole chunk"));
         }
-        lo = lo.min(v);
-        hi = hi.max(v);
     }
+    let rest = chunks.remainder();
+    let mut last = [f32::NAN; LANES];
+    last[..rest.len()].copy_from_slice(rest);
+    if let Some(s) = skip {
+        let at = s - s % LANES;
+        match values.get(at..at + LANES) {
+            Some(chunk) => {
+                let mut chunk: [f32; LANES] = chunk.try_into().expect("a whole chunk");
+                chunk[s - at] = f32::NAN;
+                fold(&chunk);
+            }
+            None => last[s - at] = f32::NAN,
+        }
+    }
+    fold(&last);
+    let lo = lo
+        .into_iter()
+        .fold(f32::INFINITY, |a, v| if v < a { v } else { a });
+    let hi = hi
+        .into_iter()
+        .fold(f32::NEG_INFINITY, |a, v| if v > a { v } else { a });
     if lo > hi {
         (0.0, 0.0) // single-element group
     } else {
@@ -113,7 +190,7 @@ pub(crate) fn minmax_excluding(values: &[f32], skip: Option<usize>) -> (f32, f32
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -175,7 +252,57 @@ mod tests {
         assert!(hi > 0.0 && hi < 0.1, "hi {hi}");
     }
 
+    /// Values the normalizer and the min/max fold must handle as the
+    /// serial scans they replaced do: ±0, subnormals, ±inf and NaNs of
+    /// both signs.
+    pub(crate) const SPECIALS: [f32; 9] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0xFF80_0001),
+    ];
+
+    /// The absmax scan the normalizer ran before its packed fold, the
+    /// oracle `absmax_position` is held to.
+    fn absmax_scan(group: &[f32]) -> usize {
+        let mut max_pos = 0usize;
+        let mut max_abs = 0f32;
+        for (i, &x) in group.iter().enumerate() {
+            if x.abs() > max_abs {
+                max_abs = x.abs();
+                max_pos = i;
+            }
+        }
+        max_pos
+    }
+
     proptest! {
+        #[test]
+        fn absmax_position_matches_serial_scan(
+            lattice in prop::collection::vec(-6i32..=6, 1..=128),
+            specials in prop::collection::vec((0usize..128, 0usize..SPECIALS.len()), 0..12),
+            ties in any::<bool>(),
+        ) {
+            // Quarter steps and repeated magnitudes in both signs.
+            let mut g: Vec<f32> = lattice.iter().map(|&q| q as f32 / 4.0).collect();
+            if ties {
+                let last = g.len() - 1;
+                g[last] = -1.5;
+                g[last / 2] = 1.5;
+            }
+            for &(pos, which) in &specials {
+                if let Some(x) = g.get_mut(pos) {
+                    *x = SPECIALS[which];
+                }
+            }
+            prop_assert_eq!(absmax_position(&g), absmax_scan(&g));
+        }
+
         #[test]
         fn scale_error_bounded_by_fp8(vals in prop::collection::vec(-100.0f32..100.0, 2..128)) {
             let absmax = vals.iter().fold(0f32, |m, &x| m.max(x.abs()));

@@ -76,7 +76,9 @@
 //! (MinMax leaves NaNs out of the min and max). One NaN therefore costs
 //! its group that one value, under either selector.
 
-use crate::group::NormalizedGroup;
+use ecco_numerics::Po2Scale;
+
+use crate::group::{normalize_into, NormalizedGroup};
 use crate::metadata::PatternSelector;
 use crate::pattern::{KmeansPattern, PatternBoundaries, NUM_CENTROIDS, SCALE_SYMBOL};
 
@@ -121,6 +123,9 @@ pub struct GroupScratch {
     /// The selected pattern's symbols in group order — scattered from
     /// `win` after the sweep, written directly by MinMax.
     syms: Vec<u16>,
+    /// The normalized group's values, lent to each encode by
+    /// [`GroupScratch::normalized`].
+    norm: Vec<f32>,
 }
 
 /// Total order used to sort group values: ascending by value, with equal
@@ -295,6 +300,27 @@ impl GroupScratch {
     /// An empty scratch; buffers grow on first use and are reused after.
     pub fn new() -> GroupScratch {
         GroupScratch::default()
+    }
+
+    /// Runs `f` on `group` normalized under `scale` into this scratch's
+    /// own value buffer, which it lends to the group and takes back
+    /// after: the encoder's normalization, the one
+    /// [`normalize_group`](crate::normalize_group) runs, with no
+    /// allocation per group once the buffer has grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is empty.
+    pub fn normalized<R>(
+        &mut self,
+        group: &[f32],
+        scale: Po2Scale,
+        f: impl FnOnce(&NormalizedGroup, &mut GroupScratch) -> R,
+    ) -> R {
+        let ng = normalize_into(group, scale, std::mem::take(&mut self.norm));
+        let out = f(&ng, self);
+        self.norm = ng.values;
+        out
     }
 
     /// Loads `values` except position `skip` and any NaN, each tagged
@@ -547,15 +573,18 @@ impl GroupScratch {
     }
 }
 
+/// Values the MinMax symbol map counts midpoints for at once.
+const SYMBOL_LANES: usize = 8;
+
 /// The online KV selector (§3.2), the one MinMax rule of the encoder and
 /// calibration alike. The min and max of `values` — skipping position
 /// `skip` and ignoring NaNs ([`crate::group::minmax_excluding`], the rule
 /// of [`NormalizedGroup::minmax_excluding_max`]) — pick the pattern by
 /// [`KmeansPattern::minmax_fitness`] through `argmin`, exactly as
 /// [`select_pattern_ref`] does. Every value then maps to its symbol by
-/// the winner's [`PatternBoundaries::nearest`] (equal to
-/// [`KmeansPattern::nearest`]), with [`SCALE_SYMBOL`] at `skip`; `syms`
-/// receives them in value order. No sort, no prefix sums.
+/// the winner's midpoints, the rule of [`PatternBoundaries::nearest`]
+/// (equal to [`KmeansPattern::nearest`]), with [`SCALE_SYMBOL`] at
+/// `skip`; `syms` receives them in value order. No sort, no prefix sums.
 ///
 /// # Panics
 ///
@@ -576,9 +605,23 @@ fn select_minmax(
     assert!(!patterns.is_empty(), "no patterns to select from");
     let (lo, hi) = crate::group::minmax_excluding(values, skip);
     let kp = argmin(patterns.iter().map(|p| p.minmax_fitness(lo, hi)));
-    let b = &bounds[kp];
+    // `PatternBoundaries::nearest` over eight values at once: each value's
+    // symbol is the count of midpoints strictly below it, counted one
+    // midpoint at a time across the eight, so the compares are packed
+    // and the counts stay in registers.
+    let bounds = &bounds[kp];
     syms.clear();
-    syms.extend(values.iter().map(|&v| b.nearest(v)));
+    let mut chunks = values.chunks_exact(SYMBOL_LANES);
+    for chunk in chunks.by_ref() {
+        let mut count = [0u16; SYMBOL_LANES];
+        for &m in bounds.midpoints() {
+            for (c, &v) in count.iter_mut().zip(chunk) {
+                *c += u16::from(v > m);
+            }
+        }
+        syms.extend_from_slice(&count);
+    }
+    syms.extend(chunks.remainder().iter().map(|&v| bounds.nearest(v)));
     if let Some(s) = skip {
         syms[s] = SCALE_SYMBOL;
     }
@@ -939,6 +982,62 @@ mod tests {
                         prop_assert_eq!(&group_syms[..], cal_syms);
                     }
                 }
+            }
+        }
+    }
+
+    /// Today's min/max fold, the oracle `minmax_excluding` is held to:
+    /// `f32::min`/`max` over every value but `skip`.
+    fn minmax_fold(values: &[f32], skip: Option<usize>) -> (f32, f32) {
+        let mut lo = f32::INFINITY;
+        let mut hi = f32::NEG_INFINITY;
+        for (i, &v) in values.iter().enumerate() {
+            if Some(i) == skip {
+                continue;
+            }
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        if lo > hi {
+            (0.0, 0.0)
+        } else {
+            (lo, hi)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn minmax_matches_min_max_fold_on_special_values(
+            lattice in prop::collection::vec(-24i32..=24, 1..=128),
+            specials in prop::collection::vec((0usize..128, 0usize..crate::group::tests::SPECIALS.len()), 0..16),
+            skip_at in 0usize..128,
+            skip_some in any::<bool>(),
+            rows in prop::collection::vec(prop::collection::vec(-8i32..=8, NUM_CENTROIDS), 64),
+        ) {
+            // Raw values with ±0, subnormals, ±inf and NaNs of both signs
+            // planted: the same extremes as the fold, up to a zero's sign.
+            let mut g = build_group(&lattice, false, 0, 0);
+            for &(pos, which) in &specials {
+                if let Some(x) = g.get_mut(pos) {
+                    *x = crate::group::tests::SPECIALS[which];
+                }
+            }
+            let skip = skip_some.then_some(skip_at % g.len());
+            let (lo, hi) = crate::group::minmax_excluding(&g, skip);
+            let (lo_ref, hi_ref) = minmax_fold(&g, skip);
+            prop_assert!(lo == lo_ref && hi == hi_ref, "({}, {}) vs ({}, {})", lo, hi, lo_ref, hi_ref);
+
+            // The MinMax pattern and symbols of the normalized group are
+            // the fold's: the fitness cannot tell a zero's sign.
+            let ng = normalize_group(&g, Po2Scale::IDENTITY);
+            let (lo_ref, hi_ref) = minmax_fold(&ng.values, Some(ng.max_pos));
+            for patterns in [test_patterns(), lattice_patterns(&rows)] {
+                let ladder = BoundaryLadder::new(&patterns);
+                let kp_ref = argmin(patterns.iter().map(|p| p.minmax_fitness(lo_ref, hi_ref)));
+                let mut scratch = GroupScratch::new();
+                let kp = scratch.select_group(&patterns, &ladder, &ng, None, PatternSelector::MinMax);
+                prop_assert_eq!(kp, kp_ref);
+                prop_assert_eq!(scratch.symbols(), &ng.symbols(&patterns[kp_ref])[..]);
             }
         }
     }

@@ -16,7 +16,6 @@
 //! software codec's behaviour.
 
 use ecco_bits::Block64;
-use ecco_core::block::MAX_PAD_SLOTS;
 use ecco_core::{normalize_group, write_block, EncodedGroupInfo, TensorMetadata, SCALE_SYMBOL};
 use ecco_numerics::Po2Scale;
 use ecco_tensor::GROUP_SIZE;
@@ -118,11 +117,16 @@ impl<'a> HwCompressor<'a> {
             .expect("H >= 1");
 
         // Concatenation: the shared writer clips the stream at bit 512 or
-        // pads it with the sorter's top outliers — as many as a block can
-        // hold.
-        let outliers = sorted.top_outliers(MAX_PAD_SLOTS).iter().copied();
+        // pads it with the sorter's top outliers — as many as the block
+        // has slots for.
         let (block, info) = write_block(
-            self.meta, self.scale, kp, book_id, ng.sf_bits, &symbols, outliers,
+            self.meta,
+            self.scale,
+            kp,
+            book_id,
+            ng.sf_bits,
+            &symbols,
+            |slots| sorted.top_outliers(slots).iter().copied(),
         );
         let trace = CompressorTrace {
             sorter_stages: sorted.stages,

@@ -28,8 +28,16 @@ fn encode_magnitude(a: f64, mant: u32, bias: i32, e_max: i32, max_q: u32) -> u8 
         return saturated;
     }
     // Mantissa in units of 2^(e - mant): normals land in [2^mant, 2^(mant+1)).
-    let unit = ((e - mant as i32) as f64).exp2();
-    let mut q = (a / unit).round_ties_even() as u32;
+    // The unit's reciprocal 2^(mant - e) is assembled from its f64 exponent
+    // field (it stays far inside the normal range), so the scaling is exact,
+    // as a division by the unit was.
+    let inv_unit = f64::from_bits(((1023 + mant as i32 - e) as u64) << 52);
+    let scaled = a * inv_unit;
+    // Round half to even without a libm call: `scaled` < 2^(mant+1), so
+    // adding 2^52 leaves a unit in the last place of 1, and the add rounds
+    // to the nearest integer, ties to even, which subtracting 2^52 keeps.
+    const ROUND: f64 = (1u64 << 52) as f64;
+    let mut q = ((scaled + ROUND) - ROUND) as u32;
     if q >= (2 << mant) {
         e += 1;
         q = 1 << mant;
@@ -275,6 +283,158 @@ mod tests {
         } else {
             v
         }
+    }
+
+    /// Today's f64 formula for a minifloat's 7-bit magnitude code, the
+    /// reference the encoders are pinned to: the power-of-two unit of
+    /// the mantissa comes from `exp2` of the integer exponent.
+    fn encode_magnitude_ref(a: f64, mant: u32, bias: i32, e_max: i32, max_q: u32) -> u8 {
+        if a == 0.0 {
+            return 0;
+        }
+        let e_min = 1 - bias;
+        let saturated = ((((e_max + bias) as u32) << mant) | (max_q - (1 << mant))) as u8;
+        let mut e = ((a.to_bits() >> 52) & 0x7FF) as i32 - 1023;
+        if e < e_min {
+            e = e_min;
+        }
+        if e > e_max {
+            return saturated;
+        }
+        let unit = ((e - mant as i32) as f64).exp2();
+        let mut q = (a / unit).round_ties_even() as u32;
+        if q >= (2 << mant) {
+            e += 1;
+            q = 1 << mant;
+            if e > e_max {
+                return saturated;
+            }
+        }
+        if q >= (1 << mant) {
+            if e == e_max && q > max_q {
+                return saturated;
+            }
+            ((((e + bias) as u32) << mant) | (q - (1 << mant))) as u8
+        } else {
+            q as u8
+        }
+    }
+
+    /// Today's `from_f32`, the reference of both formats' encoders.
+    fn from_f32_ref(x: f32, mant: u32, bias: i32, e_max: i32, max_q: u32, nan: u8) -> u8 {
+        if x.is_nan() {
+            return nan;
+        }
+        let sign = if x.is_sign_negative() { 0x80 } else { 0 };
+        sign | encode_magnitude_ref(x.abs() as f64, mant, bias, e_max, max_q)
+    }
+
+    fn e4m3_ref(x: f32) -> u8 {
+        from_f32_ref(x, 3, 7, 8, 14, 0x7F)
+    }
+
+    fn e5m2_ref(x: f32) -> u8 {
+        from_f32_ref(x, 2, 15, 15, 7, 0x7E)
+    }
+
+    /// The f32 probes an FP8 encoder is pinned on. `top` is the largest
+    /// finite magnitude code and `next` the value one mantissa step
+    /// above it, which the format cannot hold. Between each pair of
+    /// adjacent magnitudes (and between the top one and `next`, where
+    /// rounding up saturates): the midpoint, which f32 holds exactly,
+    /// and its f32 neighbours one ulp either side. Then every code's own
+    /// value, `next` and the power of two at or above it (where the
+    /// exponent leaves the format), ±0, f32 subnormals,
+    /// `f32::MAX`, ±∞ and NaNs of both signs and several payloads; every
+    /// finite probe in both signs.
+    fn fp8_probes(value: impl Fn(u8) -> f32, top: u8, next: f64) -> Vec<f32> {
+        let mut mags = Vec::new();
+        for code in 0..=top {
+            let lo = f64::from(value(code));
+            let hi = if code == top {
+                next
+            } else {
+                f64::from(value(code + 1))
+            };
+            let mid = ((lo + hi) / 2.0) as f32;
+            assert_eq!(
+                f64::from(mid),
+                (lo + hi) / 2.0,
+                "midpoint above {code:#04x}"
+            );
+            mags.extend([mid.to_bits() - 1, mid.to_bits(), mid.to_bits() + 1].map(f32::from_bits));
+            mags.push(lo as f32);
+        }
+        let pow2_above = 2f64.powi(next.log2().ceil() as i32);
+        for edge in [next, pow2_above] {
+            let edge = edge as f32;
+            mags.extend(
+                [edge.to_bits() - 1, edge.to_bits(), edge.to_bits() + 1].map(f32::from_bits),
+            );
+        }
+        for bits in [1, 2, 0x1FFF, 0x0040_0000, 0x007F_FFFF, 0x0080_0000] {
+            mags.push(f32::from_bits(bits));
+        }
+        mags.extend([f32::MAX, f32::INFINITY]);
+        let mut probes: Vec<f32> = mags.iter().flat_map(|&m| [m, -m]).collect();
+        for payload in [1, 0x2000, 0x0040_0000, 0x0055_5555, 0x007F_FFFF] {
+            probes.push(f32::from_bits(0x7F80_0000 | payload));
+            probes.push(f32::from_bits(0xFF80_0000 | payload));
+        }
+        probes
+    }
+
+    #[test]
+    fn e4m3_from_f32_matches_formula_at_every_midpoint() {
+        // 0x7E = 1.110 × 2⁸ = 448; the step above it, 480, is NaN's code.
+        for x in fp8_probes(|c| F8E4M3::from_bits(c).to_f32(), 0x7E, 480.0) {
+            let got = F8E4M3::from_f32(x).to_bits();
+            assert_eq!(got, e4m3_ref(x), "x = {x:e} ({:#010x})", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn e5m2_from_f32_matches_formula_at_every_midpoint() {
+        // 0x7B = 1.11 × 2¹⁵ = 57344; the step above it, 2¹⁶, is ∞'s code.
+        for x in fp8_probes(|c| F8E5M2::from_bits(c).to_f32(), 0x7B, 65536.0) {
+            let got = F8E5M2::from_f32(x).to_bits();
+            assert_eq!(got, e5m2_ref(x), "x = {x:e} ({:#010x})", x.to_bits());
+        }
+    }
+
+    /// Every f32 bit pattern through both formats. Too slow for the
+    /// default debug suite; run `cargo test --release -p ecco-numerics
+    /// -- --ignored fp8_from_f32_matches_formula_on_every_f32`.
+    #[test]
+    #[ignore]
+    fn fp8_from_f32_matches_formula_on_every_f32() {
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get().min(8)) as u64;
+        let span = (1u64 << 32) / lanes;
+        let mismatches: u64 = std::thread::scope(|s| {
+            let lanes: Vec<_> = (0..lanes)
+                .map(|lane| {
+                    s.spawn(move || {
+                        let end = if lane + 1 == lanes {
+                            1 << 32
+                        } else {
+                            (lane + 1) * span
+                        };
+                        (lane * span..end)
+                            .filter(|&b| {
+                                let x = f32::from_bits(b as u32);
+                                F8E4M3::from_f32(x).to_bits() != e4m3_ref(x)
+                                    || F8E5M2::from_f32(x).to_bits() != e5m2_ref(x)
+                            })
+                            .count() as u64
+                    })
+                })
+                .collect();
+            lanes.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(
+            mismatches, 0,
+            "f32 bit patterns where an FP8 encoder differs"
+        );
     }
 
     #[test]
