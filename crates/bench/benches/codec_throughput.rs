@@ -25,9 +25,11 @@
 //! section timing the serving read path (`decode_group_into` on one
 //! thread, and `KvCodec::decompress_batch_report` over the 16-token
 //! pages one `chat` decode step reads) on the `kv_encode` K-cache
-//! tensor, and a `container_load` section timing ECCF model cold
-//! starts: full-model vs 25%-of-layers partial loads through the mmap
-//! reader and the pread fallback.
+//! tensor, with a `stages` split of one block's decode, a
+//! `weight_decode` section timing `decode_group_into` on the
+//! `weight_encode` tensor at S = 64, and a `container_load` section
+//! timing ECCF model cold starts: full-model vs 25%-of-layers partial
+//! loads through the mmap reader and the pread fallback.
 //!
 //! `BENCH_encode.json` covers the compress-side hot path:
 //!
@@ -52,14 +54,16 @@
 //!   pinned sequential reference `calibrate_weighted_seq`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ecco_bits::Block64;
-use ecco_core::block::rank_outliers;
+use ecco_bits::{Block64, BlockCursor};
+use ecco_core::block::{apply_outliers, rank_outliers};
 use ecco_core::parallel::encode_groups_parallel_unchecked;
 use ecco_core::{
     decode_group, decode_group_into, encode_group, encode_group_scratch, normalize_group,
-    select_pattern_ref, write_block, CompressedTensor, EccoConfig, GroupScratch, KvCodec,
-    NormalizedGroup, PatternSelector, RecoveryPolicy, TensorMetadata, WeightCodec,
+    parse_block_header, select_pattern_ref, write_block, BlockHeader, BlockValueTable,
+    CompressedTensor, EccoConfig, GroupScratch, KvCodec, NormalizedGroup, PatternSelector,
+    RecoveryPolicy, TensorMetadata, WeightCodec,
 };
+use ecco_numerics::{round_f16, Po2Scale, F8E4M3};
 use ecco_tensor::Tensor;
 use std::hint::black_box;
 use std::time::Instant;
@@ -468,6 +472,7 @@ fn write_bench_json(
            \"pipeline_hw_model_syms_per_s\": {pipeh:.0},\n    \
            \"pipeline_vs_sequential_speedup\": {pipe_speedup:.2}\n  }},\n  \
          {kvd}\n  \
+         {wdec}\n  \
          \"pool_spawn\": {{\n    \
            \"tensors\": {SMALL_TENSORS},\n    \
            \"blocks_per_tensor\": {SMALL_BLOCKS},\n    \
@@ -487,6 +492,7 @@ fn write_bench_json(
          \"container_load\": {csec}\n}}\n",
         csec = container_load_section(),
         kvd = kv_decode_timings(),
+        wdec = weight_decode_timings(),
         threads = ecco_core::pool::Pool::current().executors(),
         lut = per_s(lut_ns),
         wdtv = decode_to_values_section(blocks, meta),
@@ -512,20 +518,56 @@ fn write_bench_json(
     );
 }
 
-/// The `weight_encode` JSON object: the offline weight path at the
-/// paper's S = 64 (`EccoConfig::default()`) on a synthetic weight tensor
-/// of 1024 groups, calibrated on itself. One thread runs
-/// `encode_group_scratch` under MSE-optimal selection over every group;
-/// the pool runs `WeightCodec::compress_batch` over the tensor cut into
-/// row slices, as one batch.
-fn weight_encode_timings() -> String {
+/// The weight sections' input: a synthetic weight tensor of 1024 groups
+/// and the `WeightCodec` calibrated on it at the paper's S = 64
+/// (`EccoConfig::default()`).
+fn weight_bench_codec() -> (Tensor, WeightCodec) {
     use ecco_tensor::{synth::SynthSpec, TensorKind};
-    const SLICES: usize = 8;
     let wt = SynthSpec::for_kind(TensorKind::Weight, 128, 1024)
         .seeded(4)
         .generate();
-    let cfg = EccoConfig::default();
-    let codec = WeightCodec::calibrate(&[&wt], &cfg);
+    let codec = WeightCodec::calibrate(&[&wt], &EccoConfig::default());
+    (wt, codec)
+}
+
+/// The `weight_decode` JSON object: one thread runs `decode_group_into`
+/// over every block of the [`weight_bench_codec`] tensor, the weight
+/// read path at S = 64, where the metadata holds S × 4 books and so
+/// S × 4 decode tables.
+fn weight_decode_timings() -> String {
+    let (wt, codec) = weight_bench_codec();
+    let (ct, _) = codec.compress(&wt);
+    let meta = codec.metadata();
+    assert_eq!(
+        ct.tensor_scale(),
+        meta.tensor_scale(),
+        "calibrated on the tensor it compresses"
+    );
+    let mut values = Vec::with_capacity(wt.len());
+    let decode_ns = time_ns(|| {
+        values.clear();
+        for blk in ct.blocks() {
+            decode_group_into(black_box(blk), meta, &mut values).unwrap();
+        }
+        black_box(&values);
+    });
+    format!(
+        "\"weight_decode\": {{\n    \
+           \"num_patterns\": {patterns},\n    \
+           \"decode_group_into_values_per_s\": {dec:.0}\n  }},",
+        patterns = meta.num_patterns(),
+        dec = wt.len() as f64 / decode_ns * 1e9,
+    )
+}
+
+/// The `weight_encode` JSON object: the offline weight path on the
+/// [`weight_bench_codec`] tensor. One thread runs `encode_group_scratch`
+/// under MSE-optimal selection over every group; the pool runs
+/// `WeightCodec::compress_batch` over the tensor cut into row slices, as
+/// one batch.
+fn weight_encode_timings() -> String {
+    const SLICES: usize = 8;
+    let (wt, codec) = weight_bench_codec();
     let meta = codec.metadata();
     let mut scratch = GroupScratch::new();
     let encode_ns = time_ns(|| {
@@ -556,7 +598,7 @@ fn weight_encode_timings() -> String {
            \"compress_batch_values_per_s\": {batch:.0},\n    \
            \"compress_batch_tensors\": {SLICES},\n    \
            \"compress_batch_executors\": {executors}\n  }},",
-        patterns = cfg.num_patterns,
+        patterns = meta.num_patterns(),
         enc = wt.len() as f64 / encode_ns * 1e9,
         batch = wt.len() as f64 / batch_ns * 1e9,
         executors = ecco_core::pool::Pool::current().executors(),
@@ -636,10 +678,146 @@ fn kv_decode_timings() -> String {
            \"decompress_batch_values_per_s\": {batch:.0},\n    \
            \"decompress_batch_pages\": {READ_PAGES},\n    \
            \"page_tokens\": {PAGE_TOKENS},\n    \
-           \"decompress_batch_executors\": {executors}\n  }},",
+           \"decompress_batch_executors\": {executors},\n    \
+           {stages}\n  }},",
         dec = kt.len() as f64 / decode_ns * 1e9,
         batch = read_values / batch_ns * 1e9,
         executors = ecco_core::pool::Pool::current().executors(),
+        stages = kv_decode_stages(&kt, &codec),
+    )
+}
+
+/// One K-cache block's decode on one thread, stage by stage, in ns per
+/// block: the `stages` object of `kv_decode`. The blocks are the
+/// [`kv_bench_codec`] tensor's 16-token pages, each compressed under its
+/// own scale as the serve store evicts a page, and each stage runs under
+/// its page's scale. Each stage is timed alone over every block, on
+/// inputs the stages before it produced once up front:
+///
+/// * `header_and_table` — `parse_block_header` (which views the block
+///   as a cursor), then the block's `BlockValueTable`,
+/// * `symbol_walk` — the codec's walk from the data start, each value
+///   gathered through the block's table,
+/// * `tail_and_outliers` — the clipped tail's fill, then `apply_outliers`
+///   on the blocks with nothing clipped,
+///
+/// and `decode_group_into`, all of them in one call (under the
+/// metadata's scale, which sets only an exponent, so it costs the same);
+/// each is the best of three timings. `stage_sum` adds the three, and
+/// `stage_sum_ratio` divides it by the whole.
+fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
+    struct Block {
+        block: Block64,
+        scale: Po2Scale,
+        cur: BlockCursor,
+        header: BlockHeader,
+        table: BlockValueTable,
+        data_end: usize,
+        decoded: usize,
+        values: [f32; GROUP],
+    }
+    let meta = codec.metadata();
+    let value_table = |header: &BlockHeader, scale: Po2Scale| {
+        let sf = F8E4M3::from_bits(header.sf_bits).to_f32();
+        BlockValueTable::new(&meta.patterns()[header.kp], round_f16(scale.expand(sf)))
+    };
+    let pages = pages(kt);
+    let page_refs: Vec<&Tensor> = pages.iter().collect();
+    let mut blocks: Vec<Block> = codec
+        .compress_batch(&page_refs)
+        .into_iter()
+        .flat_map(|(ct, _)| {
+            let scale = ct.tensor_scale();
+            ct.blocks().to_vec().into_iter().map(move |b| (b, scale))
+        })
+        .map(|(block, scale)| {
+            let header = parse_block_header(&block, meta).expect("benchmark blocks are valid");
+            let table = value_table(&header, scale);
+            let cur = block.cursor();
+            let book = &meta.books()[header.kp][header.book_id];
+            let mut values = [0f32; GROUP];
+            let (data_end, decoded) = book.symbol_decoder().decode_values(
+                &cur,
+                header.data_start,
+                |s| table.value(s),
+                &mut values,
+            );
+            Block {
+                block,
+                scale,
+                cur,
+                header,
+                table,
+                data_end,
+                decoded,
+                values,
+            }
+        })
+        .collect();
+    let n = blocks.len() as f64;
+    let best = |f: &mut dyn FnMut()| {
+        (0..3)
+            .map(|_| time_ns(&mut *f))
+            .fold(f64::INFINITY, f64::min)
+            / n
+    };
+
+    let header = best(&mut || {
+        for b in &blocks {
+            let header = parse_block_header(black_box(&b.block), meta).unwrap();
+            black_box(value_table(&header, b.scale));
+        }
+    });
+    // The walk as `decode_group_into` runs it: into the group's room at
+    // the end of the output, keeping what it decoded.
+    let mut values = Vec::with_capacity(blocks.len() * GROUP);
+    let walk = best(&mut || {
+        values.clear();
+        for b in &blocks {
+            let book = &meta.books()[b.header.kp][b.header.book_id];
+            let base = values.len();
+            values.resize(base + GROUP, 0.0);
+            let (_, decoded) = book.symbol_decoder().decode_values(
+                black_box(&b.cur),
+                b.header.data_start,
+                |s| b.table.value(s),
+                &mut values[base..],
+            );
+            values.truncate(base + decoded);
+        }
+        black_box(&values);
+    });
+    let tail = best(&mut || {
+        for b in &mut blocks {
+            b.values[b.decoded..].fill(b.table.tail_fill());
+            if b.decoded == GROUP {
+                black_box(apply_outliers(
+                    black_box(&b.cur),
+                    b.data_end,
+                    b.scale,
+                    &mut b.values,
+                ));
+            }
+        }
+    });
+    let whole = best(&mut || {
+        values.clear();
+        for b in &blocks {
+            decode_group_into(black_box(&b.block), meta, &mut values).unwrap();
+        }
+        black_box(&values);
+    });
+    let sum = header + walk + tail;
+    format!(
+        "\"stages\": {{\n      \
+           \"unit\": \"ns_per_block\",\n      \
+           \"header_and_table\": {header:.1},\n      \
+           \"symbol_walk\": {walk:.1},\n      \
+           \"tail_and_outliers\": {tail:.1},\n      \
+           \"stage_sum\": {sum:.1},\n      \
+           \"decode_group_into\": {whole:.1},\n      \
+           \"stage_sum_ratio\": {ratio:.3}\n    }}",
+        ratio = sum / whole,
     )
 }
 

@@ -25,9 +25,9 @@
 //! symbols (the walk gets the same cursor) and the padded outliers. The
 //! tensor's power-of-two scale is a parameter of the reader, so a batch
 //! decode binds one scale per tensor to one shared metadata. The codec's
-//! walk ([`SymbolDecoder::decode_run`](ecco_entropy::SymbolDecoder::decode_run))
+//! walk ([`SymbolDecoder::decode_values`](ecco_entropy::SymbolDecoder::decode_values))
 //! reads the symbols through a shift register, one 57-bit window per run
-//! of codes.
+//! of codes, resolving up to two codes per probe of the book's pair table.
 
 use ecco_bits::{Block64, BlockCursor, BLOCK_BITS};
 use ecco_entropy::Codebook;
@@ -596,11 +596,12 @@ pub fn decode_group(
 
 /// The codec's decoder: [`read_block`] under the metadata's own scale with the
 /// codec's symbol walk — the book's
-/// [`SymbolDecoder::decode_run`](ecco_entropy::SymbolDecoder::decode_run)
+/// [`SymbolDecoder::decode_values`](ecco_entropy::SymbolDecoder::decode_values)
 /// shifts codes out of a register refilled from 57-bit windows of the
-/// block's cursor, and each symbol is gathered through the block's
-/// [`BlockValueTable`] as it lands, with no intermediate symbol buffer or
-/// second reconstruction pass. **Appends** [`GROUP_SIZE`] FP16 values to
+/// block's cursor, up to two per probe of the book's pair table, and
+/// gathers each symbol through the block's [`BlockValueTable`] straight
+/// into `values`, with no intermediate symbol buffer or second
+/// reconstruction pass. **Appends** [`GROUP_SIZE`] FP16 values to
 /// `values`; on error nothing is appended.
 ///
 /// # Errors
@@ -630,11 +631,18 @@ pub(crate) fn decode_group_scaled_into(
         scale,
         values,
         |book, cur, pos, table, values| {
-            // A clipped tail ends the walk early: prefix-freeness makes the
-            // truncation point unambiguous.
-            let end = book
-                .symbol_decoder()
-                .decode_run(cur, pos, GROUP_SIZE, |s| values.push(table.value(s)));
+            // The walk writes two values per probe, so it gets the group's
+            // whole room and keeps what it decoded. A clipped tail ends it
+            // early: prefix-freeness makes the truncation point unambiguous.
+            let base = values.len();
+            values.resize(base + GROUP_SIZE, 0.0);
+            let (end, decoded) = book.symbol_decoder().decode_values(
+                cur,
+                pos,
+                |s| table.value(s),
+                &mut values[base..],
+            );
+            values.truncate(base + decoded);
             (end, ())
         },
     )?;
@@ -692,20 +700,11 @@ pub fn read_block<R>(
     // Clipped tail: the reconstructed zero centroid.
     values.resize(base + GROUP_SIZE, table.tail_fill());
 
-    // Outliers exist only when nothing was clipped. A 7-bit position
-    // always names one of the group's 128 values.
-    let mut applied = 0usize;
-    if decoded == GROUP_SIZE {
-        for slot in 0..(BLOCK_BITS - data_end) / OUTLIER_BITS {
-            let at = data_end + slot * OUTLIER_BITS;
-            let pos = cur.window(at, 7) as usize;
-            let f8 = F8E4M3::from_bits(cur.window(at + 7, 8) as u8);
-            if !f8.is_nan() {
-                values[base + pos] = ecco_numerics::round_f16(scale.expand(f8.to_f32()));
-                applied += 1;
-            }
-        }
-    }
+    // Outliers exist only when nothing was clipped.
+    let applied = match decoded {
+        GROUP_SIZE => apply_outliers(&cur, data_end, scale, &mut values[base..]),
+        _ => 0,
+    };
 
     let info = DecodedGroupInfo {
         decoded_symbols: decoded,
@@ -713,6 +712,37 @@ pub fn read_block<R>(
         applied_outliers: applied,
     };
     Ok((info, report))
+}
+
+/// The reader's last stage on a block whose [`GROUP_SIZE`] codes end at
+/// bit `data_end` of `cur`: writes each padded outlier slot after them
+/// (`⌊(512 − data_end) / 15⌋` of them) into `group` at its position,
+/// expanded by the tensor scale `scale` and FP16-rounded, skipping the
+/// slots whose FP8 value is NaN, and returns how many it applied.
+/// [`read_block`] runs it only on blocks with nothing clipped.
+///
+/// # Panics
+///
+/// Panics if `group` is shorter than [`GROUP_SIZE`]: a 7-bit position
+/// names any of a group's 128 values.
+pub fn apply_outliers(
+    cur: &BlockCursor,
+    data_end: usize,
+    scale: Po2Scale,
+    group: &mut [f32],
+) -> usize {
+    let group = &mut group[..GROUP_SIZE];
+    let mut applied = 0;
+    for slot in 0..BLOCK_BITS.saturating_sub(data_end) / OUTLIER_BITS {
+        let at = data_end + slot * OUTLIER_BITS;
+        let pos = cur.window(at, 7) as usize;
+        let f8 = F8E4M3::from_bits(cur.window(at + 7, 8) as u8);
+        if !f8.is_nan() {
+            group[pos] = ecco_numerics::round_f16(scale.expand(f8.to_f32()));
+            applied += 1;
+        }
+    }
+    applied
 }
 
 /// The ranking's magnitude buckets, on the top 16 bits of `|x|`: 8

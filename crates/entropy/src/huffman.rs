@@ -122,15 +122,54 @@ fn build_decode_lut(lengths: &[u8], codes: &[u16], max_len: u8) -> Vec<(u16, u8)
     lut
 }
 
+/// Bits per pair-table probe.
+const PAIR_BITS: u32 = 9;
+
+/// Entries of a pair table, one per [`PAIR_BITS`]-bit probe.
+const PAIR_ENTRIES: usize = 1 << PAIR_BITS;
+
+/// The pair table of a data book (at most 16 symbols, codes of at most 8
+/// bits): for every [`PAIR_BITS`]-bit probe, the whole codes it starts
+/// with, at most two, packed as `sym0 | sym1 << 4 | count << 8 | bits <<
+/// 12`. `count` 0 marks a probe that starts with an invalid prefix, and
+/// an entry ends before any code that does not fit in the probe; `bits`
+/// is the length of the entry's codes together, and an absent symbol is
+/// 0. Each entry takes at most two lookups in `lut`, the book's
+/// single-symbol table over `max_len` bits.
+fn build_pair_table(lut: &[(u16, u8)], max_len: u8) -> Box<[u16; PAIR_ENTRIES]> {
+    let shift = PAIR_BITS - u32::from(max_len);
+    let mut pairs = Box::new([0u16; PAIR_ENTRIES]);
+    for (probe, entry) in pairs.iter_mut().enumerate() {
+        let (sym0, len0) = lut[probe >> shift];
+        if len0 == 0 {
+            continue;
+        }
+        let rest = (probe << len0) & (PAIR_ENTRIES - 1);
+        let (sym1, len1) = lut[rest >> shift];
+        let bits = u32::from(len0) + u32::from(len1);
+        *entry = if len1 != 0 && bits <= PAIR_BITS {
+            sym0 | sym1 << 4 | 2 << 8 | (bits as u16) << 12
+        } else {
+            sym0 | 1 << 8 | u16::from(len0) << 12
+        };
+    }
+    pairs
+}
+
 /// A canonical prefix codebook over symbols `0..num_symbols`.
 ///
 /// Codes are MSB-first; decoding uses a full lookup table over `max_len`
 /// bits, the software analogue of the paper's sub-decoder combinational
-/// logic.
+/// logic. A book inside the data envelope — at most 16 symbols, codes of
+/// at most 8 bits, as `ecco_core::TensorMetadata::from_parts` requires of
+/// every data book — also gets a 1 KiB pair table: 512 `u16` entries,
+/// one per 9-bit probe, each holding the up to two whole codes the probe
+/// starts with, so [`SymbolDecoder::decode_values`] resolves two codes
+/// per probe. Other books (the pattern-id code) have no pair table.
 ///
 /// Every book is built by [`Codebook::from_lengths`], which checks the
 /// length vector once and derives the rest from it: the canonical codes,
-/// `max_len` and the decode table. A book is therefore always coherent,
+/// `max_len` and the decode tables. A book is therefore always coherent,
 /// and a wire format that stores codes beside the lengths compares them
 /// with the derived ones instead of trusting them.
 ///
@@ -151,6 +190,8 @@ pub struct Codebook {
     /// Lookup table indexed by a `max_len`-bit window: `(symbol, length)`,
     /// with length 0 marking an invalid prefix.
     lut: Vec<(u16, u8)>,
+    /// The pair table, for books inside the data envelope only.
+    pairs: Option<Box<[u16; PAIR_ENTRIES]>>,
     /// The parallel-decoder chain table (256 KiB): built on first use,
     /// since only the hardware model reads it, and shared across clones
     /// of this book via the `Arc`. See [`Codebook::segment_lut`].
@@ -239,9 +280,12 @@ impl Codebook {
             prev_len = len;
         }
 
+        let lut = build_decode_lut(lengths, &codes, max_len);
+        let pairs = (lengths.len() <= 16 && max_len <= 8).then(|| build_pair_table(&lut, max_len));
         Ok(Codebook {
             lengths: lengths.to_vec(),
-            lut: build_decode_lut(lengths, &codes, max_len),
+            lut,
+            pairs,
             codes,
             max_len,
             seg_lut: OnceLock::new(),
@@ -319,11 +363,12 @@ impl Codebook {
         writer.write_bits(self.codes[sym as usize] as u64, len as u32);
     }
 
-    /// The book's decoder: a borrowed view of its decode table, which
-    /// decodes per symbol with a plain slice index.
+    /// The book's decoder: a borrowed view of its decode tables, which
+    /// decodes with plain slice indices.
     pub fn symbol_decoder(&self) -> SymbolDecoder<'_> {
         SymbolDecoder {
             lut: &self.lut,
+            pairs: self.pairs.as_deref(),
             max_len: self.max_len,
         }
     }
@@ -348,48 +393,118 @@ impl Codebook {
     }
 }
 
-/// A codebook's decoder over its decode table, created by
+/// A codebook's decoder over its decode tables, created by
 /// [`Codebook::symbol_decoder`].
 ///
-/// It reads a block the way the hardware sub-decoders do: peek
-/// `max_len` bits, probe the table once, consume the code's length. Two
-/// walks share those rules:
+/// It reads a block the way the hardware sub-decoders do: peek a few
+/// bits, probe a table once, consume the codes the entry names. Two
+/// public entry points share those rules:
 ///
-/// * [`SymbolDecoder::decode_run`], the codec's symbol walk, peeks from a
-///   shift register holding one 57-bit [`BlockCursor::window`] and reads
-///   a new window only when fewer than `max_len` of its bits are unread;
+/// * [`SymbolDecoder::decode_values`], the codec's symbol walk, peeks
+///   from a shift register holding one 57-bit [`BlockCursor::window`]
+///   and resolves up to two codes per probe from the book's pair table
+///   (data books only: at most 16 symbols, codes of at most 8 bits; 512
+///   `u16` entries, 1 KiB per book), one code per probe near the block
+///   end and for books without one;
 /// * [`SymbolDecoder::decode_symbol`] cuts one `max_len`-bit window per
 ///   symbol. It decodes a block header's pattern id, and a loop of it is
 ///   the oracle every walk is tested against.
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolDecoder<'a> {
     lut: &'a [(u16, u8)],
+    pairs: Option<&'a [u16; PAIR_ENTRIES]>,
     max_len: u8,
 }
 
+/// Bits per shift-register refill: the widest window a cursor cuts.
+const REFILL: u32 = 57;
+
 impl SymbolDecoder<'_> {
-    /// Decodes up to `max` symbols from bit `pos` of `cur` on, handing
-    /// each to `emit` in stream order, and returns the bit just past the
-    /// last one. The symbols and the end bit are exactly those of calling
-    /// [`SymbolDecoder::decode_symbol`] until it returns `None` or `max`
-    /// symbols have landed: the walk stops at an invalid prefix, before a
-    /// code that would end past bit 512, and at bit 512, and the block's
-    /// zero fill past bit 512 is probed like any other bits.
+    /// Decodes up to `out.len()` symbols from bit `pos` of `cur` on,
+    /// storing `value(symbol)` of the `i`-th in `out[i]`, and returns the
+    /// bit just past the last code and the number of symbols decoded.
+    /// The symbols and the end bit are exactly those of calling
+    /// [`SymbolDecoder::decode_symbol`] until it returns `None` or
+    /// `out.len()` symbols have landed: the walk stops at an invalid
+    /// prefix, before a code that would end past bit 512, and at bit 512.
+    /// Slots of `out` past the decoded count may be overwritten.
     ///
     /// The walk is a shift register: one 57-bit window from `pos`,
-    /// left-aligned in a `u64`, yields a `max_len`-bit probe per symbol
-    /// and shifts each code out, and a fresh window is read from the new
-    /// position once fewer than `max_len` of its bits are unread.
+    /// left-aligned in a `u64`, feeds up to six 9-bit probes into the
+    /// book's pair table, and a fresh window is read from where they
+    /// left off. Each probe writes both of its entry's values, advances
+    /// the output by the entry's count and shifts the entry's codes out.
+    /// It runs while two or more symbols are wanted and the probe lies
+    /// inside the block, so every code it resolves ends by bit 512; the
+    /// last codes go one per probe, under the same rules. A book without
+    /// a pair table decodes one code per probe throughout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` does, e.g. on a symbol past its table.
     #[inline]
-    pub fn decode_run(
+    pub fn decode_values<T>(
+        &self,
+        cur: &BlockCursor,
+        mut pos: usize,
+        value: impl Fn(u16) -> T,
+        out: &mut [T],
+    ) -> (usize, usize) {
+        const PROBE: usize = PAIR_BITS as usize;
+        let max = out.len();
+        let mut n = 0;
+        if let Some(pairs) = self.pairs {
+            while n + 2 <= max && pos + PROBE <= BLOCK_BITS {
+                let mut reg = cur.window(pos, REFILL) << (64 - REFILL);
+                // A probe takes at most 9 bits and two symbols, so these
+                // probes fit the register, lie inside the block and write
+                // inside `out`. The count is six until the walk nears its
+                // end, so the loop has no data-dependent exit. An invalid
+                // prefix's entry is 0: it takes no bits, and the probes
+                // after it change nothing but slack.
+                let probes = ((max - n) / 2).min((BLOCK_BITS - pos) / PROBE).min(6);
+                let mut invalid = false;
+                for _ in 0..probes {
+                    let entry = pairs[(reg >> (64 - PAIR_BITS)) as usize];
+                    invalid |= entry == 0;
+                    out[n] = value(entry & 0xF);
+                    out[n + 1] = value(entry >> 4 & 0xF);
+                    n += usize::from(entry >> 8 & 0xF);
+                    let bits = entry >> 12;
+                    reg <<= bits;
+                    pos += usize::from(bits);
+                }
+                if invalid {
+                    return (pos, n);
+                }
+            }
+        }
+        let end = self.decode_run(cur, pos, max - n, |sym| {
+            out[n] = value(sym);
+            n += 1;
+        });
+        (end, n)
+    }
+
+    /// The one-code-per-probe walk that finishes
+    /// [`SymbolDecoder::decode_values`]: its last codes, and every code
+    /// of a book without a pair table. Decodes up to `max` symbols from
+    /// bit `pos` of `cur` on, handing each to `emit` in stream order, and
+    /// returns the bit just past the last one. The symbols and the end
+    /// bit are exactly those of calling [`SymbolDecoder::decode_symbol`]
+    /// until it returns `None` or `max` symbols have landed, for any book;
+    /// the block's zero fill past bit 512 is probed like any other bits.
+    ///
+    /// The same shift register as `decode_values`, with a `max_len`-bit
+    /// probe per symbol into the single-symbol table.
+    #[inline]
+    fn decode_run(
         &self,
         cur: &BlockCursor,
         mut pos: usize,
         max: usize,
         mut emit: impl FnMut(u16),
     ) -> usize {
-        /// Bits per refill: the widest window a cursor cuts.
-        const REFILL: u32 = 57;
         // Every table entry is at most `max_len` bits long, so a code
         // never runs past the bits its probe saw.
         let width = u32::from(self.max_len);
@@ -602,6 +717,43 @@ mod tests {
         (symbols, end)
     }
 
+    /// [`SymbolDecoder::decode_values`]' symbols and end bit: each
+    /// symbol's value is the symbol itself.
+    fn value_walk(
+        dec: &SymbolDecoder,
+        cur: &BlockCursor,
+        pos: usize,
+        max: usize,
+    ) -> (Vec<u16>, usize) {
+        let mut symbols = vec![u16::MAX; max];
+        let (end, n) = dec.decode_values(cur, pos, |s| s, &mut symbols);
+        symbols.truncate(n);
+        (symbols, end)
+    }
+
+    /// A block holding `raw`'s bits up to `start`, then `syms` (each
+    /// taken modulo the alphabet) coded under `book`, the last code cut
+    /// at bit 512 when it does not fit, then zero fill.
+    fn clipped_stream(book: &Codebook, raw: &[u8], start: usize, syms: &[u16]) -> BlockCursor {
+        let mut w = BitWriter::new();
+        for i in 0..start {
+            w.write_bits(u64::from(raw[i / 8] >> (7 - i % 8) & 1), 1);
+        }
+        for &s in syms {
+            let s = s % book.num_symbols() as u16;
+            let (code, len) = (book.code(s) as u64, book.code_len(s) as usize);
+            let room = BLOCK_BITS - w.bit_len();
+            if len > room {
+                if room > 0 {
+                    w.write_bits(code >> (len - room), room as u32);
+                }
+                break;
+            }
+            w.write_bits(code, len as u32);
+        }
+        Block64::from_writer(w).expect("fits one block").cursor()
+    }
+
     #[test]
     fn decode_stops_at_the_block_end() {
         // A uniform 4-bit book reads every 4-bit window as a valid code,
@@ -641,6 +793,41 @@ mod tests {
                 "start {start}"
             );
         }
+
+        // So does the value walk, which resolves two codes per probe up
+        // to 9 bits before bit 512 and one per probe after that.
+        assert_eq!(
+            value_walk(&dec, &cur, 0, BLOCK_BITS / 4),
+            (symbols, BLOCK_BITS)
+        );
+        for start in BLOCK_BITS - 12..BLOCK_BITS - 4 {
+            let (symbols, end) = value_walk(&dec, &cur, start, 9);
+            assert_eq!(symbols.len(), (BLOCK_BITS - start) / 4, "start {start}");
+            assert_eq!(end, start + symbols.len() * 4, "start {start}");
+        }
+        assert_eq!(
+            value_walk(&dec, &cur, BLOCK_BITS - 4, 9),
+            (vec![0x5], BLOCK_BITS)
+        );
+        for start in BLOCK_BITS - 3..=BLOCK_BITS {
+            assert_eq!(
+                value_walk(&dec, &cur, start, 9),
+                (vec![], start),
+                "start {start}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_data_books_get_a_pair_table() {
+        let has_pairs = |lengths: &[u8]| Codebook::from_lengths(lengths).unwrap().pairs.is_some();
+        assert!(has_pairs(&[4; 16]));
+        assert!(has_pairs(&[1]));
+        assert!(has_pairs(&[2, 2, 3, 4, 5, 6, 7, 8, 8]));
+        // 17 symbols, or a code past 8 bits: the pattern-id code's shape.
+        assert!(!has_pairs(&[5; 17]));
+        assert!(!has_pairs(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 9]));
+        assert!(!has_pairs(&[12; 4096]));
     }
 
     proptest! {
@@ -720,32 +907,83 @@ mod tests {
             } else {
                 Codebook::from_frequencies(&freqs, 1, 15).unwrap()
             };
-            let mut bytes = [0u8; BLOCK_BYTES];
-            bytes.copy_from_slice(&raw);
-            if coded {
-                // Raw bits up to `start`, then codes, the last one cut
-                // at bit 512 when it does not fit, then zero fill.
-                let mut w = BitWriter::new();
-                for i in 0..start {
-                    w.write_bits(u64::from(bytes[i / 8] >> (7 - i % 8) & 1), 1);
-                }
-                for &s in &syms {
-                    let s = s % book.num_symbols() as u16;
-                    let (code, len) = (book.code(s) as u64, book.code_len(s) as usize);
-                    let room = BLOCK_BITS - w.bit_len();
-                    if len > room {
-                        if room > 0 {
-                            w.write_bits(code >> (len - room), room as u32);
-                        }
-                        break;
-                    }
-                    w.write_bits(code, len as u32);
-                }
-                bytes = *Block64::from_writer(w).expect("fits one block").as_bytes();
-            }
-            let cur = Block64::from_bytes(bytes).cursor();
+            let cur = if coded {
+                clipped_stream(&book, &raw, start, &syms)
+            } else {
+                let mut bytes = [0u8; BLOCK_BYTES];
+                bytes.copy_from_slice(&raw);
+                Block64::from_bytes(bytes).cursor()
+            };
             let dec = book.symbol_decoder();
             prop_assert_eq!(run_walk(&dec, &cur, start, max), symbol_loop(&dec, &cur, start, max));
+        }
+
+        /// The value walk against the `decode_symbol` loop: the same
+        /// symbols and the same end bit, on fuzzed 2..=8-bit data books of
+        /// 2..=16 symbols (incomplete codes included, where lengthening
+        /// to 2 bits leaves invalid prefixes) and on 1..=15-bit books of
+        /// as many symbols, which have a pair table only when no code
+        /// passes 8 bits; over raw blocks and over streams coded from the
+        /// start bit and clipped at bit 512; from every start bit, for
+        /// every count up to a group's 128 symbols.
+        #[test]
+        fn value_walk_matches_symbol_loop(
+            data_book in any::<bool>(),
+            freqs in prop::collection::vec(0u64..1000, 2..=16),
+            raw in prop::collection::vec(any::<u8>(), BLOCK_BYTES),
+            coded in any::<bool>(),
+            syms in prop::collection::vec(any::<u16>(), 0..300),
+            start in 0usize..=BLOCK_BITS,
+            max in 0usize..=128,
+        ) {
+            let book = if data_book {
+                Codebook::from_frequencies(&freqs, 2, 8).unwrap()
+            } else {
+                Codebook::from_frequencies(&freqs, 1, 15).unwrap()
+            };
+            prop_assert_eq!(book.pairs.is_some(), book.max_len() <= 8);
+            let cur = if coded {
+                clipped_stream(&book, &raw, start, &syms)
+            } else {
+                let mut bytes = [0u8; BLOCK_BYTES];
+                bytes.copy_from_slice(&raw);
+                Block64::from_bytes(bytes).cursor()
+            };
+            let dec = book.symbol_decoder();
+            prop_assert_eq!(value_walk(&dec, &cur, start, max), symbol_loop(&dec, &cur, start, max));
+        }
+
+        /// Every pair-table entry of a fuzzed data book against two
+        /// `decode_symbol` steps on its 9-bit probe (zero fill after it):
+        /// the steps stop at an invalid prefix and before a code that
+        /// ends past the probe. Books of 2..=16 symbols with lengths
+        /// 2..=8, incomplete codes included.
+        #[test]
+        fn pair_table_matches_symbol_chain(
+            freqs in prop::collection::vec(0u64..1000, 2..=16),
+        ) {
+            let book = Codebook::from_frequencies(&freqs, 2, 8).unwrap();
+            let pairs = book.pairs.as_deref().expect("a data book");
+            let dec = book.symbol_decoder();
+            for (probe, &entry) in pairs.iter().enumerate() {
+                let mut w = BitWriter::new();
+                w.write_bits(probe as u64, PAIR_BITS);
+                let cur = Block64::from_writer(w).expect("9 bits").cursor();
+                let mut pos = 0;
+                let mut chain = Vec::new();
+                while chain.len() < 2 {
+                    let mut next = pos;
+                    match dec.decode_symbol(&cur, &mut next) {
+                        Some(s) if next <= PAIR_BITS as usize => chain.push(s),
+                        _ => break,
+                    }
+                    pos = next;
+                }
+                let want = chain.iter().rev().fold(0, |e, &s| e << 4 | s)
+                    | (chain.len() as u16) << 8
+                    | (pos as u16) << 12;
+                prop_assert_eq!(entry, want, "probe {:09b}", probe);
+            }
         }
     }
 }

@@ -41,7 +41,9 @@
 //! [`KvCodec::decompress`] of the same rows, at any pool size — the
 //! tier-1 serving tests pin this across pools {1, 4}. Eviction order depends only on the call
 //! sequence (the clock is advanced by the store's own operations, never
-//! by wall clock or thread timing).
+//! by wall clock, thread timing or hash order: a session read promotes
+//! its cold pages in page order), so two stores given the same calls
+//! keep the same pages hot.
 //!
 //! # Example
 //!
@@ -856,45 +858,44 @@ impl PagedKvStore {
 
         // Assemble output in page order, counting each page's tier as it
         // is served; decoded values (flagged clean or salvaged) are
-        // reused for promotion.
-        let mut decoded: HashMap<usize, (Vec<f32>, bool)> = HashMap::new();
+        // reused for promotion. `cold` and so `decoded` are in page order.
+        let mut decoded: Vec<(usize, Vec<f32>, bool)> = Vec::with_capacity(cold.len());
         for (&pid, outcome) in cold.iter().zip(outcomes) {
             match outcome {
-                BatchOutcome::Ok(values) => {
-                    decoded.insert(pid, (values, true));
-                }
+                BatchOutcome::Ok(values) => decoded.push((pid, values, true)),
                 BatchOutcome::Salvaged { values, bad_blocks } => {
                     self.metrics.corrupt_reads += 1;
                     let page = self.pages[pid].seq;
                     report.corruptions.push(self.locate(sid, page, bad_blocks));
-                    decoded.insert(pid, (values, false));
+                    decoded.push((pid, values, false));
                 }
                 BatchOutcome::Failed(_) => unreachable!("screened above"),
             }
         }
-        let (mut hot_served, mut cold_served) = (0usize, 0usize);
+        let mut cold_values = decoded.iter().map(|(_, values, _)| values);
         for &pid in &page_ids {
             match &self.pages[pid].residency {
                 Residency::Hot { values, .. } => {
                     out.extend_from_slice(values);
                     self.pages[pid].referenced = true;
-                    hot_served += 1;
                 }
                 Residency::Cold(_) => {
-                    out.extend_from_slice(&decoded[&pid].0);
-                    cold_served += 1;
+                    out.extend_from_slice(cold_values.next().expect("one per cold page"));
                 }
                 Residency::Vacant => unreachable!("live pages are never vacant"),
             }
         }
+        let (hot_served, cold_served) = (page_ids.len() - cold.len(), cold.len());
         self.metrics.hot_hits += hot_served as u64;
         self.metrics.cold_reads += cold_served as u64;
 
         // Admission after output assembly, so a session bigger than the
         // hot tier still reads correctly (later promotions may evict
-        // earlier ones). Salvaged pages stay cold.
+        // earlier ones). Pages are promoted in page order, so the clock
+        // ring, and with it every later eviction, depends only on the
+        // call sequence. Salvaged pages stay cold.
         if self.cfg.admission == Admission::PromoteOnRead {
-            for (pid, (values, clean)) in decoded {
+            for (pid, values, clean) in decoded {
                 if clean {
                     self.promote(pid, values);
                 }
@@ -1251,6 +1252,43 @@ mod tests {
         st.read_session_into(sid, &mut again).unwrap();
         assert_eq!(again.len(), rows.len());
         assert!(st.hot_pages() <= 2);
+    }
+
+    /// Two stores fed the same calls keep the same pages hot: session
+    /// reads promote their cold pages in page order, so the clock ring
+    /// and every later victim are functions of the call sequence.
+    #[test]
+    fn tiers_are_a_function_of_the_call_sequence() {
+        let codec = codec(64);
+        let cfg = ServeConfig {
+            page_tokens: 16,
+            hot_capacity_pages: 6,
+            ..ServeConfig::default()
+        };
+        let mut stores = [0, 1].map(|_| PagedKvStore::new(&model(), codec.clone(), cfg));
+        let mut sids = Vec::new();
+        for seed in [11, 12] {
+            let rows = kv_rows(160, seed); // 10 pages per session
+            let per_store = stores.each_mut().map(|st| {
+                let sid = st.open_session();
+                st.append(sid, &rows).unwrap();
+                sid
+            });
+            assert_eq!(per_store[0], per_store[1]);
+            sids.push(per_store[0]);
+        }
+        let tiers = |st: &PagedKvStore| -> Vec<PageTier> {
+            sids.iter()
+                .flat_map(|&sid| (0..10).map(move |page| st.page_tier(sid, page).unwrap()))
+                .collect()
+        };
+        for read in 0..20 {
+            let sid = sids[read % 2];
+            for st in &mut stores {
+                st.read_session_into(sid, &mut Vec::new()).unwrap();
+            }
+            assert_eq!(tiers(&stores[0]), tiers(&stores[1]), "after read {read}");
+        }
     }
 
     #[test]
