@@ -29,7 +29,8 @@
 //! `weight_decode` section timing `decode_group_into` on the
 //! `weight_encode` tensor at S = 64, and a `container_load` section
 //! timing ECCF model cold starts: full-model vs 25%-of-layers partial
-//! loads through the mmap reader and the pread fallback.
+//! loads through the mmap reader and the pread fallback, and the frame
+//! checksum (`crc32`) alone.
 //!
 //! `BENCH_encode.json` covers the compress-side hot path:
 //!
@@ -260,9 +261,10 @@ fn pool_timings(
 /// (pread fallback). Rates are decoded-f32 bytes per second — the number
 /// a serving cold start cares about — with each arm the best of three
 /// timed runs. A throwaway load warms the lazy decode tables so neither
-/// backend bills the one-time build.
+/// backend bills the one-time build. `crc32_bytes_per_s` is the frame
+/// checksum alone: `crc32` over an 8 MiB seeded buffer, best of three.
 fn container_load_section() -> String {
-    use ecco_container::{write_model, Container, ContainerError};
+    use ecco_container::{crc32, write_model, Container, ContainerError};
     use ecco_core::pool::{with_pool, PoolBuilder};
     use ecco_core::{CompressedTensor, WeightCodec};
     use ecco_tensor::{synth::SynthSpec, TensorKind};
@@ -335,6 +337,21 @@ fn container_load_section() -> String {
     }
     std::fs::remove_file(&path).ok();
 
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let crc_buf: Vec<u8> = (0..8 << 20)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect();
+    let crc_ns = best_of(&mut || {
+        time_ns(|| {
+            black_box(crc32(black_box(&crc_buf)));
+        })
+    });
+
     format!(
         "{{\n      \
            \"layers\": {LAYERS},\n      \
@@ -345,7 +362,8 @@ fn container_load_section() -> String {
            \"mmap_partial_load_bytes_per_s\": {mp:.0},\n      \
            \"pread_full_load_bytes_per_s\": {pf:.0},\n      \
            \"pread_partial_load_bytes_per_s\": {pp:.0},\n      \
-           \"mmap_vs_pread_full_ratio\": {ratio:.2}\n    }}",
+           \"mmap_vs_pread_full_ratio\": {ratio:.2},\n      \
+           \"crc32_bytes_per_s\": {crc:.0}\n    }}",
         partial_layers = quarter.len(),
         decoded = full_bytes,
         mf = rates[0][0],
@@ -353,6 +371,7 @@ fn container_load_section() -> String {
         pf = rates[1][0],
         pp = rates[1][1],
         ratio = rates[0][0] / rates[1][0],
+        crc = crc_buf.len() as f64 / crc_ns * 1e9,
     )
 }
 
@@ -376,6 +395,38 @@ fn time_ns<F: FnMut()>(mut f: F) -> f64 {
         reps += 1;
     }
     t0.elapsed().as_nanos() as f64 / reps as f64
+}
+
+/// Timed rounds of a stage split: [`interleaved_rounds`] reports
+/// medians over this many.
+const STAGE_ROUNDS: usize = 201;
+
+/// Times a split of one job into `stages` stages in interleaved rounds.
+/// `run(i)` runs stage `i` once over all `items`, and `run(stages)` the
+/// whole job. After one untimed warm-up round, each of [`STAGE_ROUNDS`]
+/// rounds runs every stage and then the whole once, so all of them see
+/// the same host conditions and the split follows the code, not what
+/// else ran in some window. Returns each stage's median and then the
+/// whole's, in ns per item, and the median over rounds of the stages'
+/// sum divided by the whole.
+fn interleaved_rounds(stages: usize, items: usize, mut run: impl FnMut(usize)) -> (Vec<f64>, f64) {
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (0..=stages).for_each(&mut run);
+    let mut times = vec![Vec::with_capacity(STAGE_ROUNDS); stages + 1];
+    let mut ratios = Vec::with_capacity(STAGE_ROUNDS);
+    for _ in 0..STAGE_ROUNDS {
+        for (stage, t) in times.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            run(stage);
+            t.push(t0.elapsed().as_nanos() as f64 / items as f64);
+        }
+        let round: Vec<f64> = times.iter().map(|t| t[t.len() - 1]).collect();
+        ratios.push(round[..stages].iter().sum::<f64>() / round[stages]);
+    }
+    (times.into_iter().map(median).collect(), median(ratios))
 }
 
 /// Hands the raw decoders the block's own codebook and data start bit —
@@ -702,9 +753,9 @@ fn kv_decode_timings() -> String {
 ///   on the blocks with nothing clipped,
 ///
 /// and `decode_group_into`, all of them in one call (under the
-/// metadata's scale, which sets only an exponent, so it costs the same);
-/// each is the best of three timings. `stage_sum` adds the three, and
-/// `stage_sum_ratio` divides it by the whole.
+/// metadata's scale, which sets only an exponent, so it costs the same),
+/// timed in [`interleaved_rounds`]. `stage_sum` adds the three stages'
+/// medians, and `stage_sum_ratio` is the median of the per-round ratios.
 fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
     struct Block {
         block: Block64,
@@ -754,59 +805,56 @@ fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
             }
         })
         .collect();
-    let n = blocks.len() as f64;
-    let best = |f: &mut dyn FnMut()| {
-        (0..3)
-            .map(|_| time_ns(&mut *f))
-            .fold(f64::INFINITY, f64::min)
-            / n
-    };
-
-    let header = best(&mut || {
-        for b in &blocks {
-            let header = parse_block_header(black_box(&b.block), meta).unwrap();
-            black_box(value_table(&header, b.scale));
-        }
-    });
-    // The walk as `decode_group_into` runs it: into the group's room at
-    // the end of the output, keeping what it decoded.
     let mut values = Vec::with_capacity(blocks.len() * GROUP);
-    let walk = best(&mut || {
-        values.clear();
-        for b in &blocks {
-            let book = &meta.books()[b.header.kp][b.header.book_id];
-            let base = values.len();
-            values.resize(base + GROUP, 0.0);
-            let (_, decoded) = book.symbol_decoder().decode_values(
-                black_box(&b.cur),
-                b.header.data_start,
-                |s| b.table.value(s),
-                &mut values[base..],
-            );
-            values.truncate(base + decoded);
-        }
-        black_box(&values);
-    });
-    let tail = best(&mut || {
-        for b in &mut blocks {
-            b.values[b.decoded..].fill(b.table.tail_fill());
-            if b.decoded == GROUP {
-                black_box(apply_outliers(
-                    black_box(&b.cur),
-                    b.data_end,
-                    b.scale,
-                    &mut b.values,
-                ));
+    let (medians, ratio) = interleaved_rounds(3, blocks.len(), |stage| match stage {
+        0 => {
+            for b in &blocks {
+                let header = parse_block_header(black_box(&b.block), meta).unwrap();
+                black_box(value_table(&header, b.scale));
             }
         }
-    });
-    let whole = best(&mut || {
-        values.clear();
-        for b in &blocks {
-            decode_group_into(black_box(&b.block), meta, &mut values).unwrap();
+        // The walk as `decode_group_into` runs it: into the group's room
+        // at the end of the output, keeping what it decoded.
+        1 => {
+            values.clear();
+            for b in &blocks {
+                let book = &meta.books()[b.header.kp][b.header.book_id];
+                let base = values.len();
+                values.resize(base + GROUP, 0.0);
+                let (_, decoded) = book.symbol_decoder().decode_values(
+                    black_box(&b.cur),
+                    b.header.data_start,
+                    |s| b.table.value(s),
+                    &mut values[base..],
+                );
+                values.truncate(base + decoded);
+            }
+            black_box(&values);
         }
-        black_box(&values);
+        2 => {
+            for b in &mut blocks {
+                b.values[b.decoded..].fill(b.table.tail_fill());
+                if b.decoded == GROUP {
+                    black_box(apply_outliers(
+                        black_box(&b.cur),
+                        b.data_end,
+                        b.scale,
+                        &mut b.values,
+                    ));
+                }
+            }
+        }
+        _ => {
+            values.clear();
+            for b in &blocks {
+                decode_group_into(black_box(&b.block), meta, &mut values).unwrap();
+            }
+            black_box(&values);
+        }
     });
+    let [header, walk, tail, whole] = medians[..] else {
+        unreachable!("three stages and the whole")
+    };
     let sum = header + walk + tail;
     format!(
         "\"stages\": {{\n      \
@@ -816,8 +864,8 @@ fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
            \"tail_and_outliers\": {tail:.1},\n      \
            \"stage_sum\": {sum:.1},\n      \
            \"decode_group_into\": {whole:.1},\n      \
+           \"rounds\": {STAGE_ROUNDS},\n      \
            \"stage_sum_ratio\": {ratio:.3}\n    }}",
-        ratio = sum / whole,
     )
 }
 
@@ -877,9 +925,9 @@ fn kv_encode_timings() -> String {
 ///   groups that pad (the writer ranks nothing for the others),
 /// * `write_block` — the writer, handed the ranked outliers,
 ///
-/// and `encode_group_scratch`, all of them in one call; each is the best
-/// of three timings. `stage_sum` adds the five, and `stage_sum_ratio`
-/// divides it by the whole.
+/// and `encode_group_scratch`, all of them in one call, timed in
+/// [`interleaved_rounds`]. `stage_sum` adds the five stages' medians,
+/// and `stage_sum_ratio` is the median of the per-round ratios.
 fn kv_encode_stages(pages: &[Tensor], meta: &TensorMetadata) -> String {
     // `S` is the page's `Po2Scale`, a type this crate does not name.
     struct Group<'a, S> {
@@ -925,70 +973,65 @@ fn kv_encode_stages(pages: &[Tensor], meta: &TensorMetadata) -> String {
             }
         })
         .collect();
-    // The best of three timings of every group, per group: these stages
-    // take well under a microsecond, and a shared host's bursts would
-    // otherwise decide their sum.
-    let per_group = |f: &mut dyn FnMut()| {
-        (0..3)
-            .map(|_| time_ns(&mut *f))
-            .fold(f64::INFINITY, f64::min)
-            / groups.len() as f64
-    };
-
-    let normalize = per_group(&mut || {
-        for g in &groups {
-            black_box(scratch.normalized(black_box(g.values), g.scale, |ng, _| ng.max_pos));
+    let (medians, ratio) = interleaved_rounds(5, groups.len(), |stage| match stage {
+        0 => {
+            for g in &groups {
+                black_box(scratch.normalized(black_box(g.values), g.scale, |ng, _| ng.max_pos));
+            }
         }
-    });
-    let select = per_group(&mut || {
-        for g in &groups {
-            black_box(meta.select_pattern_scratch(
-                black_box(&g.ng),
-                PatternSelector::MinMax,
-                &mut scratch,
-            ));
+        1 => {
+            for g in &groups {
+                black_box(meta.select_pattern_scratch(
+                    black_box(&g.ng),
+                    PatternSelector::MinMax,
+                    &mut scratch,
+                ));
+            }
         }
-    });
-    let book = per_group(&mut || {
-        for g in &groups {
-            black_box(
-                meta.len_table(g.kp)
-                    .expect("calibrated")
-                    .best(black_box(&g.symbols)),
-            );
+        2 => {
+            for g in &groups {
+                black_box(
+                    meta.len_table(g.kp)
+                        .expect("calibrated")
+                        .best(black_box(&g.symbols)),
+                );
+            }
         }
-    });
-    let rank = per_group(&mut || {
-        for g in groups.iter().filter(|g| g.slots > 0) {
-            for outlier in rank_outliers(black_box(g.values), g.ng.max_pos, g.slots) {
-                black_box(outlier);
+        3 => {
+            for g in groups.iter().filter(|g| g.slots > 0) {
+                for outlier in rank_outliers(black_box(g.values), g.ng.max_pos, g.slots) {
+                    black_box(outlier);
+                }
+            }
+        }
+        4 => {
+            for g in &groups {
+                black_box(write_block(
+                    meta,
+                    g.scale,
+                    g.kp,
+                    g.book_id,
+                    g.ng.sf_bits,
+                    black_box(&g.symbols),
+                    |_| g.ranked.iter().copied(),
+                ));
+            }
+        }
+        _ => {
+            for g in &groups {
+                black_box(encode_group_scratch(
+                    black_box(g.values),
+                    meta,
+                    g.scale,
+                    PatternSelector::MinMax,
+                    &mut scratch,
+                ));
             }
         }
     });
-    let write = per_group(&mut || {
-        for g in &groups {
-            black_box(write_block(
-                meta,
-                g.scale,
-                g.kp,
-                g.book_id,
-                g.ng.sf_bits,
-                black_box(&g.symbols),
-                |_| g.ranked.iter().copied(),
-            ));
-        }
-    });
-    let whole = per_group(&mut || {
-        for g in &groups {
-            black_box(encode_group_scratch(
-                black_box(g.values),
-                meta,
-                g.scale,
-                PatternSelector::MinMax,
-                &mut scratch,
-            ));
-        }
-    });
+    let [normalize, select, book, rank, write, whole] = medians[..] else {
+        unreachable!("five stages and the whole")
+    };
     let sum = normalize + select + book + rank + write;
     format!(
         "\"stages\": {{\n      \
@@ -1000,8 +1043,8 @@ fn kv_encode_stages(pages: &[Tensor], meta: &TensorMetadata) -> String {
            \"write_block\": {write:.1},\n      \
            \"stage_sum\": {sum:.1},\n      \
            \"encode_group_scratch\": {whole:.1},\n      \
+           \"rounds\": {STAGE_ROUNDS},\n      \
            \"stage_sum_ratio\": {ratio:.3}\n    }}",
-        ratio = sum / whole,
     )
 }
 

@@ -33,10 +33,11 @@
 //! Reading goes through [`MapSource`]: mmap on 64-bit unix (zero-copy,
 //! pages fault in lazily as frames are touched), positioned reads as the
 //! portable fallback (`ECCO_NO_MMAP=1` forces it), or an in-memory
-//! buffer for tests and fuzzing. Decode runs through the codec's pooled
-//! batch decoder
-//! ([`WeightCodec::decompress_batch_report`](ecco_core::WeightCodec::decompress_batch_report)),
-//! so a multi-tensor load shares the persistent worker pool's lanes.
+//! buffer for tests and fuzzing. A multi-tensor load reads, CRC-checks
+//! and revives its frames across the persistent worker pool, then
+//! decodes them through the codec's pooled batch decoder
+//! ([`WeightCodec::decompress_batch_report`](ecco_core::WeightCodec::decompress_batch_report))
+//! on the same pool's lanes.
 //!
 //! # Example
 //!

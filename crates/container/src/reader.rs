@@ -27,6 +27,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
+use ecco_core::parallel::par_map_indexed;
 use ecco_core::wire::{self, TENSOR_FRAME_HEADER_BYTES};
 use ecco_core::{
     BatchOutcome, CompressedTensor, DecodeError, DecodeErrorKind, RecoveryPolicy, TensorMetadata,
@@ -397,7 +398,10 @@ impl Container {
     /// Loads the named tensors through **one pooled batch decode pass**
     /// ([`WeightCodec::decompress_batch_report`]) — the partial-load
     /// primitive: only the requested frames are read, CRC-checked and
-    /// decoded, in the caller's pool.
+    /// decoded, in the caller's pool. The frames are read, checked and
+    /// revived across the pool first ([`par_map_indexed`], one
+    /// [`Container::read_compressed`] per name, in request order), and
+    /// decode starts once every one of them is done.
     ///
     /// Per-tensor read/CRC/revive failures land in that slot's
     /// [`BatchOutcome::Failed`] (dimensions zeroed) instead of aborting
@@ -424,18 +428,17 @@ impl Container {
             indices.push(idx);
         }
 
-        // Read + CRC + revive every requested frame first; failures
-        // become Failed slots and healthy tensors go to the pool.
-        let slots: Vec<Result<CompressedTensor, DecodeError>> = names
-            .iter()
-            .map(|name| {
+        // Read + CRC + revive every requested frame first, across the
+        // pool and in request order; failures become Failed slots and
+        // healthy tensors go to the batch decode.
+        let slots: Vec<Result<CompressedTensor, DecodeError>> =
+            par_map_indexed(names, |_, name| {
                 self.read_compressed(name).map_err(|e| match e {
                     ContainerError::Decode(d) => d,
                     ContainerError::Io(_) => DecodeError::new(DecodeErrorKind::TruncatedStream),
                     ContainerError::UnknownTensor(_) => unreachable!("names pre-checked"),
                 })
-            })
-            .collect();
+            });
         let healthy: Vec<&CompressedTensor> =
             slots.iter().filter_map(|s| s.as_ref().ok()).collect();
         let mut decoded = self

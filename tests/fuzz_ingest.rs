@@ -567,6 +567,140 @@ fn container_frame_corruption_is_isolated() {
     assert!(container.load(&[T1]).is_ok());
 }
 
+/// Frames are read, CRC-checked and revived across the pool, and the
+/// result is exactly the sequential oracle: `read_compressed` per name,
+/// then one `decompress_batch_report` over the healthy frames. Seven
+/// frames, four of them broken: one byte flipped in the first, a middle
+/// and the last (checksum mismatches), and one corrupt block under a
+/// resealed CRC in another. Every slot, outcome and `(tensor, block)`
+/// location must match at every pool size and chunk pin, under both
+/// policies, in directory order and shuffled.
+#[test]
+fn pooled_frame_reads_match_the_sequential_oracle() {
+    const N: usize = 7;
+    const MIDDLE: usize = N / 2;
+    const LAST: usize = N - 1;
+    const RESEALED: usize = 1;
+    let fix = fixture();
+    let names: Vec<String> = (0..N).map(|i| format!("blk.{i}.w")).collect();
+    let tensors: Vec<CompressedTensor> = (0..N)
+        .map(|i| {
+            let t = SynthSpec::for_kind(TensorKind::Weight, 2 + i % 3, 256)
+                .seeded(0xF100 + i as u64)
+                .generate();
+            fix.codec.compress(&t).0
+        })
+        .collect();
+    let pairs: Vec<(&str, &CompressedTensor)> =
+        names.iter().map(String::as_str).zip(&tensors).collect();
+    let mut image = encode_model(fix.codec.metadata(), &pairs);
+    let entries = Container::from_bytes(image.clone())
+        .unwrap()
+        .entries()
+        .to_vec();
+
+    for i in [0, MIDDLE, LAST] {
+        image[(entries[i].offset + entries[i].len / 2) as usize] ^= 0x10;
+    }
+    let e = &entries[RESEALED];
+    let (start, end) = (e.offset as usize, (e.offset + e.len) as usize);
+    let at = start + TENSOR_FRAME_HEADER_BYTES + BLOCK_BYTES;
+    image[at..at + BLOCK_BYTES].fill(0xFF);
+    let crc = crc32(&image[start..end]);
+    let field = entry_field_positions(&image)[RESEALED];
+    image[field + 28..field + 32].copy_from_slice(&crc.to_le_bytes());
+    reseal_directory(&mut image);
+    let container = Container::from_bytes(image).unwrap();
+
+    let index = |name: &str| names.iter().position(|n| n == name).unwrap();
+    let sequential = PoolBuilder::new().threads(1).build();
+    let oracle = |request: &[&str], policy: RecoveryPolicy| -> Vec<(usize, usize, BatchOutcome)> {
+        let frames: Vec<Result<CompressedTensor, DecodeError>> = request
+            .iter()
+            .map(|n| container.read_compressed(n).map_err(decode_err))
+            .collect();
+        let healthy: Vec<&CompressedTensor> =
+            frames.iter().filter_map(|f| f.as_ref().ok()).collect();
+        let mut decoded = with_pool(&sequential, || {
+            fix.codec.decompress_batch_report(&healthy, policy)
+        })
+        .into_iter();
+        request
+            .iter()
+            .zip(frames)
+            .map(|(name, frame)| match frame {
+                Err(e) => (0, 0, BatchOutcome::Failed(e)),
+                Ok(ct) => {
+                    let outcome = at_entry(decoded.next().unwrap(), index(name));
+                    (ct.rows(), ct.cols(), outcome)
+                }
+            })
+            .collect()
+    };
+
+    let in_order: Vec<&str> = names.iter().map(String::as_str).collect();
+    let shuffled: Vec<&str> = [4, 0, LAST, RESEALED, 5, MIDDLE, 2]
+        .iter()
+        .map(|&i| in_order[i])
+        .collect();
+    for request in [&in_order, &shuffled] {
+        for policy in [RecoveryPolicy::FailTensor, RecoveryPolicy::SalvageBlocks] {
+            let want = oracle(request, policy);
+            // The oracle itself sees all four breakages, located.
+            for (name, (_, _, outcome)) in request.iter().zip(&want) {
+                let idx = index(name);
+                let e = outcome.first_error();
+                match idx {
+                    0 | MIDDLE | LAST => {
+                        let e = e.expect("a flipped frame fails");
+                        assert_eq!(
+                            (e.kind, e.tensor),
+                            (DecodeErrorKind::ChecksumMismatch, Some(idx))
+                        );
+                    }
+                    RESEALED => {
+                        let e = e.expect("the planted block fails");
+                        assert_eq!((e.tensor, e.block), (Some(RESEALED), Some(1)));
+                    }
+                    _ => assert!(outcome.is_ok(), "{name} is healthy"),
+                }
+            }
+            for threads in [1, 2, 4] {
+                for chunk in [1, 3] {
+                    let pool = PoolBuilder::new().threads(threads).chunk(chunk).build();
+                    let got = with_pool(&pool, || container.load_report(request, policy)).unwrap();
+                    assert_eq!(got.len(), want.len());
+                    for (slot, (name, (rows, cols, outcome))) in
+                        got.iter().zip(request.iter().zip(&want))
+                    {
+                        let shape = format!("{threads} threads, chunk {chunk}, {policy:?}");
+                        assert_eq!(slot.name, *name, "{shape}");
+                        assert_eq!((slot.rows, slot.cols), (*rows, *cols), "{shape}: {name}");
+                        assert_eq!(&slot.outcome, outcome, "{shape}: {name}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Relocates a batch outcome's errors from their batch position to the
+/// directory index `idx`, as `Container::load_report` reports them.
+fn at_entry(outcome: BatchOutcome, idx: usize) -> BatchOutcome {
+    let at = |mut e: DecodeError| {
+        e.tensor = Some(idx);
+        e
+    };
+    match outcome {
+        BatchOutcome::Failed(e) => BatchOutcome::Failed(at(e)),
+        BatchOutcome::Salvaged { values, bad_blocks } => BatchOutcome::Salvaged {
+            values,
+            bad_blocks: bad_blocks.into_iter().map(at).collect(),
+        },
+        ok => ok,
+    }
+}
+
 /// Block decode errors inside a frame that passed its CRC are located at
 /// the tensor's directory index, whatever its position in the request:
 /// T1's corrupt block reports `tensor 1` whether T1 is loaded alone,
