@@ -29,8 +29,8 @@
 //! `weight_decode` section timing `decode_group_into` on the
 //! `weight_encode` tensor at S = 64, and a `container_load` section
 //! timing ECCF model cold starts: full-model vs 25%-of-layers partial
-//! loads through the mmap reader and the pread fallback, and the frame
-//! checksum (`crc32`) alone.
+//! loads through `Container::open`, and the frame checksum (`crc32`)
+//! alone.
 //!
 //! `BENCH_encode.json` covers the compress-side hot path:
 //!
@@ -257,14 +257,14 @@ fn pool_timings(
 
 /// Container cold-start timings: write a compressed multi-layer model
 /// to a temp ECCF file, then time full-model and 25%-of-layers partial
-/// loads through `Container::open` (mmap) and `Container::open_buffered`
-/// (pread fallback). Rates are decoded-f32 bytes per second — the number
-/// a serving cold start cares about — with each arm the best of three
-/// timed runs. A throwaway load warms the lazy decode tables so neither
-/// backend bills the one-time build. `crc32_bytes_per_s` is the frame
-/// checksum alone: `crc32` over an 8 MiB seeded buffer, best of three.
+/// loads through `Container::open`. Rates are decoded-f32 bytes per
+/// second — the number a serving cold start cares about — with each arm
+/// the best of three timed runs. A throwaway load on the same container
+/// warms its lazy decode tables so no arm bills the one-time build. `crc32_bytes_per_s` is the
+/// frame checksum alone: `crc32` over an 8 MiB seeded buffer, best of
+/// three.
 fn container_load_section() -> String {
-    use ecco_container::{crc32, write_model, Container, ContainerError};
+    use ecco_container::{crc32, write_model, Container};
     use ecco_core::pool::{with_pool, PoolBuilder};
     use ecco_core::{CompressedTensor, WeightCodec};
     use ecco_tensor::{synth::SynthSpec, TensorKind};
@@ -305,36 +305,25 @@ fn container_load_section() -> String {
     let full_bytes = (LAYERS * ROWS * COLS * 4) as f64;
     let part_bytes = (quarter.len() * ROWS * COLS * 4) as f64;
 
-    let warm = Container::open(&path).expect("open bench container");
-    with_pool(&pool, || warm.load(&all)).expect("warmup load");
-    drop(warm);
+    let container = Container::open(&path).expect("open bench container");
+    with_pool(&pool, || container.load(&all)).expect("warmup load");
 
     let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-    type OpenFn = fn(&std::path::Path) -> Result<Container, ContainerError>;
-    // rates[backend][0] = full-load B/s, [1] = partial-load B/s.
-    let mut rates = [[0.0f64; 2]; 2];
-    let backends = [
-        Container::open as OpenFn,
-        Container::open_buffered as OpenFn,
-    ];
-    for (bi, open) in backends.into_iter().enumerate() {
-        let container = open(&path).expect("reopen bench container");
-        let full_ns = best_of(&mut || {
-            with_pool(&pool, || {
-                time_ns(|| {
-                    black_box(container.load(black_box(&all)).unwrap());
-                })
+    let full_ns = best_of(&mut || {
+        with_pool(&pool, || {
+            time_ns(|| {
+                black_box(container.load(black_box(&all)).unwrap());
             })
-        });
-        let part_ns = best_of(&mut || {
-            with_pool(&pool, || {
-                time_ns(|| {
-                    black_box(container.load(black_box(&quarter)).unwrap());
-                })
+        })
+    });
+    let part_ns = best_of(&mut || {
+        with_pool(&pool, || {
+            time_ns(|| {
+                black_box(container.load(black_box(&quarter)).unwrap());
             })
-        });
-        rates[bi] = [full_bytes / full_ns * 1e9, part_bytes / part_ns * 1e9];
-    }
+        })
+    });
+    drop(container);
     std::fs::remove_file(&path).ok();
 
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -358,19 +347,13 @@ fn container_load_section() -> String {
            \"partial_layers\": {partial_layers},\n      \
            \"file_bytes\": {file_bytes},\n      \
            \"decoded_bytes_full\": {decoded:.0},\n      \
-           \"mmap_full_load_bytes_per_s\": {mf:.0},\n      \
-           \"mmap_partial_load_bytes_per_s\": {mp:.0},\n      \
-           \"pread_full_load_bytes_per_s\": {pf:.0},\n      \
-           \"pread_partial_load_bytes_per_s\": {pp:.0},\n      \
-           \"mmap_vs_pread_full_ratio\": {ratio:.2},\n      \
+           \"full_load_bytes_per_s\": {full:.0},\n      \
+           \"partial_load_bytes_per_s\": {part:.0},\n      \
            \"crc32_bytes_per_s\": {crc:.0}\n    }}",
         partial_layers = quarter.len(),
         decoded = full_bytes,
-        mf = rates[0][0],
-        mp = rates[0][1],
-        pf = rates[1][0],
-        pp = rates[1][1],
-        ratio = rates[0][0] / rates[1][0],
+        full = full_bytes / full_ns * 1e9,
+        part = part_bytes / part_ns * 1e9,
         crc = crc_buf.len() as f64 / crc_ns * 1e9,
     )
 }

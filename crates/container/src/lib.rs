@@ -3,7 +3,7 @@
 //! A serving process that cold-starts a model wants two things the flat
 //! per-tensor wire formats cannot give it: *one file* holding the whole
 //! compressed model, and *random access* into it, so loading 25% of the
-//! layers reads (and page-faults) 25% of the bytes. ECCF is that file:
+//! layers reads 25% of the bytes. ECCF is that file:
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -30,12 +30,13 @@
 //! instead of a downstream symbol error, and one rotten frame never
 //! poisons its neighbours.
 //!
-//! Reading goes through [`MapSource`]: mmap on 64-bit unix (zero-copy,
-//! pages fault in lazily as frames are touched), positioned reads as the
-//! portable fallback (`ECCO_NO_MMAP=1` forces it), or an in-memory
-//! buffer for tests and fuzzing. A multi-tensor load reads, CRC-checks
-//! and revives its frames across the persistent worker pool, then
-//! decodes them through the codec's pooled batch decoder
+//! [`Container::open`] reads each requested frame from the file with one
+//! positioned read (`pread` on unix), so a file rewritten under an open
+//! container is a located error on the next load, never a fatal signal;
+//! [`Container::from_bytes`] reads an in-memory image for tests and
+//! fuzzing. A multi-tensor load reads, CRC-checks and revives its frames
+//! across the persistent worker pool, then decodes them through the
+//! codec's pooled batch decoder
 //! ([`WeightCodec::decompress_batch_report`](ecco_core::WeightCodec::decompress_batch_report))
 //! on the same pool's lanes.
 //!
@@ -56,17 +57,16 @@
 //! assert_eq!(loaded[0].data(), codec.decompress(&ct).data());
 //! ```
 
-#![deny(unsafe_code)] // confined to source::mmap, which opts back in
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc;
 pub mod reader;
-pub mod source;
+mod source;
 pub mod writer;
 
 pub use crc::crc32;
 pub use reader::{Container, ContainerError, LoadedTensor, TensorEntry};
-pub use source::MapSource;
 pub use writer::{encode_model, write_model, ContainerWriter};
 
 /// Magic prefix of a container image.

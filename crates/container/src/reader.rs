@@ -1,6 +1,6 @@
-//! ECCF reader: opens a container through a [`MapSource`], validates the
-//! tail directory against the actual byte image, and decodes selected
-//! tensors through the codec's pooled batch decoder.
+//! ECCF reader: opens a container from a file or an in-memory image,
+//! validates the tail directory against the actual byte image, and
+//! decodes selected tensors through the codec's pooled batch decoder.
 //!
 //! The directory is untrusted. Everything it claims — offsets, lengths,
 //! block counts, decoded lengths, checksums — is cross-checked before a
@@ -36,7 +36,7 @@ use ecco_core::{
 use ecco_tensor::{Tensor, GROUP_SIZE};
 
 use crate::crc::crc32;
-use crate::source::MapSource;
+use crate::source::ByteSource;
 use crate::{
     CONTAINER_MAGIC, CONTAINER_VERSION, DIRECTORY_MAGIC, FOOTER_BYTES, FOOTER_MAGIC, HEADER_BYTES,
     MAX_NAME_BYTES, MAX_TENSORS,
@@ -45,7 +45,7 @@ use crate::{
 /// Anything that can go wrong opening or loading from a container.
 #[derive(Debug)]
 pub enum ContainerError {
-    /// The source could not be read (open, map, or positioned read).
+    /// The source could not be read (open or positioned read).
     Io(io::Error),
     /// The image is malformed or corrupt — a located decode-taxonomy
     /// error (`tensor` carries the directory index where applicable).
@@ -120,11 +120,11 @@ pub struct LoadedTensor {
 /// An open, validated ECCF container.
 ///
 /// Opening verifies the footer, directory CRC, metadata snapshot and
-/// every directory entry's internal consistency; frame payloads are
-/// CRC-checked lazily, on first read of each tensor, so a partial load
-/// never touches (or faults in) the frames it skips.
+/// every directory entry's internal consistency; frame payloads are read
+/// and CRC-checked only when a load asks for them, so a partial load
+/// never reads the frames it skips.
 pub struct Container {
-    source: MapSource,
+    source: ByteSource,
     /// The decoder for every frame, built once from the revived snapshot
     /// so its lazily built decode tables are shared by every load.
     codec: WeightCodec,
@@ -135,7 +135,6 @@ pub struct Container {
 impl fmt::Debug for Container {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Container")
-            .field("backend", &self.backend())
             .field("tensors", &self.entries.len())
             .finish_non_exhaustive()
     }
@@ -186,23 +185,18 @@ impl<'a> Cursor<'a> {
 }
 
 impl Container {
-    /// Opens `path` via [`MapSource::open`] (mmap where available).
+    /// Opens `path`; each load reads its frames with positioned reads.
     pub fn open(path: &Path) -> Result<Container, ContainerError> {
-        Container::from_source(MapSource::open(path)?)
-    }
-
-    /// Opens `path` on the buffered `pread` backend.
-    pub fn open_buffered(path: &Path) -> Result<Container, ContainerError> {
-        Container::from_source(MapSource::open_buffered(path)?)
+        Container::from_source(ByteSource::open(path)?)
     }
 
     /// Opens an in-memory container image (tests, fuzzing).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Container, ContainerError> {
-        Container::from_source(MapSource::from_bytes(bytes))
+        Container::from_source(ByteSource::Bytes(bytes))
     }
 
-    /// Opens and fully validates a container from any byte source.
-    pub fn from_source(source: MapSource) -> Result<Container, ContainerError> {
+    /// Opens and fully validates a container from either byte source.
+    fn from_source(source: ByteSource) -> Result<Container, ContainerError> {
         let total = source.len();
         if total < (HEADER_BYTES + FOOTER_BYTES) as u64 {
             return Err(truncated().into());
@@ -361,12 +355,6 @@ impl Container {
     /// True when the container holds no tensors.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Which backend serves frame reads: `"mmap"`, `"pread"` or
-    /// `"bytes"`.
-    pub fn backend(&self) -> &'static str {
-        self.source.backend()
     }
 
     /// Reads one tensor's frame — CRC-checked against the directory

@@ -45,8 +45,7 @@
 //! together with a `pending` accounting slot, so no worker can touch the
 //! erased closure after `run` returns (workers that still hold the job
 //! handle afterwards see an exhausted cursor and never dereference).
-//! All `unsafe` in the workspace is confined to this module and the
-//! `ecco-container` mmap source.
+//! All `unsafe` in the workspace is confined to this module.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

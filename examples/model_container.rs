@@ -1,13 +1,12 @@
 //! Cold-start loading from an ECCF model container: write a compressed
 //! multi-layer model to one random-access file, then reopen it and load
 //! — the whole model, and a 25%-of-layers partial set — through the
-//! mmap-backed reader and the pooled batch decoder.
+//! pooled batch decoder.
 //!
 //! This is the serving cold-start the container exists for: a weights
 //! file one quarter the FP16 size, opened without reading the tensors
 //! (the tail directory says where everything lives), with partial loads
-//! touching only the pages the requested frames occupy. The pread
-//! fallback arm is timed alongside as the no-mmap baseline.
+//! reading only the requested frames.
 //!
 //! Run with `cargo run --release --example model_container`.
 
@@ -66,40 +65,31 @@ fn main() {
 
     // One throwaway full load so one-time lazy work (decode-table
     // builds for every codebook the model touches) doesn't bill the
-    // first timed arm.
-    let warm = Container::open(&path).unwrap();
-    with_pool(&pool, || warm.load(&all)).unwrap();
-    drop(warm);
+    // timed loads.
+    let container = Container::open(&path).unwrap();
+    with_pool(&pool, || container.load(&all)).unwrap();
 
-    type OpenFn = fn(&std::path::Path) -> Result<Container, ecco::container::ContainerError>;
-    for (label, open) in [
-        ("mmap ", Container::open as OpenFn),
-        ("pread", Container::open_buffered as OpenFn),
-    ] {
-        let container = open(&path).unwrap();
-        let t0 = std::time::Instant::now();
-        let full = with_pool(&pool, || container.load(&all)).unwrap();
-        let full_t = t0.elapsed();
+    let t0 = std::time::Instant::now();
+    let full = with_pool(&pool, || container.load(&all)).unwrap();
+    let full_t = t0.elapsed();
 
-        let t0 = std::time::Instant::now();
-        let part = with_pool(&pool, || container.load(&quarter)).unwrap();
-        let part_t = t0.elapsed();
+    let t0 = std::time::Instant::now();
+    let part = with_pool(&pool, || container.load(&quarter)).unwrap();
+    let part_t = t0.elapsed();
 
-        let decoded: usize = full.iter().map(Tensor::len).sum::<usize>() * 4;
-        println!(
-            "{label} ({}): full {layers} layers {:>7.2?} ({:.1} MB/s decoded) | partial {}/{layers} layers {:>7.2?}",
-            container.backend(),
-            full_t,
-            decoded as f64 / full_t.as_secs_f64() / 1e6,
-            part.len(),
-            part_t,
-        );
+    let decoded: usize = full.iter().map(Tensor::len).sum::<usize>() * 4;
+    println!(
+        "full {layers} layers {:>7.2?} ({:.1} MB/s decoded) | partial {}/{layers} layers {:>7.2?}",
+        full_t,
+        decoded as f64 / full_t.as_secs_f64() / 1e6,
+        part.len(),
+        part_t,
+    );
 
-        // The container is transport, not transformation: every loaded
-        // tensor is bit-identical to the direct decode.
-        for (t, ct) in full.iter().zip(&compressed) {
-            assert_eq!(t.data(), codec.decompress(ct).data());
-        }
+    // The container is transport, not transformation: every loaded
+    // tensor is bit-identical to the direct decode.
+    for (t, ct) in full.iter().zip(&compressed) {
+        assert_eq!(t.data(), codec.decompress(ct).data());
     }
 
     std::fs::remove_file(&path).ok();

@@ -12,7 +12,7 @@
 //! | [`tensor`] | `ecco-tensor` | tensors + synthetic LLM tensor generator |
 //! | [`pool`] | `ecco-pool` | persistent worker pool, batched submission scheduler |
 //! | [`codec`] | `ecco-core` | **the Ecco compression algorithm** |
-//! | [`container`] | `ecco-container` | ECCF random-access model container, mmap loader |
+//! | [`container`] | `ecco-container` | ECCF random-access model container, pooled partial loads |
 //! | [`baselines`] | `ecco-baselines` | RTN / AWQ / GPTQ-R / SmoothQuant / Olive / QuaRot / QoQ |
 //! | [`hw`] | `ecco-hw` | parallel decoder, bitonic sorter, compressor, area/power |
 //! | [`sim`] | `ecco-sim` | GPU memory-system timing simulator |

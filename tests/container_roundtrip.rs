@@ -1,13 +1,15 @@
 //! Tier-1 end-to-end coverage of the ECCF container: write a model,
-//! reopen it on every byte-source backend, and load tensors — full model
-//! and 25%-of-layers partial — through the pooled batch decoder on pools
-//! {1, 4}. Every arm must reproduce the direct `decompress` output bit
-//! for bit: the container is transport, not transformation.
+//! reopen it from the file and from an in-memory image, and load tensors
+//! — full model and 25%-of-layers partial — through the pooled batch
+//! decoder on pools {1, 4}. Every arm must reproduce the direct
+//! `decompress` output bit for bit: the container is transport, not
+//! transformation. A file rewritten under an open container must fail
+//! the next load with located errors.
 
 use std::path::PathBuf;
 
 use ecco::bits::Block64;
-use ecco::codec::{BatchOutcome, EccoConfig, RecoveryPolicy, WeightCodec};
+use ecco::codec::{BatchOutcome, DecodeErrorKind, EccoConfig, RecoveryPolicy, WeightCodec};
 use ecco::container::{encode_model, write_model, Container, ContainerError};
 use ecco::prelude::*;
 
@@ -114,24 +116,10 @@ fn check_loads(m: &Model, container: &Container) {
 }
 
 #[test]
-fn mmap_backend_roundtrips() {
+fn file_backend_roundtrips() {
     let m = model();
-    let path = write_fixture(&m, "mmap");
+    let path = write_fixture(&m, "file");
     let container = Container::open(&path).unwrap();
-    // With ECCO_NO_MMAP set in the environment this arm degrades to
-    // pread — still a valid roundtrip, just redundant with the test
-    // below.
-    check_loads(&m, &container);
-    drop(container);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn pread_backend_roundtrips() {
-    let m = model();
-    let path = write_fixture(&m, "pread");
-    let container = Container::open_buffered(&path).unwrap();
-    assert_eq!(container.backend(), "pread");
     check_loads(&m, &container);
     drop(container);
     std::fs::remove_file(&path).ok();
@@ -144,8 +132,78 @@ fn bytes_backend_roundtrips() {
     let image = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let container = Container::from_bytes(image).unwrap();
-    assert_eq!(container.backend(), "bytes");
     check_loads(&m, &container);
+}
+
+/// Every slot of `load_report` under both policies is `Failed` with one
+/// of `kinds`, located at its directory index (no block), and the strict
+/// `load` fails on the first slot.
+fn assert_every_slot_fails(container: &Container, all: &[&str], kinds: &[DecodeErrorKind]) {
+    match container.load(all) {
+        Err(ContainerError::Decode(e)) => {
+            assert!(kinds.contains(&e.kind), "load: unexpected {e}");
+            assert_eq!(e.tensor, Some(0), "load: {e} not located at slot 0");
+        }
+        Err(other) => panic!("load: unexpected error {other}"),
+        Ok(_) => panic!("load of a rewritten file succeeded"),
+    }
+    for policy in [RecoveryPolicy::FailTensor, RecoveryPolicy::SalvageBlocks] {
+        let loaded = container.load_report(all, policy).unwrap();
+        assert_eq!(loaded.len(), all.len());
+        for (i, slot) in loaded.iter().enumerate() {
+            match &slot.outcome {
+                BatchOutcome::Failed(e) => {
+                    assert!(
+                        kinds.contains(&e.kind),
+                        "{policy:?} slot {i}: unexpected {e}"
+                    );
+                    assert_eq!(
+                        (e.tensor, e.block),
+                        (Some(i), None),
+                        "{policy:?} slot {i}: {e}"
+                    );
+                    assert_eq!((slot.rows, slot.cols), (0, 0));
+                }
+                other => panic!("{policy:?} slot {i}: expected a failure, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// A model file rewritten in place (`File::create` truncates the inode an
+/// open container still reads) fails every later load with located
+/// errors instead of a fatal signal or stale values: (a) truncated to
+/// zero length, every frame read runs past the end; (b) re-saved as a
+/// smaller one-tensor model, every frame reads short or fails its CRC.
+#[test]
+fn rewriting_an_open_container_file_is_a_located_error() {
+    let m = model();
+    let all: Vec<&str> = m.names.iter().map(String::as_str).collect();
+
+    let path = write_fixture(&m, "truncated");
+    let container = Container::open(&path).unwrap();
+    std::fs::File::create(&path).unwrap();
+    assert_every_slot_fails(&container, &all, &[DecodeErrorKind::TruncatedStream]);
+    drop(container);
+    std::fs::remove_file(&path).ok();
+
+    let path = write_fixture(&m, "resaved");
+    let container = Container::open(&path).unwrap();
+    let small = SynthSpec::for_kind(TensorKind::Weight, 1, 256)
+        .seeded(0xBEEF)
+        .generate();
+    let (ct, _) = m.codec.compress(&small);
+    write_model(&path, m.codec.metadata(), &[("small.w", &ct)]).unwrap();
+    assert_every_slot_fails(
+        &container,
+        &all,
+        &[
+            DecodeErrorKind::TruncatedStream,
+            DecodeErrorKind::ChecksumMismatch,
+        ],
+    );
+    drop(container);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
