@@ -115,12 +115,30 @@ fn check_loads(m: &Model, container: &Container) {
     }
 }
 
+/// `Container::open` on a file: the entry point the memory-mapped
+/// backend once served, now read frame by frame with positioned reads.
 #[test]
-fn file_backend_roundtrips() {
+fn mmap_backend_roundtrips() {
     let m = model();
-    let path = write_fixture(&m, "file");
+    let path = write_fixture(&m, "mmap");
     let container = Container::open(&path).unwrap();
     check_loads(&m, &container);
+    drop(container);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Positioned reads keep no shared file cursor, so loads from several
+/// threads on one open container must each stay bit-exact.
+#[test]
+fn pread_backend_roundtrips() {
+    let m = model();
+    let path = write_fixture(&m, "pread");
+    let container = Container::open(&path).unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| check_loads(&m, &container));
+        }
+    });
     drop(container);
     std::fs::remove_file(&path).ok();
 }
