@@ -76,17 +76,6 @@ impl ZeroShotModel {
         fp16_arc_c - sensitivity * 100.0 * dlog
     }
 
-    /// Predicts a single ARC-c accuracy using the Table 2 sensitivity.
-    pub fn predict_arc_c(
-        &self,
-        spec: &ModelSpec,
-        stack: &LayerStack,
-        method: Method,
-        fp16_arc_c: f64,
-    ) -> f64 {
-        self.predict_arc_c_with(spec, stack, method, fp16_arc_c, self.task_sensitivity[2])
-    }
-
     /// Fits a model-specific ARC-c sensitivity from one published anchor
     /// row (`anchor_acc` for `anchor` on this model) — instruction-tuned
     /// models degrade much faster per nat of perplexity than base models,

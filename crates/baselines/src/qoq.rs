@@ -78,12 +78,6 @@ impl Qoq {
         }
         q
     }
-
-    /// Average weight bits per value: 4-bit data + 8-bit group scale per
-    /// group + FP16 channel scale amortized.
-    pub fn weight_bits_per_value(&self, cols: usize) -> f64 {
-        4.0 + 8.0 / self.group as f64 + 16.0 / cols as f64
-    }
 }
 
 #[cfg(test)]

@@ -16,12 +16,10 @@
 //!
 //! plus a `decode_to_values` section timing the hardware model's
 //! decode-to-values walk (`decode_block_parallel_into`) on weight and
-//! K-cache blocks, a `pool_spawn` section
-//! measuring spawn amortization on small tensors (per-call scoped-thread
-//! sharding — the pre-pool scheduler, reimplemented as the baseline —
-//! vs the persistent pool's fast path and its forced queue dispatch),
-//! a `batch_decode` section comparing a per-tensor pooled loop with
-//! one batched `decode_tensors_batch_report` submission, a `kv_decode`
+//! K-cache blocks, a `batch_decode` section timing many small tensors
+//! through a per-tensor pooled loop (the pool's inline fast path, and
+//! its forced queue dispatch) and through one batched
+//! `decode_tensors_batch_report` submission, a `kv_decode`
 //! section timing the serving read path (`decode_group_into` on one
 //! thread, and `KvCodec::decompress_batch_report` over the 16-token
 //! pages one `chat` decode step reads) on the `kv_encode` K-cache
@@ -41,8 +39,9 @@
 //! * `book_selection` — the packed-lane single-pass codebook selection
 //!   (the cached `MultiLenTable` path `encode_group` uses) vs the H-pass
 //!   `encoded_len`-per-book baseline,
-//! * `encode` — full `encode_group_scratch` and the parallel encode
-//!   pipeline,
+//! * `encode` — full `encode_group_scratch` on one thread, and the
+//!   codec's encode engine (`WeightCodec::compress_batch`) on the whole
+//!   tensor across the pool,
 //! * `weight_encode` — the offline weight path at the paper's S = 64
 //!   (`EccoConfig::default()`): `encode_group_scratch` under MSE-optimal
 //!   selection on one thread, and `WeightCodec::compress_batch` across
@@ -57,7 +56,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ecco_bits::{Block64, BlockCursor};
 use ecco_core::block::{apply_outliers, rank_outliers};
-use ecco_core::parallel::encode_groups_parallel_unchecked;
 use ecco_core::{
     decode_group, decode_group_into, encode_group, encode_group_scratch, normalize_group,
     parse_block_header, select_pattern_ref, write_block, BlockHeader, BlockValueTable,
@@ -70,6 +68,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ecco_hw::{decode_tensors_batch_report, ParallelDecoder};
+use ecco_pool::{with_pool, Pool, PoolBuilder};
 
 const GROUP: usize = 128;
 
@@ -107,12 +106,11 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
+    let codec = WeightCodec::from_metadata(meta.clone());
     let mut g = c.benchmark_group("tensor_pipeline");
     g.throughput(Throughput::Bytes(2 * t.len() as u64));
     g.bench_function("pipeline_encode_tensor", |b| {
-        b.iter(|| {
-            encode_groups_parallel_unchecked(black_box(&t), &meta, PatternSelector::MseOptimal)
-        })
+        b.iter(|| codec.compress_batch(&[black_box(&t)]))
     });
     g.bench_function("pipeline_decode_tensor", |b| {
         b.iter(|| hw_decode_tensor(black_box(&blocks), &meta))
@@ -130,8 +128,8 @@ fn bench(c: &mut Criterion) {
         .map(|g| encode_group(g, &kmeta, PatternSelector::MinMax).0)
         .collect();
 
-    write_bench_json(&t, &meta, &blocks, &kmeta, &kc_blocks);
-    write_encode_json(&t, &meta, &cfg);
+    write_bench_json(&t, &codec, &blocks, &kmeta, &kc_blocks);
+    write_encode_json(&t, &codec, &cfg);
 }
 
 /// One `decode_to_values` JSON object for a block set: the hardware
@@ -157,89 +155,41 @@ fn decode_to_values_section(blocks: &[Block64], meta: &TensorMetadata) -> String
     )
 }
 
-/// Small-tensor scheduling timings: decode `TENSORS` tiny tensors
-/// (`BLOCKS_PER` blocks each — the many-users serving shape) four ways.
+/// Small-tensor scheduling timings: decode `small` tiny tensors (a few
+/// blocks each — the many-users serving shape) three ways.
 ///
-/// * `spawn` — per-call scoped-thread sharding at 2 workers: the
-///   scheduler used before the persistent pool, reimplemented here
-///   verbatim as the baseline. Every tensor pays two thread spawns +
-///   joins.
 /// * `pooled` — one `decode_tensors_batch_report` call per tensor on a
-///   persistent 2-executor pool: tensors under the chunk threshold take
-///   the inline fast path (no queue round-trip) — the spawn cost is
-///   amortized away entirely.
+///   persistent `threads`-executor pool: tensors under the chunk
+///   threshold take the inline fast path (no queue round-trip).
 /// * `dispatch` — same pool with the chunk size pinned to 1, forcing
 ///   every block through the injector queue: the cost of the wake-up
 ///   round-trip itself, for honesty about what the fast path saves.
 /// * `batch` — all tensors in ONE `decode_tensors_batch_report`
 ///   submission.
 ///
-/// Returns mean ns per whole-set pass for (spawn, pooled, dispatch,
-/// batch), each the best of three timed runs.
-fn pool_timings(
-    meta: &TensorMetadata,
-    small: &[&[Block64]],
-    threads: usize,
-) -> (f64, f64, f64, f64) {
+/// Returns mean ns per whole-set pass for (pooled, dispatch, batch),
+/// each the best of three timed runs.
+fn pool_timings(meta: &TensorMetadata, small: &[&[Block64]], threads: usize) -> (f64, f64, f64) {
     let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-
-    let spawn = best_of(&mut || {
-        time_ns(|| {
-            for t in small {
-                let shard = t.len().div_ceil(threads).max(1);
-                let mut parts: Vec<Vec<f32>> = Vec::with_capacity(threads);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = t
-                        .chunks(shard)
-                        .map(|run| {
-                            s.spawn(move || {
-                                let mut out = Vec::with_capacity(run.len() * GROUP);
-                                for b in run {
-                                    // The fused decoder appends, so the
-                                    // shard buffer is the output.
-                                    ecco_hw::decode_block_parallel_into(b, meta, &mut out).unwrap();
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        parts.push(h.join().unwrap());
+    let per_tensor = |pool: &Pool| {
+        best_of(&mut || {
+            with_pool(pool, || {
+                time_ns(|| {
+                    for t in small {
+                        black_box(hw_decode_tensor(black_box(t), meta));
                     }
-                });
-                black_box(parts);
-            }
-        })
-    });
-
-    let pool = ecco_core::pool::PoolBuilder::new().threads(threads).build();
-    let pooled = best_of(&mut || {
-        ecco_core::pool::with_pool(&pool, || {
-            time_ns(|| {
-                for t in small {
-                    black_box(hw_decode_tensor(black_box(t), meta));
-                }
+                })
             })
         })
-    });
+    };
 
-    let queue_pool = ecco_core::pool::PoolBuilder::new()
-        .threads(threads)
-        .chunk(1)
-        .build();
-    let dispatch = best_of(&mut || {
-        ecco_core::pool::with_pool(&queue_pool, || {
-            time_ns(|| {
-                for t in small {
-                    black_box(hw_decode_tensor(black_box(t), meta));
-                }
-            })
-        })
-    });
+    let pool = PoolBuilder::new().threads(threads).build();
+    let pooled = per_tensor(&pool);
+    let dispatch = per_tensor(&PoolBuilder::new().threads(threads).chunk(1).build());
 
     let batch_refs: Vec<(&[Block64], &TensorMetadata)> = small.iter().map(|t| (*t, meta)).collect();
     let batch = best_of(&mut || {
-        ecco_core::pool::with_pool(&pool, || {
+        with_pool(&pool, || {
             time_ns(|| {
                 let report =
                     decode_tensors_batch_report(black_box(&batch_refs), RecoveryPolicy::FailTensor);
@@ -252,7 +202,7 @@ fn pool_timings(
         })
     });
 
-    (spawn, pooled, dispatch, batch)
+    (pooled, dispatch, batch)
 }
 
 /// Container cold-start timings: write a compressed multi-layer model
@@ -265,8 +215,6 @@ fn pool_timings(
 /// three.
 fn container_load_section() -> String {
     use ecco_container::{crc32, write_model, Container};
-    use ecco_core::pool::{with_pool, PoolBuilder};
-    use ecco_core::{CompressedTensor, WeightCodec};
     use ecco_tensor::{synth::SynthSpec, TensorKind};
 
     const LAYERS: usize = 8;
@@ -424,11 +372,12 @@ fn parse_header<'m>(
 
 fn write_bench_json(
     t: &Tensor,
-    meta: &TensorMetadata,
+    codec: &WeightCodec,
     blocks: &[Block64],
     kmeta: &TensorMetadata,
     kc_blocks: &[Block64],
 ) {
+    let meta = codec.metadata();
     let n = blocks.len();
     let symbols = (n * GROUP) as f64;
     let parsed: Vec<(&ecco_entropy::Codebook, usize)> =
@@ -465,7 +414,6 @@ fn write_bench_json(
     let pipeline_hw_ns = time_ns(|| {
         black_box(hw_decode_tensor(black_box(blocks), meta));
     });
-    let codec = WeightCodec::from_metadata(meta.clone());
     let (ct, _) = codec.compress(t);
     assert_eq!(ct.blocks(), blocks, "codec arm decodes the same blocks");
     let pipeline_ref_ns = time_ns(|| {
@@ -474,7 +422,7 @@ fn write_bench_json(
         black_box(report);
     });
 
-    // Small-tensor scheduling: spawn-per-call vs the persistent pool.
+    // Small-tensor scheduling: a per-tensor loop vs one batch.
     const SMALL_TENSORS: usize = 128;
     const SMALL_BLOCKS: usize = 4;
     const POOL_THREADS: usize = 2;
@@ -484,7 +432,7 @@ fn write_bench_json(
             &blocks[lo..lo + SMALL_BLOCKS]
         })
         .collect();
-    let (spawn_ns, pooled_ns, dispatch_ns, batch_ns) = pool_timings(meta, &small, POOL_THREADS);
+    let (pooled_ns, dispatch_ns, batch_ns) = pool_timings(meta, &small, POOL_THREADS);
     let tensors_per_s = |ns: f64| SMALL_TENSORS as f64 / ns * 1e9;
 
     let per_s = |ns: f64| symbols / ns * 1e9;
@@ -507,19 +455,12 @@ fn write_bench_json(
            \"pipeline_vs_sequential_speedup\": {pipe_speedup:.2}\n  }},\n  \
          {kvd}\n  \
          {wdec}\n  \
-         \"pool_spawn\": {{\n    \
-           \"tensors\": {SMALL_TENSORS},\n    \
-           \"blocks_per_tensor\": {SMALL_BLOCKS},\n    \
-           \"pool_executors\": {POOL_THREADS},\n    \
-           \"spawn_per_call_tensors_per_s\": {spawn_tps:.0},\n    \
-           \"pooled_tensors_per_s\": {pooled_tps:.0},\n    \
-           \"pooled_dispatch_tensors_per_s\": {dispatch_tps:.0},\n    \
-           \"pooled_vs_spawn_speedup\": {pool_speedup:.2}\n  }},\n  \
          \"batch_decode\": {{\n    \
            \"tensors\": {SMALL_TENSORS},\n    \
            \"blocks_per_tensor\": {SMALL_BLOCKS},\n    \
            \"pool_executors\": {POOL_THREADS},\n    \
            \"per_tensor_pooled_tensors_per_s\": {pooled_tps:.0},\n    \
+           \"per_tensor_dispatch_tensors_per_s\": {dispatch_tps:.0},\n    \
            \"batched_submission_tensors_per_s\": {batch_tps:.0},\n    \
            \"batched_vs_per_tensor_speedup\": {batch_speedup:.2},\n    \
            \"notes\": \"claim_ranges groups contiguous tensors into block-target-sized claims, so one submission pays one queue wake-up for the whole batch and spreads it across executors; with a single executor that fixed cost is not amortized and batched submission measured ~0.85-0.9x of the per-tensor loop\"\n  }},\n  \
@@ -527,7 +468,7 @@ fn write_bench_json(
         csec = container_load_section(),
         kvd = kv_decode_timings(),
         wdec = weight_decode_timings(),
-        threads = ecco_core::pool::Pool::current().executors(),
+        threads = Pool::current().executors(),
         lut = per_s(lut_ns),
         wdtv = decode_to_values_section(blocks, meta),
         kdtv = decode_to_values_section(kc_blocks, kmeta),
@@ -536,20 +477,14 @@ fn write_bench_json(
         piper = per_s(pipeline_ref_ns),
         pipeh = per_s(pipeline_hw_ns),
         pipe_speedup = seq_ns / pipeline_ref_ns,
-        spawn_tps = tensors_per_s(spawn_ns),
         pooled_tps = tensors_per_s(pooled_ns),
         dispatch_tps = tensors_per_s(dispatch_ns),
-        pool_speedup = spawn_ns / pooled_ns,
         batch_tps = tensors_per_s(batch_ns),
         batch_speedup = pooled_ns / batch_ns,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json");
     std::fs::write(path, &json).expect("write BENCH_codec.json");
     println!("\nBENCH_codec.json:\n{json}");
-    println!(
-        "pooled small-tensor decode is {:.1}x the per-call spawn baseline",
-        spawn_ns / pooled_ns,
-    );
 }
 
 /// The weight sections' input: a synthetic weight tensor of 1024 groups
@@ -635,7 +570,7 @@ fn weight_encode_timings() -> String {
         patterns = meta.num_patterns(),
         enc = wt.len() as f64 / encode_ns * 1e9,
         batch = wt.len() as f64 / batch_ns * 1e9,
-        executors = ecco_core::pool::Pool::current().executors(),
+        executors = Pool::current().executors(),
     )
 }
 
@@ -716,7 +651,7 @@ fn kv_decode_timings() -> String {
            {stages}\n  }},",
         dec = kt.len() as f64 / decode_ns * 1e9,
         batch = read_values / batch_ns * 1e9,
-        executors = ecco_core::pool::Pool::current().executors(),
+        executors = Pool::current().executors(),
         stages = kv_decode_stages(&kt, &codec),
     )
 }
@@ -889,7 +824,7 @@ fn kv_encode_timings() -> String {
         enc = kt.len() as f64 / encode_ns * 1e9,
         batch = kt.len() as f64 / batch_ns * 1e9,
         n_pages = pages.len(),
-        executors = ecco_core::pool::Pool::current().executors(),
+        executors = Pool::current().executors(),
         stages = kv_encode_stages(&pages, meta),
     )
 }
@@ -1034,7 +969,8 @@ fn kv_encode_stages(pages: &[Tensor], meta: &TensorMetadata) -> String {
 /// Compress-side counterpart of [`write_bench_json`]: codebook selection
 /// single-pass vs H-pass, full encode throughput, the weight and KV
 /// write paths, and parallel vs sequential calibration wall time.
-fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
+fn write_encode_json(t: &Tensor, codec: &WeightCodec, cfg: &EccoConfig) {
+    let meta = codec.metadata();
     // Precompute per-group symbol streams exactly as the encoder derives
     // them, so the selection timings isolate the codebook choice.
     let symbol_sets: Vec<(usize, Vec<u16>)> = t
@@ -1100,7 +1036,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     });
 
     // Full group encode (the scratch-threaded hot path every codec loop
-    // uses), sequential and through the pooled pipeline.
+    // uses), sequential and through the codec's encode engine.
     let encode_ns = time_ns(|| {
         for g in t.groups(GROUP) {
             black_box(encode_group_scratch(
@@ -1113,11 +1049,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
         }
     });
     let pipeline_ns = time_ns(|| {
-        black_box(encode_groups_parallel_unchecked(
-            black_box(t),
-            meta,
-            PatternSelector::MseOptimal,
-        ));
+        black_box(codec.compress_batch(&[black_box(t)]));
     });
 
     // Offline calibration: the pool-parallel path vs the pinned
@@ -1167,7 +1099,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
            \"sequential_ms\": {cal_seq:.2},\n    \
            \"parallel_ms\": {cal_par:.2},\n    \
            \"parallel_vs_sequential_speedup\": {cal_speedup:.2}\n  }}\n}}\n",
-        threads = ecco_core::pool::Pool::current().executors(),
+        threads = Pool::current().executors(),
         ref_sel = selections_per_s(ref_select_ns),
         fused_sel = selections_per_s(fused_select_ns),
         sel_fused_speedup = ref_select_ns / fused_select_ns,

@@ -42,7 +42,7 @@ fn lat_json(l: &LatencyStats) -> String {
 
 fn main() {
     // Parsed, not just probed: `ECCO_QUICK=0` means the full trace.
-    let quick = ecco_core::quick_from_env();
+    let quick = ecco_bench::quick_mode();
     let model = ModelSpec::llama31_8b();
     let mix = if quick {
         TrafficMix::chat(48, 12, 0xECC0)

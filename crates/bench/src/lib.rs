@@ -9,10 +9,19 @@
 
 /// Returns `true` when reduced sweeps were requested via `ECCO_QUICK`.
 ///
-/// Delegates to [`ecco_core::quick_from_env`] — the one shared parser —
-/// so `ECCO_QUICK=0` (or an empty value) runs the full sweep everywhere.
+/// The flag is **parsed**, not just probed: `ECCO_QUICK=0`, an empty
+/// value or an unset variable all mean a full run, and anything else
+/// (after trimming) enables quick mode. Every harness reading
+/// `ECCO_QUICK` goes through this one parser, so `ECCO_QUICK=0 cargo
+/// bench …` runs the full sweep instead of silently shrinking it.
 pub fn quick_mode() -> bool {
-    ecco_core::quick_from_env()
+    match std::env::var("ECCO_QUICK") {
+        Ok(v) => {
+            let v = v.trim();
+            !v.is_empty() && v != "0"
+        }
+        Err(_) => false,
+    }
 }
 
 /// Prints a fixed-width table: a header row, a rule, then rows.
@@ -72,5 +81,33 @@ mod tests {
     #[test]
     fn formatting() {
         assert_eq!(f(1.23456, 2), "1.23");
+    }
+
+    #[test]
+    fn quick_mode_parses_the_value() {
+        // `ECCO_QUICK=0` (and "" and unset) must mean a FULL run — an
+        // `is_ok()` probe would treat any set value as quick mode and
+        // silently shrink `ECCO_QUICK=0` sweeps. The previous value is
+        // restored so a process that set it keeps it.
+        let prev = std::env::var("ECCO_QUICK").ok();
+        std::env::set_var("ECCO_QUICK", "1");
+        assert!(quick_mode());
+        std::env::set_var("ECCO_QUICK", "yes");
+        assert!(quick_mode());
+        std::env::set_var("ECCO_QUICK", " 1\n");
+        assert!(quick_mode(), "padded truthy values must parse");
+        std::env::set_var("ECCO_QUICK", "0");
+        assert!(!quick_mode(), "ECCO_QUICK=0 must run the full sweep");
+        std::env::set_var("ECCO_QUICK", " 0 ");
+        assert!(!quick_mode(), "padded zero must run the full sweep");
+        std::env::set_var("ECCO_QUICK", "");
+        assert!(!quick_mode(), "empty value must run the full sweep");
+        std::env::set_var("ECCO_QUICK", "  \t ");
+        assert!(!quick_mode(), "whitespace-only must run the full sweep");
+        std::env::remove_var("ECCO_QUICK");
+        assert!(!quick_mode(), "unset must run the full sweep");
+        if let Some(v) = prev {
+            std::env::set_var("ECCO_QUICK", v);
+        }
     }
 }

@@ -119,18 +119,6 @@ impl BitWriter {
         }
     }
 
-    /// Appends zero bits until `bit_len` reaches `target_bits`.
-    ///
-    /// Does nothing if the writer is already at or past the target.
-    pub fn pad_to(&mut self, target_bits: usize) {
-        let mut need = target_bits.saturating_sub(self.bit_len());
-        while need > 0 {
-            let n = need.min(64) as u32;
-            self.write_bits(0, n);
-            need -= n as usize;
-        }
-    }
-
     /// The flushed words followed by the pending bits, left-aligned in
     /// one last word (zero-filled) when there are any.
     fn left_aligned_words(&self) -> impl Iterator<Item = u64> + '_ {
@@ -315,7 +303,7 @@ pub enum WindowDispatch {
 /// The [`WindowDispatch`] the hardware model runs on: always
 /// [`WindowDispatch::Portable`]. Kept only because the repository
 /// benchmark prints it in its env header; it goes away with that
-/// benchmark's next change (ROADMAP.md item 1).
+/// benchmark's next change (ROADMAP.md item 3).
 pub fn window_dispatch() -> WindowDispatch {
     WindowDispatch::Portable
 }
@@ -433,16 +421,9 @@ mod tests {
                 }
             }
             prop_assert_eq!(w.bit_len(), reference.len());
-            // A block holds the same bytes, zero-filled to 64, and so
-            // does the writer padded with zeros.
+            // A block holds the same bytes, zero-filled to 64.
             let block = Block64::from_writer(w.clone());
-            let mut padded = w.clone();
-            padded.pad_to(reference.len() + 100);
-            prop_assert_eq!(padded.bit_len(), reference.len() + 100);
-            let padded = padded.into_bytes();
             let bytes = w.into_bytes();
-            prop_assert_eq!(&padded[..bytes.len()], &bytes[..]);
-            prop_assert!(padded[bytes.len()..].iter().all(|&b| b == 0));
             prop_assert_eq!(bytes.len(), reference.len().div_ceil(8));
             match block {
                 Ok(block) => {

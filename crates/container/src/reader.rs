@@ -364,17 +364,28 @@ impl Container {
     /// # Errors
     ///
     /// [`ContainerError::UnknownTensor`] for a name not in the
-    /// directory; [`DecodeErrorKind::ChecksumMismatch`] located at the
-    /// entry's index when the frame bytes disagree with the stored CRC;
-    /// otherwise whatever located error [`wire::decode_tensor`] reports,
-    /// stamped with the tensor index.
+    /// directory; [`DecodeErrorKind::TruncatedStream`] located at the
+    /// entry's index when the frame runs past the end of the source (a
+    /// file that shrank after open); [`DecodeErrorKind::ChecksumMismatch`]
+    /// located likewise when the frame bytes disagree with the stored
+    /// CRC; [`ContainerError::Io`] for any other read failure; otherwise
+    /// whatever located error [`wire::decode_tensor`] reports, stamped
+    /// with the tensor index.
     pub fn read_compressed(&self, name: &str) -> Result<CompressedTensor, ContainerError> {
         let &idx = self
             .by_name
             .get(name)
             .ok_or_else(|| ContainerError::UnknownTensor(name.to_owned()))?;
         let e = &self.entries[idx];
-        let frame = self.source.read(e.offset, e.len as usize)?;
+        let frame = self
+            .source
+            .read(e.offset, e.len as usize)
+            .map_err(|err| match err.kind() {
+                io::ErrorKind::UnexpectedEof => ContainerError::Decode(
+                    DecodeError::new(DecodeErrorKind::TruncatedStream).at_tensor(idx),
+                ),
+                _ => ContainerError::Io(err),
+            })?;
         if crc32(&frame) != e.crc {
             return Err(ContainerError::Decode(
                 DecodeError::new(DecodeErrorKind::ChecksumMismatch).at_tensor(idx),
@@ -492,16 +503,5 @@ impl Container {
             }
         }
         Ok(out)
-    }
-
-    /// Strict pooled load of every tensor, in directory order.
-    ///
-    /// # Errors
-    ///
-    /// As [`Container::load`].
-    pub fn load_all(&self) -> Result<Vec<(String, Tensor)>, ContainerError> {
-        let names: Vec<&str> = self.tensor_names().collect();
-        let tensors = self.load(&names)?;
-        Ok(names.into_iter().map(str::to_owned).zip(tensors).collect())
     }
 }

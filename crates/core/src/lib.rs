@@ -27,9 +27,9 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Every hot path is sharded across the persistent worker [`pool`] with
-//! order-preserving merges, so parallel and sequential runs are
-//! **bit-identical**:
+//! Every hot path is sharded across the persistent worker pool
+//! ([`ecco_pool`]) with order-preserving merges, so parallel and
+//! sequential runs are **bit-identical**:
 //!
 //! * offline calibration ([`TensorMetadata::calibrate`]) fans out group
 //!   normalization, the per-group k-means fits, histogram collection and
@@ -82,7 +82,7 @@ pub mod metadata;
 pub mod metrics;
 pub mod parallel;
 pub mod pattern;
-pub mod pool;
+mod pool;
 pub mod select;
 pub mod weight;
 pub mod wire;
@@ -100,7 +100,6 @@ pub use metadata::{PatternSelector, TensorMetadata};
 pub use metrics::CodecStats;
 pub use parallel::{BatchOutcome, RecoveryPolicy};
 pub use pattern::{KmeansPattern, PatternBoundaries, NUM_CENTROIDS, SCALE_SYMBOL, SYMBOL_COUNT};
-pub use pool::{quick_from_env, with_pool, Pool, PoolBuilder};
 pub use select::{select_pattern_ref, GroupScratch};
 pub use weight::{CompressedTensor, WeightCodec};
 

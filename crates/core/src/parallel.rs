@@ -8,10 +8,10 @@
 //! a batch of tensors is embarrassingly parallel across its groups — the
 //! same property BGZF exploits to decompress genomic archives
 //! block-parallel. The drivers flatten every tensor's groups/blocks into
-//! one chunk list ([`crate::pool::block_chunk`]), group contiguous chunks
-//! into claims that idle executors take from the shared pool
-//! ([`crate::pool`]), and reassemble results per tensor in chunk order, so
-//! output is bit-identical to the per-group loop
+//! one chunk list, group contiguous chunks into claims that idle
+//! executors take from the shared [`ecco_pool`] pool, and reassemble
+//! results per tensor in chunk order, so output is bit-identical to the
+//! per-group loop
 //! ([`encode_group`](crate::block::encode_group)/[`decode_group`](crate::block::decode_group))
 //! at any pool size or chunking. A batch that fits in one claim runs
 //! inline on the caller — a single small tensor never pays a scheduling
@@ -39,24 +39,19 @@
 
 use ecco_bits::Block64;
 use ecco_numerics::Po2Scale;
+use ecco_pool::Pool;
 use ecco_tensor::{Tensor, GROUP_SIZE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::block::{
     decode_group_scaled_into, encode_group_scratch, encode_group_weighted_scratch, DecodeError,
-    DecodeErrorKind, EncodedGroupInfo,
+    DecodeErrorKind,
 };
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
-use crate::pool::{block_chunk, Pool};
+use crate::pool::block_chunk;
 use crate::select::GroupScratch;
 use crate::weight::CompressedTensor;
-
-/// Executors the pipelines run on: the current pool's worker threads
-/// plus the submitting thread.
-pub fn worker_threads() -> usize {
-    Pool::current().executors()
-}
 
 /// Maps `f(index, item)` over `items` across the pool, returning the
 /// results in item order — exactly what the sequential
@@ -169,40 +164,6 @@ fn encode_run(
         blocks.push(block);
     }
     (blocks, stats)
-}
-
-/// Encodes every group of `tensor` across the pool without the engine's
-/// batching or statistics — the encode engine's pool pass stripped to
-/// blocks and per-group reports, for throughput benchmarking. Like the
-/// engine, it encodes under the tensor's own scale.
-///
-/// # Panics
-///
-/// Panics if the tensor length is not a multiple of the group size.
-pub fn encode_groups_parallel_unchecked(
-    tensor: &Tensor,
-    meta: &TensorMetadata,
-    selector: PatternSelector,
-) -> (Vec<Block64>, Vec<EncodedGroupInfo>) {
-    let gs = GROUP_SIZE;
-    assert_eq!(tensor.len() % gs, 0, "tensor not a multiple of group size");
-    let scale = TensorMetadata::scale_for(tensor);
-    let total = tensor.len() / gs;
-    let pool = Pool::current();
-    let chunk = block_chunk(&pool, total);
-    let data = tensor.data();
-
-    let parts: Vec<Vec<(Block64, EncodedGroupInfo)>> = pool
-        .run_map(total, chunk, |lo, hi| {
-            let mut scratch = GroupScratch::new();
-            data[lo * gs..hi * gs]
-                .chunks_exact(gs)
-                .map(|g| encode_group_scratch(g, meta, scale, selector, &mut scratch))
-                .collect()
-        })
-        .unwrap_or_else(|p| p.resume());
-
-    parts.into_iter().flatten().unzip()
 }
 
 /// The decode engine behind every codec `decompress*` method: screens
@@ -559,8 +520,8 @@ where
 mod tests {
     use super::*;
     use crate::block::decode_group_scaled_into;
-    use crate::pool::{with_pool, PoolBuilder};
     use crate::{EccoConfig, KvCodec, WeightCodec};
+    use ecco_pool::{with_pool, PoolBuilder};
     use ecco_tensor::{synth::SynthSpec, TensorKind};
     use proptest::prelude::*;
 
@@ -731,11 +692,6 @@ mod tests {
 
             let pool = PoolBuilder::new().threads(threads).chunk(chunk).build();
             with_pool(&pool, || {
-                let (seq_blocks, _) = oracle_encode(meta, &t, PatternSelector::MseOptimal, None);
-                let (unchecked, _) =
-                    encode_groups_parallel_unchecked(&t, meta, PatternSelector::MseOptimal);
-                prop_assert_eq!(&unchecked, &seq_blocks, "unchecked encode diverged");
-
                 let batch = codec.compress_batch(&refs);
                 for (x, (ct, stats)) in refs.iter().zip(&batch) {
                     let (want, want_stats) = oracle_encode(meta, x, PatternSelector::MseOptimal, None);

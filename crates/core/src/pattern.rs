@@ -1,8 +1,7 @@
 //! Shared k-means patterns (steps 3–4 of the paper's Figure 4).
 
 use ecco_kmeans::{
-    fill_midpoints, fit_scalar, fit_vectors, nearest_by_midpoints, nearest_sorted, KmeansConfig,
-    ScalarFit,
+    fill_midpoints, fit_vectors, nearest_by_midpoints, nearest_sorted, KmeansConfig, ScalarFit,
 };
 
 /// Centroids per pattern: 15 (symbol 15 is reserved for the group absmax).
@@ -20,10 +19,10 @@ pub const SCALE_SYMBOL: u16 = 15;
 /// ```
 /// use ecco_core::KmeansPattern;
 ///
-/// let p = KmeansPattern::from_group(&[-0.9, -0.5, 0.0, 0.1, 0.4, 0.8], None, 1);
+/// let p = KmeansPattern::new(core::array::from_fn(|i| (i as f32 - 7.0) / 8.0));
 /// assert_eq!(p.centroids().len(), 15);
 /// let sym = p.nearest(0.09);
-/// assert!((p.centroids()[sym as usize] - 0.1).abs() < 0.2);
+/// assert_eq!(p.centroids()[sym as usize], 0.125);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct KmeansPattern {
@@ -53,17 +52,6 @@ impl KmeansPattern {
         let sorted_finite =
             centroids.iter().all(|c| c.is_finite()) && centroids.windows(2).all(|w| w[0] <= w[1]);
         sorted_finite.then_some(KmeansPattern { centroids })
-    }
-
-    /// Fits a pattern to one group's normalized non-absmax values via
-    /// weighted 1-D k-means (paper step 3). `weights` carries the
-    /// activation-aware importance; `None` = uniform.
-    pub fn from_group(values: &[f32], weights: Option<&[f32]>, seed: u64) -> KmeansPattern {
-        KmeansPattern::from_fit(&fit_scalar(
-            values,
-            weights,
-            &KmeansConfig::with_k(NUM_CENTROIDS).seeded(seed),
-        ))
     }
 
     /// Wraps a finished 15-cluster scalar fit — the constructor the
@@ -238,12 +226,20 @@ pub fn shared_patterns(patterns: &[KmeansPattern], s: usize, seed: u64) -> Vec<K
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecco_kmeans::fit_scalar;
     use proptest::prelude::*;
 
+    /// One group's pattern: a 15-cluster unweighted scalar fit of its
+    /// normalized values (paper step 3).
+    fn fit(values: &[f32], seed: u64) -> KmeansPattern {
+        let cfg = KmeansConfig::with_k(NUM_CENTROIDS).seeded(seed);
+        KmeansPattern::from_fit(&fit_scalar(values, None, &cfg))
+    }
+
     #[test]
-    fn from_group_produces_sorted_centroids() {
+    fn fitted_pattern_has_sorted_centroids() {
         let vals: Vec<f32> = (0..127).map(|i| (i as f32 / 63.5) - 1.0).collect();
-        let p = KmeansPattern::from_group(&vals, None, 7);
+        let p = fit(&vals, 7);
         assert!(p.centroids().windows(2).all(|w| w[0] <= w[1]));
         assert!(p.min() >= -1.0 && p.max() <= 1.0);
     }
@@ -260,7 +256,7 @@ mod tests {
     #[test]
     fn zero_symbol_is_closest_to_zero() {
         let vals: Vec<f32> = (0..127).map(|i| (i as f32 / 63.5) - 1.0).collect();
-        let p = KmeansPattern::from_group(&vals, None, 7);
+        let p = fit(&vals, 7);
         let z = p.zero_symbol() as usize;
         for (i, &c) in p.centroids().iter().enumerate() {
             assert!(c.abs() >= p.centroids()[z].abs() - 1e-9, "centroid {i}");
@@ -274,7 +270,7 @@ mod tests {
                 let vals: Vec<f32> = (0..127)
                     .map(|i| ((i + g * 13) as f32 / 63.5 - 1.0).sin())
                     .collect();
-                KmeansPattern::from_group(&vals, None, g as u64)
+                fit(&vals, g as u64)
             })
             .collect();
         let shared = shared_patterns(&groups, 8, 0);
@@ -327,7 +323,7 @@ mod tests {
             vals in prop::collection::vec(-1.0f32..1.0, 127),
             probes in prop::collection::vec(-1.5f32..1.5, 32),
         ) {
-            let p = KmeansPattern::from_group(&vals, None, 9);
+            let p = fit(&vals, 9);
             let b = p.boundaries();
             prop_assert!(b.midpoints().windows(2).all(|w| w[0] <= w[1]));
             for &x in &probes {
@@ -337,7 +333,7 @@ mod tests {
 
         #[test]
         fn nearest_is_argmin(vals in prop::collection::vec(-1.0f32..1.0, 127), x in -1.2f32..1.2) {
-            let p = KmeansPattern::from_group(&vals, None, 3);
+            let p = fit(&vals, 3);
             let sym = p.nearest(x) as usize;
             let d = (p.centroids()[sym] - x).abs();
             for &c in p.centroids() {
@@ -347,7 +343,7 @@ mod tests {
 
         #[test]
         fn sq_error_nonnegative_and_bounded(vals in prop::collection::vec(-1.0f32..1.0, 16..127)) {
-            let p = KmeansPattern::from_group(&vals, None, 3);
+            let p = fit(&vals, 3);
             let e = p.sq_error(&vals);
             prop_assert!(e >= 0.0);
             // Each value is within 2.0 of some centroid (both in (-1,1)).

@@ -1,14 +1,12 @@
-//! The codec's scheduler surface: re-exports of the persistent
-//! [`ecco_pool`] worker pool plus the block-granularity chunk policy the
-//! multi-block pipelines share.
+//! The block-granularity chunk policy the codec's pool drivers share.
 //!
 //! Every parallel path in this workspace — calibration's stage maps
 //! ([`par_map_indexed`](crate::parallel::par_map_indexed)), the k-means
 //! batch fits, the codecs' encode and decode engines
 //! ([`crate::parallel`]) and `ecco_hw::decode_tensors_batch_report` —
-//! submits to the *current* pool: the innermost [`with_pool`] binding on
-//! the calling thread, or the lazily-started global pool sized by
-//! `ECCO_THREADS` (then its alias `RAYON_NUM_THREADS`, then the core
+//! submits to the *current* [`ecco_pool`] pool: the innermost
+//! `ecco_pool::with_pool` binding on the calling thread, or the
+//! lazily-started global pool sized by `ECCO_THREADS` (else the core
 //! count), so they all share one set of long-lived workers.
 //!
 //! # Determinism
@@ -20,22 +18,20 @@
 //! differential proptests in [`crate::parallel`] and the root
 //! `pool_scaling` test.
 
-pub use ecco_pool::{
-    quick_from_env, threads_from_env, with_pool, JobPanic, Pool, PoolBuilder, CHUNKS_PER_EXECUTOR,
-};
+use ecco_pool::{Pool, CHUNKS_PER_EXECUTOR};
 
 /// Minimum groups/blocks per chunk for the codec pipelines. A chunk is
 /// the unit workers claim; below this size the claiming and wake-up
 /// overhead (~µs) rivals the work itself (~100 ns/block region), and a
 /// whole job under this size takes the pool's inline fast path — tiny
 /// tensors never touch the queue.
-pub const MIN_BLOCK_CHUNK: usize = 32;
+pub(crate) const MIN_BLOCK_CHUNK: usize = 32;
 
 /// Chunk size (in groups/blocks) for a codec job of `total` items on
 /// `pool`: the pool's pinned override if any, else about
 /// [`CHUNKS_PER_EXECUTOR`] chunks per executor, floored at
 /// [`MIN_BLOCK_CHUNK`].
-pub fn block_chunk(pool: &Pool, total: usize) -> usize {
+pub(crate) fn block_chunk(pool: &Pool, total: usize) -> usize {
     pool.chunk_override().unwrap_or_else(|| {
         total
             .div_ceil(pool.executors() * CHUNKS_PER_EXECUTOR)

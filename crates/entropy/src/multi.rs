@@ -97,11 +97,6 @@ impl MultiLenTable {
         }
     }
 
-    /// Number of codebooks packed into this table.
-    pub fn num_books(&self) -> usize {
-        self.n_books
-    }
-
     /// Size of the shared alphabet.
     pub fn num_symbols(&self) -> usize {
         self.num_symbols

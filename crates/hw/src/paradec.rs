@@ -35,8 +35,8 @@
 //!    is free in hardware and pure waste on one core.
 //!
 //! 3. **Emit.** The walk hands each surviving symbol to its caller as it
-//!    resolves: [`ParallelDecoder::decode_into`] collects symbols,
-//!    [`ParallelDecoder::decode_values_into`] gathers reconstructed values
+//!    resolves: [`ParallelDecoder::decode_into`] collects symbols, and
+//!    [`decode_block_parallel_into`]'s walk gathers reconstructed values
 //!    through a per-block [`BlockValueTable`].
 //!
 //! The returned [`DecodeStats`] still report the modeled hardware cost
@@ -182,14 +182,14 @@ impl<'a> ParallelDecoder<'a> {
     /// **appending** up to `max_symbols` reconstructed f32 values to
     /// `out` — no intermediate symbol buffer, no second reconstruction
     /// pass. The caller computes the decoded count from `out.len()`
-    /// before/after. [`decode_block_parallel_into`] passes the cursor
-    /// [`ecco_core::read_block`] built.
+    /// before/after. [`decode_block_parallel_into`], its one caller,
+    /// passes the cursor [`ecco_core::read_block`] built.
     ///
     /// # Panics
     ///
     /// Panics if `start_bit` is outside the block, or if a decoded
     /// symbol exceeds the table (impossible for a metadata's data book).
-    pub fn decode_values_into(
+    fn decode_values_into(
         &self,
         cur: &BlockCursor,
         start_bit: usize,
@@ -275,7 +275,7 @@ pub fn decode_block_parallel(
 
 /// Full-block decompression: the format's one block reader
 /// ([`ecco_core::read_block`], shared with the codec) with the 64×8 walk
-/// ([`ParallelDecoder::decode_values_into`]) as its symbol walk,
+/// as its symbol walk,
 /// **appending** [`GROUP_SIZE`] reconstructed values to `values`, under
 /// the metadata's own scale. On error nothing is appended. Bit-identical to
 /// [`ecco_core::decode_group_into`] on every input, errors included (held
@@ -622,11 +622,11 @@ mod tests {
             // pool (varied executor count, ragged chunk pin).
             let threads = [1usize, 2, 4, 8][(seed % 4) as usize];
             let chunk = 1 + (seed % 7) as usize;
-            let pool = ecco_core::pool::PoolBuilder::new()
+            let pool = ecco_pool::PoolBuilder::new()
                 .threads(threads)
                 .chunk(chunk)
                 .build();
-            let batch = ecco_core::pool::with_pool(&pool, || {
+            let batch = ecco_pool::with_pool(&pool, || {
                 decode_tensors_batch_report(
                     &[(&blocks[..], &meta), (&blocks[..1], &meta)],
                     ecco_core::RecoveryPolicy::FailTensor,

@@ -53,14 +53,6 @@ impl PipelineSpec {
     pub fn aggregate_bytes_per_clk(&self) -> u32 {
         self.replicas * self.bytes_per_cycle_per_replica
     }
-
-    /// Cycles to stream `blocks` 64-byte compressed blocks through the
-    /// bank (pipelined: latency + one block per replica-cycle).
-    pub fn stream_cycles(&self, blocks: u64) -> u64 {
-        // Each replica emits 256 decompressed bytes (= one block) per
-        // cycle, so the bank retires `replicas` blocks per cycle.
-        self.decompress_cycles() as u64 + blocks.div_ceil(self.replicas as u64)
-    }
 }
 
 impl Default for PipelineSpec {
@@ -190,16 +182,6 @@ mod tests {
     fn aggregate_matches_l2_peak() {
         // 20 replicas × 256 B/clk = 5120 B/clk, the paper's L2 peak.
         assert_eq!(PipelineSpec::shipped().aggregate_bytes_per_clk(), 5120);
-    }
-
-    #[test]
-    fn streaming_amortizes_latency() {
-        let p = PipelineSpec::shipped();
-        let one = p.stream_cycles(1);
-        let many = p.stream_cycles(20_000);
-        // Throughput regime: ~1 cycle per 20 blocks plus the 28-cycle fill.
-        assert_eq!(one, 29);
-        assert!((many as f64 / (20_000.0 / 20.0) - 1.0).abs() < 0.05);
     }
 
     #[test]

@@ -68,24 +68,6 @@ impl F16 {
     pub fn is_infinite(self) -> bool {
         (self.0 & 0x7FFF) == 0x7C00
     }
-
-    /// Multiplies by `2^exp` exactly (saturating to infinity on overflow),
-    /// the operation performed by the decompressor's exponent adders.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ecco_numerics::F16;
-    /// let x = F16::from_f32(3.0);
-    /// assert_eq!(x.mul_pow2(4).to_f32(), 48.0);
-    /// assert_eq!(x.mul_pow2(-2).to_f32(), 0.75);
-    /// ```
-    pub fn mul_pow2(self, exp: i32) -> F16 {
-        // Multiplying an f32 by a power of two is exact within range, so the
-        // round-trip reproduces hardware exponent adjustment bit-exactly.
-        let scaled = self.to_f32() * (exp as f64).exp2() as f32;
-        F16::from_f32(scaled)
-    }
 }
 
 impl From<f32> for F16 {
@@ -238,14 +220,6 @@ mod tests {
         // 1 + 3*2^-11 is halfway between odd and even: rounds up to even.
         let tie_up = 1.0 + 3.0 * 2f32.powi(-11);
         assert_eq!(F16::from_f32(tie_up).to_bits(), 0x3C02);
-    }
-
-    #[test]
-    fn mul_pow2_is_exact_in_range() {
-        let x = F16::from_f32(0.1235);
-        assert_eq!(x.mul_pow2(3).to_f32(), x.to_f32() * 8.0);
-        assert_eq!(x.mul_pow2(-3).to_f32(), x.to_f32() / 8.0);
-        assert_eq!(x.mul_pow2(0), x);
     }
 
     #[test]

@@ -93,13 +93,6 @@ pub fn round_f16(x: f32) -> f32 {
     f32::from_bits(sign | rounded)
 }
 
-/// Rounds every element of `data` through binary16 in place.
-pub fn round_f16_slice(data: &mut [f32]) {
-    for v in data {
-        *v = round_f16(*v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

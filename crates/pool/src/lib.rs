@@ -29,8 +29,8 @@
 //! proptests pin this across pools of 1/2/4/8 executors and ragged
 //! chunk boundaries.
 //!
-//! Sizing: the global pool reads `ECCO_THREADS`, then the legacy
-//! `RAYON_NUM_THREADS`, then `available_parallelism`. An explicit
+//! Sizing: the global pool, like any [`PoolBuilder`] given no thread
+//! count, reads `ECCO_THREADS`, then `available_parallelism`. An explicit
 //! [`PoolBuilder`] pool can be injected for a scope with [`with_pool`]
 //! (thread-local), which is how tests pin thread counts and how servers
 //! isolate request classes.
@@ -302,15 +302,8 @@ impl PoolBuilder {
         self
     }
 
-    /// Sizes the pool from the environment (`ECCO_THREADS`, then
-    /// `RAYON_NUM_THREADS`, then `available_parallelism`), as the global
-    /// pool does.
-    pub fn from_env(mut self) -> PoolBuilder {
-        self.threads = Some(threads_from_env());
-        self
-    }
-
-    /// Starts the workers and returns the pool handle.
+    /// Starts the workers and returns the pool handle, sized by
+    /// [`threads_from_env`] unless [`PoolBuilder::threads`] pinned it.
     pub fn build(self) -> Pool {
         let executors = self.threads.unwrap_or_else(threads_from_env).max(1);
         let shared = Arc::new(Shared {
@@ -339,42 +332,22 @@ impl PoolBuilder {
     }
 }
 
-/// Pool size from the environment: `ECCO_THREADS` (this workspace's
-/// knob), then `RAYON_NUM_THREADS` (honoured for continuity with the
-/// scoped-thread stub), then `available_parallelism`. Values are
-/// trimmed before parsing — `ECCO_THREADS="4\n"` from a shell command
-/// substitution must not silently fall through to
-/// `available_parallelism`. Zero or unparsable values fall through.
+/// Pool size from the environment: `ECCO_THREADS`, else
+/// `available_parallelism`. The value is trimmed before parsing —
+/// `ECCO_THREADS="4\n"` from a shell command substitution must not
+/// silently fall through to `available_parallelism`. Zero or unparsable
+/// values fall through.
 pub fn threads_from_env() -> usize {
-    for var in ["ECCO_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
+    if let Ok(v) = std::env::var("ECCO_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
             }
         }
     }
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Quick-mode flag from the environment: `ECCO_QUICK` shrinks bench
-/// traces and replay loops to smoke-test size. The flag is **parsed**,
-/// not just probed — `ECCO_QUICK=0`, an empty value, or an unset
-/// variable all mean a full run, anything else (after trimming) enables
-/// quick mode. Every bench and example reading `ECCO_QUICK` goes through
-/// this one parser, so `ECCO_QUICK=0 cargo bench …` runs the full trace
-/// instead of silently shrinking it.
-pub fn quick_from_env() -> bool {
-    match std::env::var("ECCO_QUICK") {
-        Ok(v) => {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        }
-        Err(_) => false,
-    }
 }
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
@@ -691,13 +664,12 @@ mod tests {
     fn env_sizing_parses() {
         // Can't mutate the global pool here (other tests share it);
         // exercise the parser through the builder instead. The previous
-        // values are restored so a CI leg that pins ECCO_THREADS for the
+        // value is restored so a CI leg that pins ECCO_THREADS for the
         // whole process is not silently un-pinned for later tests.
-        let prev_ecco = std::env::var("ECCO_THREADS").ok();
-        let prev_rayon = std::env::var("RAYON_NUM_THREADS").ok();
+        let prev = std::env::var("ECCO_THREADS").ok();
         std::env::set_var("ECCO_THREADS", "3");
         assert_eq!(threads_from_env(), 3);
-        let p = PoolBuilder::new().from_env().build();
+        let p = PoolBuilder::new().build();
         assert_eq!(p.executors(), 3);
         // Shell command substitution (`ECCO_THREADS="$(nproc)"`) leaves a
         // trailing newline; padded values must parse, not fall through.
@@ -705,49 +677,17 @@ mod tests {
         assert_eq!(threads_from_env(), 4);
         std::env::set_var("ECCO_THREADS", "  5  ");
         assert_eq!(threads_from_env(), 5);
+        // Zero and unparsable values fall through to the core count and
+        // never panic.
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         std::env::set_var("ECCO_THREADS", "0");
-        std::env::set_var("RAYON_NUM_THREADS", "2");
-        assert_eq!(threads_from_env(), 2);
-        std::env::set_var("RAYON_NUM_THREADS", "\t2 ");
-        assert_eq!(threads_from_env(), 2);
-        std::env::set_var("RAYON_NUM_THREADS", "not-a-number");
-        assert!(threads_from_env() >= 1); // falls through, never panics
-        std::env::remove_var("RAYON_NUM_THREADS");
+        assert_eq!(threads_from_env(), cores);
+        std::env::set_var("ECCO_THREADS", "not-a-number");
+        assert_eq!(threads_from_env(), cores);
         std::env::remove_var("ECCO_THREADS");
-        assert!(threads_from_env() >= 1);
-        if let Some(v) = prev_ecco {
-            std::env::set_var("ECCO_THREADS", v);
-        }
-        if let Some(v) = prev_rayon {
-            std::env::set_var("RAYON_NUM_THREADS", v);
-        }
-    }
-
-    #[test]
-    fn quick_mode_parses_the_value() {
-        // `ECCO_QUICK=0` (and "" and unset) must mean a FULL run — the
-        // old `is_ok()` probe treated any set value as quick mode and
-        // silently shrank `ECCO_QUICK=0` traces. Previous value restored
-        // for the same reason as `env_sizing_parses`.
-        let prev = std::env::var("ECCO_QUICK").ok();
-        std::env::set_var("ECCO_QUICK", "1");
-        assert!(quick_from_env());
-        std::env::set_var("ECCO_QUICK", "yes");
-        assert!(quick_from_env());
-        std::env::set_var("ECCO_QUICK", " 1\n");
-        assert!(quick_from_env(), "padded truthy values must parse");
-        std::env::set_var("ECCO_QUICK", "0");
-        assert!(!quick_from_env(), "ECCO_QUICK=0 must run the full trace");
-        std::env::set_var("ECCO_QUICK", " 0 ");
-        assert!(!quick_from_env(), "padded zero must run the full trace");
-        std::env::set_var("ECCO_QUICK", "");
-        assert!(!quick_from_env(), "empty value must run the full trace");
-        std::env::set_var("ECCO_QUICK", "  \t ");
-        assert!(!quick_from_env(), "whitespace-only must run the full trace");
-        std::env::remove_var("ECCO_QUICK");
-        assert!(!quick_from_env(), "unset must run the full trace");
+        assert_eq!(threads_from_env(), cores);
         if let Some(v) = prev {
-            std::env::set_var("ECCO_QUICK", v);
+            std::env::set_var("ECCO_THREADS", v);
         }
     }
 

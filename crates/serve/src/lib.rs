@@ -612,11 +612,6 @@ impl PagedKvStore {
         Ok(self.session(sid)?.tokens)
     }
 
-    /// Pages in a session's page table.
-    pub fn session_pages(&self, sid: SessionId) -> Result<usize, ServeError> {
-        Ok(self.session(sid)?.pages.len())
-    }
-
     /// The tier a page currently resides in.
     pub fn page_tier(&self, sid: SessionId, page: usize) -> Result<PageTier, ServeError> {
         let pid = self.page_id(sid, page)?;
@@ -1212,7 +1207,11 @@ mod tests {
         let rows = kv_rows(20, 1);
         st.append(sid, &rows).unwrap();
         assert_eq!(st.session_tokens(sid).unwrap(), 20);
-        assert_eq!(st.session_pages(sid).unwrap(), 3); // 8+8+4
+        // 8+8+4 tokens: three pages in the session's page table.
+        assert!(matches!(
+            st.page_tier(sid, 3),
+            Err(ServeError::PageOutOfRange { pages: 3, .. })
+        ));
         let mut out = Vec::new();
         let r = st.read_session_into(sid, &mut out).unwrap();
         assert_eq!(r.cold_pages, 0);
@@ -1655,7 +1654,7 @@ mod tests {
                 8 => {
                     if !open.is_empty() {
                         let sid = open[rand(open.len() as u64) as usize];
-                        if st.session_pages(sid).unwrap() > 0 {
+                        if st.session_tokens(sid).unwrap() > 0 {
                             let mut out = Vec::new();
                             st.read_session_into(sid, &mut out).unwrap();
                         }

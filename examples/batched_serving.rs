@@ -89,7 +89,7 @@ fn main() {
     println!(
         "pool ({} executors): encode loop {:.1} ms vs batch {:.1} ms | \
          batched decode {:.1} Msym/s | worst request NMSE {:.2e}",
-        ecco::codec::parallel::worker_threads(),
+        Pool::current().executors(),
         loop_enc.as_secs_f64() * 1e3,
         batch_enc.as_secs_f64() * 1e3,
         syms / batch_dec.as_secs_f64() / 1e6,

@@ -78,7 +78,7 @@ fn main() {
     println!(
         "\ncodec pipeline ({} threads): {} blocks | encode {:.1} Msym/s | \
          decode {:.1} Msym/s (parallel-decoder model) | NMSE {:.2e}",
-        ecco::codec::parallel::worker_threads(),
+        Pool::current().executors(),
         ct.blocks().len(),
         syms / enc.as_secs_f64() / 1e6,
         syms / dec.as_secs_f64() / 1e6,

@@ -93,10 +93,9 @@ fn check_loads(m: &Model, container: &Container) {
     for threads in [1usize, 4] {
         let pool = PoolBuilder::new().threads(threads).build();
 
-        let full = with_pool(&pool, || container.load_all()).unwrap();
+        let full = with_pool(&pool, || container.load(&all)).unwrap();
         assert_eq!(full.len(), LAYERS);
-        for (i, (name, t)) in full.iter().enumerate() {
-            assert_eq!(name, &m.names[i]);
+        for (i, (name, t)) in all.iter().zip(&full).enumerate() {
             assert_eq!(
                 t.data(),
                 &m.baseline[i][..],
@@ -154,9 +153,20 @@ fn bytes_backend_roundtrips() {
 }
 
 /// Every slot of `load_report` under both policies is `Failed` with one
-/// of `kinds`, located at its directory index (no block), and the strict
-/// `load` fails on the first slot.
+/// of `kinds`, located at its directory index (no block), the strict
+/// `load` fails on the first slot, and `read_compressed` fails every
+/// name with one of `kinds`, located the same way.
 fn assert_every_slot_fails(container: &Container, all: &[&str], kinds: &[DecodeErrorKind]) {
+    for (i, name) in all.iter().enumerate() {
+        match container.read_compressed(name) {
+            Err(ContainerError::Decode(e)) => {
+                assert!(kinds.contains(&e.kind), "read_compressed {name}: {e}");
+                assert_eq!((e.tensor, e.block), (Some(i), None), "{name}: {e}");
+            }
+            Err(other) => panic!("read_compressed {name}: unexpected error {other}"),
+            Ok(_) => panic!("read_compressed {name} of a rewritten file succeeded"),
+        }
+    }
     match container.load(all) {
         Err(ContainerError::Decode(e)) => {
             assert!(kinds.contains(&e.kind), "load: unexpected {e}");
@@ -189,10 +199,11 @@ fn assert_every_slot_fails(container: &Container, all: &[&str], kinds: &[DecodeE
 }
 
 /// A model file rewritten in place (`File::create` truncates the inode an
-/// open container still reads) fails every later load with located
-/// errors instead of a fatal signal or stale values: (a) truncated to
-/// zero length, every frame read runs past the end; (b) re-saved as a
-/// smaller one-tensor model, every frame reads short or fails its CRC.
+/// open container still reads) fails every later load and frame read
+/// with located errors instead of a fatal signal or stale values:
+/// (a) truncated to zero length, every frame read runs past the end;
+/// (b) re-saved as a smaller one-tensor model, every frame reads short or
+/// fails its CRC.
 #[test]
 fn rewriting_an_open_container_file_is_a_located_error() {
     let m = model();

@@ -80,7 +80,7 @@ fn ecco_threads_env_pins_pool_size() {
     let prev = std::env::var("ECCO_THREADS").ok();
     std::env::set_var("ECCO_THREADS", "1");
     assert_eq!(threads_from_env(), 1);
-    let pinned = PoolBuilder::new().from_env().build();
+    let pinned = PoolBuilder::new().build();
     // Restore rather than remove: a CI leg pinning ECCO_THREADS for the
     // whole process must stay pinned for the other tests in this binary.
     match prev {
