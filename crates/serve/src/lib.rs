@@ -18,8 +18,12 @@
 //! * **two-tier residency**: pages are either *hot* (FP16-resident
 //!   values) or *cold* (compressed blocks at the codec's fixed 4×).
 //!   A clock (second-chance LRU) sweep evicts hot pages beyond
-//!   [`ServeConfig::hot_capacity_pages`]; clean pages whose compressed
-//!   twin is still attached are dropped for free, dirty ones are
+//!   [`ServeConfig::hot_capacity_pages`]. Appends and hot reads set a
+//!   page's reference bit; a page that a read promotes joins the clock
+//!   with it clear, on probation, so a cyclic working set larger than
+//!   the tier keeps part of itself hot instead of evicting every page
+//!   before its next use. Clean pages whose compressed twin is still
+//!   attached are dropped for free, dirty ones are
 //!   **recompressed in one batched pool pass**
 //!   ([`KvCodec::compress_batch`]),
 //! * **decompress-on-read**: cold reads go through
@@ -30,9 +34,10 @@
 //!   ([`RecoveryPolicy::SalvageBlocks`] zero-fills only the corrupt
 //!   groups and keeps serving),
 //! * **configurable admission**: [`Admission::PromoteOnRead`] admits
-//!   decompressed pages back into the hot tier (read-heavy sessions
-//!   stay hot); [`Admission::StreamCold`] streams them without
-//!   admission (scan-style reads cannot thrash residents).
+//!   decompressed pages back into the hot tier on probation (a page
+//!   stays hot once it is read again while hot);
+//!   [`Admission::StreamCold`] streams them without admission
+//!   (scan-style reads cannot thrash residents).
 //!
 //! # Determinism
 //!
@@ -70,7 +75,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ecco_core::BatchOutcome;
 pub use ecco_core::{CompressedTensor, DecodeError, KvCodec, RecoveryPolicy};
@@ -81,7 +86,9 @@ use ecco_tensor::{Tensor, GROUP_SIZE};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Admission {
     /// Admit the decompressed page into the hot tier (evicting others
-    /// beyond capacity) — read-heavy sessions converge to hot.
+    /// beyond capacity) with its reference bit clear: the next clock
+    /// sweep may take it back, and it stays hot once read again while
+    /// hot.
     #[default]
     PromoteOnRead,
     /// Stream the values to the caller and leave the page cold — bulk
@@ -273,6 +280,11 @@ pub struct ServeMetrics {
     cold_lat_us: Vec<f64>,
 }
 
+/// A latency sample's unit: microseconds.
+fn micros(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
 /// Nearest-rank percentile of a sample set (`q` in `[0, 1]`); 0 for an
 /// empty set.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
@@ -295,12 +307,17 @@ impl ServeMetrics {
         }
     }
 
-    /// Latency percentiles of hot page reads.
+    /// Latency percentiles of hot page reads. Each sample is one hot
+    /// page's own copy, also inside a session read that decoded cold
+    /// pages.
     pub fn hot_latency(&self) -> LatencyStats {
         ServeMetrics::summarize(&self.hot_lat_us)
     }
 
-    /// Latency percentiles of cold page reads (decompress included).
+    /// Latency percentiles of cold page reads. A single-page read's
+    /// sample is the whole call; a session read splits whatever its hot
+    /// copies did not take (batched decode, cold copies, promotion,
+    /// eviction re-encode) evenly over its cold pages.
     pub fn cold_latency(&self) -> LatencyStats {
         ServeMetrics::summarize(&self.cold_lat_us)
     }
@@ -738,9 +755,7 @@ impl PagedKvStore {
             out.extend_from_slice(values);
             self.pages[pid].referenced = true;
             self.metrics.hot_hits += 1;
-            self.metrics
-                .hot_lat_us
-                .push(t0.elapsed().as_secs_f64() * 1e6);
+            self.metrics.hot_lat_us.push(micros(t0.elapsed()));
             return Ok(PageRead {
                 tier: PageTier::Hot,
                 corruption: None,
@@ -785,9 +800,7 @@ impl PagedKvStore {
                 return Err(ServeError::CorruptPage(self.locate(sid, page, vec![e])));
             }
         };
-        self.metrics
-            .cold_lat_us
-            .push(t0.elapsed().as_secs_f64() * 1e6);
+        self.metrics.cold_lat_us.push(micros(t0.elapsed()));
         Ok(read)
     }
 
@@ -803,8 +816,11 @@ impl PagedKvStore {
     /// `out`. All cold pages decode in **one** batched pool submission
     /// ([`KvCodec::decompress_batch_report`]) — the serving analogue of
     /// the paper's many-blocks-in-flight decoder regime — and are
-    /// admitted per [`ServeConfig::admission`]. Latency is recorded as
-    /// amortized per-page samples.
+    /// admitted per [`ServeConfig::admission`]. Each page read adds one
+    /// latency sample in the tier it was served from: a hot page's is
+    /// its own copy, and the rest of the call (batched decode, cold
+    /// copies, promotion, eviction re-encode) is split evenly over the
+    /// cold pages, so a read with no cold page adds no cold sample.
     ///
     /// Under [`RecoveryPolicy::SalvageBlocks`] corrupt pages read
     /// zero-filled and are listed in [`SessionRead::corruptions`];
@@ -867,15 +883,25 @@ impl PagedKvStore {
                 BatchOutcome::Failed(_) => unreachable!("screened above"),
             }
         }
+        // A hot copy is timed from the end of the hot copy before it, so
+        // the clock is read once per hot page and once per run of them.
         let mut cold_values = decoded.iter().map(|(_, values, _)| values);
+        let mut hot_time = Duration::ZERO;
+        let mut mark: Option<Instant> = None;
         for &pid in &page_ids {
             match &self.pages[pid].residency {
                 Residency::Hot { values, .. } => {
+                    let start = mark.unwrap_or_else(Instant::now);
                     out.extend_from_slice(values);
+                    let end = Instant::now();
+                    hot_time += end - start;
+                    self.metrics.hot_lat_us.push(micros(end - start));
+                    mark = Some(end);
                     self.pages[pid].referenced = true;
                 }
                 Residency::Cold(_) => {
                     out.extend_from_slice(cold_values.next().expect("one per cold page"));
+                    mark = None;
                 }
                 Residency::Vacant => unreachable!("live pages are never vacant"),
             }
@@ -898,12 +924,12 @@ impl PagedKvStore {
             self.evict_to_capacity();
         }
 
-        // Amortized per-page latency attribution: one sample per page, in
-        // the tier it was served from.
-        let us = t0.elapsed().as_secs_f64() * 1e6 / page_ids.len().max(1) as f64;
-        let samples = |n| std::iter::repeat_n(us, n);
-        self.metrics.hot_lat_us.extend(samples(hot_served));
-        self.metrics.cold_lat_us.extend(samples(cold_served));
+        if cold_served > 0 {
+            let us = micros(t0.elapsed().saturating_sub(hot_time)) / cold_served as f64;
+            self.metrics
+                .cold_lat_us
+                .extend(std::iter::repeat_n(us, cold_served));
+        }
         Ok(report)
     }
 
@@ -1074,7 +1100,13 @@ impl PagedKvStore {
     }
 
     /// Installs decoded values as the hot copy, retaining the cold
-    /// image as the clean twin.
+    /// image as the clean twin. The page joins the clock's tail on
+    /// probation, with its reference bit clear: the next sweep to reach
+    /// it takes it unless a read or append touches it while it is hot.
+    /// A read that promotes a page is the one use it is known to have;
+    /// admitting it referenced would let a cyclic working set larger
+    /// than the hot tier (a decode step reading its whole session)
+    /// evict every page before its next use.
     fn promote(&mut self, pid: usize, values: Vec<f32>) {
         let old = std::mem::replace(&mut self.pages[pid].residency, Residency::Vacant);
         let Residency::Cold(ct) = old else {
@@ -1085,7 +1117,7 @@ impl PagedKvStore {
             cold: Some(ct),
             dirty: false,
         };
-        self.pages[pid].referenced = true;
+        self.pages[pid].referenced = false;
         self.clock.push_back(pid);
     }
 
@@ -1236,14 +1268,26 @@ mod tests {
         };
         let (hot0, cold0) = lat(&st);
         let mut out = Vec::new();
+        let t0 = Instant::now();
         let r = st.read_session_into(sid, &mut out).unwrap();
+        let wall_us = micros(t0.elapsed());
         assert_eq!(out.len(), rows.len());
         assert!(r.cold_pages >= 3);
         assert!(r.corruptions.is_empty());
-        // One latency sample per page, in the tier it was served from.
+        // One latency sample per page, in the tier it was served from,
+        // and together they take no more than the call did.
         let (hot1, cold1) = lat(&st);
         assert_eq!(cold1 - cold0, r.cold_pages);
         assert_eq!((hot1 - hot0) + (cold1 - cold0), r.pages);
+        let m = st.metrics();
+        let added: f64 = m.hot_lat_us[hot0..]
+            .iter()
+            .chain(&m.cold_lat_us[cold0..])
+            .sum();
+        assert!(
+            added <= wall_us,
+            "samples {added} us over a {wall_us} us call"
+        );
 
         // A re-read serves the same stream length and the hot tier
         // stays capped (promotion evicted back down).
@@ -1288,6 +1332,95 @@ mod tests {
             }
             assert_eq!(tiers(&stores[0]), tiers(&stores[1]), "after read {read}");
         }
+    }
+
+    /// Six sessions of five eight-token pages, each tail `short` rows
+    /// short of full, beside a 16-page hot tier: a working set of
+    /// about twice the tier.
+    fn six_sessions(short: usize) -> (PagedKvStore, Vec<SessionId>) {
+        let mut st = store(16);
+        let sids = (0..6)
+            .map(|i| {
+                let sid = st.open_session();
+                st.append(sid, &kv_rows(40 - short, 30 + i)).unwrap();
+                sid
+            })
+            .collect();
+        (st, sids)
+    }
+
+    /// Share of the page reads since the last metrics reset that the
+    /// hot tier served.
+    fn hot_hit_ratio(st: &PagedKvStore) -> f64 {
+        let m = st.metrics();
+        m.hot_hits as f64 / (m.hot_hits + m.cold_reads).max(1) as f64
+    }
+
+    /// A decode step appends one row to a session and reads it whole,
+    /// so the sessions cycle through a tier that holds about half of
+    /// them. Pages that reads promote join the clock on probation, so
+    /// part of the cycle stays hot. Admitted with the reference bit set,
+    /// each session's pages evict the next's (a ratio of 0.17 here).
+    #[test]
+    fn decode_steps_keep_a_stable_hot_set() {
+        let (mut st, sids) = six_sessions(4);
+        let step = |st: &mut PagedKvStore| {
+            for &sid in &sids {
+                st.append(sid, &kv_rows(1, 50)).unwrap();
+                st.read_session_into(sid, &mut Vec::new()).unwrap();
+            }
+        };
+        for _warmup in 0..2 {
+            step(&mut st);
+        }
+        st.reset_metrics();
+        for _round in 0..10 {
+            step(&mut st);
+        }
+        let ratio = hot_hit_ratio(&st);
+        assert!(ratio >= 0.3, "hot-hit ratio {ratio:.2} under decode steps");
+    }
+
+    /// The same cycle with full pages and reads only: nothing but the
+    /// reads moves the clock. Admitted with the reference bit set, the
+    /// promoted pages leave every read to find its session cold.
+    #[test]
+    fn session_read_cycles_keep_a_stable_hot_set() {
+        let (mut st, sids) = six_sessions(0);
+        let round = |st: &mut PagedKvStore| {
+            for &sid in &sids {
+                st.read_session_into(sid, &mut Vec::new()).unwrap();
+            }
+        };
+        for _warmup in 0..2 {
+            round(&mut st);
+        }
+        st.reset_metrics();
+        for _round in 0..5 {
+            round(&mut st);
+        }
+        let ratio = hot_hit_ratio(&st);
+        assert!(ratio >= 0.25, "hot-hit ratio {ratio:.2} under read cycles");
+    }
+
+    /// Probation must still admit: a session read again and again turns
+    /// hot even when the tier is full of another session's referenced
+    /// pages. Its first read promotes pages the same sweep takes back,
+    /// clearing the other session's bits on the way; its second evicts
+    /// those.
+    #[test]
+    fn a_re_read_session_turns_hot_by_its_third_read() {
+        let mut st = store(4);
+        let a = st.open_session();
+        st.append(a, &kv_rows(32, 40)).unwrap();
+        let b = st.open_session();
+        st.append(b, &kv_rows(32, 41)).unwrap();
+        assert_eq!(st.cold_pages(), 4, "B's pages send A cold");
+        st.read_session_into(b, &mut Vec::new()).unwrap();
+        let cold: Vec<usize> = (0..4)
+            .map(|_| st.read_session_into(a, &mut Vec::new()).unwrap().cold_pages)
+            .collect();
+        assert_eq!(cold[2..], [0, 0], "cold pages per read of A: {cold:?}");
     }
 
     #[test]
@@ -1634,6 +1767,7 @@ mod tests {
             assert_eq!(sorted.len(), on_clock.len(), "duplicate page on the clock");
             assert_eq!(sorted, hot, "clock and hot residency disagree");
         };
+        let reads = |st: &PagedKvStore| st.metrics().hot_hits + st.metrics().cold_reads;
         let mut open: Vec<SessionId> = Vec::new();
         for step in 0..400 {
             match rand(10) {
@@ -1655,8 +1789,13 @@ mod tests {
                     if !open.is_empty() {
                         let sid = open[rand(open.len() as u64) as usize];
                         if st.session_tokens(sid).unwrap() > 0 {
-                            let mut out = Vec::new();
-                            st.read_session_into(sid, &mut out).unwrap();
+                            let before = reads(&st);
+                            let r = st.read_session_into(sid, &mut Vec::new()).unwrap();
+                            assert_eq!(
+                                reads(&st) - before,
+                                r.pages as u64,
+                                "a page read counts one tier hit, step {step}"
+                            );
                         }
                     }
                 }
@@ -1666,6 +1805,12 @@ mod tests {
             assert!(
                 st.hot_pages() <= st.config().hot_capacity_pages + 1,
                 "hot tier overran capacity at step {step}"
+            );
+            let m = st.metrics();
+            assert_eq!(
+                m.evictions,
+                m.recompressions + m.clean_drops,
+                "an eviction is a re-encode or a drop, step {step}"
             );
         }
         assert!(st.metrics().evictions > 0, "trace never hit the clock");
