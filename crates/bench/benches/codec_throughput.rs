@@ -23,9 +23,11 @@
 //! section timing the serving read path (`decode_group_into` on one
 //! thread, and `KvCodec::decompress_batch_report` over the 16-token
 //! pages one `chat` decode step reads) on the `kv_encode` K-cache
-//! tensor, with a `stages` split of one block's decode, a
-//! `weight_decode` section timing `decode_group_into` on the
-//! `weight_encode` tensor at S = 64, and a `container_load` section
+//! tensor, with a `stages` split of one block's decode and the paired
+//! walk beside it, a `weight_decode` section timing `decode_group_into`
+//! and the one-executor `WeightCodec::decompress`, which walks blocks
+//! two at a time, on the `weight_encode` tensor at S = 64, and a
+//! `container_load` section
 //! timing ECCF model cold starts: full-model vs 25%-of-layers partial
 //! loads through `Container::open`, and the frame checksum (`crc32`)
 //! alone.
@@ -333,20 +335,27 @@ fn time_ns<F: FnMut()>(mut f: F) -> f64 {
 const STAGE_ROUNDS: usize = 201;
 
 /// Times a split of one job into `stages` stages in interleaved rounds.
-/// `run(i)` runs stage `i` once over all `items`, and `run(stages)` the
-/// whole job. After one untimed warm-up round, each of [`STAGE_ROUNDS`]
-/// rounds runs every stage and then the whole once, so all of them see
-/// the same host conditions and the split follows the code, not what
-/// else ran in some window. Returns each stage's median and then the
-/// whole's, in ns per item, and the median over rounds of the stages'
-/// sum divided by the whole.
-fn interleaved_rounds(stages: usize, items: usize, mut run: impl FnMut(usize)) -> (Vec<f64>, f64) {
+/// `run(i)` runs stage `i` once over all `items`, `run(stages)` the
+/// whole job, and `run(stages + 1 + j)` the `j`-th of `alternatives`,
+/// other ways to run some stage that the sum leaves out. After one
+/// untimed warm-up round, each of [`STAGE_ROUNDS`] rounds runs every arm
+/// once, so all of them see the same host conditions and the split
+/// follows the code, not what else ran in some window. Returns each
+/// arm's median in ns per item, in arm order, and the median over rounds
+/// of the stages' sum divided by the whole.
+fn interleaved_rounds(
+    stages: usize,
+    alternatives: usize,
+    items: usize,
+    mut run: impl FnMut(usize),
+) -> (Vec<f64>, f64) {
     let median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    (0..=stages).for_each(&mut run);
-    let mut times = vec![Vec::with_capacity(STAGE_ROUNDS); stages + 1];
+    let arms = stages + 1 + alternatives;
+    (0..arms).for_each(&mut run);
+    let mut times = vec![Vec::with_capacity(STAGE_ROUNDS); arms];
     let mut ratios = Vec::with_capacity(STAGE_ROUNDS);
     for _ in 0..STAGE_ROUNDS {
         for (stage, t) in times.iter_mut().enumerate() {
@@ -499,10 +508,12 @@ fn weight_bench_codec() -> (Tensor, WeightCodec) {
     (wt, codec)
 }
 
-/// The `weight_decode` JSON object: one thread runs `decode_group_into`
-/// over every block of the [`weight_bench_codec`] tensor, the weight
-/// read path at S = 64, where the metadata holds S × 4 books and so
-/// S × 4 decode tables.
+/// The `weight_decode` JSON object: the weight read path at S = 64,
+/// where the metadata holds S × 4 books and so S × 4 decode tables, on
+/// every block of the [`weight_bench_codec`] tensor. One thread runs
+/// `decode_group_into` block by block (the single walk), and
+/// `WeightCodec::decompress` in a one-executor pool (the codec engine,
+/// whose run decoder walks the blocks two at a time).
 fn weight_decode_timings() -> String {
     let (wt, codec) = weight_bench_codec();
     let (ct, _) = codec.compress(&wt);
@@ -520,12 +531,18 @@ fn weight_decode_timings() -> String {
         }
         black_box(&values);
     });
+    let one = PoolBuilder::new().threads(1).build();
+    let paired_ns = with_pool(&one, || time_ns(|| drop(black_box(codec.decompress(&ct)))));
     format!(
         "\"weight_decode\": {{\n    \
            \"num_patterns\": {patterns},\n    \
-           \"decode_group_into_values_per_s\": {dec:.0}\n  }},",
+           \"decode_group_into_values_per_s\": {dec:.0},\n    \
+           \"decompress_values_per_s\": {paired:.0},\n    \
+           \"decompress_executors\": {executors}\n  }},",
         patterns = meta.num_patterns(),
         dec = wt.len() as f64 / decode_ns * 1e9,
+        paired = wt.len() as f64 / paired_ns * 1e9,
+        executors = one.executors(),
     )
 }
 
@@ -674,6 +691,9 @@ fn kv_decode_timings() -> String {
 /// metadata's scale, which sets only an exponent, so it costs the same),
 /// timed in [`interleaved_rounds`]. `stage_sum` adds the three stages'
 /// medians, and `stage_sum_ratio` is the median of the per-round ratios.
+/// In the same rounds, `pair_walk` times the walk as the codec's batch
+/// decode runs it instead of `symbol_walk`: two blocks at a time through
+/// `SymbolDecoder::decode_values_pair`, in ns per block.
 fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
     struct Block {
         block: Block64,
@@ -723,8 +743,10 @@ fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
             }
         })
         .collect();
+    assert_eq!(blocks.len() % 2, 0, "the pair walk takes whole pairs");
     let mut values = Vec::with_capacity(blocks.len() * GROUP);
-    let (medians, ratio) = interleaved_rounds(3, blocks.len(), |stage| match stage {
+    let decoder = |b: &Block| meta.books()[b.header.kp][b.header.book_id].symbol_decoder();
+    let (medians, ratio) = interleaved_rounds(3, 1, blocks.len(), |stage| match stage {
         0 => {
             for b in &blocks {
                 let header = parse_block_header(black_box(&b.block), meta).unwrap();
@@ -732,20 +754,18 @@ fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
             }
         }
         // The walk as `decode_group_into` runs it: into the group's room
-        // at the end of the output, keeping what it decoded.
+        // at the end of the output.
         1 => {
             values.clear();
             for b in &blocks {
-                let book = &meta.books()[b.header.kp][b.header.book_id];
                 let base = values.len();
                 values.resize(base + GROUP, 0.0);
-                let (_, decoded) = book.symbol_decoder().decode_values(
+                decoder(b).decode_values(
                     black_box(&b.cur),
                     b.header.data_start,
                     |s| b.table.value(s),
                     &mut values[base..],
                 );
-                values.truncate(base + decoded);
             }
             black_box(&values);
         }
@@ -762,16 +782,38 @@ fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
                 }
             }
         }
-        _ => {
+        3 => {
             values.clear();
             for b in &blocks {
                 decode_group_into(black_box(&b.block), meta, &mut values).unwrap();
             }
             black_box(&values);
         }
+        // The walk as the codec's run decoder runs it: two blocks at a
+        // time, into both groups' room at the end of the output.
+        _ => {
+            values.clear();
+            for pair in blocks.chunks_exact(2) {
+                let [a, b] = pair else {
+                    unreachable!("chunks of two")
+                };
+                let tables = [&a.table, &b.table];
+                let base = values.len();
+                values.resize(base + 2 * GROUP, 0.0);
+                let (ga, gb) = values[base..].split_at_mut(GROUP);
+                decoder(a).decode_values_pair(
+                    &decoder(b),
+                    [black_box(&a.cur), black_box(&b.cur)],
+                    [a.header.data_start, b.header.data_start],
+                    |side, s| tables[side].value(s),
+                    [ga, gb],
+                );
+            }
+            black_box(&values);
+        }
     });
-    let [header, walk, tail, whole] = medians[..] else {
-        unreachable!("three stages and the whole")
+    let [header, walk, tail, whole, pair] = medians[..] else {
+        unreachable!("three stages, the whole and the pair walk")
     };
     let sum = header + walk + tail;
     format!(
@@ -779,6 +821,7 @@ fn kv_decode_stages(kt: &Tensor, codec: &KvCodec) -> String {
            \"unit\": \"ns_per_block\",\n      \
            \"header_and_table\": {header:.1},\n      \
            \"symbol_walk\": {walk:.1},\n      \
+           \"pair_walk\": {pair:.1},\n      \
            \"tail_and_outliers\": {tail:.1},\n      \
            \"stage_sum\": {sum:.1},\n      \
            \"decode_group_into\": {whole:.1},\n      \
@@ -891,7 +934,7 @@ fn kv_encode_stages(pages: &[Tensor], meta: &TensorMetadata) -> String {
             }
         })
         .collect();
-    let (medians, ratio) = interleaved_rounds(5, groups.len(), |stage| match stage {
+    let (medians, ratio) = interleaved_rounds(5, 0, groups.len(), |stage| match stage {
         0 => {
             for g in &groups {
                 black_box(scratch.normalized(black_box(g.values), g.scale, |ng, _| ng.max_pos));

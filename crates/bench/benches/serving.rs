@@ -15,16 +15,20 @@
 //!   sessions one decimal GB sustains with and without the compressed
 //!   cold tier.
 //!
-//! `ECCO_QUICK=1` shrinks the trace for CI smoke runs. All byte figures
+//! The trace is replayed five times, each on a fresh store, and each
+//! latency percentile is the median over the replays; the counters and
+//! the residency curve, which the call sequence fixes, must agree across
+//! replays. `ECCO_QUICK=1` shrinks the trace for CI smoke runs and
+//! replays it once. All byte figures
 //! are raw; the derived `sessions_per_gb` uses decimal GB (1e9), the
 //! convention of every GB figure in this workspace.
 
 use ecco_core::{EccoConfig, KvCodec};
 use ecco_llm::{ModelSpec, TrafficEvent, TrafficMix};
 use ecco_serve::{sessions_per_gb, LatencyStats, PagedKvStore, ServeConfig};
-use ecco_tensor::{synth::SynthSpec, TensorKind};
+use ecco_tensor::{synth::SynthSpec, Tensor, TensorKind};
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Sample {
     events: usize,
     live: usize,
@@ -33,39 +37,33 @@ struct Sample {
     fp16: usize,
 }
 
-fn lat_json(l: &LatencyStats) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"max_us\": {:.2}}}",
-        l.count, l.p50_us, l.p99_us, l.max_us
-    )
+/// Replays of the trace on fresh stores (one under `ECCO_QUICK`): one
+/// replay's tail does not repeat, so each percentile is the median over
+/// replays.
+const REPLAYS: usize = 5;
+
+/// What one replay of the trace leaves: the store's counters, its two
+/// tiers' page-read latencies, and the residency curve with its peak.
+struct Replay {
+    counters: [u64; 6],
+    hot: LatencyStats,
+    cold: LatencyStats,
+    samples: Vec<Sample>,
+    peak: Sample,
 }
 
-fn main() {
-    // Parsed, not just probed: `ECCO_QUICK=0` means the full trace.
-    let quick = ecco_bench::quick_mode();
-    let model = ModelSpec::llama31_8b();
-    let mix = if quick {
-        TrafficMix::chat(48, 12, 0xECC0)
-    } else {
-        TrafficMix::chat(240, 32, 0xECC0)
-    };
-    let events = mix.events();
-    println!(
-        "serving bench: {} | {} sessions ({} live) | {} tokens | {} events{}",
-        model.name,
-        mix.sessions,
-        mix.live,
-        mix.total_tokens(),
-        events.len(),
-        if quick { " [quick]" } else { "" },
-    );
-
+/// Replays `events` on a fresh store over `codec`, appending rows taken
+/// in order from `stream` (wrapping at its end).
+fn replay(
+    model: &ModelSpec,
+    codec: &KvCodec,
+    cfg: ServeConfig,
+    sessions: usize,
+    events: &[TrafficEvent],
+    stream: &Tensor,
+) -> Replay {
     // Rotating synthetic K-row buffer standing in for the KV stream.
-    let (rows, cols) = model.kv_request_shape(512);
-    let stream = SynthSpec::for_kind(TensorKind::KCache, rows, cols)
-        .seeded(41)
-        .generate();
-    let kv_dim = cols;
+    let (rows, kv_dim) = (stream.rows(), stream.cols());
     let mut cursor = 0usize;
     let mut take = |tokens: usize| -> Vec<f32> {
         let mut out = Vec::with_capacity(tokens * kv_dim);
@@ -76,21 +74,9 @@ fn main() {
         }
         out
     };
-    let codec = KvCodec::calibrate(
-        &[&stream],
-        &EccoConfig {
-            max_calibration_groups: 512,
-            ..EccoConfig::default()
-        },
-    );
-    let cfg = ServeConfig {
-        page_tokens: 16,
-        hot_capacity_pages: if quick { 48 } else { 96 },
-        ..ServeConfig::default()
-    };
-    let mut store = PagedKvStore::new(&model, codec, cfg);
+    let mut store = PagedKvStore::new(model, codec.clone(), cfg);
 
-    let mut handles = vec![None; mix.sessions];
+    let mut handles = vec![None; sessions];
     let mut scratch = Vec::new();
     let mut samples: Vec<Sample> = Vec::new();
     let mut peak = Sample {
@@ -141,10 +127,107 @@ fn main() {
             samples.push(s);
         }
     }
+    let m = store.metrics();
+    Replay {
+        counters: [
+            m.hot_hits,
+            m.cold_reads,
+            m.evictions,
+            m.recompressions,
+            m.clean_drops,
+            m.corrupt_reads,
+        ],
+        hot: m.hot_latency(),
+        cold: m.cold_latency(),
+        samples,
+        peak,
+    }
+}
 
-    let m = store.metrics().clone();
-    let hot = m.hot_latency();
-    let cold = m.cold_latency();
+/// Each percentile's median over replays; the sample count, which the
+/// call sequence fixes, is the same in every replay.
+fn median_latency(stats: &[LatencyStats]) -> LatencyStats {
+    let median = |field: fn(&LatencyStats) -> f64| {
+        let mut v: Vec<f64> = stats.iter().map(field).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    assert!(
+        stats.iter().all(|l| l.count == stats[0].count),
+        "every replay reads the same pages"
+    );
+    LatencyStats {
+        count: stats[0].count,
+        p50_us: median(|l| l.p50_us),
+        p99_us: median(|l| l.p99_us),
+        max_us: median(|l| l.max_us),
+    }
+}
+
+fn lat_json(l: &LatencyStats) -> String {
+    format!(
+        "{{\"count\": {}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"max_us\": {:.2}}}",
+        l.count, l.p50_us, l.p99_us, l.max_us
+    )
+}
+
+fn main() {
+    // Parsed, not just probed: `ECCO_QUICK=0` means the full trace.
+    let quick = ecco_bench::quick_mode();
+    let model = ModelSpec::llama31_8b();
+    let mix = if quick {
+        TrafficMix::chat(48, 12, 0xECC0)
+    } else {
+        TrafficMix::chat(240, 32, 0xECC0)
+    };
+    let replays = if quick { 1 } else { REPLAYS };
+    let events = mix.events();
+    println!(
+        "serving bench: {} | {} sessions ({} live) | {} tokens | {} events | {} replays{}",
+        model.name,
+        mix.sessions,
+        mix.live,
+        mix.total_tokens(),
+        events.len(),
+        replays,
+        if quick { " [quick]" } else { "" },
+    );
+
+    let (rows, cols) = model.kv_request_shape(512);
+    let stream = SynthSpec::for_kind(TensorKind::KCache, rows, cols)
+        .seeded(41)
+        .generate();
+    let kv_dim = cols;
+    let codec = KvCodec::calibrate(
+        &[&stream],
+        &EccoConfig {
+            max_calibration_groups: 512,
+            ..EccoConfig::default()
+        },
+    );
+    let cfg = ServeConfig {
+        page_tokens: 16,
+        hot_capacity_pages: if quick { 48 } else { 96 },
+        ..ServeConfig::default()
+    };
+    let runs: Vec<Replay> = (0..replays)
+        .map(|_| replay(&model, &codec, cfg, mix.sessions, &events, &stream))
+        .collect();
+    // Tiers are a function of the call sequence, so every replay counts
+    // the same and holds the same bytes; only the timings differ.
+    let first = &runs[0];
+    for r in &runs[1..] {
+        assert_eq!(
+            r.counters, first.counters,
+            "replays disagree on the counters"
+        );
+        assert_eq!(r.samples, first.samples, "replays disagree on residency");
+    }
+    let hot = median_latency(&runs.iter().map(|r| r.hot).collect::<Vec<_>>());
+    let cold = median_latency(&runs.iter().map(|r| r.cold).collect::<Vec<_>>());
+    let [hot_hits, cold_reads, evictions, recompressions, clean_drops, corrupt_reads] =
+        first.counters;
+    let (samples, peak) = (&first.samples, first.peak);
     let spg_fp16 = sessions_per_gb(peak.live, peak.fp16);
     let spg_paged = sessions_per_gb(peak.live, peak.hot + peak.cold);
     let curve = samples
@@ -174,6 +257,7 @@ fn main() {
          \"hot_capacity_pages\": {hot_cap},\n  \
          \"traffic\": {{\"sessions\": {sessions}, \"live\": {live}, \
          \"total_tokens\": {tokens}, \"events\": {n_events}}},\n  \
+         \"replays\": {replays},\n  \
          \"counters\": {{\"hot_hits\": {hot_hits}, \"cold_reads\": {cold_reads}, \
          \"evictions\": {evictions}, \"recompressions\": {recompressions}, \
          \"clean_drops\": {clean_drops}, \"corrupt_reads\": {corrupt_reads}}},\n  \
@@ -187,18 +271,12 @@ fn main() {
            \"paged_compressed\": {spg_paged:.0},\n    \
            \"capacity_ratio\": {ratio:.2}\n  }}\n}}\n",
         name = model.name,
-        page_tokens = store.config().page_tokens,
-        hot_cap = store.config().hot_capacity_pages,
+        page_tokens = cfg.page_tokens,
+        hot_cap = cfg.hot_capacity_pages,
         sessions = mix.sessions,
         live = mix.live,
         tokens = mix.total_tokens(),
         n_events = events.len(),
-        hot_hits = m.hot_hits,
-        cold_reads = m.cold_reads,
-        evictions = m.evictions,
-        recompressions = m.recompressions,
-        clean_drops = m.clean_drops,
-        corrupt_reads = m.corrupt_reads,
         hot_lat = lat_json(&hot),
         cold_lat = lat_json(&cold),
         peak_live = peak.live,

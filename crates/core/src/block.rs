@@ -15,19 +15,24 @@
 //! decoder cannot misread the truncated tail as a valid code, so the clip
 //! point is recovered without side information.
 //!
-//! The layout lives in exactly two functions: [`write_block`] writes it
-//! and [`read_block`] reads it. Encoders supply only their selection
-//! (pattern, codebook, symbols, ranked outliers) and decoders only their
-//! symbol walk — the codec's ([`encode_group_scratch`],
-//! [`decode_group_into`]) and the hardware models' in `ecco_hw` alike.
-//! [`read_block`] views each block once as an [`ecco_bits::BlockCursor`]
-//! and reads everything through its windows: the header fields, the
-//! symbols (the walk gets the same cursor) and the padded outliers. The
-//! tensor's power-of-two scale is a parameter of the reader, so a batch
-//! decode binds one scale per tensor to one shared metadata. The codec's
-//! walk ([`SymbolDecoder::decode_values`](ecco_entropy::SymbolDecoder::decode_values))
+//! The layout lives in one writer and one reader: [`write_block`] writes
+//! it, and the reader's prologue (cursor, header checks, book, value
+//! table) and epilogue (clipped-tail fill, padded outliers) read it.
+//! Encoders supply only their selection (pattern, codebook, symbols,
+//! ranked outliers) and decoders only their symbol walk — the codec's
+//! ([`encode_group_scratch`], [`decode_group_into`]) and the hardware
+//! models' in `ecco_hw`, through [`read_block`], alike. The reader views
+//! each block once as an [`ecco_bits::BlockCursor`] and reads everything
+//! through its windows: the header fields, the symbols (the walk gets
+//! the same cursor) and the padded outliers. The tensor's power-of-two
+//! scale is a parameter of the reader, so a batch decode binds one scale
+//! per tensor to one shared metadata. The codec's walk
+//! ([`SymbolDecoder::decode_values`](ecco_entropy::SymbolDecoder::decode_values))
 //! reads the symbols through a shift register, one 57-bit window per run
-//! of codes, resolving up to two codes per probe of the book's pair table.
+//! of codes, resolving up to two codes per probe of the book's pair
+//! table; its batch decode runs two blocks' walks at once
+//! ([`SymbolDecoder::decode_values_pair`](ecco_entropy::SymbolDecoder::decode_values_pair))
+//! between the same prologues and epilogues.
 
 use ecco_bits::{Block64, BlockCursor, BLOCK_BITS};
 use ecco_entropy::Codebook;
@@ -594,15 +599,17 @@ pub fn decode_group(
     Ok((values, info))
 }
 
-/// The codec's decoder: [`read_block`] under the metadata's own scale with the
-/// codec's symbol walk — the book's
+/// The codec's decoder on one block: the format's reader (the prologue
+/// and epilogue [`read_block`] runs) under the metadata's own scale with
+/// the codec's symbol walk — the book's
 /// [`SymbolDecoder::decode_values`](ecco_entropy::SymbolDecoder::decode_values)
 /// shifts codes out of a register refilled from 57-bit windows of the
 /// block's cursor, up to two per probe of the book's pair table, and
 /// gathers each symbol through the block's [`BlockValueTable`] straight
 /// into `values`, with no intermediate symbol buffer or second
 /// reconstruction pass. **Appends** [`GROUP_SIZE`] FP16 values to
-/// `values`; on error nothing is appended.
+/// `values`; on error nothing is appended. The codecs' batch decode walks
+/// blocks two at a time instead, and comes to exactly the same values.
 ///
 /// # Errors
 ///
@@ -617,45 +624,164 @@ pub fn decode_group_into(
 }
 
 /// [`decode_group_into`] under the tensor scale `scale` instead of the
-/// metadata's own: the one codec walk, which the decode engine runs with
-/// each tensor's own scale so the shared metadata is never copied.
+/// metadata's own: the codec's single walk, which the run decoder
+/// ([`decode_groups_scaled_into`]) takes for an odd last block and to
+/// locate a bad header.
 pub(crate) fn decode_group_scaled_into(
     block: &Block64,
     meta: &TensorMetadata,
     scale: Po2Scale,
     values: &mut Vec<f32>,
 ) -> Result<DecodedGroupInfo, DecodeError> {
-    let (info, ()) = read_block(
-        block,
-        meta,
-        scale,
-        values,
-        |book, cur, pos, table, values| {
-            // The walk writes two values per probe, so it gets the group's
-            // whole room and keeps what it decoded. A clipped tail ends it
-            // early: prefix-freeness makes the truncation point unambiguous.
-            let base = values.len();
-            values.resize(base + GROUP_SIZE, 0.0);
-            let (end, decoded) = book.symbol_decoder().decode_values(
-                cur,
-                pos,
-                |s| table.value(s),
-                &mut values[base..],
-            );
-            values.truncate(base + decoded);
-            (end, ())
-        },
-    )?;
-    Ok(info)
+    let open = open_block(block, meta, scale)?;
+    // The walk writes two values per probe, so it gets the group's whole
+    // room; the epilogue fills what a clipped tail left.
+    let base = values.len();
+    values.resize(base + GROUP_SIZE, 0.0);
+    let group = &mut values[base..];
+    let (end, decoded) = open.book.symbol_decoder().decode_values(
+        &open.cur,
+        open.data_start,
+        |s| open.table.value(s),
+        group,
+    );
+    Ok(open.close(end, decoded, scale, group))
 }
 
-/// The one block reader (Fig. 6a): views the block once as a
-/// [`BlockCursor`], parses and validates the header, builds the block's
-/// [`BlockValueTable`], hands the cursor to `walk`, then fills the
-/// clipped tail with the zero centroid and applies the padded outliers —
-/// **appending** [`GROUP_SIZE`] values to `values`. On error nothing is
-/// appended and `walk` never runs. It checks nothing about `meta`, whose
-/// books were checked when it was built.
+/// The codec's paired reader: both blocks' prologues, then one
+/// [`SymbolDecoder::decode_values_pair`](ecco_entropy::SymbolDecoder::decode_values_pair)
+/// over both, each block under its own book and value table, then both
+/// epilogues. **Appends** `2 ×` [`GROUP_SIZE`] values, exactly those of
+/// two [`decode_group_scaled_into`] calls; when either header fails,
+/// nothing is appended.
+fn decode_pair_scaled_into(
+    pair: &[Block64],
+    meta: &TensorMetadata,
+    scale: Po2Scale,
+    values: &mut Vec<f32>,
+) -> Result<(), DecodeError> {
+    let a = open_block(&pair[0], meta, scale)?;
+    let b = open_block(&pair[1], meta, scale)?;
+    let base = values.len();
+    values.resize(base + 2 * GROUP_SIZE, 0.0);
+    let (ga, gb) = values[base..].split_at_mut(GROUP_SIZE);
+    let tables = [&a.table, &b.table];
+    let [(end_a, decoded_a), (end_b, decoded_b)] = a.book.symbol_decoder().decode_values_pair(
+        &b.book.symbol_decoder(),
+        [&a.cur, &b.cur],
+        [a.data_start, b.data_start],
+        |side, s| tables[side].value(s),
+        [&mut ga[..], &mut gb[..]],
+    );
+    a.close(end_a, decoded_a, scale, ga);
+    b.close(end_b, decoded_b, scale, gb);
+    Ok(())
+}
+
+/// The codec's run decoder, behind every codec decode: **appends**
+/// [`GROUP_SIZE`] values per block of `blocks`, in order, under the
+/// tensor scale `scale`. It walks the blocks two at a time through the
+/// paired reader, so two blocks' symbol walks are in flight at once, and
+/// takes the single walk ([`decode_group_scaled_into`]) only for an odd
+/// last block or to re-read a pair whose header check failed, so an
+/// error lands on its own block. Every value is that of the single walk
+/// on each block in turn.
+///
+/// # Errors
+///
+/// The first failing block's index in `blocks` and its error; the values
+/// of the blocks before it have been appended, and nothing of it or
+/// after it.
+pub(crate) fn decode_groups_scaled_into(
+    blocks: &[Block64],
+    meta: &TensorMetadata,
+    scale: Po2Scale,
+    values: &mut Vec<f32>,
+) -> Result<(), (usize, DecodeError)> {
+    let mut pairs = blocks.chunks_exact(2);
+    for (k, pair) in pairs.by_ref().enumerate() {
+        if decode_pair_scaled_into(pair, meta, scale, values).is_err() {
+            for (i, block) in pair.iter().enumerate() {
+                decode_group_scaled_into(block, meta, scale, values).map_err(|e| (2 * k + i, e))?;
+            }
+        }
+    }
+    if let [last] = pairs.remainder() {
+        decode_group_scaled_into(last, meta, scale, values).map_err(|e| (blocks.len() - 1, e))?;
+    }
+    Ok(())
+}
+
+/// A block the reader has opened: its cursor, its header checked, its
+/// book, where its codes start and its [`BlockValueTable`].
+struct OpenBlock<'m> {
+    cur: BlockCursor,
+    book: &'m Codebook,
+    data_start: usize,
+    table: BlockValueTable,
+}
+
+/// The reader's prologue: views the block once as a [`BlockCursor`],
+/// parses and validates the header, and builds the block's value table
+/// under the tensor scale `scale`.
+fn open_block<'m>(
+    block: &Block64,
+    meta: &'m TensorMetadata,
+    scale: Po2Scale,
+) -> Result<OpenBlock<'m>, DecodeError> {
+    let cur = block.cursor();
+    let header = parse_header(&cur, meta)?;
+    let sf = F8E4M3::from_bits(header.sf_bits);
+    let scale_signed = ecco_numerics::round_f16(scale.expand(sf.to_f32()));
+    Ok(OpenBlock {
+        cur,
+        book: &meta.books()[header.kp][header.book_id],
+        data_start: header.data_start,
+        table: BlockValueTable::new(&meta.patterns()[header.kp], scale_signed),
+    })
+}
+
+impl OpenBlock<'_> {
+    /// The reader's epilogue on a block whose walk put `decoded` values
+    /// at the front of `group` and ended at bit `data_end`: fills the
+    /// clipped tail with the zero centroid and, when nothing was clipped,
+    /// applies the padded outliers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decoded` passes [`GROUP_SIZE`] or `group` is shorter.
+    fn close(
+        &self,
+        data_end: usize,
+        decoded: usize,
+        scale: Po2Scale,
+        group: &mut [f32],
+    ) -> DecodedGroupInfo {
+        assert!(decoded <= GROUP_SIZE, "the walk overran its group");
+        group[decoded..GROUP_SIZE].fill(self.table.tail_fill());
+        // Outliers exist only when nothing was clipped.
+        let applied = match decoded {
+            GROUP_SIZE => apply_outliers(&self.cur, data_end, scale, group),
+            _ => 0,
+        };
+        DecodedGroupInfo {
+            decoded_symbols: decoded,
+            clipped_symbols: GROUP_SIZE - decoded,
+            applied_outliers: applied,
+        }
+    }
+}
+
+/// The block reader for any symbol walk (Fig. 6a): the prologue views the
+/// block once as a [`BlockCursor`], parses and validates the header and
+/// builds the block's [`BlockValueTable`]; `walk` gets the cursor; the
+/// epilogue fills the clipped tail with the zero centroid and applies the
+/// padded outliers — **appending** [`GROUP_SIZE`] values to `values`. On
+/// error nothing is appended and `walk` never runs. It checks nothing
+/// about `meta`, whose books were checked when it was built. The codec's
+/// own readers ([`decode_group_into`] and the paired reader of its batch
+/// decode) share the same prologue and epilogue, so the 64-byte layout
+/// is read in one place.
 ///
 /// `scale` is the tensor's power-of-two scale: the block's scale factor
 /// and its padded outliers are expanded by it. Everything else comes from
@@ -665,10 +791,9 @@ pub(crate) fn decode_group_scaled_into(
 /// `walk(book, cur, data_start, table, values)` resolves symbols from
 /// bit `data_start` of `cur` on, appends the value of each (at most
 /// [`GROUP_SIZE`]) to `values`, and returns the bit just past the
-/// last one plus whatever the walk reports. The codec passes its
-/// shift-register walk ([`decode_group_into`]), the hardware model
-/// (`ecco_hw`) its 64×8 speculative walk; everything else about the
-/// format lives here.
+/// last one plus whatever the walk reports. The hardware model
+/// (`ecco_hw`) passes its 64×8 speculative walk; everything else about
+/// the format lives here.
 ///
 /// # Errors
 ///
@@ -684,33 +809,14 @@ pub fn read_block<R>(
     values: &mut Vec<f32>,
     walk: impl FnOnce(&Codebook, &BlockCursor, usize, &BlockValueTable, &mut Vec<f32>) -> (usize, R),
 ) -> Result<(DecodedGroupInfo, R), DecodeError> {
-    let cur = block.cursor();
-    let header = parse_header(&cur, meta)?;
-    let book = &meta.books()[header.kp][header.book_id];
-    let sf = F8E4M3::from_bits(header.sf_bits);
-    let scale_signed = ecco_numerics::round_f16(scale.expand(sf.to_f32()));
-    let table = BlockValueTable::new(&meta.patterns()[header.kp], scale_signed);
-
+    let open = open_block(block, meta, scale)?;
     let base = values.len();
     values.reserve(GROUP_SIZE);
-    let (data_end, report) = walk(book, &cur, header.data_start, &table, values);
+    let (data_end, report) = walk(open.book, &open.cur, open.data_start, &open.table, values);
     let decoded = values.len() - base;
     assert!(decoded <= GROUP_SIZE, "the walk overran its group");
-
-    // Clipped tail: the reconstructed zero centroid.
-    values.resize(base + GROUP_SIZE, table.tail_fill());
-
-    // Outliers exist only when nothing was clipped.
-    let applied = match decoded {
-        GROUP_SIZE => apply_outliers(&cur, data_end, scale, &mut values[base..]),
-        _ => 0,
-    };
-
-    let info = DecodedGroupInfo {
-        decoded_symbols: decoded,
-        clipped_symbols: GROUP_SIZE - decoded,
-        applied_outliers: applied,
-    };
+    values.resize(base + GROUP_SIZE, 0.0);
+    let info = open.close(data_end, decoded, scale, &mut values[base..]);
     Ok((info, report))
 }
 
@@ -719,7 +825,7 @@ pub fn read_block<R>(
 /// (`⌊(512 − data_end) / 15⌋` of them) into `group` at its position,
 /// expanded by the tensor scale `scale` and FP16-rounded, skipping the
 /// slots whose FP8 value is NaN, and returns how many it applied.
-/// [`read_block`] runs it only on blocks with nothing clipped.
+/// The reader's epilogue runs it only on blocks with nothing clipped.
 ///
 /// # Panics
 ///

@@ -31,11 +31,16 @@
 //! tensor's values, and the tensor's later chunks extend it, so a tensor
 //! decoded in one chunk is allocated once and never copied.
 //!
-//! The hardware model's batch decode
-//! (`ecco_hw::decode_tensors_batch_report`) runs on the same decode
-//! driver ([`decode_tensors_batch_report_with`]) with the speculative
-//! parallel decoder in place of the codec walk of
-//! [`decode_group_into`](crate::block::decode_group_into).
+//! The driver ([`decode_tensors_batch_report_with`]) hands its decoder a
+//! run of consecutive blocks, one chunk at a time. The codec's run
+//! decoder walks them two at a time, so two blocks' serial Huffman
+//! chains are in flight at once (Ecco's many-blocks-in-flight decoder,
+//! in software), and takes the single walk of
+//! [`decode_group_into`](crate::block::decode_group_into) only for an odd
+//! last block or to locate a bad header; every value is that of the
+//! single walk. The hardware model's batch decode
+//! (`ecco_hw::decode_tensors_batch_report`) runs on the same driver with
+//! a per-block loop of the speculative parallel decoder.
 
 use ecco_bits::Block64;
 use ecco_numerics::Po2Scale;
@@ -44,7 +49,7 @@ use ecco_tensor::{Tensor, GROUP_SIZE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::block::{
-    decode_group_scaled_into, encode_group_scratch, encode_group_weighted_scratch, DecodeError,
+    decode_groups_scaled_into, encode_group_scratch, encode_group_weighted_scratch, DecodeError,
     DecodeErrorKind,
 };
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -168,10 +173,11 @@ fn encode_run(
 
 /// The decode engine behind every codec `decompress*` method: screens
 /// each tensor's shape and decodes every healthy tensor's blocks in
-/// **one pool pass** through the codec walk of
-/// [`decode_group_into`](crate::block::decode_group_into), under the
-/// shared `meta` and the tensor's own scale, bound by value — the
-/// metadata is never copied per tensor.
+/// **one pool pass** through the codec's run decoder, which walks each
+/// chunk's blocks two at a time and is bit-identical to
+/// [`decode_group_into`](crate::block::decode_group_into) on each block,
+/// under the shared `meta` and the tensor's own scale, bound by value —
+/// the metadata is never copied per tensor.
 ///
 /// Nothing panics on malformed inputs. A tensor whose group size is not
 /// the format's, or whose block count disagrees with its shape, fails its
@@ -214,8 +220,8 @@ pub(crate) fn decode_batch(
         .zip(&screened)
         .map(|(ct, s)| if s.is_some() { &[][..] } else { ct.blocks() })
         .collect();
-    let mut out = decode_tensors_batch_report_with(&batch, policy, |ti, b, out| {
-        decode_group_scaled_into(b, meta, scales[ti], out).map(drop)
+    let mut out = decode_tensors_batch_report_with(&batch, policy, |ti, blocks, out| {
+        decode_groups_scaled_into(blocks, meta, scales[ti], out)
     });
     for (slot, s) in out.iter_mut().zip(screened) {
         if let Some(e) = s {
@@ -371,18 +377,26 @@ type ChunkPart = Result<(Vec<f32>, Vec<DecodeError>), DecodeError>;
 /// tensors' chunks enter the shared injector queue together, so
 /// concurrent requests share workers instead of oversubscribing.
 ///
-/// `decode` receives the batch index of the tensor the block belongs to
-/// (for per-tensor metadata) and appends exactly [`GROUP_SIZE`] values per
-/// block. Every error is located: block index at the failing block,
-/// tensor index at the claim. A panicking `decode` fails only its own
-/// tensor, as [`DecodeErrorKind::WorkerPanic`].
+/// `decode(tensor, run, values)` receives the batch index of a tensor
+/// (for per-tensor metadata) and a run of its consecutive blocks, at most
+/// one chunk, and appends exactly [`GROUP_SIZE`] values per block, in
+/// block order. At the first block that fails it stops and returns that
+/// block's index in `run` and its error, having appended the values of
+/// the blocks before it and nothing else; the driver then fails the
+/// tensor, or under [`RecoveryPolicy::SalvageBlocks`] zero-fills the
+/// block's group and hands `decode` the rest of the run. The codecs pass
+/// their run decoder, which walks blocks two at a time; any per-block
+/// decoder fits as a loop that stops at its first error. Every error is
+/// located: block index at the failing block, tensor index at the claim.
+/// A panicking `decode` fails only its own tensor, as
+/// [`DecodeErrorKind::WorkerPanic`].
 pub fn decode_tensors_batch_report_with<F>(
     batch: &[&[Block64]],
     policy: RecoveryPolicy,
     decode: F,
 ) -> Vec<BatchOutcome>
 where
-    F: Fn(usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
+    F: Fn(usize, &[Block64], &mut Vec<f32>) -> Result<(), (usize, DecodeError)> + Sync,
 {
     let pool = Pool::current();
     let sizes: Vec<usize> = batch.iter().map(|b| b.len()).collect();
@@ -405,17 +419,23 @@ where
                         let blocks = if lo == 0 { sizes[tensor] } else { hi - lo };
                         let mut values = Vec::with_capacity(blocks * GROUP_SIZE);
                         let mut bad: Vec<DecodeError> = Vec::new();
-                        for (i, b) in batch[tensor][lo..hi].iter().enumerate() {
+                        let mut at = lo;
+                        while at < hi {
+                            let run = &batch[tensor][at..hi];
                             let before = values.len();
-                            if let Err(e) = decode(tensor, b, &mut values) {
-                                let located = e.at_block(lo + i).at_tensor(tensor);
-                                match policy {
-                                    RecoveryPolicy::FailTensor => return Err(located),
-                                    RecoveryPolicy::SalvageBlocks => {
-                                        values.truncate(before);
-                                        values.resize(before + GROUP_SIZE, 0.0);
-                                        bad.push(located);
-                                    }
+                            let Err((i, e)) = decode(tensor, run, &mut values) else {
+                                break;
+                            };
+                            assert!(i < run.len(), "the decoder failed past its run");
+                            let located = e.at_block(at + i).at_tensor(tensor);
+                            match policy {
+                                RecoveryPolicy::FailTensor => return Err(located),
+                                RecoveryPolicy::SalvageBlocks => {
+                                    let group = before + i * GROUP_SIZE;
+                                    values.truncate(group);
+                                    values.resize(group + GROUP_SIZE, 0.0);
+                                    bad.push(located);
+                                    at += i + 1;
                                 }
                             }
                         }
@@ -657,6 +677,77 @@ mod tests {
         for ((blocks, stats, _), (want, want_stats)) in runs[0].iter().zip(oracles) {
             assert_eq!(blocks, &want, "engine != per-group loop");
             assert_eq!(stats, &want_stats, "engine stats != per-group loop");
+        }
+    }
+
+    /// The run decoder pairs blocks inside each chunk run, so a corrupt
+    /// header can sit in either slot of a pair, in both, in an odd last
+    /// block, or next to a pair; whichever it is, the error must land on
+    /// its own block and the healthy blocks around it must decode. Each
+    /// tensor is one corruption case, placed by the chunk pin `chunk` so it
+    /// hits the second run: its first block (even offset), its second
+    /// (odd offset; with pins 3 and 5 the second slot of a pair), both
+    /// (one pair), and the second and third (for pin 3 the odd last
+    /// block, for pin 5 two pairs). Odd pins 1, 3 and 5 on pools of 1, 2
+    /// and 4: `FailTensor` reports each tensor's first corrupt block and
+    /// `SalvageBlocks` the per-block oracle's values and located errors.
+    #[test]
+    fn pair_walk_locates_corrupt_blocks_in_either_slot() {
+        let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
+            .seeded(312)
+            .generate();
+        let codec = WeightCodec::calibrate(&[&t], &cfg());
+        let meta = codec.metadata();
+        let (ct, _) = codec.compress(&t);
+        let bad = Block64::from_bytes([0xFF; 64]);
+        for chunk in [1usize, 3, 5] {
+            let cases: [&[usize]; 5] = [
+                &[],
+                &[chunk],
+                &[chunk + 1],
+                &[chunk, chunk + 1],
+                &[chunk + 1, chunk + 2],
+            ];
+            let cts: Vec<CompressedTensor> = cases
+                .iter()
+                .map(|at| {
+                    let mut blocks = ct.blocks().to_vec();
+                    for &b in *at {
+                        blocks[b] = bad;
+                    }
+                    ct.with_blocks(blocks)
+                })
+                .collect();
+            let refs: Vec<&CompressedTensor> = cts.iter().collect();
+            for threads in [1usize, 2, 4] {
+                let pool = PoolBuilder::new().threads(threads).chunk(chunk).build();
+                let (failed, salvaged) = with_pool(&pool, || {
+                    (
+                        codec.decompress_batch_report(&refs, RecoveryPolicy::FailTensor),
+                        codec.decompress_batch_report(&refs, RecoveryPolicy::SalvageBlocks),
+                    )
+                });
+                for (i, ((ct, f), s)) in cts.iter().zip(&failed).zip(&salvaged).enumerate() {
+                    let shape = format!("tensor {i}, chunk {chunk}, {threads} threads");
+                    let (want, want_bad) = oracle_decode(meta, ct, i);
+                    let located: Vec<_> = want_bad.iter().map(|e| e.block.unwrap()).collect();
+                    assert_eq!(located, cases[i], "{shape}: the oracle's errors");
+                    match want_bad.first() {
+                        None => {
+                            assert_eq!(bits(f.values().expect("healthy")), bits(&want), "{shape}");
+                            assert_eq!(f, s, "{shape}");
+                        }
+                        Some(first) => {
+                            assert_eq!(f, &BatchOutcome::Failed(*first), "{shape}");
+                            let BatchOutcome::Salvaged { values, bad_blocks } = s else {
+                                panic!("{shape} salvages: {s:?}");
+                            };
+                            assert_eq!(bits(values), bits(&want), "{shape}");
+                            assert_eq!(bad_blocks, &want_bad, "{shape}");
+                        }
+                    }
+                }
+            }
         }
     }
 

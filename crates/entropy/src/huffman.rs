@@ -397,7 +397,7 @@ impl Codebook {
 /// [`Codebook::symbol_decoder`].
 ///
 /// It reads a block the way the hardware sub-decoders do: peek a few
-/// bits, probe a table once, consume the codes the entry names. Two
+/// bits, probe a table once, consume the codes the entry names. Three
 /// public entry points share those rules:
 ///
 /// * [`SymbolDecoder::decode_values`], the codec's symbol walk, peeks
@@ -406,6 +406,10 @@ impl Codebook {
 ///   (data books only: at most 16 symbols, codes of at most 8 bits; 512
 ///   `u16` entries, 1 KiB per book), one code per probe near the block
 ///   end and for books without one;
+/// * [`SymbolDecoder::decode_values_pair`] runs that walk on two blocks
+///   at once, each under its own book, so the two chains of dependent
+///   probes overlap; each block's result is exactly its
+///   `decode_values` walk's;
 /// * [`SymbolDecoder::decode_symbol`] cuts one `max_len`-bit window per
 ///   symbol. It decodes a block header's pattern id, and a loop of it is
 ///   the oracle every walk is tested against.
@@ -484,6 +488,84 @@ impl SymbolDecoder<'_> {
             n += 1;
         });
         (end, n)
+    }
+
+    /// [`SymbolDecoder::decode_values`] on two blocks at once: side 0
+    /// walks `cur[0]` from bit `pos[0]` under this decoder into `out[0]`,
+    /// side 1 walks `cur[1]` from bit `pos[1]` under `other` into
+    /// `out[1]`, and `value(side, symbol)` gives each symbol's value.
+    /// Returns each side's end bit and decoded count, which, like the
+    /// values, are exactly those of that side's `decode_values` run
+    /// alone; slots past a side's count may be overwritten.
+    ///
+    /// Each probe of a walk waits on the one before it (window, entry,
+    /// shift), so one walk leaves the core idle between probes; two
+    /// independent walks fill those gaps (Giesen, "Interleaved entropy
+    /// coders", arXiv:1402.3392, applied across blocks). Both shift
+    /// registers are refilled together, and one loop takes the smaller
+    /// of the two sides' probe counts through both pair tables. Once
+    /// either side meets an invalid prefix or runs short of room or of
+    /// block, each side finishes alone through `decode_values` from
+    /// where it stopped. When either book has no pair table, both sides
+    /// walk alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` does, e.g. on a symbol past its table.
+    #[inline]
+    pub fn decode_values_pair<T>(
+        &self,
+        other: &SymbolDecoder<'_>,
+        cur: [&BlockCursor; 2],
+        pos: [usize; 2],
+        value: impl Fn(usize, u16) -> T,
+        out: [&mut [T]; 2],
+    ) -> [(usize, usize); 2] {
+        const PROBE: usize = PAIR_BITS as usize;
+        let [out0, out1] = out;
+        let [mut pos0, mut pos1] = pos;
+        let (mut n0, mut n1) = (0, 0);
+        if let (Some(pairs0), Some(pairs1)) = (self.pairs, other.pairs) {
+            let (max0, max1) = (out0.len(), out1.len());
+            while n0 + 2 <= max0
+                && pos0 + PROBE <= BLOCK_BITS
+                && n1 + 2 <= max1
+                && pos1 + PROBE <= BLOCK_BITS
+            {
+                let mut reg0 = cur[0].window(pos0, REFILL) << (64 - REFILL);
+                let mut reg1 = cur[1].window(pos1, REFILL) << (64 - REFILL);
+                // Each side's count as `decode_values` bounds it, so every
+                // probe here is one that walk would make too.
+                let probes = ((max0 - n0) / 2)
+                    .min((BLOCK_BITS - pos0) / PROBE)
+                    .min((max1 - n1) / 2)
+                    .min((BLOCK_BITS - pos1) / PROBE)
+                    .min(6);
+                let mut invalid = false;
+                for _ in 0..probes {
+                    let e0 = pairs0[(reg0 >> (64 - PAIR_BITS)) as usize];
+                    let e1 = pairs1[(reg1 >> (64 - PAIR_BITS)) as usize];
+                    invalid |= (e0 == 0) | (e1 == 0);
+                    out0[n0] = value(0, e0 & 0xF);
+                    out0[n0 + 1] = value(0, e0 >> 4 & 0xF);
+                    out1[n1] = value(1, e1 & 0xF);
+                    out1[n1 + 1] = value(1, e1 >> 4 & 0xF);
+                    n0 += usize::from(e0 >> 8 & 0xF);
+                    n1 += usize::from(e1 >> 8 & 0xF);
+                    let (bits0, bits1) = (e0 >> 12, e1 >> 12);
+                    reg0 <<= bits0;
+                    reg1 <<= bits1;
+                    pos0 += usize::from(bits0);
+                    pos1 += usize::from(bits1);
+                }
+                if invalid {
+                    break;
+                }
+            }
+        }
+        let (end0, more0) = self.decode_values(cur[0], pos0, |s| value(0, s), &mut out0[n0..]);
+        let (end1, more1) = other.decode_values(cur[1], pos1, |s| value(1, s), &mut out1[n1..]);
+        [(end0, n0 + more0), (end1, n1 + more1)]
     }
 
     /// The one-code-per-probe walk that finishes
@@ -951,6 +1033,102 @@ mod tests {
             };
             let dec = book.symbol_decoder();
             prop_assert_eq!(value_walk(&dec, &cur, start, max), symbol_loop(&dec, &cur, start, max));
+        }
+
+        /// The pair walk against two value walks run alone: each side's
+        /// values, count and end bit. The two sides are fuzzed apart:
+        /// their books (2..=8-bit data books, which have a pair table,
+        /// or 1..=15-bit books of up to 64 symbols, which mostly have
+        /// none, so the pair walk must fall back), their streams (raw
+        /// blocks, streams coded from the start bit and clipped at bit
+        /// 512, and streams whose last code ends exactly at bit 512),
+        /// their start bits and their counts (0 and 128 included). A side
+        /// that starts late is clipped early while the other runs on.
+        #[test]
+        fn pair_walk_matches_two_value_walks(
+            data_books in (any::<bool>(), any::<bool>()),
+            freqs in (
+                prop::collection::vec(0u64..1000, 2..=64),
+                prop::collection::vec(0u64..1000, 2..=64),
+            ),
+            raw in (
+                prop::collection::vec(any::<u8>(), BLOCK_BYTES),
+                prop::collection::vec(any::<u8>(), BLOCK_BYTES),
+            ),
+            streams in (0u8..3, 0u8..3),
+            syms in (
+                prop::collection::vec(any::<u16>(), 0..300),
+                prop::collection::vec(any::<u16>(), 0..300),
+            ),
+            starts in (
+                prop_oneof![Just(0), 0usize..=BLOCK_BITS, BLOCK_BITS - 64..=BLOCK_BITS],
+                prop_oneof![Just(0), 0usize..=BLOCK_BITS, BLOCK_BITS - 64..=BLOCK_BITS],
+            ),
+            maxes in (
+                prop_oneof![Just(0), Just(128), 0usize..=128],
+                prop_oneof![Just(0), Just(128), 0usize..=128],
+            ),
+        ) {
+            let side = |data_book: bool, freqs: &[u64], raw: &[u8], stream: u8, syms: &[u16], start: usize| {
+                let book = if data_book {
+                    Codebook::from_frequencies(&freqs[..freqs.len().min(16)], 2, 8).unwrap()
+                } else {
+                    Codebook::from_frequencies(freqs, 1, 15).unwrap()
+                };
+                let (cur, start) = match stream {
+                    0 => {
+                        let mut bytes = [0u8; BLOCK_BYTES];
+                        bytes.copy_from_slice(raw);
+                        (Block64::from_bytes(bytes).cursor(), start)
+                    }
+                    1 => (clipped_stream(&book, raw, start, syms), start),
+                    _ => {
+                        // The codes that fit, started where they end
+                        // exactly at bit 512.
+                        let n = book.num_symbols() as u16;
+                        let mut bits = 0;
+                        let fit: Vec<u16> = syms
+                            .iter()
+                            .map(|&s| s % n)
+                            .take_while(|&s| {
+                                bits += usize::from(book.code_len(s));
+                                bits <= BLOCK_BITS
+                            })
+                            .collect();
+                        let start = BLOCK_BITS - book.encoded_len(&fit);
+                        (clipped_stream(&book, raw, start, &fit), start)
+                    }
+                };
+                (book, cur, start)
+            };
+            let (book0, cur0, start0) =
+                side(data_books.0, &freqs.0, &raw.0, streams.0, &syms.0, starts.0);
+            let (book1, cur1, start1) =
+                side(data_books.1, &freqs.1, &raw.1, streams.1, &syms.1, starts.1);
+            let (dec0, dec1) = (book0.symbol_decoder(), book1.symbol_decoder());
+            // Each value names its side, so a side mix-up shows.
+            let value = |side: usize, s: u16| (side as u16) << 8 | s;
+            let mut out0 = vec![u16::MAX; maxes.0];
+            let mut out1 = vec![u16::MAX; maxes.1];
+            let [(end0, n0), (end1, n1)] = dec0.decode_values_pair(
+                &dec1,
+                [&cur0, &cur1],
+                [start0, start1],
+                value,
+                [&mut out0[..], &mut out1[..]],
+            );
+            for (side, (dec, cur, start, max, out, end, n)) in [
+                (&dec0, &cur0, start0, maxes.0, &out0, end0, n0),
+                (&dec1, &cur1, start1, maxes.1, &out1, end1, n1),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mut alone = vec![u16::MAX; max];
+                let want = dec.decode_values(cur, start, |s| value(side, s), &mut alone);
+                prop_assert_eq!((end, n), want, "side {}", side);
+                prop_assert_eq!(&out[..n], &alone[..n], "side {}", side);
+            }
         }
 
         /// Every pair-table entry of a fuzzed data book against two

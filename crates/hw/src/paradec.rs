@@ -312,8 +312,9 @@ pub fn decode_block_parallel_into(
 /// concurrent serving requests share decode lanes instead of queueing
 /// whole pipelines behind each other (the paper's many-blocks-in-flight
 /// regime, lifted to many tensors), and every worker runs the fused
-/// [`decode_block_parallel_into`] straight into its chunk buffer. A whole
-/// tensor is a batch of one.
+/// [`decode_block_parallel_into`] over its run of blocks, one block at a
+/// time, straight into its chunk buffer. A whole tensor is a batch of
+/// one.
 ///
 /// `batch` pairs each tensor's blocks with the metadata view to decode
 /// them under (per-tensor scales differ; patterns/books are typically
@@ -330,8 +331,11 @@ pub fn decode_tensors_batch_report(
     policy: ecco_core::RecoveryPolicy,
 ) -> Vec<ecco_core::BatchOutcome> {
     let blocks: Vec<&[Block64]> = batch.iter().map(|&(b, _)| b).collect();
-    ecco_core::parallel::decode_tensors_batch_report_with(&blocks, policy, |ti, b, out| {
-        decode_block_parallel_into(b, batch[ti].1, out).map(drop)
+    ecco_core::parallel::decode_tensors_batch_report_with(&blocks, policy, |ti, run, out| {
+        for (i, b) in run.iter().enumerate() {
+            decode_block_parallel_into(b, batch[ti].1, out).map_err(|e| (i, e))?;
+        }
+        Ok(())
     })
 }
 

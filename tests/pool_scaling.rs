@@ -192,11 +192,14 @@ fn worker_panic_poisons_only_its_batch_and_pool_survives() {
         let results = ecco::codec::parallel::decode_tensors_batch_report_with(
             &[blocks, blocks, blocks],
             RecoveryPolicy::FailTensor,
-            |ti, b, out| {
+            |ti, run, out| {
                 if ti == 1 {
                     panic!("injected decode panic");
                 }
-                ecco::codec::decode_group_into(b, &meta, out).map(drop)
+                for (i, b) in run.iter().enumerate() {
+                    ecco::codec::decode_group_into(b, &meta, out).map_err(|e| (i, e))?;
+                }
+                Ok(())
             },
         );
         assert_eq!(results[0].values().unwrap(), seq.data());
